@@ -19,6 +19,7 @@ from .errors import ConfigError, DomainError, RolloutError, ShapeError
 from .flow_policy import (
     FlowPolicy,
     PolicyDims,
+    Rollout,
     SdeConfig,
     ToyDataset,
     ToySample,

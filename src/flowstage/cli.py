@@ -104,18 +104,9 @@ def run_calibrate(cfg: RunConfig) -> None:
         print(f"warning: {line}", file=sys.stderr)
 
 
-def _thresholds_from_file(cfg: RunConfig):
-    tau_file = cfg.resolved["curriculum"]["thresholds_file"]
-    if not tau_file:
-        return None
-    with open(tau_file) as fp:
-        payload = json.load(fp)
-    return [float(t) for t in payload["thresholds"]]
-
-
 def run_train(cfg: RunConfig) -> None:
     policy = _load_init_policy(cfg)
-    tc = cfg.train_config(thresholds=_thresholds_from_file(cfg))
+    tc = cfg.train_config(thresholds=cfg.thresholds_from_file())
     interval = cfg.resolved["train"]["checkpoint_interval"]
 
     def checkpoint(step, current, _rec):
@@ -146,11 +137,9 @@ def run_eval(cfg: RunConfig) -> None:
     rows = []
     for g in range(num_groups):
         cond = int(rng.stream(0, g).integers(0, policy.dims.num_classes))
-        trajs = [
-            sde_sample(policy, cond, sde, rng.stream(1, g, i))
-            for i in range(group_size)
-        ]
-        samples = [decode_state(t.final_state(), policy.dims, cond) for t in trajs]
+        rollout = sde_sample(policy, cond, sde,
+                             [rng.stream(1, g, i) for i in range(group_size)])
+        samples = [decode_state(x, policy.dims, cond) for x in rollout.final_states()]
         matrix = eval_group(suite, samples)
         all_values.append(matrix.values)
         rows.append([g, cond] + [repr(float(v)) for v in matrix.values.mean(axis=0)])

@@ -8,6 +8,7 @@ an output directory is always self-describing and re-runnable.
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
@@ -70,6 +71,7 @@ DEFAULTS = {
         "ref_refresh_interval": 1,
         "static_stage": None,
         "smooth_window": 15,
+        "max_grad_norm": 1.0,
         "checkpoint_interval": 0,
     },
     "calibrate": {
@@ -162,7 +164,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, user: dict, overrides=()) -> "RunConfig":
         errors: list = []
-        resolved = _deep_merge(DEFAULTS, user, "", errors)
+        # a copy: overrides write into the sections the user left out
+        resolved = _deep_merge(copy.deepcopy(DEFAULTS), user, "", errors)
         for text in overrides:
             key, value = parse_override(text)
             _set_dotted(resolved, key, value, errors)
@@ -219,8 +222,18 @@ class RunConfig:
                 self.train_config()
             except (ValueError, TypeError) as exc:
                 errors.append(f"train: {exc}")
+            if (not errors and cfg["mode"] == "train"
+                    and cfg["train"]["static_stage"] is None):
+                errors.extend(self._threshold_errors())
+
+        interval = cfg["train"]["checkpoint_interval"]
+        if not isinstance(interval, int) or isinstance(interval, bool) or interval < 0:
+            errors.append("train.checkpoint_interval: must be an integer >= 0")
 
         mode = cfg["mode"]
+        if mode in ("calibrate", "train") and cfg["sde"]["eta"] == 0:
+            errors.append(f"sde.eta: must be > 0 for mode {mode!r}; GRPO needs "
+                          "the transition densities an eta = 0 rollout does not have")
         if mode in ("calibrate", "train", "eval") and not cfg["policy"]["init_checkpoint"]:
             errors.append(f"policy.init_checkpoint: required for mode {mode!r}")
         if mode == "audit" and not cfg["audit"]["input"]:
@@ -234,6 +247,28 @@ class RunConfig:
 
         if errors:
             raise ConfigError(errors)
+
+    def _threshold_errors(self) -> list:
+        """A curriculum run gates every reward term on its own threshold.
+
+        Inline thresholds may outnumber the terms (the defaults carry
+        three); a calibrated file must hold exactly one per term, or it
+        was calibrated for another suite.
+        """
+        terms = len(self.resolved["rewards"])
+        try:
+            taus = self.thresholds_from_file()
+        except ConfigError as exc:
+            return exc.details
+        if taus is None:
+            count = len(self.resolved["curriculum"]["thresholds"])
+            if count < terms:
+                return [f"curriculum.thresholds: {count} thresholds for {terms} reward "
+                        "terms; give one per term or set train.static_stage"]
+        elif len(taus) != terms:
+            return [f"curriculum.thresholds_file: {len(taus)} thresholds for {terms} "
+                    "reward terms; calibrate against this reward suite"]
+        return []
 
     # -- typed accessors ----------------------------------------------------
 
@@ -264,8 +299,7 @@ class RunConfig:
 
     def sde_config(self) -> SdeConfig:
         s = self.resolved["sde"]
-        return SdeConfig(num_steps=s["num_steps"], eta=s["eta"], t_min=s["t_min"],
-                         seed=self.seed)
+        return SdeConfig(num_steps=s["num_steps"], eta=s["eta"], t_min=s["t_min"])
 
     def curriculum_config(self, thresholds=None) -> CurriculumConfig:
         c = self.resolved["curriculum"]
@@ -276,6 +310,18 @@ class RunConfig:
             weight_mode=c["weight_mode"],
             ema_decay=c["ema_decay"],
         )
+
+    def thresholds_from_file(self) -> list | None:
+        """The thresholds in ``curriculum.thresholds_file`` (as calibrate
+        mode writes them), or None when no file is set."""
+        path = self.resolved["curriculum"]["thresholds_file"]
+        if not path:
+            return None
+        try:
+            with open(path) as fp:
+                return [float(t) for t in json.load(fp)["thresholds"]]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError([f"curriculum.thresholds_file: cannot read {path}: {exc!r}"])
 
     def reward_suite(self) -> list:
         num_classes = self.resolved["dataset"]["num_classes"]
@@ -308,6 +354,7 @@ class RunConfig:
             suite=tuple(self.reward_suite()),
             static_stage=static_stage if static_stage is not None else t["static_stage"],
             smooth_window=t["smooth_window"],
+            max_grad_norm=t["max_grad_norm"],
         )
 
     def write_resolved(self, directory) -> Path:

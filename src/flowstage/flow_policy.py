@@ -33,7 +33,6 @@ from .numerics import (
     adam_init,
     adam_step_arrays,
     init_mlp,
-    mlp_backward,
     mlp_backward_batch,
     mlp_forward,
     mlp_forward_batch,
@@ -127,7 +126,6 @@ class SdeConfig:
     num_steps: int = 16
     eta: float = 0.5
     t_min: float = DEFAULT_T_MIN
-    seed: int = 0
 
     def __post_init__(self):
         if self.num_steps < 1:
@@ -140,7 +138,8 @@ class SdeConfig:
 
 @dataclass
 class Trajectory:
-    """One stochastic rollout with everything needed to re-evaluate it.
+    """One trajectory of a :class:`Rollout`, with everything needed to
+    re-evaluate it.
 
     ``log_probs[k]`` is the Gaussian log-density of ``states[k + 1]`` under
     mean ``step_means[k]`` and covariance ``step_stds[k]**2 * I``; it is
@@ -162,6 +161,91 @@ class Trajectory:
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]
+
+
+@dataclass
+class Transitions:
+    """Recorded transitions x -> x_next, one per row, each with its own
+    flow time, condition and noise std; the step size and eta are shared."""
+
+    x: np.ndarray
+    x_next: np.ndarray
+    t: np.ndarray
+    cond: np.ndarray
+    std: np.ndarray
+    dt: float
+    eta: float
+
+
+def _transition_rows(times, states, stds, conds, dt, eta, steps) -> Transitions:
+    """Rows for ``steps`` of every trajectory in ``states`` (G, K + 1, n),
+    step-major: row ``u * G + i`` is trajectory i's step ``steps[u]``."""
+    steps = np.asarray(steps, dtype=np.int64)
+    G, K, n = states.shape[0], states.shape[1] - 1, states.shape[2]
+    if steps.ndim != 1 or ((steps < 0) | (steps >= K)).any():
+        raise DomainError(f"timestep indices {steps.tolist()} out of range [0, {K})")
+    by_step = states.transpose(1, 0, 2)
+    return Transitions(
+        x=by_step[steps].reshape(-1, n),
+        x_next=by_step[steps + 1].reshape(-1, n),
+        t=np.repeat(times[steps], G),
+        cond=np.tile(conds, len(steps)),
+        std=np.repeat(stds[steps], G),
+        dt=dt,
+        eta=eta,
+    )
+
+
+@dataclass
+class Rollout:
+    """A group of G stochastic trajectories sampled together, one row each.
+
+    ``states`` is (G, K + 1, n), ``step_means`` (G, K, n) and ``log_probs``
+    (G, K), or None when eta = 0; the time grid ``times`` and the per-step
+    ``step_stds`` are shared by the group.  ``kept`` maps each step named
+    at sampling time to the velocity net's layer activations there, one
+    (G, size) array per layer.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    step_means: np.ndarray
+    step_stds: np.ndarray
+    log_probs: np.ndarray | None
+    conditions: np.ndarray
+    eta: float
+    dt: float
+    kept: dict
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def __getitem__(self, i: int) -> Trajectory:
+        return Trajectory(
+            times=self.times,
+            states=self.states[i],
+            step_means=self.step_means[i],
+            step_stds=self.step_stds,
+            log_probs=None if self.log_probs is None else self.log_probs[i],
+            condition=int(self.conditions[i]),
+            eta=self.eta,
+            dt=self.dt,
+        )
+
+    def final_states(self) -> np.ndarray:
+        return self.states[:, -1]
+
+    def transitions(self, steps: Sequence[int]) -> Transitions:
+        """The transitions at ``steps`` of every trajectory, step-major."""
+        return _transition_rows(self.times, self.states, self.step_stds, self.conditions,
+                                self.dt, self.eta, steps)
+
+    def kept_activations(self, steps: Sequence[int]) -> list | None:
+        """Layer activations at ``steps`` in the row order of
+        :meth:`transitions`, or None unless every one of them was kept."""
+        if not all(int(k) in self.kept for k in steps):
+            return None
+        return [np.concatenate(layer) for layer in zip(*(self.kept[int(k)] for k in steps))]
 
 
 # ---------------------------------------------------------------------------
@@ -281,22 +365,12 @@ def _step_coeffs(t: float, dt: float, eta: float):
     return 1.0 + dt * half, dt * (1.0 + half * (1.0 - t))
 
 
-def _step_mean_cached(policy: FlowPolicy, x: np.ndarray, t: float, dt: float,
-                      eta: float, cond: int):
-    out, cache = mlp_forward(policy.net, _net_input(policy, x, t, cond))
-    a_x, a_v = _step_coeffs(t, dt, eta)
-    return a_x * x + a_v * out, cache, a_v
-
-
-def gaussian_log_density(x: np.ndarray, mean: np.ndarray, std: float) -> float:
-    """Log-density of x under an isotropic Gaussian N(mean, std^2 I)."""
-    if std <= 0.0:
-        raise DomainError("std must be positive")
+def _log_density_rows(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+    """Log-density of each row of ``x`` under N(mean_row, std_row^2 I)."""
     resid = x - mean
-    n = resid.size
-    return -0.5 * n * math.log(2.0 * math.pi * std * std) - float(resid @ resid) / (
-        2.0 * std * std
-    )
+    var2 = 2.0 * std * std
+    return (-0.5 * x.shape[1] * np.log(np.pi * var2)
+            - np.einsum("ij,ij->i", resid, resid) / var2)
 
 
 def decode_state(x: np.ndarray, dims: PolicyDims, cond: int) -> ToySample:
@@ -334,118 +408,134 @@ def ode_sample(policy: FlowPolicy, cond: int, num_steps: int, rng: RandomSource,
     return decode_state(states[-1], policy.dims, cond)
 
 
-def sde_sample(policy: FlowPolicy, cond: int, config: SdeConfig,
-               rng: RandomSource) -> Trajectory:
-    """Stochastic rollout dx = (v - sigma_t^2/2 * score) dt + sigma_t dw.
+def sde_sample(policy: FlowPolicy, cond, config: SdeConfig,
+               rngs: Sequence[RandomSource], keep: Sequence[int] = ()) -> Rollout:
+    """Stochastic rollout of a group, dx = (v - sigma_t^2/2 * score) dt + sigma_t dw.
 
-    Each transition is Gaussian with mean from :func:`_step_coeffs` and
-    std sigma_t * sqrt(|dt|) = eta * sqrt(t |dt|); the exact log-density
-    of the realized next state is recorded (None when eta = 0).
+    Trajectory i draws its initial noise and all its step noise from
+    ``rngs[i]`` in one call, so it does not depend on the group size;
+    each SDE step is one forward pass over the whole group.  ``cond`` is
+    one condition for the group or one per trajectory.  Each transition is
+    Gaussian with mean from :func:`_step_coeffs` and std
+    sigma_t * sqrt(|dt|) = eta * sqrt(t |dt|); the exact log-density of
+    the realized next state is recorded (None when eta = 0).  The net's
+    layer activations are kept for the steps in ``keep`` only.
     """
-    if not 0 <= int(cond) < policy.dims.num_classes:
+    G = len(rngs)
+    if G < 1:
+        raise DomainError("need one random stream per trajectory, got none")
+    conds = np.broadcast_to(np.asarray(cond, dtype=np.int64), (G,)).copy()
+    if ((conds < 0) | (conds >= policy.dims.num_classes)).any():
         raise DomainError(f"condition {cond} out of range")
     n = policy.dims.state_size
     K = config.num_steps
+    keep = {int(k) for k in keep}
+    if any(not 0 <= k < K for k in keep):
+        raise DomainError(f"kept steps {sorted(keep)} out of range [0, {K})")
     times = time_grid(K, config.t_min)
     dt = (config.t_min - 1.0) / K
     eta = config.eta
 
-    x = rng.gaussian(n)
-    states = [x]
-    means = np.empty((K, n))
+    noise = np.stack([r.gaussian((K + 1) * n).reshape(K + 1, n) for r in rngs])
+    states = np.empty((G, K + 1, n))
+    states[:, 0] = noise[:, 0]
+    means = np.empty((G, K, n))
     stds = np.empty(K)
-    log_probs = np.empty(K) if eta > 0.0 else None
+    log_probs = np.empty((G, K)) if eta > 0.0 else None
+    emb = policy.cond_emb[conds]
+    kept = {}
+    x = states[:, 0]
     for k in range(K):
         t = float(times[k])
+        inputs = np.concatenate([x, np.full((G, 1), t), emb], axis=1)
         try:
-            mean, _, _ = _step_mean_cached(policy, x, t, dt, eta, int(cond))
+            v, acts = mlp_forward_batch(policy.net, inputs)
         except DomainError as exc:
             raise RolloutError(f"step {k} (t={t:.4f}): {exc}") from exc
+        a_x, a_v = _step_coeffs(t, dt, eta)
+        mean = a_x * x + a_v * v
         std = eta * math.sqrt(t * -dt)
-        z = rng.gaussian(n)
-        x = mean + std * z
+        x = mean + std * noise[:, k + 1]
         if not np.isfinite(x).all():
-            raise RolloutError(f"non-finite state at step {k} (t={t:.4f})")
-        means[k] = mean
+            bad = np.flatnonzero(~np.isfinite(x).all(axis=1)).tolist()
+            raise RolloutError(f"non-finite state in rollouts {bad} at step {k} (t={t:.4f})")
+        means[:, k] = mean
         stds[k] = std
+        states[:, k + 1] = x
         if log_probs is not None:
-            log_probs[k] = gaussian_log_density(x, mean, std)
-        states.append(x)
-    return Trajectory(
+            log_probs[:, k] = _log_density_rows(x, mean, np.full(G, std))
+        if k in keep:
+            kept[k] = acts
+    return Rollout(
         times=times,
-        states=np.stack(states),
+        states=states,
         step_means=means,
         step_stds=stds,
         log_probs=log_probs,
-        condition=int(cond),
+        conditions=conds,
         eta=eta,
         dt=dt,
+        kept=kept,
     )
+
+
+@dataclass
+class TransitionEval:
+    """Recorded transitions re-evaluated under one policy: per-row
+    log-densities and transition means, the net's layer activations and
+    d mean / d v, kept for :func:`backprop_step`."""
+
+    log_probs: np.ndarray
+    means: np.ndarray
+    acts: list
+    a_v: np.ndarray
+
+
+def eval_step(policy: FlowPolicy, rows: Transitions,
+              acts: list | None = None) -> TransitionEval:
+    """Log-densities of recorded transitions under ``policy``, every
+    selected step of every trajectory at once.
+
+    The transition means are recomputed from this policy's velocity in one
+    forward pass over all rows; the visited states and the noise scales
+    stay frozen.  ``acts``, the layer activations the rollout itself kept
+    at these rows, replaces that forward pass; pass it only when
+    ``policy`` is the policy that sampled the rollout.
+    """
+    if acts is None:
+        inputs = np.concatenate([rows.x, rows.t[:, None], policy.cond_emb[rows.cond]], axis=1)
+        _, acts = mlp_forward_batch(policy.net, inputs)
+    a_x, a_v = _step_coeffs(rows.t, rows.dt, rows.eta)
+    means = a_x * rows.x + a_v[:, None] * acts[-1]
+    return TransitionEval(_log_density_rows(rows.x_next, means, rows.std), means, acts, a_v)
+
+
+def backprop_step(policy: FlowPolicy, rows: Transitions, ev: TransitionEval,
+                  upstream: np.ndarray) -> list:
+    """Gradient of ``sum_r upstream[r] * log_prob[r]`` w.r.t. the policy arrays.
+
+    d logp / d mean = (x_next - mean) / std^2 and d mean / d v = a_v; the
+    rest is one backward pass over all rows plus routing each row's
+    input-gradient embedding slice to its condition's row.
+    """
+    dmean = (rows.x_next - ev.means) / (rows.std * rows.std)[:, None]
+    upstream_v = (upstream * ev.a_v)[:, None] * dmean
+    net_grads, input_grads = mlp_backward_batch(policy.net, ev.acts, upstream_v)
+    emb_grad = np.zeros_like(policy.cond_emb)
+    np.add.at(emb_grad, rows.cond, input_grads[:, policy.dims.state_size + 1:])
+    return net_grads.arrays() + [emb_grad]
 
 
 def log_prob_under(policy: FlowPolicy, traj: Trajectory,
                    timestep_subset: Sequence[int] | None = None) -> np.ndarray:
     """Per-step log-densities of a recorded rollout under a (possibly
-    different) policy.
-
-    The transition mean is recomputed from this policy's velocity; the
-    visited states and the noise scale stay frozen from the trajectory.
-    """
+    different) policy; see :func:`eval_step`."""
     if traj.log_probs is None:
         raise DomainError("trajectory was sampled with eta = 0; no density exists")
-    steps = list(range(traj.num_steps) if timestep_subset is None else timestep_subset)
-    out = np.empty(len(steps))
-    for i, k in enumerate(steps):
-        k = int(k)
-        if not 0 <= k < traj.num_steps:
-            raise DomainError(f"timestep index {k} out of range")
-        mean, _, _ = _step_mean_cached(
-            policy, traj.states[k], float(traj.times[k]), traj.dt, traj.eta,
-            traj.condition,
-        )
-        out[i] = gaussian_log_density(traj.states[k + 1], mean, float(traj.step_stds[k]))
-    return out
-
-
-@dataclass
-class StepEval:
-    """Forward pieces of one re-evaluated transition, kept for backprop."""
-
-    log_prob: float
-    mean: np.ndarray
-    cache: list
-    a_v: float
-    step: int
-
-
-def eval_step(policy: FlowPolicy, traj: Trajectory, k: int) -> StepEval:
-    """Like :func:`log_prob_under` for one step, returning backprop state."""
-    if traj.log_probs is None:
-        raise DomainError("trajectory was sampled with eta = 0; no density exists")
-    mean, cache, a_v = _step_mean_cached(
-        policy, traj.states[k], float(traj.times[k]), traj.dt, traj.eta,
-        traj.condition,
-    )
-    logp = gaussian_log_density(traj.states[k + 1], mean, float(traj.step_stds[k]))
-    return StepEval(log_prob=logp, mean=mean, cache=cache, a_v=a_v, step=int(k))
-
-
-def backprop_step(policy: FlowPolicy, traj: Trajectory, ev: StepEval,
-                  upstream_logp: float) -> list:
-    """Gradient of ``upstream_logp * log_prob`` w.r.t. the policy arrays.
-
-    d logp / d mean = (x_next - mean) / std^2 and d mean / d v = a_v; the
-    rest is the net's backward pass plus routing the input gradient's
-    embedding slice to the conditioning row.
-    """
-    std = float(traj.step_stds[ev.step])
-    dmean = (traj.states[ev.step + 1] - ev.mean) / (std * std)
-    upstream_v = (upstream_logp * ev.a_v) * dmean
-    net_grads, input_grad = mlp_backward(policy.net, ev.cache, upstream_v)
-    emb_grad = np.zeros_like(policy.cond_emb)
-    n = policy.dims.state_size
-    emb_grad[traj.condition] = input_grad[n + 1:]
-    return net_grads.arrays() + [emb_grad]
+    steps = range(traj.num_steps) if timestep_subset is None else timestep_subset
+    rows = _transition_rows(traj.times, traj.states[None], traj.step_stds,
+                            np.array([traj.condition]), traj.dt, traj.eta, list(steps))
+    return eval_step(policy, rows).log_probs
 
 
 # ---------------------------------------------------------------------------

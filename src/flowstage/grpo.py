@@ -1,10 +1,16 @@
 """Group-relative policy optimization with the staged reward curriculum.
 
 Each step rolls out a group of stochastic trajectories for one shared
-condition under a frozen reference policy, scores them with the reward
-suite, mixes the terms with the curriculum gates, and ascends the
-clipped importance-ratio surrogate through the per-step Gaussian
-transition densities.
+condition under the reference policy, in one batched pass per SDE step,
+scores them with the reward suite, mixes the terms with the curriculum
+gates, and ascends the clipped importance-ratio surrogate through the
+per-step Gaussian transition densities.
+
+On a refresh step the reference is the policy being optimised, so the
+ratios are exactly 1 and the gradient comes from the layer activations
+the rollout kept at the selected steps; only against a stale reference
+(``ref_refresh_interval > 1``) are the selected transitions re-evaluated
+in one batched forward pass, and only there can the clip bind.
 
 Advantages enter the gradient as constants: nothing differentiates
 through the reward or mixing computations.
@@ -31,8 +37,8 @@ from .curriculum import (
 from .errors import DomainError, RolloutError, ShapeError
 from .flow_policy import (
     FlowPolicy,
+    Rollout,
     SdeConfig,
-    Trajectory,
     backprop_step,
     decode_state,
     eval_step,
@@ -40,10 +46,6 @@ from .flow_policy import (
 )
 from .numerics import AdamState, RandomSource, adam_init, adam_step_arrays
 from .rewards import RewardTerm, default_suite, eval_group, validate_suite
-
-# Ratio clipping used at production scale; far too tight for the toy
-# setup, where the desk-scale default below keeps the clip meaningful.
-FULL_SCALE_CLIP_EPS = 1e-4
 
 # Stream ids for per-step child RNGs.
 _STREAM_COND, _STREAM_ROLLOUT, _STREAM_SUBSET = 0, 1, 2
@@ -209,52 +211,47 @@ def surrogate_objective(ratios: np.ndarray, advantages: np.ndarray, clip_eps: fl
     return float(elems.mean()), flags
 
 
-def surrogate_and_grads(policy: FlowPolicy, trajs: Sequence[Trajectory],
+def surrogate_and_grads(policy: FlowPolicy, rollout: Rollout,
                         advantages: np.ndarray, timestep_subset: Sequence[int],
-                        clip_eps: float, ratio_clamp_max: float):
+                        clip_eps: float, ratio_clamp_max: float,
+                        ref_policy: FlowPolicy | None = None):
     """Objective value and its exact gradient w.r.t. the policy arrays.
 
-    Recomputes each selected transition's log-density under ``policy``
-    against the trajectories' recorded reference log-densities.  The
+    Evaluates each selected transition's log-density under ``policy``
+    against the rollout's recorded reference log-densities, all G x T'
+    of them in one batched forward and one batched backward pass.  The
     gradient flows only where the unclipped branch is active and the
     ratio clamp does not bind; advantages are consumed as constants.
+
+    ``ref_policy`` is the policy that sampled ``rollout``.  When it is
+    ``policy`` itself and the rollout kept its activations at the
+    selected steps, those replace the forward pass (the ratios are then
+    exactly 1); otherwise the transitions are re-evaluated.
 
     Returns ``(J, grads, ratios, clip_flags)``.
     """
     subset = [int(k) for k in timestep_subset]
-    G, T_sel = len(trajs), len(subset)
+    G, T_sel = len(rollout), len(subset)
     if G != len(advantages):
         raise ShapeError("one advantage per trajectory required")
     if T_sel < 1:
         raise DomainError("need at least one selected timestep")
-    evals = []
-    ratios = np.empty((G, T_sel))
-    raw_ratios = np.empty((G, T_sel))
-    for i, traj in enumerate(trajs):
-        if traj.log_probs is None:
-            raise DomainError("trajectories must be sampled with eta > 0")
-        row = []
-        for u, k in enumerate(subset):
-            ev = eval_step(policy, traj, k)
-            raw = math.exp(ev.log_prob - float(traj.log_probs[k]))
-            raw_ratios[i, u] = raw
-            ratios[i, u] = min(max(raw, 1.0 / ratio_clamp_max), ratio_clamp_max)
-            row.append(ev)
-        evals.append(row)
+    if rollout.log_probs is None:
+        raise DomainError("trajectories must be sampled with eta > 0")
+    advantages = np.asarray(advantages, dtype=np.float64)
+    rows = rollout.transitions(subset)
+    acts = rollout.kept_activations(subset) if ref_policy is policy else None
+    ev = eval_step(policy, rows, acts)
+    old = rollout.log_probs[:, subset]
+    raw = np.exp(ev.log_probs.reshape(T_sel, G).T - old)
+    ratios = np.clip(raw, 1.0 / ratio_clamp_max, ratio_clamp_max)
     J, flags = surrogate_objective(ratios, advantages, clip_eps)
 
-    grads = [np.zeros_like(a) for a in policy.param_arrays()]
-    scale = 1.0 / (G * T_sel)
-    for i, traj in enumerate(trajs):
-        for u, k in enumerate(subset):
-            if flags[i, u]:
-                continue  # clipped branch selected: flat in the ratio
-            raw = raw_ratios[i, u]
-            if not 1.0 / ratio_clamp_max < raw < ratio_clamp_max:
-                continue  # hard clamp binds: flat in the log-prob
-            upstream = scale * float(advantages[i]) * raw
-            for acc, g in zip(grads, backprop_step(policy, traj, evals[i][u], upstream)):
-                acc += g
+    # no gradient where the clipped branch is selected (flat in the ratio)
+    # or where the hard clamp binds (flat in the log-prob)
+    live = ~flags & (raw > 1.0 / ratio_clamp_max) & (raw < ratio_clamp_max)
+    upstream = np.where(live, ((1.0 / (G * T_sel)) * advantages)[:, None] * raw, 0.0)
+    grads = backprop_step(policy, rows, ev, upstream.T.reshape(-1))
     return J, grads, ratios, flags
 
 
@@ -298,39 +295,35 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
 
     Rolls out the group under ``ref_policy``, computes curriculum
     advantages, ascends the surrogate, and returns
-    ``(policy, opt_state, curriculum state, step record)``.
+    ``(policy, opt_state, curriculum state, step record)``.  When
+    ``ref_policy is policy`` the rollout keeps its activations at the
+    selected steps and the gradient is taken from them.
     """
     suite = _resolve_suite(policy, config)
     if opt_state is None:
         opt_state = adam_init(policy.param_arrays(), learning_rate=config.learning_rate)
 
     cond = int(rng.stream(_STREAM_COND, step_index).integers(0, policy.dims.num_classes))
-    trajs = []
-    for i in range(config.group_size):
-        try:
-            trajs.append(
-                sde_sample(ref_policy, cond, config.sde,
-                           rng.stream(_STREAM_ROLLOUT, step_index, i))
-            )
-        except RolloutError as exc:
-            raise RolloutError(
-                f"step {step_index}, rollout {i}, condition {cond}: {exc}"
-            ) from exc
+    K = config.sde.num_steps
+    n_sel = math.ceil(config.timestep_fraction * K)
+    subset = np.sort(rng.stream(_STREAM_SUBSET, step_index).permutation(K)[:n_sel])
+    rngs = [rng.stream(_STREAM_ROLLOUT, step_index, i) for i in range(config.group_size)]
+    try:
+        rollout = sde_sample(ref_policy, cond, config.sde, rngs,
+                             keep=subset if ref_policy is policy else ())
+    except RolloutError as exc:
+        raise RolloutError(f"step {step_index}, condition {cond}: {exc}") from exc
 
-    samples = [decode_state(t.final_state(), policy.dims, cond) for t in trajs]
+    samples = [decode_state(x, policy.dims, cond) for x in rollout.final_states()]
     matrix = eval_group(suite, samples)
     if config.static_stage is not None:
         state = _static_state(matrix, config.static_stage)
     else:
         state = curriculum_step(matrix, config.curriculum, prior_state)
 
-    K = config.sde.num_steps
-    n_sel = math.ceil(config.timestep_fraction * K)
-    subset = np.sort(rng.stream(_STREAM_SUBSET, step_index).permutation(K)[:n_sel])
-
     J, grads, ratios, flags = surrogate_and_grads(
-        policy, trajs, state.advantages, subset, config.clip_eps,
-        config.ratio_clamp_max,
+        policy, rollout, state.advantages, subset, config.clip_eps,
+        config.ratio_clamp_max, ref_policy=ref_policy,
     )
     grad_norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
     if config.max_grad_norm > 0.0 and grad_norm > config.max_grad_norm:
@@ -364,9 +357,14 @@ def train(policy: FlowPolicy, config: TrainConfig, step_callback=None):
     """Run ``config.num_steps`` optimization steps.
 
     The reference policy is refreshed every ``ref_refresh_interval``
-    steps; a fixed seed makes the whole trace bit-reproducible.  The
-    optional ``step_callback(step, policy, record)`` runs after each
-    update (checkpointing hook).  Returns ``(policy, TrainLog)``.
+    steps.  On a refresh step the reference is the policy object itself
+    (updates build new arrays, so nothing mutates it later), which makes
+    the step on-policy: its gradient comes from the rollout's own
+    activations.  Steps against a stale reference re-evaluate the
+    selected transitions.  A fixed seed makes the whole trace
+    bit-reproducible.  The optional ``step_callback(step, policy,
+    record)`` runs after each update (checkpointing hook).  Returns
+    ``(policy, TrainLog)``.
     """
     rng = RandomSource(config.seed)
     opt_state = adam_init(policy.param_arrays(), learning_rate=config.learning_rate)
@@ -376,7 +374,7 @@ def train(policy: FlowPolicy, config: TrainConfig, step_callback=None):
     for s in range(config.num_steps):
         refresh = s % config.ref_refresh_interval == 0
         if refresh:
-            ref_policy = policy.copy()
+            ref_policy = policy
         policy, opt_state, state, rec = train_step(
             policy, ref_policy, config, rng, opt_state, prior, s, refresh
         )

@@ -1,17 +1,21 @@
-"""Kernel backend selection.
+"""Kernel backend selection for the single-vector MLP pass.
 
-The hot inner loops (per-step MLP evaluation inside SDE rollouts and the
-per-step log-density backward pass) run through ``forward``/``backward``
-from either the compiled Cython extension or the numpy fallback.  The
-choice is made once at import time:
+``forward``/``backward`` evaluate the net on one input vector, from
+either the compiled Cython extension or the numpy fallback.  Their only
+callers are ``numerics.mlp_forward``/``mlp_backward``, and of the
+program only ``flow_policy.velocity`` (so ``ode_path``/``ode_sample``)
+goes through those; nothing in the program calls ``mlp_backward``.
+Rollouts, the GRPO gradient and pretraining run the batched numpy pass
+in ``numerics`` whatever the backend, so the choice below does not move
+them.  The choice is made once at import time:
 
 * ``FLOWSTAGE_KERNELS=cy``  require the compiled backend, fail if absent
 * ``FLOWSTAGE_KERNELS=py``  force the pure-Python backend
 * unset or ``auto``         compiled if available, else pure Python
 
 Both backends compute the same arithmetic; floating-point results may
-differ at rounding level because of summation order, so a fixed seed is
-bit-reproducible per backend, not across backends.
+differ at rounding level because of summation order, so an ODE sample
+at a fixed seed is bit-reproducible per backend, not across backends.
 """
 
 from __future__ import annotations

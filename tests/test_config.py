@@ -1,0 +1,132 @@
+"""Run-config contracts: every value a run depends on can be set and is
+recorded, and configs that cannot run are rejected at load time."""
+
+import json
+
+import pytest
+
+from flowstage import cli
+from flowstage.config import RunConfig
+from flowstage.errors import ConfigError
+from flowstage.flow_policy import PolicyDims, init_flow_policy, save_policy
+from flowstage.numerics import RandomSource
+
+
+@pytest.fixture
+def checkpoint(tmp_path):
+    path = tmp_path / "init.ckpt"
+    save_policy(path, init_flow_policy(PolicyDims(), hidden=(8,), rng=RandomSource(0)))
+    return str(path)
+
+
+def run_cli(tmp_path, checkpoint, *overrides):
+    outdir = tmp_path / "out"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "outdir": str(outdir),
+        "policy": {"init_checkpoint": checkpoint},
+        "train": {"num_steps": 2, "group_size": 4},
+        "eval": {"num_groups": 2},
+    }))
+    return cli.main([str(config), *overrides]), outdir
+
+
+def load_errors(user, *overrides):
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_dict(user, overrides)
+    return exc.value.details
+
+
+TRAIN = {"mode": "train", "policy": {"init_checkpoint": "init.ckpt"}}
+
+
+class TestMaxGradNorm:
+    def test_override_reaches_train_config_and_resolved_file(self, tmp_path):
+        cfg = RunConfig.from_dict(TRAIN, ["train.max_grad_norm=0.5"])
+        assert cfg.train_config().max_grad_norm == 0.5
+        with open(cfg.write_resolved(tmp_path)) as fp:
+            assert json.load(fp)["train"]["max_grad_norm"] == 0.5
+
+    def test_negative_rejected(self):
+        errors = load_errors(TRAIN, "train.max_grad_norm=-1")
+        assert any("max_grad_norm" in e for e in errors)
+
+
+def test_overrides_do_not_leak_into_later_loads():
+    RunConfig.from_dict(TRAIN, ["train.max_grad_norm=0.25", "sde.eta=0.3"])
+    cfg = RunConfig.from_dict(TRAIN)
+    assert cfg.train_config().max_grad_norm == 1.0
+    assert cfg.sde_config().eta == 0.5
+
+
+class TestRejectedAtLoad:
+    @pytest.mark.parametrize("mode", ["train", "calibrate"])
+    def test_eta_zero_exits_1_without_failure_file(self, tmp_path, checkpoint, capsys, mode):
+        rc, outdir = run_cli(tmp_path, checkpoint, f"--set=mode={mode}", "--set=sde.eta=0")
+        assert rc == 1
+        assert not (outdir / "failure.json").exists()
+        assert "sde.eta" in capsys.readouterr().err
+
+    def test_eval_accepts_eta_zero(self, tmp_path, checkpoint):
+        rc, outdir = run_cli(tmp_path, checkpoint, "--set=mode=eval", "--set=sde.eta=0")
+        assert rc == 0
+        assert (outdir / "eval_stats.json").is_file()
+
+    @pytest.mark.parametrize("value", ["-3", "2.5"])
+    def test_bad_checkpoint_interval(self, value):
+        errors = load_errors(TRAIN, f"train.checkpoint_interval={value}")
+        assert any("train.checkpoint_interval" in e for e in errors)
+
+    def test_too_few_thresholds_for_train(self):
+        errors = load_errors(TRAIN, "curriculum.thresholds=[0.7, 0.7]")
+        assert any("curriculum.thresholds" in e for e in errors)
+
+    def test_too_few_thresholds_allowed_with_static_stage_or_outside_train(self):
+        RunConfig.from_dict(TRAIN, ["curriculum.thresholds=[0.7, 0.7]", "train.static_stage=1"])
+        RunConfig.from_dict(dict(TRAIN, mode="eval"), ["curriculum.thresholds=[0.7, 0.7]"])
+
+    def test_too_few_thresholds_exit_1_before_the_first_step(self, tmp_path, checkpoint):
+        rc, outdir = run_cli(tmp_path, checkpoint, "--set=curriculum.thresholds=[0.7, 0.7]")
+        assert rc == 1
+        assert not (outdir / "failure.json").exists()
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_thresholds_file_of_wrong_length(self, tmp_path, checkpoint, capsys, count):
+        tau = tmp_path / "tau.json"
+        tau.write_text(json.dumps({"thresholds": [0.7] * count}))
+        rc, outdir = run_cli(tmp_path, checkpoint, f"--set=curriculum.thresholds_file={tau}")
+        assert rc == 1
+        assert not (outdir / "failure.json").exists()
+        assert "curriculum.thresholds_file" in capsys.readouterr().err
+
+    def test_missing_thresholds_file(self, tmp_path, checkpoint):
+        missing = tmp_path / "absent.json"
+        rc, outdir = run_cli(tmp_path, checkpoint, f"--set=curriculum.thresholds_file={missing}")
+        assert rc == 1
+        assert not (outdir / "failure.json").exists()
+
+    def test_thresholds_file_overrides_inline_thresholds(self, tmp_path, checkpoint):
+        tau = tmp_path / "tau.json"
+        tau.write_text(json.dumps({"thresholds": [0.6, 0.65, 0.7]}))
+        cfg = RunConfig.from_dict(TRAIN, [f"curriculum.thresholds_file={tau}",
+                                          "curriculum.thresholds=[0.7]"])
+        tc = cfg.train_config(thresholds=cfg.thresholds_from_file())
+        assert tc.curriculum.thresholds == (0.6, 0.65, 0.7)
+        rc, outdir = run_cli(tmp_path, checkpoint, f"--set=curriculum.thresholds_file={tau}")
+        assert rc == 0
+        assert (outdir / "trainlog.jsonl").is_file()
+
+
+def test_eval_keeps_no_activations(tmp_path, checkpoint, monkeypatch):
+    rollouts = []
+    sample = cli.sde_sample
+
+    def spy(*args, **kwargs):
+        rollouts.append(sample(*args, **kwargs))
+        return rollouts[-1]
+
+    monkeypatch.setattr(cli, "sde_sample", spy)
+    rc, _ = run_cli(tmp_path, checkpoint, "--set=mode=eval")
+    assert rc == 0
+    assert len(rollouts) == 2
+    assert all(r.kept == {} and len(r) == 4 for r in rollouts)

@@ -18,6 +18,7 @@ from flowstage.flow_policy import (
     init_flow_policy,
     sde_sample,
 )
+from flowstage import flow_policy, grpo
 from flowstage.grpo import (
     TrainConfig,
     importance_ratio,
@@ -40,10 +41,8 @@ def tiny_policy(seed=0):
 
 def tiny_trajectories(ref, count=4, seed=100, num_steps=2):
     cfg = SdeConfig(num_steps=num_steps, eta=0.5, t_min=0.2)
-    return [
-        sde_sample(ref, i % TINY.num_classes, cfg, RandomSource(seed).stream(i))
-        for i in range(count)
-    ]
+    return sde_sample(ref, [i % TINY.num_classes for i in range(count)], cfg,
+                      [RandomSource(seed).stream(i) for i in range(count)])
 
 
 def small_train_config(**kw):
@@ -161,6 +160,28 @@ class TestTrainStep:
                 assert rec.clip_fraction == 0.0
                 assert abs(rec.objective) <= 1e-6
 
+    def test_refresh_two_takes_both_paths(self, monkeypatch):
+        # refresh steps reuse the rollout's activations; stale steps
+        # re-evaluate, and there the clip does its job
+        reevaluated = []
+        evaluate = grpo.eval_step
+
+        def spy(policy, rows, acts=None):
+            reevaluated.append(acts is None)
+            return evaluate(policy, rows, acts)
+
+        monkeypatch.setattr(grpo, "eval_step", spy)
+        policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(12))
+        cfg = small_train_config(num_steps=4, ref_refresh_interval=2, seed=17,
+                                 learning_rate=5e-3)
+        _, log = train(policy, cfg)
+        assert reevaluated == [False, True, False, True]
+        for rec in log.records:
+            if rec.refresh:
+                assert rec.ratio_max_dev == 0.0
+                assert rec.clip_fraction == 0.0
+        assert any(rec.clip_fraction > 0.0 for rec in log.records if not rec.refresh)
+
     def test_stale_reference_produces_nonunit_ratios(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(3))
         cfg = small_train_config(num_steps=6, ref_refresh_interval=3,
@@ -238,6 +259,30 @@ class TestGradientFidelity:
             passed += int(ok.sum())
             total += ok.size
         assert passed / total >= 0.95
+
+    def test_on_policy_gradient_matches_reevaluation(self, monkeypatch):
+        policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(34))
+        cfg = SdeConfig(num_steps=6, eta=0.5)
+        subset = [0, 2, 3, 5]
+        streams = [RandomSource(500).stream(i) for i in range(6)]
+        rollout = sde_sample(policy, 2, cfg, streams, keep=subset)
+        adv = normalize_advantages(np.array([0.9, 0.1, 0.5, 0.3, 0.7, 0.2]))
+
+        J_re, grads_re, ratios_re, _ = surrogate_and_grads(
+            policy, rollout, adv, subset, 0.2, 5.0)
+        forwards = []
+        forward = flow_policy.mlp_forward_batch
+        monkeypatch.setattr(flow_policy, "mlp_forward_batch",
+                            lambda *a: forwards.append(1) or forward(*a))
+        J, grads, ratios, flags = surrogate_and_grads(
+            policy, rollout, adv, subset, 0.2, 5.0, ref_policy=policy)
+        assert forwards == []
+        assert (ratios == 1.0).all()
+        assert flags.mean() == 0.0
+        assert J == pytest.approx(J_re, abs=1e-12)
+        np.testing.assert_allclose(ratios_re, 1.0, rtol=0, atol=1e-12)
+        for a, b in zip(grads, grads_re):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_gradient_zero_when_all_clipped(self):
         ref = tiny_policy(32)
