@@ -37,7 +37,6 @@ from .flow_policy import (
 from .grpo import (
     TrainConfig,
     TrainLog,
-    importance_ratio,
     smooth_curve,
     surrogate_objective,
     train,
@@ -46,12 +45,9 @@ from .grpo import (
 from .kernels import BACKEND
 from .numerics import (
     AdamState,
-    MlpGrads,
     MlpParams,
     RandomSource,
     adam_init,
-    adam_step,
-    gaussian,
     init_mlp,
     mlp_backward,
     mlp_forward,

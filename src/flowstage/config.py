@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import yaml
@@ -18,9 +19,23 @@ from .curriculum import CurriculumConfig
 from .errors import ConfigError
 from .flow_policy import PolicyDims, SdeConfig, ToyDataset
 from .grpo import TrainConfig
-from .rewards import RewardTerm, validate_suite
+from .rewards import RewardTerm, default_suite, validate_suite
 
 MODES = ("pretrain", "calibrate", "train", "eval", "audit")
+
+# TrainConfig fields that a run config sets from other sections
+_TRAIN_FROM_ELSEWHERE = ("seed", "sde", "curriculum", "suite")
+
+
+def _field_names(cls, skip=()) -> list:
+    return [f.name for f in fields(cls) if f.name not in skip]
+
+
+def _field_defaults(cls, skip=()) -> dict:
+    """A config section's defaults: the dataclass's own, tuples as lists."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(cls) if f.name not in skip}
+
 
 DEFAULTS = {
     "mode": "train",
@@ -43,37 +58,13 @@ DEFAULTS = {
         "batch_size": 64,
         "learning_rate": 1e-3,
     },
-    "sde": {
-        "num_steps": 16,
-        "eta": 0.5,
-        "t_min": 0.04,
-    },
-    "rewards": [
-        {"id": "fidelity", "kind": "fidelity", "stage": 1, "scale": 0.05},
-        {"id": "smoothness", "kind": "smoothness", "stage": 2, "scale": 0.02},
-        {"id": "alignment", "kind": "alignment", "stage": 3, "scale": 0.5},
-    ],
-    "curriculum": {
-        "alpha": 8.0,
-        "beta": 1.0,
-        "thresholds": [0.75, 0.75, 0.75],
-        "weight_mode": "per_group",
-        "ema_decay": 0.9,
-        "thresholds_file": None,
-    },
-    "train": {
-        "group_size": 16,
-        "clip_eps": 0.1,
-        "learning_rate": 3e-4,
-        "num_steps": 200,
-        "timestep_fraction": 0.6,
-        "ratio_clamp_max": 5.0,
-        "ref_refresh_interval": 1,
-        "static_stage": None,
-        "smooth_window": 15,
-        "max_grad_norm": 1.0,
-        "checkpoint_interval": 0,
-    },
+    "sde": _field_defaults(SdeConfig),
+    # an alignment term's num_classes comes from dataset.num_classes per run
+    "rewards": [{"id": t.id, "kind": t.kind, "stage": t.stage, "scale": t.scale}
+                for t in default_suite(num_classes=1)],
+    "curriculum": {**_field_defaults(CurriculumConfig), "thresholds_file": None},
+    "train": {**_field_defaults(TrainConfig, _TRAIN_FROM_ELSEWHERE),
+              "checkpoint_interval": 0},
     "calibrate": {
         "steps": 50,
     },
@@ -181,7 +172,7 @@ class RunConfig:
 
         if cfg["mode"] not in MODES:
             errors.append(f"mode: must be one of {MODES}, got {cfg['mode']!r}")
-        if not isinstance(cfg["seed"], int):
+        if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
             errors.append("seed: must be an integer")
         if not isinstance(cfg["outdir"], str) or not cfg["outdir"]:
             errors.append("outdir: must be a non-empty path")
@@ -205,6 +196,9 @@ class RunConfig:
             v = cfg["pretrain"][field]
             if not isinstance(v, int) or v < low:
                 errors.append(f"pretrain.{field}: must be an integer >= {low}")
+        rate = cfg["pretrain"]["learning_rate"]
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not rate >= 0:
+            errors.append("pretrain.learning_rate: must be a number >= 0")
 
         if not errors:
             # constructors carry the numeric range checks; translate their
@@ -297,19 +291,19 @@ class RunConfig:
         d = self.resolved["dataset"]
         return ToyDataset(self.policy_dims(), omega=d["omega"], jitter=d["jitter"])
 
+    def _section(self, name: str, cls, skip=()) -> dict:
+        """The fields of ``cls`` that section ``name`` sets, by name."""
+        section = self.resolved[name]
+        return {field: section[field] for field in _field_names(cls, skip)}
+
     def sde_config(self) -> SdeConfig:
-        s = self.resolved["sde"]
-        return SdeConfig(num_steps=s["num_steps"], eta=s["eta"], t_min=s["t_min"])
+        return SdeConfig(**self._section("sde", SdeConfig))
 
     def curriculum_config(self, thresholds=None) -> CurriculumConfig:
-        c = self.resolved["curriculum"]
-        return CurriculumConfig(
-            alpha=c["alpha"],
-            beta=c["beta"],
-            thresholds=tuple(thresholds if thresholds is not None else c["thresholds"]),
-            weight_mode=c["weight_mode"],
-            ema_decay=c["ema_decay"],
-        )
+        kwargs = self._section("curriculum", CurriculumConfig)
+        if thresholds is not None:
+            kwargs["thresholds"] = thresholds
+        return CurriculumConfig(**kwargs)
 
     def thresholds_from_file(self) -> list | None:
         """The thresholds in ``curriculum.thresholds_file`` (as calibrate
@@ -339,22 +333,17 @@ class RunConfig:
 
     def train_config(self, thresholds=None, static_stage=None,
                      num_steps=None) -> TrainConfig:
-        t = self.resolved["train"]
+        kwargs = self._section("train", TrainConfig, _TRAIN_FROM_ELSEWHERE)
+        if num_steps is not None:
+            kwargs["num_steps"] = num_steps
+        if static_stage is not None:
+            kwargs["static_stage"] = static_stage
         return TrainConfig(
-            group_size=t["group_size"],
-            clip_eps=t["clip_eps"],
-            learning_rate=t["learning_rate"],
-            num_steps=num_steps if num_steps is not None else t["num_steps"],
-            timestep_fraction=t["timestep_fraction"],
-            ratio_clamp_max=t["ratio_clamp_max"],
-            ref_refresh_interval=t["ref_refresh_interval"],
+            **kwargs,
             seed=self.seed,
             sde=self.sde_config(),
             curriculum=self.curriculum_config(thresholds),
             suite=tuple(self.reward_suite()),
-            static_stage=static_stage if static_stage is not None else t["static_stage"],
-            smooth_window=t["smooth_window"],
-            max_grad_norm=t["max_grad_norm"],
         )
 
     def write_resolved(self, directory) -> Path:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and one shared check."""
+
+import numbers
 
 
 class ShapeError(ValueError):
@@ -24,3 +26,9 @@ class ConfigError(ValueError):
             details = [details]
         self.details = list(details)
         super().__init__("; ".join(self.details))
+
+
+def require_int(name: str, value) -> None:
+    """Raise DomainError unless ``value`` is an integer; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")

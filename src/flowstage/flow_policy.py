@@ -21,22 +21,25 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, RolloutError, ShapeError
+from .errors import DomainError, RolloutError, ShapeError, require_int
 from .numerics import (
     MlpParams,
     RandomSource,
     adam_init,
     adam_step_arrays,
     init_mlp,
+    join_params,
     mlp_backward_batch,
     mlp_forward,
     mlp_forward_batch,
+    param_layout,
     read_checkpoint,
+    split_params,
     write_checkpoint,
 )
 
@@ -85,17 +88,24 @@ class ToySample:
 
 @dataclass
 class FlowPolicy:
-    """Velocity net plus one learned embedding row per condition class."""
+    """Velocity net plus one learned embedding row per condition class.
 
-    net: MlpParams
-    cond_emb: np.ndarray
+    Every trainable number lives in ``vector`` (see :attr:`layout`), used
+    as given when it is a contiguous float64 array; ``net.weights``,
+    ``net.biases`` and ``cond_emb`` are views into it.
+    """
+
     dims: PolicyDims
+    layer_sizes: tuple
+    vector: np.ndarray
+    net: MlpParams = field(init=False, repr=False)
+    cond_emb: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.cond_emb = np.ascontiguousarray(self.cond_emb, dtype=np.float64)
-        want = (self.dims.num_classes, self.dims.embed_dim)
-        if self.cond_emb.shape != want:
-            raise ShapeError(f"cond_emb shape {self.cond_emb.shape}, expected {want}")
+        self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
+        self.vector = np.ascontiguousarray(self.vector, dtype=np.float64)
+        self.cond_emb = split_params(self.vector, self.layout)["cond_emb"]
+        self.net = MlpParams(self.layer_sizes, self.vector[: -self.cond_emb.size])
         if self.net.input_size != self.dims.net_input_size:
             raise ShapeError(
                 f"net input {self.net.input_size} != state + time + embedding "
@@ -106,17 +116,18 @@ class FlowPolicy:
                 f"net output {self.net.output_size} != state size {self.dims.state_size}"
             )
 
-    def param_arrays(self) -> list:
-        """Trainable arrays: net weights/biases then the embedding table."""
-        return self.net.arrays() + [self.cond_emb]
-
-    def with_param_arrays(self, arrays: list) -> "FlowPolicy":
-        net = MlpParams(self.net.layer_sizes, arrays[0:-1:2], arrays[1:-1:2],
-                        self.net.activation)
-        return FlowPolicy(net, arrays[-1], self.dims)
+    @property
+    def layout(self) -> list:
+        """``(name, shape)`` of each array of ``vector``: the net's, then
+        ``cond_emb``."""
+        return _policy_layout(self.layer_sizes, self.dims)
 
     def copy(self) -> "FlowPolicy":
-        return FlowPolicy(self.net.copy(), self.cond_emb.copy(), self.dims)
+        return replace(self, vector=self.vector.copy())
+
+
+def _policy_layout(layer_sizes: tuple, dims: PolicyDims) -> list:
+    return param_layout(layer_sizes, [("cond_emb", (dims.num_classes, dims.embed_dim))])
 
 
 @dataclass(frozen=True)
@@ -128,6 +139,7 @@ class SdeConfig:
     t_min: float = DEFAULT_T_MIN
 
     def __post_init__(self):
+        require_int("num_steps", self.num_steps)
         if self.num_steps < 1:
             raise DomainError("num_steps must be >= 1")
         if not 0.0 < self.t_min < 1.0:
@@ -258,16 +270,16 @@ def init_flow_policy(dims: PolicyDims, hidden: Sequence[int] = (64, 64),
     rng = rng if rng is not None else RandomSource(0)
     sizes = (dims.net_input_size, *hidden, dims.state_size)
     net = init_mlp(sizes, rng.stream(0))
-    emb = rng.stream(1).gaussian(dims.num_classes * dims.embed_dim)
-    emb = emb.reshape(dims.num_classes, dims.embed_dim) / math.sqrt(dims.embed_dim)
-    return FlowPolicy(net, emb, dims)
+    emb = rng.stream(1).gaussian(dims.num_classes * dims.embed_dim) / math.sqrt(dims.embed_dim)
+    return FlowPolicy(dims, sizes, np.concatenate([net.vector, emb]))
 
 
 def save_policy(path, policy: FlowPolicy, extra_meta: dict | None = None) -> None:
+    """Checkpoint with one array per entry of ``policy.layout``, by name."""
     meta = {
         "kind": "flow_policy",
-        "layer_sizes": list(policy.net.layer_sizes),
-        "activation": policy.net.activation,
+        "layer_sizes": list(policy.layer_sizes),
+        "activation": "tanh",
         "dims": {
             "frames": policy.dims.frames,
             "frame_dim": policy.dims.frame_dim,
@@ -277,11 +289,7 @@ def save_policy(path, policy: FlowPolicy, extra_meta: dict | None = None) -> Non
     }
     if extra_meta:
         meta.update(extra_meta)
-    arrays = {"cond_emb": policy.cond_emb}
-    for l, (w, b) in enumerate(zip(policy.net.weights, policy.net.biases)):
-        arrays[f"w{l}"] = w
-        arrays[f"b{l}"] = b
-    write_checkpoint(path, meta, arrays)
+    write_checkpoint(path, meta, split_params(policy.vector, policy.layout))
 
 
 def load_policy(path):
@@ -289,15 +297,11 @@ def load_policy(path):
     meta, arrays = read_checkpoint(path)
     if meta.get("kind") != "flow_policy":
         raise DomainError(f"{path}: not a flow policy checkpoint")
+    if meta.get("activation", "tanh") != "tanh":
+        raise DomainError(f"{path}: unsupported activation {meta['activation']!r}")
     sizes = tuple(meta["layer_sizes"])
-    net = MlpParams(
-        sizes,
-        [arrays[f"w{l}"] for l in range(len(sizes) - 1)],
-        [arrays[f"b{l}"] for l in range(len(sizes) - 1)],
-        meta.get("activation", "tanh"),
-    )
     dims = PolicyDims(**meta["dims"])
-    return FlowPolicy(net, arrays["cond_emb"], dims), meta
+    return FlowPolicy(dims, sizes, join_params(arrays, _policy_layout(sizes, dims))), meta
 
 
 # ---------------------------------------------------------------------------
@@ -511,19 +515,26 @@ def eval_step(policy: FlowPolicy, rows: Transitions,
 
 
 def backprop_step(policy: FlowPolicy, rows: Transitions, ev: TransitionEval,
-                  upstream: np.ndarray) -> list:
-    """Gradient of ``sum_r upstream[r] * log_prob[r]`` w.r.t. the policy arrays.
+                  upstream: np.ndarray) -> np.ndarray:
+    """Gradient of ``sum_r upstream[r] * log_prob[r]`` w.r.t. ``policy.vector``.
 
     d logp / d mean = (x_next - mean) / std^2 and d mean / d v = a_v; the
-    rest is one backward pass over all rows plus routing each row's
-    input-gradient embedding slice to its condition's row.
+    rest is :func:`_velocity_grad`.
     """
     dmean = (rows.x_next - ev.means) / (rows.std * rows.std)[:, None]
     upstream_v = (upstream * ev.a_v)[:, None] * dmean
-    net_grads, input_grads = mlp_backward_batch(policy.net, ev.acts, upstream_v)
+    return _velocity_grad(policy, ev.acts, upstream_v, rows.cond)
+
+
+def _velocity_grad(policy: FlowPolicy, acts: list, upstream_v: np.ndarray,
+                   conds: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. ``policy.vector`` of ``sum_r upstream_v[r] . v_r``
+    over velocities evaluated with activations ``acts`` under ``conds``:
+    one backward pass, then each row's embedding slice to its condition."""
+    net_grad, input_grads = mlp_backward_batch(policy.net, acts, upstream_v)
     emb_grad = np.zeros_like(policy.cond_emb)
-    np.add.at(emb_grad, rows.cond, input_grads[:, policy.dims.state_size + 1:])
-    return net_grads.arrays() + [emb_grad]
+    np.add.at(emb_grad, conds, input_grads[:, policy.dims.state_size + 1:])
+    return np.concatenate([net_grad, emb_grad.ravel()])
 
 
 def log_prob_under(policy: FlowPolicy, traj: Trajectory,
@@ -604,16 +615,23 @@ class ArrayDataset:
 # ---------------------------------------------------------------------------
 
 
-def flow_matching_loss(policy: FlowPolicy, frames: np.ndarray, conds: np.ndarray,
-                       t: np.ndarray, eps: np.ndarray) -> float:
-    """Mean squared residual of the velocity net against (noise - data)."""
+def _flow_matching_residual(policy: FlowPolicy, frames: np.ndarray, conds: np.ndarray,
+                            t: np.ndarray, eps: np.ndarray):
+    """Velocity minus (eps - data) at x_t = (1 - t) data + t eps, with the
+    net's activations."""
     B = len(frames)
     data = frames.reshape(B, -1)
     x_t = (1.0 - t)[:, None] * data + t[:, None] * eps
-    target = eps - data
     inputs = np.concatenate([x_t, t[:, None], policy.cond_emb[conds]], axis=1)
-    v, _ = mlp_forward_batch(policy.net, inputs)
-    return float(np.mean((v - target) ** 2))
+    v, acts = mlp_forward_batch(policy.net, inputs)
+    return v - (eps - data), acts
+
+
+def flow_matching_loss(policy: FlowPolicy, frames: np.ndarray, conds: np.ndarray,
+                       t: np.ndarray, eps: np.ndarray) -> float:
+    """Mean squared residual of the velocity net against (noise - data)."""
+    resid, _ = _flow_matching_residual(policy, frames, conds, t, eps)
+    return float(np.mean(resid**2))
 
 
 def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
@@ -624,12 +642,10 @@ def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
     Returns ``(trained policy, per-step loss curve)``; the input policy is
     not mutated.
     """
-    policy = policy.copy()
     if steps == 0:
-        return policy, []
+        return policy.copy(), []
     n = policy.dims.state_size
-    arrays = policy.param_arrays()
-    opt = adam_init(arrays, learning_rate=learning_rate)
+    opt = adam_init(policy.vector, learning_rate=learning_rate)
     losses = []
     for step in range(steps):
         frames, conds = dataset.sample_batch(rng.stream(0, step), batch_size)
@@ -641,19 +657,11 @@ def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
         noise_rng = rng.stream(1, step)
         eps = noise_rng.gaussian(B * n).reshape(B, n)
         t = noise_rng.uniform(B)
-        data = frames.reshape(B, -1)
-        x_t = (1.0 - t)[:, None] * data + t[:, None] * eps
-        target = eps - data
-        inputs = np.concatenate([x_t, t[:, None], policy.cond_emb[conds]], axis=1)
-        v, cache = mlp_forward_batch(policy.net, inputs)
-        resid = v - target
+        resid, acts = _flow_matching_residual(policy, frames, conds, t, eps)
         losses.append(float(np.mean(resid**2)))
-        upstream = (2.0 / (B * n)) * resid
-        net_grads, input_grads = mlp_backward_batch(policy.net, cache, upstream)
-        emb_grad = np.zeros_like(policy.cond_emb)
-        np.add.at(emb_grad, conds, input_grads[:, n + 1:])
-        arrays, opt = adam_step_arrays(arrays, net_grads.arrays() + [emb_grad], opt)
-        policy = policy.with_param_arrays(arrays)
+        grad = _velocity_grad(policy, acts, (2.0 / (B * n)) * resid, conds)
+        vector, opt = adam_step_arrays(policy.vector, grad, opt)
+        policy = replace(policy, vector=vector)
     return policy, losses
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .curriculum import (
     hoyer,
     normalize_advantages,
 )
-from .errors import DomainError, RolloutError, ShapeError
+from .errors import DomainError, RolloutError, ShapeError, require_int
 from .flow_policy import (
     FlowPolicy,
     Rollout,
@@ -71,6 +71,11 @@ class TrainConfig:
     max_grad_norm: float = 1.0  # 0 disables the global-norm clip
 
     def __post_init__(self):
+        for name in ("group_size", "num_steps", "ref_refresh_interval", "seed",
+                     "smooth_window"):
+            require_int(name, getattr(self, name))
+        if self.static_stage is not None:
+            require_int("static_stage", self.static_stage)
         if self.group_size < 2:
             raise DomainError("group_size must be >= 2")
         if self.clip_eps <= 0.0:
@@ -182,15 +187,6 @@ class TrainLog:
 # ---------------------------------------------------------------------------
 
 
-def importance_ratio(new_logp: float, old_logp: float, clamp_max: float) -> float:
-    """exp(new - old) hard-clamped to [1/clamp_max, clamp_max]."""
-    if not (math.isfinite(new_logp) and math.isfinite(old_logp)):
-        raise DomainError("log-probabilities must be finite")
-    if clamp_max <= 1.0:
-        raise DomainError("clamp_max must be > 1")
-    return float(min(max(math.exp(new_logp - old_logp), 1.0 / clamp_max), clamp_max))
-
-
 def surrogate_objective(ratios: np.ndarray, advantages: np.ndarray, clip_eps: float):
     """Clipped pessimistic surrogate.
 
@@ -215,13 +211,14 @@ def surrogate_and_grads(policy: FlowPolicy, rollout: Rollout,
                         advantages: np.ndarray, timestep_subset: Sequence[int],
                         clip_eps: float, ratio_clamp_max: float,
                         ref_policy: FlowPolicy | None = None):
-    """Objective value and its exact gradient w.r.t. the policy arrays.
+    """Objective value and its exact gradient w.r.t. ``policy.vector``.
 
     Evaluates each selected transition's log-density under ``policy``
     against the rollout's recorded reference log-densities, all G x T'
     of them in one batched forward and one batched backward pass.  The
-    gradient flows only where the unclipped branch is active and the
-    ratio clamp does not bind; advantages are consumed as constants.
+    ratio exp(new - old) is clamped to [1/ratio_clamp_max, ratio_clamp_max].
+    The gradient flows only where the unclipped branch is active and the
+    clamp does not bind; advantages are consumed as constants.
 
     ``ref_policy`` is the policy that sampled ``rollout``.  When it is
     ``policy`` itself and the rollout kept its activations at the
@@ -243,6 +240,8 @@ def surrogate_and_grads(policy: FlowPolicy, rollout: Rollout,
     acts = rollout.kept_activations(subset) if ref_policy is policy else None
     ev = eval_step(policy, rows, acts)
     old = rollout.log_probs[:, subset]
+    if not np.isfinite(old).all():
+        raise DomainError("recorded log-probabilities must be finite")
     raw = np.exp(ev.log_probs.reshape(T_sel, G).T - old)
     ratios = np.clip(raw, 1.0 / ratio_clamp_max, ratio_clamp_max)
     J, flags = surrogate_objective(ratios, advantages, clip_eps)
@@ -297,11 +296,13 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
     advantages, ascends the surrogate, and returns
     ``(policy, opt_state, curriculum state, step record)``.  When
     ``ref_policy is policy`` the rollout keeps its activations at the
-    selected steps and the gradient is taken from them.
+    selected steps and the gradient is taken from them.  The Adam update
+    is pure: the returned policy holds a new vector and neither input
+    policy is written, so either may serve as a later step's reference.
     """
     suite = _resolve_suite(policy, config)
     if opt_state is None:
-        opt_state = adam_init(policy.param_arrays(), learning_rate=config.learning_rate)
+        opt_state = adam_init(policy.vector, learning_rate=config.learning_rate)
 
     cond = int(rng.stream(_STREAM_COND, step_index).integers(0, policy.dims.num_classes))
     K = config.sde.num_steps
@@ -325,16 +326,13 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
         policy, rollout, state.advantages, subset, config.clip_eps,
         config.ratio_clamp_max, ref_policy=ref_policy,
     )
-    grad_norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    grad_norm = math.sqrt(float(grads @ grads))
+    # ascend J: Adam minimizes, so feed the negated (and clipped) gradient
+    scale = -1.0
     if config.max_grad_norm > 0.0 and grad_norm > config.max_grad_norm:
-        shrink = config.max_grad_norm / grad_norm
-        grads = [g * shrink for g in grads]
-
-    # ascend J: Adam minimizes, so feed the negated gradient
-    arrays, opt_state = adam_step_arrays(
-        policy.param_arrays(), [-g for g in grads], opt_state
-    )
-    policy = policy.with_param_arrays(arrays)
+        scale = -config.max_grad_norm / grad_norm
+    vector, opt_state = adam_step_arrays(policy.vector, scale * grads, opt_state)
+    policy = replace(policy, vector=vector)
 
     rec = StepRecord(
         step=step_index,
@@ -357,17 +355,18 @@ def train(policy: FlowPolicy, config: TrainConfig, step_callback=None):
     """Run ``config.num_steps`` optimization steps.
 
     The reference policy is refreshed every ``ref_refresh_interval``
-    steps.  On a refresh step the reference is the policy object itself
-    (updates build new arrays, so nothing mutates it later), which makes
-    the step on-policy: its gradient comes from the rollout's own
-    activations.  Steps against a stale reference re-evaluate the
-    selected transitions.  A fixed seed makes the whole trace
-    bit-reproducible.  The optional ``step_callback(step, policy,
-    record)`` runs after each update (checkpointing hook).  Returns
-    ``(policy, TrainLog)``.
+    steps.  On a refresh step the reference is the policy object itself,
+    which makes the step on-policy: its gradient comes from the rollout's
+    own activations.  Steps against a stale reference re-evaluate the
+    selected transitions.  Keeping the policy object as the reference is
+    sound because the Adam update is pure: it never writes the old
+    vector, so the reference keeps the parameters that sampled.  A fixed
+    seed makes the whole trace bit-reproducible.  The optional
+    ``step_callback(step, policy, record)`` runs after each update
+    (checkpointing hook).  Returns ``(policy, TrainLog)``.
     """
     rng = RandomSource(config.seed)
-    opt_state = adam_init(policy.param_arrays(), learning_rate=config.learning_rate)
+    opt_state = adam_init(policy.vector, learning_rate=config.learning_rate)
     log = TrainLog()
     ref_policy = policy
     prior = None

@@ -4,13 +4,24 @@ Adam optimizer, a counter-based random source, and checkpoint I/O.
 Everything here is a pure function of its inputs; randomness only enters
 through an explicit :class:`RandomSource`.  Matrices are plain C-order
 float64 ``numpy`` arrays (rows x cols, row-major).
+
+Parameters live in one flat float64 vector laid out by
+:func:`param_layout` alone: w0, b0, w1, b1, ... raveled row-major, then
+any extra arrays a model appends (the policy's ``cond_emb``); the layout
+also names a checkpoint's arrays.  Per-array attributes such as
+:attr:`MlpParams.weights` are views into the vector, so writing one
+writes the other.  Gradients and Adam moments are flat in the same
+layout, and :func:`adam_step_arrays` returns a new vector: nothing here
+writes a parameter vector in place.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import os
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -26,41 +37,69 @@ def _as_f64(a) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Flat parameter layout
+# ---------------------------------------------------------------------------
+
+
+def param_layout(layer_sizes: Sequence[int], extra: Sequence = ()) -> list:
+    """``(name, shape)`` of each array of a flat parameter vector, in order:
+    ``w{l}`` (fan_out, fan_in) and ``b{l}`` (fan_out,) for each layer of a
+    net with ``layer_sizes``, then the ``extra`` ``(name, shape)`` pairs."""
+    sizes = [int(s) for s in layer_sizes]
+    layout = []
+    for l, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
+        layout += [(f"w{l}", (fan_out, fan_in)), (f"b{l}", (fan_out,))]
+    return layout + [(name, tuple(shape)) for name, shape in extra]
+
+
+def split_params(vector: np.ndarray, layout: Sequence) -> dict:
+    """Views of ``vector``, one per array of ``layout``, by name."""
+    counts = [math.prod(shape) for _, shape in layout]
+    if vector.shape != (sum(counts),):
+        raise ShapeError(f"parameter vector shape {vector.shape}, expected ({sum(counts)},)")
+    views, start = {}, 0
+    for (name, shape), count in zip(layout, counts):
+        views[name] = vector[start:start + count].reshape(shape)
+        start += count
+    return views
+
+
+def join_params(arrays: dict, layout: Sequence) -> np.ndarray:
+    """A new flat vector holding ``arrays[name]`` for each entry of ``layout``."""
+    for name, shape in layout:
+        if np.shape(arrays[name]) != shape:
+            raise ShapeError(f"{name}: shape {np.shape(arrays[name])}, expected {shape}")
+    return _as_f64(np.concatenate([np.ravel(arrays[name]) for name, _ in layout]))
+
+
+# ---------------------------------------------------------------------------
 # MLP parameters
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class MlpParams:
-    """Weights and biases of a fully connected net.
+    """Weights and biases of a fully connected net, held in one flat vector.
 
     Hidden layers use tanh, the final layer is identity; ``weights[l]`` has
-    shape ``(layer_sizes[l + 1], layer_sizes[l])``.
+    shape ``(layer_sizes[l + 1], layer_sizes[l])``.  ``weights`` and
+    ``biases`` are views into ``vector`` (see :func:`param_layout`), which
+    is used as given when it is already a contiguous float64 array.
     """
 
     layer_sizes: tuple
-    weights: list
-    biases: list
-    activation: str = "tanh"
+    vector: np.ndarray
+    weights: list = field(init=False, repr=False)
+    biases: list = field(init=False, repr=False)
 
     def __post_init__(self):
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
         if len(self.layer_sizes) < 2:
             raise ShapeError("need at least an input and an output layer")
-        if self.activation != "tanh":
-            raise DomainError(f"unsupported activation {self.activation!r}")
-        if len(self.weights) != len(self.layer_sizes) - 1 or len(self.biases) != len(self.weights):
-            raise ShapeError("wrong number of weight/bias arrays for layer_sizes")
-        self.weights = [_as_f64(w) for w in self.weights]
-        self.biases = [_as_f64(b) for b in self.biases]
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            want = (self.layer_sizes[l + 1], self.layer_sizes[l])
-            if w.shape != want:
-                raise ShapeError(f"layer {l}: weight shape {w.shape}, expected {want}")
-            if b.shape != (want[0],):
-                raise ShapeError(f"layer {l}: bias shape {b.shape}, expected ({want[0]},)")
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise DomainError(f"layer {l}: non-finite parameter")
+        self.vector = _as_f64(self.vector)
+        self.weights, self.biases = _layer_views(self.vector, self.layer_sizes)
+        if not np.isfinite(self.vector).all():
+            raise DomainError("non-finite parameter")
 
     @property
     def input_size(self) -> int:
@@ -70,45 +109,22 @@ class MlpParams:
     def output_size(self) -> int:
         return self.layer_sizes[-1]
 
-    def arrays(self) -> list:
-        """Flat parameter list: w0, b0, w1, b1, ..."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            self.layer_sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.activation,
-        )
-
-
-@dataclass
-class MlpGrads:
-    """Parameter gradients, shaped exactly like the MlpParams they refer to."""
-
-    weights: list
-    biases: list
-
-    def arrays(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
+def _layer_views(vector: np.ndarray, layer_sizes: tuple):
+    """Per-layer weight and bias views of a net-layout vector."""
+    views = split_params(vector, param_layout(layer_sizes))
+    layers = range(len(layer_sizes) - 1)
+    return [views[f"w{l}"] for l in layers], [views[f"b{l}"] for l in layers]
 
 
 def init_mlp(layer_sizes: Sequence[int], rng: "RandomSource") -> MlpParams:
     """Random init: W ~ N(0, 1/fan_in), b = 0."""
     sizes = tuple(int(s) for s in layer_sizes)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w = rng.gaussian(fan_out * fan_in).reshape(fan_out, fan_in) / math.sqrt(fan_in)
-        weights.append(w)
-        biases.append(np.zeros(fan_out))
-    return MlpParams(sizes, weights, biases)
+    count = sum(math.prod(shape) for _, shape in param_layout(sizes))
+    params = MlpParams(sizes, np.zeros(count))
+    for w in params.weights:
+        w[:] = rng.gaussian(w.size).reshape(w.shape) / math.sqrt(w.shape[1])
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +152,8 @@ def mlp_backward(params: MlpParams, cache: list, upstream_grad: np.ndarray):
     """Exact gradients of ``upstream_grad . output`` w.r.t. parameters and input.
 
     ``cache`` must come from :func:`mlp_forward` on the same params.
+    Returns ``(grad, grad_x)``, ``grad`` flat in the layout of
+    ``params.vector``.
     """
     if len(cache) != len(params.layer_sizes):
         raise ShapeError("cache does not match network depth")
@@ -148,7 +166,11 @@ def mlp_backward(params: MlpParams, cache: list, upstream_grad: np.ndarray):
             f"upstream grad shape {upstream_grad.shape}, expected ({params.output_size},)"
         )
     grad_w, grad_b, grad_x = kernels.backward(params.weights, cache, upstream_grad)
-    return MlpGrads(grad_w, grad_b), grad_x
+    grad = np.empty_like(params.vector)
+    views_w, views_b = _layer_views(grad, params.layer_sizes)
+    for view, g in zip(views_w + views_b, grad_w + grad_b):
+        view[...] = g
+    return grad, grad_x
 
 
 def mlp_forward_batch(params: MlpParams, inputs: np.ndarray):
@@ -167,17 +189,22 @@ def mlp_forward_batch(params: MlpParams, inputs: np.ndarray):
 
 
 def mlp_backward_batch(params: MlpParams, cache: list, upstream: np.ndarray):
-    """Batched backward pass; gradients are summed over the batch."""
+    """Batched backward pass.
+
+    Returns ``(grad, input_grads)``: the parameter gradient summed over the
+    batch, flat in the layout of ``params.vector``, and one input gradient
+    row per batch row.
+    """
     upstream = _as_f64(upstream)
-    grad_w = [None] * len(params.weights)
-    grad_b = [None] * len(params.weights)
+    grad = np.empty_like(params.vector)
+    grad_w, grad_b = _layer_views(grad, params.layer_sizes)
     delta = upstream
     for layer in range(len(params.weights) - 1, -1, -1):
-        grad_w[layer] = delta.T @ cache[layer]
-        grad_b[layer] = delta.sum(axis=0)
+        np.matmul(delta.T, cache[layer], out=grad_w[layer])
+        delta.sum(axis=0, out=grad_b[layer])
         back = delta @ params.weights[layer]
         delta = back * (1.0 - cache[layer] ** 2) if layer > 0 else back
-    return MlpGrads(grad_w, grad_b), delta
+    return grad, delta
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +214,11 @@ def mlp_backward_batch(params: MlpParams, cache: list, upstream: np.ndarray):
 
 @dataclass
 class AdamState:
-    """Per-array moment estimates for the standard Adam update."""
+    """Moment estimates for the standard Adam update, flat like the
+    parameter vector they belong to."""
 
-    first_moment: list
-    second_moment: list
+    m: np.ndarray
+    v: np.ndarray
     step_count: int = 0
     learning_rate: float = 1e-3
     beta1: float = 0.9
@@ -198,55 +226,33 @@ class AdamState:
     epsilon: float = 1e-8
 
 
-def adam_init(arrays: Sequence[np.ndarray], learning_rate: float = 1e-3, beta1: float = 0.9,
+def adam_init(params: np.ndarray, learning_rate: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
-    return AdamState(
-        first_moment=[np.zeros_like(_as_f64(a)) for a in arrays],
-        second_moment=[np.zeros_like(_as_f64(a)) for a in arrays],
-        step_count=0,
-        learning_rate=learning_rate,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
+    zeros = np.zeros_like(_as_f64(params))
+    return AdamState(m=zeros, v=zeros.copy(), step_count=0, learning_rate=learning_rate,
+                     beta1=beta1, beta2=beta2, epsilon=epsilon)
 
 
-def adam_step_arrays(arrays: Sequence[np.ndarray], grads: Sequence[np.ndarray],
-                     state: AdamState):
-    """One bias-corrected Adam update over a flat list of arrays.
+def adam_step_arrays(params: np.ndarray, grad: np.ndarray, state: AdamState):
+    """One bias-corrected Adam update of a flat parameter vector.
 
-    Pure: returns new arrays and a new state.  Non-finite gradients are
-    rejected so they cannot poison the moments.
+    Pure: returns a new vector and a new state and writes neither input.
+    Non-finite gradients are rejected so they cannot poison the moments.
     """
-    if len(arrays) != len(grads) or len(arrays) != len(state.first_moment):
-        raise ShapeError("parameter/gradient/state lengths differ")
-    for a, g, m in zip(arrays, grads, state.first_moment):
-        if np.shape(a) != np.shape(g) or np.shape(a) != np.shape(m):
-            raise ShapeError("parameter/gradient/moment shapes differ")
-        if not np.isfinite(g).all():
-            raise DomainError("non-finite gradient; update rejected")
+    params, grad = _as_f64(params), _as_f64(grad)
+    if params.shape != grad.shape or params.shape != state.m.shape:
+        raise ShapeError(f"shapes differ: parameters {params.shape}, "
+                         f"gradient {grad.shape}, moments {state.m.shape}")
+    if not np.isfinite(grad).all():
+        raise DomainError("non-finite gradient; update rejected")
     t = state.step_count + 1
     b1, b2 = state.beta1, state.beta2
-    lr, eps = state.learning_rate, state.epsilon
-    new_params, new_m, new_v = [], [], []
-    for a, g, m, v in zip(arrays, grads, state.first_moment, state.second_moment):
-        g = _as_f64(g)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        new_params.append(_as_f64(a) - lr * m_hat / (np.sqrt(v_hat) + eps))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, replace(state, first_moment=new_m, second_moment=new_v, step_count=t)
-
-
-def adam_step(params: MlpParams, grads: MlpGrads, state: AdamState):
-    """Adam update specialized to MlpParams; see :func:`adam_step_arrays`."""
-    new_arrays, new_state = adam_step_arrays(params.arrays(), grads.arrays(), state)
-    weights = new_arrays[0::2]
-    biases = new_arrays[1::2]
-    return MlpParams(params.layer_sizes, weights, biases, params.activation), new_state
+    m = b1 * state.m + (1.0 - b1) * grad
+    v = b2 * state.v + (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    return new_params, replace(state, m=m, v=v, step_count=t)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +296,6 @@ class RandomSource:
         return self._gen.permutation(int(n))
 
 
-def gaussian(rng: RandomSource, n: int) -> np.ndarray:
-    """n standard normal draws from the given source."""
-    return rng.gaussian(n)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
@@ -304,20 +305,26 @@ def write_checkpoint(path, meta: dict, arrays: dict) -> None:
     """Versioned checkpoint: magic line, JSON header, raw float64 payload.
 
     The header and payload are fully determined by (meta, arrays), so a
-    load/save round-trip is byte-identical.
+    load/save round-trip is byte-identical.  The bytes go to a temporary
+    file in the target's directory that then replaces the target, so a
+    write that fails part-way leaves any previous checkpoint at ``path``
+    whole.
     """
+    path = Path(path)
     names = sorted(arrays)
-    manifest = []
-    payload = b""
-    for name in names:
-        a = _as_f64(arrays[name])
-        manifest.append({"name": name, "shape": list(a.shape)})
-        payload += a.tobytes(order="C")
+    manifest = [{"name": name, "shape": list(np.shape(arrays[name]))} for name in names]
     header = json.dumps({"meta": meta, "arrays": manifest}, sort_keys=True)
-    with open(path, "wb") as fp:
-        fp.write(CHECKPOINT_MAGIC)
-        fp.write(header.encode("utf-8") + b"\n")
-        fp.write(payload)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fp:
+            fp.write(CHECKPOINT_MAGIC)
+            fp.write(header.encode("utf-8") + b"\n")
+            for name in names:
+                fp.write(_as_f64(arrays[name]).tobytes(order="C"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_checkpoint(path):
@@ -335,24 +342,6 @@ def read_checkpoint(path):
             if len(buf) != count * 8:
                 raise DomainError(f"{path}: truncated checkpoint payload")
             arrays[entry["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
+        if fp.read(1):
+            raise DomainError(f"{path}: trailing bytes after the checkpoint payload")
     return header["meta"], arrays
-
-
-def save_mlp(path, params: MlpParams, extra_meta: dict | None = None) -> None:
-    meta = {"layer_sizes": list(params.layer_sizes), "activation": params.activation}
-    if extra_meta:
-        meta.update(extra_meta)
-    arrays = {}
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        arrays[f"w{l}"] = w
-        arrays[f"b{l}"] = b
-    write_checkpoint(path, meta, arrays)
-
-
-def load_mlp(path):
-    """Returns ``(MlpParams, meta)``."""
-    meta, arrays = read_checkpoint(path)
-    sizes = tuple(meta["layer_sizes"])
-    weights = [arrays[f"w{l}"] for l in range(len(sizes) - 1)]
-    biases = [arrays[f"b{l}"] for l in range(len(sizes) - 1)]
-    return MlpParams(sizes, weights, biases, meta.get("activation", "tanh")), meta

@@ -27,23 +27,19 @@ def naive_mlp_eval(weights, biases, x):
     return np.array(a)
 
 
-def finite_difference(f, arrays, h=1e-5):
-    """Central-difference gradient of scalar f(arrays) w.r.t. every entry."""
-    grads = []
-    for idx in range(len(arrays)):
-        g = np.zeros_like(arrays[idx])
-        flat = g.reshape(-1)
-        base = arrays[idx].reshape(-1)
-        for pos in range(base.size):
-            orig = base[pos]
-            base[pos] = orig + h
-            hi = f(arrays)
-            base[pos] = orig - h
-            lo = f(arrays)
-            base[pos] = orig
-            flat[pos] = (hi - lo) / (2.0 * h)
-        grads.append(g)
-    return grads
+def finite_difference(f, vector, h=1e-5):
+    """Central-difference gradient of scalar f(vector) w.r.t. every entry of
+    a flat vector, which is perturbed in place one entry at a time."""
+    grad = np.zeros_like(vector)
+    for pos in range(vector.size):
+        orig = vector[pos]
+        vector[pos] = orig + h
+        hi = f(vector)
+        vector[pos] = orig - h
+        lo = f(vector)
+        vector[pos] = orig
+        grad[pos] = (hi - lo) / (2.0 * h)
+    return grad
 
 
 def rel_err_ok(analytic, numeric, rtol, atol):

@@ -7,9 +7,12 @@ import pytest
 
 from flowstage import cli
 from flowstage.config import RunConfig
+from flowstage.curriculum import CurriculumConfig
 from flowstage.errors import ConfigError
-from flowstage.flow_policy import PolicyDims, init_flow_policy, save_policy
+from flowstage.flow_policy import PolicyDims, SdeConfig, init_flow_policy, save_policy
+from flowstage.grpo import TrainConfig
 from flowstage.numerics import RandomSource
+from flowstage.rewards import default_suite
 
 
 @pytest.fixture
@@ -52,6 +55,14 @@ class TestMaxGradNorm:
         assert any("max_grad_norm" in e for e in errors)
 
 
+def test_defaults_are_the_dataclass_defaults():
+    cfg = RunConfig.from_dict(TRAIN)
+    assert cfg.sde_config() == SdeConfig()
+    assert cfg.curriculum_config() == CurriculumConfig()
+    assert cfg.reward_suite() == default_suite(cfg.policy_dims().num_classes)
+    assert cfg.train_config() == TrainConfig(suite=tuple(cfg.reward_suite()))
+
+
 def test_overrides_do_not_leak_into_later_loads():
     RunConfig.from_dict(TRAIN, ["train.max_grad_norm=0.25", "sde.eta=0.3"])
     cfg = RunConfig.from_dict(TRAIN)
@@ -76,6 +87,24 @@ class TestRejectedAtLoad:
     def test_bad_checkpoint_interval(self, value):
         errors = load_errors(TRAIN, f"train.checkpoint_interval={value}")
         assert any("train.checkpoint_interval" in e for e in errors)
+
+    @pytest.mark.parametrize("mode, override, message", [
+        ("train", "train.group_size=4.5", "train: group_size"),
+        ("eval", "train.group_size=4.5", "train: group_size"),
+        ("train", "train.num_steps=2.5", "train: num_steps"),
+        ("train", "sde.num_steps=2.5", "sde: num_steps"),
+        ("calibrate", "train.smooth_window=2.5", "train: smooth_window"),
+        ("train", "train.ref_refresh_interval=1.5", "train: ref_refresh_interval"),
+        ("train", "seed=true", "seed: must be an integer"),
+        ("pretrain", "pretrain.learning_rate=-1", "pretrain.learning_rate"),
+    ])
+    def test_bad_number_exits_1_without_failure_file(self, tmp_path, checkpoint, capsys,
+                                                     mode, override, message):
+        rc, outdir = run_cli(tmp_path, checkpoint, f"--set=mode={mode}", f"--set={override}",
+                             "--set=pretrain.steps=1", "--set=calibrate.steps=2")
+        assert rc == 1
+        assert not (outdir / "failure.json").exists()
+        assert message in capsys.readouterr().err
 
     def test_too_few_thresholds_for_train(self):
         errors = load_errors(TRAIN, "curriculum.thresholds=[0.7, 0.7]")

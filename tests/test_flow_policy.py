@@ -31,7 +31,7 @@ from flowstage.flow_policy import (
     velocity,
     write_trajectory_jsonl,
 )
-from flowstage.numerics import MlpParams, RandomSource
+from flowstage.numerics import RandomSource
 
 SMALL = PolicyDims(frames=2, frame_dim=2, num_classes=3, embed_dim=2)
 
@@ -41,12 +41,9 @@ def small_policy(seed=0, dims=SMALL, hidden=(6,)):
 
 
 def zeroed(policy):
-    net = MlpParams(
-        policy.net.layer_sizes,
-        [np.zeros_like(w) for w in policy.net.weights],
-        [np.zeros_like(b) for b in policy.net.biases],
-    )
-    return FlowPolicy(net, policy.cond_emb.copy(), policy.dims)
+    p = policy.copy()
+    p.net.vector[:] = 0.0
+    return p
 
 
 def constant_velocity(policy, c):
@@ -54,6 +51,31 @@ def constant_velocity(policy, c):
     p = zeroed(policy)
     p.net.biases[-1][:] = c
     return p
+
+
+class TestFlatVector:
+    def test_net_arrays_and_cond_emb_share_memory_with_the_vector(self):
+        p = small_policy(1, hidden=(6, 5))
+        views = p.net.weights + p.net.biases + [p.net.vector, p.cond_emb]
+        for a in views:
+            assert np.shares_memory(a, p.vector)
+        assert sum(a.size for a in views[:-2]) + p.cond_emb.size == p.vector.size
+        p.cond_emb[2, 1] = 3.5
+        assert p.vector[-1] == 3.5
+        p.vector[0] = -2.0
+        assert p.net.weights[0][0, 0] == -2.0
+
+    def test_copy_shares_nothing(self):
+        p = small_policy(2)
+        q = p.copy()
+        q.net.biases[0][:] = 9.0
+        assert not np.shares_memory(p.vector, q.vector)
+        assert (p.net.biases[0] != 9.0).all()
+
+    def test_wrong_vector_size_rejected(self):
+        p = small_policy(3)
+        with pytest.raises(ShapeError):
+            FlowPolicy(p.dims, p.layer_sizes, p.vector[:-1])
 
 
 class TestVelocity:
@@ -296,8 +318,7 @@ class TestPretraining:
         ds = ToyDataset(SMALL)
         trained, losses = pretrain_flow_matching(p, ds, 0, RandomSource(0))
         assert losses == []
-        for a, b in zip(p.param_arrays(), trained.param_arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(p.vector, trained.vector)
 
     def test_point_mass_residual_shrinks(self):
         dims = PolicyDims(frames=2, frame_dim=2, num_classes=1, embed_dim=2)
@@ -347,8 +368,8 @@ class TestPersistence:
         loaded, meta = load_policy(path)
         assert meta["stage"] == "pretrained"
         assert loaded.dims == p.dims
-        for a, b in zip(p.param_arrays(), loaded.param_arrays()):
-            np.testing.assert_array_equal(a, b)
+        assert loaded.layer_sizes == p.layer_sizes
+        np.testing.assert_array_equal(p.vector, loaded.vector)
 
     def test_trajectory_jsonl_dump(self):
         p = small_policy(41)

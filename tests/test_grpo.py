@@ -12,6 +12,7 @@ from helpers import rel_err_ok
 from flowstage.curriculum import CurriculumConfig, curriculum_step, normalize_advantages
 from flowstage.errors import DomainError, ShapeError
 from flowstage.flow_policy import (
+    FlowPolicy,
     PolicyDims,
     SdeConfig,
     decode_state,
@@ -21,14 +22,13 @@ from flowstage.flow_policy import (
 from flowstage import flow_policy, grpo
 from flowstage.grpo import (
     TrainConfig,
-    importance_ratio,
     smooth_curve,
     surrogate_and_grads,
     surrogate_objective,
     train,
     train_step,
 )
-from flowstage.numerics import RandomSource
+from flowstage.numerics import RandomSource, mlp_forward_batch, split_params
 from flowstage.rewards import RewardTerm, default_suite, eval_group
 
 TINY = PolicyDims(frames=2, frame_dim=1, num_classes=2, embed_dim=2)
@@ -63,21 +63,45 @@ def small_train_config(**kw):
 
 
 class TestImportanceRatio:
+    """The clamped ratio exp(new - old) as ``surrogate_and_grads`` forms it,
+    with the recorded log-probs shifted so new - old is about ``shift``."""
+
+    @staticmethod
+    def ratios_and_grads(shift):
+        ref = tiny_policy(35)
+        rollout = tiny_trajectories(ref, count=4, seed=600, num_steps=2)
+        rollout.log_probs -= shift
+        adv = normalize_advantages(np.array([0.9, 0.1, 0.5, 0.3]))
+        _, grads, ratios, _ = surrogate_and_grads(ref, rollout, adv, [0, 1], 0.2, 5.0)
+        return ratios, grads
+
     def test_equal_logps_give_one(self):
-        assert importance_ratio(-3.2, -3.2, 5.0) == 1.0
+        ratios, grads = self.ratios_and_grads(0.0)
+        np.testing.assert_allclose(ratios, 1.0, rtol=0, atol=1e-9)
+        assert grads.any()
 
     def test_log_two_gives_two(self):
-        assert importance_ratio(math.log(2), 0.0, 5.0) == pytest.approx(2.0, rel=1e-12)
+        ratios, _ = self.ratios_and_grads(math.log(2))
+        np.testing.assert_allclose(ratios, 2.0, rtol=1e-9)
 
     def test_upper_clamp_binds(self):
-        assert importance_ratio(10.0, 0.0, 5.0) == 5.0
+        # exactly the clamp, and no gradient where it binds, though the
+        # negative-advantage rows are not clipped by the surrogate
+        ratios, grads = self.ratios_and_grads(10.0)
+        assert (ratios == 5.0).all()
+        assert not grads.any()
 
     def test_lower_clamp_binds(self):
-        assert importance_ratio(-10.0, 0.0, 5.0) == pytest.approx(0.2, rel=1e-12)
+        ratios, grads = self.ratios_and_grads(-10.0)
+        assert (ratios == 1.0 / 5.0).all()
+        assert not grads.any()
 
     def test_non_finite_rejected(self):
+        ref = tiny_policy(35)
+        rollout = tiny_trajectories(ref, count=4, seed=600, num_steps=2)
+        rollout.log_probs[1, 0] = np.nan
         with pytest.raises(DomainError):
-            importance_ratio(float("nan"), 0.0, 5.0)
+            surrogate_and_grads(ref, rollout, np.ones(4), [0, 1], 0.2, 5.0)
 
 
 class TestSurrogateObjective:
@@ -145,8 +169,7 @@ class TestTrainStep:
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(1))
         cfg = small_train_config(learning_rate=0.0)
         new_policy, _, _, rec = train_step(policy, policy.copy(), cfg, RandomSource(3))
-        for a, b in zip(policy.param_arrays(), new_policy.param_arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(policy.vector, new_policy.vector)
         assert math.isfinite(rec.objective)
 
     def test_first_step_identity(self):
@@ -182,6 +205,33 @@ class TestTrainStep:
                 assert rec.clip_fraction == 0.0
         assert any(rec.clip_fraction > 0.0 for rec in log.records if not rec.refresh)
 
+    def test_stale_reference_is_left_as_it_sampled(self, monkeypatch):
+        # step 0 refreshes (the reference is the policy itself), step 1
+        # samples under that same, now stale, object
+        rollouts = []
+        sample = grpo.sde_sample
+
+        def spy(ref, *args, **kwargs):
+            rollouts.append((ref, sample(ref, *args, **kwargs)))
+            return rollouts[-1][1]
+
+        monkeypatch.setattr(grpo, "sde_sample", spy)
+        policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(14))
+        before = policy.vector.copy()
+        cfg = small_train_config(num_steps=2, ref_refresh_interval=2, seed=19,
+                                 learning_rate=5e-3)
+        trained, _ = train(policy, cfg)
+        assert [ref is policy for ref, _ in rollouts] == [True, True]
+        np.testing.assert_array_equal(policy.vector, before)
+        assert not np.array_equal(trained.vector, before)
+        rollout = rollouts[0][1]
+        steps = sorted(rollout.kept)
+        rows = rollout.transitions(steps)
+        inputs = np.concatenate([rows.x, rows.t[:, None], policy.cond_emb[rows.cond]], axis=1)
+        _, fresh = mlp_forward_batch(policy.net, inputs)
+        for kept, now in zip(rollout.kept_activations(steps), fresh):
+            np.testing.assert_array_equal(kept, now)
+
     def test_stale_reference_produces_nonunit_ratios(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(3))
         cfg = small_train_config(num_steps=6, ref_refresh_interval=3,
@@ -211,8 +261,7 @@ class TestTrainStep:
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(6))
         trained, log = train(policy, small_train_config(num_steps=0))
         assert len(log) == 0
-        for a, b in zip(policy.param_arrays(), trained.param_arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(policy.vector, trained.vector)
 
     def test_csv_and_jsonl_emission(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(7))
@@ -234,30 +283,24 @@ class TestGradientFidelity:
         subset = [0, 1]
         eps, clamp = 0.2, 5.0
 
-        policy = ref.copy()
-        bump = RandomSource(77)
-        arrays = [a + 0.01 * bump.gaussian(a.size).reshape(a.shape)
-                  for a in policy.param_arrays()]
-        policy = policy.with_param_arrays(arrays)
+        vector = ref.vector + 0.01 * RandomSource(77).gaussian(ref.vector.size)
+        policy = FlowPolicy(ref.dims, ref.layer_sizes, vector)
 
         J, grads, _, _ = surrogate_and_grads(policy, trajs, advantages, subset,
                                              eps, clamp)
 
-        def objective(test_arrays):
-            p = policy.with_param_arrays([a.copy() for a in test_arrays])
+        def objective(test_vector):
+            p = FlowPolicy(ref.dims, ref.layer_sizes, test_vector.copy())
             val, _, _, _ = surrogate_and_grads(p, trajs, advantages, subset,
                                                eps, clamp)
             return val
 
-        assert objective(arrays) == pytest.approx(J, rel=1e-12)
+        assert objective(vector) == pytest.approx(J, rel=1e-12)
         from helpers import finite_difference
 
-        fd = finite_difference(objective, [a.copy() for a in arrays], h=1e-6)
-        total, passed = 0, 0
-        for analytic, numeric in zip(grads, fd):
-            ok = rel_err_ok(analytic, numeric, rtol=1e-3, atol=1e-8)
-            passed += int(ok.sum())
-            total += ok.size
+        fd = finite_difference(objective, vector.copy(), h=1e-6)
+        ok = rel_err_ok(grads, fd, rtol=1e-3, atol=1e-8)
+        passed, total = int(ok.sum()), ok.size
         assert passed / total >= 0.95
 
     def test_on_policy_gradient_matches_reevaluation(self, monkeypatch):
@@ -281,17 +324,16 @@ class TestGradientFidelity:
         assert flags.mean() == 0.0
         assert J == pytest.approx(J_re, abs=1e-12)
         np.testing.assert_allclose(ratios_re, 1.0, rtol=0, atol=1e-12)
-        for a, b in zip(grads, grads_re):
-            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+        arrays, arrays_re = (split_params(g, policy.layout) for g in (grads, grads_re))
+        for name, b in arrays_re.items():
+            assert np.linalg.norm(arrays[name] - b) <= 1e-12 * np.linalg.norm(b)
 
     def test_gradient_zero_when_all_clipped(self):
         ref = tiny_policy(32)
         trajs = tiny_trajectories(ref, count=2, seed=300, num_steps=2)
         adv = np.array([1.0, -1.0])
         # clip so tight that any ratio deviation selects the clipped branch
-        policy = ref.copy()
-        arrays = [a + 0.05 for a in policy.param_arrays()]
-        policy = policy.with_param_arrays(arrays)
+        policy = FlowPolicy(ref.dims, ref.layer_sizes, ref.vector + 0.05)
         _, grads, ratios, flags = surrogate_and_grads(
             policy, trajs, adv, [0, 1], 1e-12, 5.0
         )
@@ -322,11 +364,8 @@ class TestGradientFidelity:
         # feeding the same advantage values back reproduces it bit for bit
         _, grads_b2, _, _ = surrogate_and_grads(policy, trajs, adv_b.copy(),
                                                 [0, 1], 0.2, 5.0)
-        assert any(
-            not np.array_equal(a, b) for a, b in zip(grads_a, grads_b)
-        )
-        for a, b in zip(grads_b, grads_b2):
-            np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(grads_a, grads_b)
+        np.testing.assert_array_equal(grads_b, grads_b2)
 
 
 class TestConfigValidation:

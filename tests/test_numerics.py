@@ -1,5 +1,6 @@
-"""Substrate checks: forward/backward exactness, Adam arithmetic, the
-random source's reproducibility contract, and checkpoint round-trips."""
+"""Substrate checks: the flat parameter layout, forward/backward exactness,
+Adam arithmetic, the random source's reproducibility contract, and
+checkpoint round-trips."""
 
 import math
 
@@ -8,29 +9,54 @@ import pytest
 from helpers import finite_difference, naive_mlp_eval, rel_err_ok
 
 from flowstage.errors import DomainError, ShapeError
+from flowstage.flow_policy import PolicyDims, init_flow_policy, load_policy, save_policy
 from flowstage.numerics import (
-    MlpGrads,
     MlpParams,
     RandomSource,
     adam_init,
-    adam_step,
     adam_step_arrays,
-    gaussian,
     init_mlp,
-    load_mlp,
+    join_params,
     mlp_backward,
     mlp_backward_batch,
     mlp_forward,
     mlp_forward_batch,
+    param_layout,
     read_checkpoint,
-    save_mlp,
+    split_params,
     write_checkpoint,
 )
 
 
 def _linear_net(w, b):
     w = np.asarray(w, dtype=np.float64)
-    return MlpParams((w.shape[1], w.shape[0]), [w], [np.asarray(b, dtype=np.float64)])
+    return MlpParams((w.shape[1], w.shape[0]), np.concatenate([w.ravel(), b]))
+
+
+class TestFlatLayout:
+    def test_layout_order_and_shapes(self):
+        assert param_layout((3, 4, 2), [("emb", (5, 2))]) == [
+            ("w0", (4, 3)), ("b0", (4,)), ("w1", (2, 4)), ("b1", (2,)), ("emb", (5, 2))]
+
+    def test_layer_arrays_are_views_of_the_vector(self):
+        params = init_mlp((3, 4, 2), RandomSource(1))
+        for a in params.weights + params.biases:
+            assert np.shares_memory(a, params.vector)
+        params.weights[1][0, 2] = 7.0
+        assert params.vector[3 * 4 + 4 + 2] == 7.0
+
+    def test_split_and_join_are_inverse(self):
+        layout = param_layout((2, 3), [("e", (2, 2))])
+        vector = RandomSource(2).gaussian(6 + 3 + 4)
+        views = split_params(vector, layout)
+        np.testing.assert_array_equal(join_params(views, layout), vector)
+        with pytest.raises(ShapeError):
+            split_params(vector[:-1], layout)
+        with pytest.raises(ShapeError):
+            join_params(dict(views, e=np.zeros((4, 1))), layout)
+
+
+SMALL = PolicyDims(frames=2, frame_dim=2, num_classes=3, embed_dim=2)
 
 
 class TestMlpForward:
@@ -42,11 +68,7 @@ class TestMlpForward:
     def test_all_zero_params_give_zero_output(self):
         rng = RandomSource(3)
         params = init_mlp((4, 6, 3), rng)
-        zeroed = MlpParams(
-            params.layer_sizes,
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-        )
+        zeroed = MlpParams(params.layer_sizes, np.zeros_like(params.vector))
         out, _ = mlp_forward(zeroed, rng.gaussian(4))
         np.testing.assert_array_equal(out, np.zeros(3))
 
@@ -78,9 +100,8 @@ class TestMlpBackward:
         rng = RandomSource(5)
         params = init_mlp((3, 5, 2), rng)
         _, cache = mlp_forward(params, rng.gaussian(3))
-        grads, gx = mlp_backward(params, cache, np.zeros(2))
-        for g in grads.arrays():
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        grad, gx = mlp_backward(params, cache, np.zeros(2))
+        np.testing.assert_array_equal(grad, np.zeros_like(params.vector))
         np.testing.assert_array_equal(gx, np.zeros(3))
 
     def test_linear_layer_analytic(self):
@@ -90,7 +111,8 @@ class TestMlpBackward:
         x = rng.gaussian(3)
         g = rng.gaussian(2)
         _, cache = mlp_forward(params, x)
-        grads, gx = mlp_backward(params, cache, g)
+        grad, gx = mlp_backward(params, cache, g)
+        grads = MlpParams(params.layer_sizes, grad)
         np.testing.assert_allclose(grads.weights[0], np.outer(g, x), rtol=1e-12)
         np.testing.assert_allclose(grads.biases[0], g, rtol=1e-12)
         np.testing.assert_allclose(gx, w.T @ g, rtol=1e-12)
@@ -102,16 +124,14 @@ class TestMlpBackward:
         probe = rng.gaussian(2)  # scalar objective: probe . output
 
         _, cache = mlp_forward(params, x)
-        grads, _ = mlp_backward(params, cache, probe)
+        grad, _ = mlp_backward(params, cache, probe)
 
-        def objective(arrays):
-            p = MlpParams(params.layer_sizes, arrays[0::2], arrays[1::2])
-            out, _ = mlp_forward(p, x)
+        def objective(vector):
+            out, _ = mlp_forward(MlpParams(params.layer_sizes, vector), x)
             return float(probe @ out)
 
-        fd = finite_difference(objective, params.arrays(), h=1e-5)
-        for analytic, numeric in zip(grads.arrays(), fd):
-            assert rel_err_ok(analytic, numeric, rtol=1e-4, atol=1e-8).all()
+        fd = finite_difference(objective, params.vector.copy(), h=1e-5)
+        assert rel_err_ok(grad, fd, rtol=1e-4, atol=1e-8).all()
 
     def test_input_gradient_finite_difference(self):
         rng = RandomSource(14)
@@ -121,12 +141,12 @@ class TestMlpBackward:
         _, cache = mlp_forward(params, x)
         _, gx = mlp_backward(params, cache, probe)
 
-        def objective(arrays):
-            out, _ = mlp_forward(params, arrays[0])
+        def objective(vector):
+            out, _ = mlp_forward(params, vector)
             return float(probe @ out)
 
-        fd = finite_difference(objective, [x.copy()], h=1e-5)
-        assert rel_err_ok(gx, fd[0], rtol=1e-4, atol=1e-8).all()
+        fd = finite_difference(objective, x.copy(), h=1e-5)
+        assert rel_err_ok(gx, fd, rtol=1e-4, atol=1e-8).all()
 
     def test_stale_cache_raises(self):
         rng = RandomSource(15)
@@ -142,28 +162,24 @@ class TestMlpBackward:
         X = rng.gaussian(8).reshape(2, 4)
         up = rng.gaussian(6).reshape(2, 3)
         _, cache_b = mlp_forward_batch(params, X)
-        grads_b, gx_b = mlp_backward_batch(params, cache_b, up)
-        acc = [np.zeros_like(a) for a in params.arrays()]
+        grad_b, gx_b = mlp_backward_batch(params, cache_b, up)
+        acc = np.zeros_like(params.vector)
         for i in range(2):
             _, cache = mlp_forward(params, X[i])
             g, gx = mlp_backward(params, cache, up[i])
-            for a, b in zip(acc, g.arrays()):
-                a += b
+            acc += g
             np.testing.assert_allclose(gx_b[i], gx, rtol=1e-10, atol=1e-14)
-        for a, b in zip(acc, grads_b.arrays()):
-            np.testing.assert_allclose(a, b, rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(acc, grad_b, rtol=1e-10, atol=1e-14)
 
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
         rng = RandomSource(21)
         params = init_mlp((3, 4, 2), rng)
-        state = adam_init(params.arrays(), learning_rate=0.1)
-        grads = MlpGrads([np.zeros_like(w) for w in params.weights],
-                         [np.zeros_like(b) for b in params.biases])
-        new_params, new_state = adam_step(params, grads, state)
-        for a, b in zip(params.arrays(), new_params.arrays()):
-            np.testing.assert_array_equal(a, b)
+        state = adam_init(params.vector, learning_rate=0.1)
+        new_vector, new_state = adam_step_arrays(params.vector,
+                                                 np.zeros_like(params.vector), state)
+        np.testing.assert_array_equal(new_vector, params.vector)
         assert new_state.step_count == 1
 
     def test_first_step_is_signed_unit_step(self):
@@ -172,8 +188,8 @@ class TestAdam:
         lr = 0.01
         g = np.array([0.3, -2.0, 0.0007])
         p = np.zeros(3)
-        state = adam_init([p], learning_rate=lr)
-        (new_p,), _ = adam_step_arrays([p], [g], state)
+        state = adam_init(p, learning_rate=lr)
+        new_p, _ = adam_step_arrays(p, g, state)
         expected = -lr * g / (np.abs(g) + state.epsilon)
         np.testing.assert_allclose(new_p, expected, rtol=1e-12)
         np.testing.assert_allclose(new_p, -lr * np.sign(g), rtol=1e-4)
@@ -181,36 +197,70 @@ class TestAdam:
     def test_deterministic(self):
         rng = RandomSource(22)
         params = init_mlp((2, 3, 2), rng)
-        grads = MlpGrads([np.ones_like(w) for w in params.weights],
-                         [np.ones_like(b) for b in params.biases])
-        state = adam_init(params.arrays(), learning_rate=0.05)
-        out1 = adam_step(params, grads, state)
-        out2 = adam_step(params, grads, state)
-        for a, b in zip(out1[0].arrays(), out2[0].arrays()):
+        grad = np.ones_like(params.vector)
+        state = adam_init(params.vector, learning_rate=0.05)
+        out1 = adam_step_arrays(params.vector, grad, state)
+        out2 = adam_step_arrays(params.vector, grad, state)
+        np.testing.assert_array_equal(out1[0], out2[0])
+
+    def test_update_is_pure(self):
+        rng = RandomSource(23)
+        params, grad = rng.gaussian(9), rng.gaussian(9)
+        state = adam_init(params, learning_rate=0.05)
+        state = adam_step_arrays(params, grad, state)[1]
+        before = [a.copy() for a in (params, grad, state.m, state.v)]
+        new_params, new_state = adam_step_arrays(params, grad, state)
+        for a, b in zip((params, grad, state.m, state.v), before):
             np.testing.assert_array_equal(a, b)
+        assert state.step_count == 1 and new_state.step_count == 2
+        assert not np.shares_memory(new_params, params)
+
+    def test_flat_update_matches_per_array_update(self):
+        # the fused update is the per-array Adam formula, element by element
+        rng = RandomSource(24)
+        params = init_mlp((3, 4, 2), rng)
+        grads = [rng.gaussian(params.vector.size) for _ in range(3)]
+        state = adam_init(params.vector, learning_rate=0.01)
+        vector = params.vector
+        arrays = [a.copy() for a in params.weights + params.biases]
+        moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
+        b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+        for t, grad in enumerate(grads, start=1):
+            vector, state = adam_step_arrays(vector, grad, state)
+            g_view = MlpParams(params.layer_sizes, grad)
+            for i, g in enumerate(g_view.weights + g_view.biases):
+                m, v = moments[i]
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                arrays[i] = arrays[i] - lr * (m / (1.0 - b1**t)) / (
+                    np.sqrt(v / (1.0 - b2**t)) + eps)
+                moments[i] = (m, v)
+            net = MlpParams(params.layer_sizes, vector)
+            for a, b in zip(arrays, net.weights + net.biases):
+                np.testing.assert_array_equal(a, b)
 
     def test_non_finite_gradient_rejected(self):
         p = np.zeros(2)
-        state = adam_init([p])
+        state = adam_init(p)
         with pytest.raises(DomainError):
-            adam_step_arrays([p], [np.array([1.0, np.nan])], state)
+            adam_step_arrays(p, np.array([1.0, np.nan]), state)
 
     def test_shape_mismatch_rejected(self):
         p = np.zeros(2)
-        state = adam_init([p])
+        state = adam_init(p)
         with pytest.raises(ShapeError):
-            adam_step_arrays([p], [np.zeros(3)], state)
+            adam_step_arrays(p, np.zeros(3), state)
 
 
 class TestRandomSource:
     def test_same_seed_same_stream(self):
-        a = gaussian(RandomSource(99), 50)
-        b = gaussian(RandomSource(99), 50)
+        a = RandomSource(99).gaussian(50)
+        b = RandomSource(99).gaussian(50)
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = gaussian(RandomSource(1), 50)
-        b = gaussian(RandomSource(2), 50)
+        a = RandomSource(1).gaussian(50)
+        b = RandomSource(2).gaussian(50)
         assert not np.array_equal(a, b)
 
     def test_streams_are_disjoint_and_reproducible(self):
@@ -221,35 +271,53 @@ class TestRandomSource:
         np.testing.assert_array_equal(a, RandomSource(7).stream(0).gaussian(10))
 
     def test_law_of_large_numbers(self):
-        draws = gaussian(RandomSource(123), 100_000)
+        draws = RandomSource(123).gaussian(100_000)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.02
 
     def test_invalid_count(self):
         with pytest.raises(DomainError):
-            gaussian(RandomSource(0), 0)
+            RandomSource(0).gaussian(0)
 
 
 class TestCheckpoints:
     def test_roundtrip_is_byte_identical(self, tmp_path):
-        rng = RandomSource(31)
-        params = init_mlp((4, 7, 3), rng)
+        policy = init_flow_policy(SMALL, hidden=(7,), rng=RandomSource(31))
         p1 = tmp_path / "a.ckpt"
         p2 = tmp_path / "b.ckpt"
-        save_mlp(p1, params, {"note": "x"})
-        loaded, meta = load_mlp(p1)
-        save_mlp(p2, loaded, {"note": meta["note"]})
+        save_policy(p1, policy, {"note": "x"})
+        loaded, meta = load_policy(p1)
+        save_policy(p2, loaded, {"note": meta["note"]})
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_loaded_params_equal(self, tmp_path):
-        rng = RandomSource(32)
-        params = init_mlp((5, 6, 2), rng)
+        # the checkpoint holds one array per layout entry, named as before
+        policy = init_flow_policy(SMALL, hidden=(6, 5), rng=RandomSource(32))
         path = tmp_path / "net.ckpt"
-        save_mlp(path, params)
-        loaded, _ = load_mlp(path)
-        assert loaded.layer_sizes == params.layer_sizes
-        for a, b in zip(params.arrays(), loaded.arrays()):
-            np.testing.assert_array_equal(a, b)
+        save_policy(path, policy)
+        _, arrays = read_checkpoint(path)
+        assert sorted(arrays) == ["b0", "b1", "b2", "cond_emb", "w0", "w1", "w2"]
+        np.testing.assert_array_equal(arrays["cond_emb"], policy.cond_emb)
+        for l, (w, b) in enumerate(zip(policy.net.weights, policy.net.biases)):
+            np.testing.assert_array_equal(arrays[f"w{l}"], w)
+            np.testing.assert_array_equal(arrays[f"b{l}"], b)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        write_checkpoint(path, {"v": 1}, {"m": np.arange(3.0)})
+        old = path.read_bytes()
+        # the header is written before the array that cannot be converted
+        with pytest.raises(ValueError):
+            write_checkpoint(path, {"v": 2}, {"m": np.zeros(3), "z": np.array(["x"])})
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt"]
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        write_checkpoint(path, {}, {"m": np.arange(3.0)})
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(DomainError, match="trailing"):
+            read_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -272,7 +340,7 @@ class TestValidation:
 
     def test_mismatched_layer_sizes_rejected(self):
         with pytest.raises(ShapeError):
-            MlpParams((3, 2), [np.zeros((2, 4))], [np.zeros(2)])
+            MlpParams((3, 2), np.zeros(2 * 4 + 2))
 
     def test_gradient_exactness_random_nets(self):
         # every analytic partial matches central differences on small nets
@@ -283,13 +351,11 @@ class TestValidation:
             x = rng.gaussian(3)
             probe = rng.gaussian(2)
             _, cache = mlp_forward(params, x)
-            grads, _ = mlp_backward(params, cache, probe)
+            grad, _ = mlp_backward(params, cache, probe)
 
-            def objective(arrays):
-                p = MlpParams(sizes, arrays[0::2], arrays[1::2])
-                out, _ = mlp_forward(p, x)
+            def objective(vector):
+                out, _ = mlp_forward(MlpParams(sizes, vector), x)
                 return float(probe @ out)
 
-            fd = finite_difference(objective, params.arrays(), h=1e-5)
-            for analytic, numeric in zip(grads.arrays(), fd):
-                assert rel_err_ok(analytic, numeric, rtol=1e-4, atol=1e-8).all()
+            fd = finite_difference(objective, params.vector.copy(), h=1e-5)
+            assert rel_err_ok(grad, fd, rtol=1e-4, atol=1e-8).all()
