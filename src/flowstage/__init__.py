@@ -1,20 +1,19 @@
 """flowstage: group-relative policy optimization of a toy flow-matching
 generator under a staged, competence-gated reward curriculum, plus a
-reward-bias auditing toolkit."""
+reward-bias auditing toolkit.
 
-from .bias_audit import ClusterReport, ScoredItem, audit, cluster_kappa, kmeans
-from .curriculum import (
-    CurriculumConfig,
-    CurriculumState,
-    calibrate_thresholds,
-    curriculum_step,
-    group_means,
-    hoyer,
-    mixed_reward,
-    normalize_advantages,
-    stage_weights,
-    transition,
+The names below are what a caller needs to do what each CLI mode
+does; everything else is reached through its module."""
+
+from .bias_audit import (
+    ClusterReport,
+    ScoredItem,
+    audit,
+    cluster_kappa,
+    kmeans,
+    read_items_csv,
 )
+from .curriculum import CurriculumConfig, CurriculumState, calibrate_thresholds, curriculum_step
 from .errors import ConfigError, DomainError, RolloutError, ShapeError
 from .flow_policy import (
     FlowPolicy,
@@ -23,35 +22,18 @@ from .flow_policy import (
     SdeConfig,
     ToyDataset,
     ToySample,
-    Trajectory,
+    decode_state,
     init_flow_policy,
     load_policy,
     log_prob_under,
     ode_sample,
     pretrain_flow_matching,
     save_policy,
-    score_from_velocity,
     sde_sample,
     velocity,
 )
-from .grpo import (
-    TrainConfig,
-    TrainLog,
-    smooth_curve,
-    surrogate_objective,
-    train,
-    train_step,
-)
-from .kernels import BACKEND
-from .numerics import (
-    AdamState,
-    MlpParams,
-    RandomSource,
-    adam_init,
-    init_mlp,
-    mlp_backward,
-    mlp_forward,
-)
+from .grpo import TrainConfig, TrainLog, train, train_step
+from .numerics import RandomSource
 from .rewards import RewardMatrix, RewardTerm, default_suite, eval_group, eval_reward_term
 
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from pathlib import Path
 import yaml
 
 from .curriculum import CurriculumConfig
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, require_int, require_number
 from .flow_policy import PolicyDims, SdeConfig, ToyDataset
 from .grpo import TrainConfig
 from .rewards import RewardTerm, default_suite, validate_suite
@@ -77,6 +77,20 @@ DEFAULTS = {
         "max_iters": 100,
     },
 }
+
+
+def _check(errors, name, value, low=None, require=require_int) -> None:
+    """Record an error for ``name`` unless ``require`` accepts ``value``
+    and it is at least ``low``."""
+    try:
+        require(name, value)
+        ok = low is None or value >= low
+    except DomainError:
+        ok = False
+    if not ok:
+        kind = "an integer" if require is require_int else "a finite number"
+        bound = "" if low is None else f" >= {low}"
+        errors.append(f"{name}: must be {kind}{bound}, got {value!r}")
 
 
 def _deep_merge(base, override, path, errors):
@@ -170,44 +184,43 @@ class RunConfig:
         cfg = self.resolved
         errors = []
 
-        if cfg["mode"] not in MODES:
-            errors.append(f"mode: must be one of {MODES}, got {cfg['mode']!r}")
-        if not isinstance(cfg["seed"], int) or isinstance(cfg["seed"], bool):
-            errors.append("seed: must be an integer")
+        mode = cfg["mode"]
+        if mode not in MODES:
+            errors.append(f"mode: must be one of {MODES}, got {mode!r}")
+        _check(errors, "seed", cfg["seed"], 0)
         if not isinstance(cfg["outdir"], str) or not cfg["outdir"]:
             errors.append("outdir: must be a non-empty path")
 
-        for field in ("frames", "frame_dim", "num_classes"):
-            v = cfg["dataset"][field]
-            if not isinstance(v, int) or v < 1:
-                errors.append(f"dataset.{field}: must be a positive integer")
-        if isinstance(cfg["dataset"]["frames"], int) and cfg["dataset"]["frames"] < 2:
-            errors.append("dataset.frames: must be >= 2")
+        dataset = cfg["dataset"]
+        for field, low in (("frames", 2), ("frame_dim", 1), ("num_classes", 1)):
+            _check(errors, f"dataset.{field}", dataset[field], low)
+        _check(errors, "dataset.omega", dataset["omega"], require=require_number)
+        _check(errors, "dataset.jitter", dataset["jitter"], 0, require_number)
 
         hidden = cfg["policy"]["hidden"]
-        if not isinstance(hidden, list) or not hidden or not all(
-            isinstance(h, int) and h >= 1 for h in hidden
-        ):
+        if not isinstance(hidden, list) or not hidden:
             errors.append("policy.hidden: must be a non-empty list of positive ints")
-        if not isinstance(cfg["policy"]["embed_dim"], int) or cfg["policy"]["embed_dim"] < 1:
-            errors.append("policy.embed_dim: must be a positive integer")
+        else:
+            for i, h in enumerate(hidden):
+                _check(errors, f"policy.hidden[{i}]", h, 1)
+        _check(errors, "policy.embed_dim", cfg["policy"]["embed_dim"], 1)
 
-        for field, low in (("steps", 0), ("batch_size", 1)):
-            v = cfg["pretrain"][field]
-            if not isinstance(v, int) or v < low:
-                errors.append(f"pretrain.{field}: must be an integer >= {low}")
-        rate = cfg["pretrain"]["learning_rate"]
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not rate >= 0:
-            errors.append("pretrain.learning_rate: must be a number >= 0")
+        pretrain = cfg["pretrain"]
+        _check(errors, "pretrain.steps", pretrain["steps"], 0)
+        _check(errors, "pretrain.batch_size", pretrain["batch_size"], 1)
+        _check(errors, "pretrain.learning_rate", pretrain["learning_rate"], 0, require_number)
 
         if not errors:
             # constructors carry the numeric range checks; translate their
             # complaints into field-level diagnostics
-            for section, builder in (
+            builders = [
                 ("sde", self.sde_config),
                 ("curriculum", self.curriculum_config),
                 ("rewards", self.reward_suite),
-            ):
+            ]
+            if mode == "pretrain":  # the only mode that draws from the dataset
+                builders.append(("dataset", self.dataset))
+            for section, builder in builders:
                 try:
                     builder()
                 except (ValueError, TypeError) as exc:
@@ -216,15 +229,11 @@ class RunConfig:
                 self.train_config()
             except (ValueError, TypeError) as exc:
                 errors.append(f"train: {exc}")
-            if (not errors and cfg["mode"] == "train"
-                    and cfg["train"]["static_stage"] is None):
+            if not errors and mode == "train" and cfg["train"]["static_stage"] is None:
                 errors.extend(self._threshold_errors())
 
-        interval = cfg["train"]["checkpoint_interval"]
-        if not isinstance(interval, int) or isinstance(interval, bool) or interval < 0:
-            errors.append("train.checkpoint_interval: must be an integer >= 0")
+        _check(errors, "train.checkpoint_interval", cfg["train"]["checkpoint_interval"], 0)
 
-        mode = cfg["mode"]
         if mode in ("calibrate", "train") and cfg["sde"]["eta"] == 0:
             errors.append(f"sde.eta: must be > 0 for mode {mode!r}; GRPO needs "
                           "the transition densities an eta = 0 rollout does not have")
@@ -233,11 +242,11 @@ class RunConfig:
         if mode == "audit" and not cfg["audit"]["input"]:
             errors.append("audit.input: required for mode 'audit'")
         if mode == "calibrate":
-            v = cfg["calibrate"]["steps"]
-            if not isinstance(v, int) or v < 2:
-                errors.append("calibrate.steps: must be an integer >= 2")
-        if not isinstance(cfg["eval"]["num_groups"], int) or cfg["eval"]["num_groups"] < 1:
-            errors.append("eval.num_groups: must be a positive integer")
+            _check(errors, "calibrate.steps", cfg["calibrate"]["steps"], 2)
+        _check(errors, "eval.num_groups", cfg["eval"]["num_groups"], 1)
+        if cfg["audit"]["k"] is not None:
+            _check(errors, "audit.k", cfg["audit"]["k"], 1)
+        _check(errors, "audit.max_iters", cfg["audit"]["max_iters"], 1)
 
         if errors:
             raise ConfigError(errors)

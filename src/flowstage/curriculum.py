@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, require_number
 from .rewards import RewardMatrix
 
 ADVANTAGE_STD_FLOOR = 1e-8
@@ -45,6 +45,10 @@ class CurriculumConfig:
     ema_decay: float = 0.9
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "ema_decay"):
+            require_number(name, getattr(self, name))
+        for t in self.thresholds:
+            require_number("thresholds", t)
         if self.alpha <= 0.0:
             raise DomainError("alpha must be > 0")
         if self.beta < 0.0:

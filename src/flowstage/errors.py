@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and one shared check."""
+"""Exception types shared across the package, and the shared type checks
+for settings."""
 
+import math
 import numbers
 
 
@@ -32,3 +34,11 @@ def require_int(name: str, value) -> None:
     """Raise DomainError unless ``value`` is an integer; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def require_number(name: str, value) -> None:
+    """Raise DomainError unless ``value`` is a finite real number; a bool
+    is not one."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise DomainError(f"{name} must be a finite number, got {value!r}")

@@ -19,14 +19,13 @@ Conventions, fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, RolloutError, ShapeError, require_int
+from .errors import DomainError, RolloutError, ShapeError, require_int, require_number
 from .numerics import (
     MlpParams,
     RandomSource,
@@ -140,6 +139,8 @@ class SdeConfig:
 
     def __post_init__(self):
         require_int("num_steps", self.num_steps)
+        require_number("eta", self.eta)
+        require_number("t_min", self.t_min)
         if self.num_steps < 1:
             raise DomainError("num_steps must be >= 1")
         if not 0.0 < self.t_min < 1.0:
@@ -590,26 +591,6 @@ class ToyDataset:
         return ToySample(frames[0], int(conds[0]))
 
 
-@dataclass
-class ArrayDataset:
-    """Fixed pool of sequences, sampled with replacement."""
-
-    frames: np.ndarray
-    conditions: np.ndarray
-
-    def __post_init__(self):
-        self.frames = np.ascontiguousarray(self.frames, dtype=np.float64)
-        self.conditions = np.asarray(self.conditions, dtype=np.int64)
-        if self.frames.ndim != 3 or len(self.frames) != len(self.conditions):
-            raise ShapeError("frames must be (N, T, D) matching conditions (N,)")
-        if len(self.frames) == 0:
-            raise DomainError("empty dataset")
-
-    def sample_batch(self, rng: RandomSource, n: int):
-        idx = rng.integers(0, len(self.frames), size=n)
-        return self.frames[idx], self.conditions[idx]
-
-
 # ---------------------------------------------------------------------------
 # Flow-matching pretraining
 # ---------------------------------------------------------------------------
@@ -663,32 +644,3 @@ def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
         vector, opt = adam_step_arrays(policy.vector, grad, opt)
         policy = replace(policy, vector=vector)
     return policy, losses
-
-
-# ---------------------------------------------------------------------------
-# Trajectory dump (debugging aid)
-# ---------------------------------------------------------------------------
-
-
-def write_trajectory_jsonl(traj: Trajectory, fp) -> None:
-    """Line-delimited dump: one header record, then one record per step."""
-    header = {
-        "kind": "header",
-        "condition": traj.condition,
-        "eta": traj.eta,
-        "dt": traj.dt,
-        "num_steps": traj.num_steps,
-        "state_size": int(traj.states.shape[1]),
-    }
-    fp.write(json.dumps(header, sort_keys=True) + "\n")
-    for k in range(traj.num_steps):
-        rec = {
-            "kind": "step",
-            "index": k,
-            "time": float(traj.times[k]),
-            "state": traj.states[k].tolist(),
-            "mean": traj.step_means[k].tolist(),
-            "std": float(traj.step_stds[k]),
-            "log_prob": None if traj.log_probs is None else float(traj.log_probs[k]),
-        }
-        fp.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -34,7 +34,7 @@ from .curriculum import (
     hoyer,
     normalize_advantages,
 )
-from .errors import DomainError, RolloutError, ShapeError, require_int
+from .errors import DomainError, RolloutError, ShapeError, require_int, require_number
 from .flow_policy import (
     FlowPolicy,
     Rollout,
@@ -74,6 +74,9 @@ class TrainConfig:
         for name in ("group_size", "num_steps", "ref_refresh_interval", "seed",
                      "smooth_window"):
             require_int(name, getattr(self, name))
+        for name in ("clip_eps", "learning_rate", "timestep_fraction", "ratio_clamp_max",
+                     "max_grad_norm"):
+            require_number(name, getattr(self, name))
         if self.static_stage is not None:
             require_int("static_stage", self.static_stage)
         if self.group_size < 2:
@@ -144,15 +147,9 @@ class TrainLog:
     def __len__(self) -> int:
         return len(self.records)
 
-    def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
-
     def term_means_matrix(self) -> np.ndarray:
         """Per-term group means, one row per step."""
         return np.stack([r.term_means for r in self.records])
-
-    def weights_matrix(self) -> np.ndarray:
-        return np.stack([r.weights for r in self.records])
 
     def write_jsonl(self, fp) -> None:
         for rec in self.records:

@@ -1,42 +1,40 @@
-"""Kernel backend selection for the single-vector MLP pass.
+"""The tanh-MLP arithmetic: one batched forward and backward pass.
 
-``forward``/``backward`` evaluate the net on one input vector, from
-either the compiled Cython extension or the numpy fallback.  Their only
-callers are ``numerics.mlp_forward``/``mlp_backward``, and of the
-program only ``flow_policy.velocity`` (so ``ode_path``/``ode_sample``)
-goes through those; nothing in the program calls ``mlp_backward``.
-Rollouts, the GRPO gradient and pretraining run the batched numpy pass
-in ``numerics`` whatever the backend, so the choice below does not move
-them.  The choice is made once at import time:
-
-* ``FLOWSTAGE_KERNELS=cy``  require the compiled backend, fail if absent
-* ``FLOWSTAGE_KERNELS=py``  force the pure-Python backend
-* unset or ``auto``         compiled if available, else pure Python
-
-Both backends compute the same arithmetic; floating-point results may
-differ at rounding level because of summation order, so an ODE sample
-at a fixed seed is bit-reproducible per backend, not across backends.
+Both work on rows: ``inputs`` is ``(B, in)`` and every activation is
+``(B, size)``.  Hidden layers apply tanh, the final layer is identity;
+``weights[l]`` has shape ``(out_l, in_l)``.  Shape and finiteness checks
+live in the ``numerics.mlp_*`` functions, which call these.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-_choice = os.environ.get("FLOWSTAGE_KERNELS", "auto").lower()
 
-if _choice not in ("auto", "py", "cy"):
-    raise ImportError(f"FLOWSTAGE_KERNELS must be 'auto', 'py' or 'cy', got {_choice!r}")
+def forward(weights: list, biases: list, inputs: np.ndarray) -> list:
+    """Post-activation values of every layer, ``inputs`` first."""
+    acts = [inputs]
+    last = len(weights) - 1
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w.T + b
+        acts.append(np.tanh(z) if layer < last else z)
+    return acts
 
-if _choice == "py":
-    from . import _mlp_np as _impl
-elif _choice == "cy":
-    from . import _mlp_cy as _impl  # type: ignore[no-redef]
-else:
-    try:
-        from . import _mlp_cy as _impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _mlp_np as _impl
 
-BACKEND: str = _impl.BACKEND
-forward = _impl.forward
-backward = _impl.backward
+def backward(weights: list, acts: list, upstream: np.ndarray,
+             grad_w: list, grad_b: list) -> np.ndarray:
+    """Backpropagate ``upstream`` (B, out) through the activations of
+    :func:`forward` with the same weights.
+
+    Writes the batch-summed weight and bias gradients into ``grad_w`` and
+    ``grad_b`` (one array per layer, shaped like the weights and biases)
+    and returns the input gradients, one row per batch row.  The tanh
+    derivative is taken from the post-activation values.
+    """
+    delta = upstream
+    for layer in range(len(weights) - 1, -1, -1):
+        np.matmul(delta.T, acts[layer], out=grad_w[layer])
+        delta.sum(axis=0, out=grad_b[layer])
+        back = delta @ weights[layer]
+        delta = back * (1.0 - acts[layer] ** 2) if layer > 0 else back
+    return delta

@@ -5,6 +5,11 @@ Everything here is a pure function of its inputs; randomness only enters
 through an explicit :class:`RandomSource`.  Matrices are plain C-order
 float64 ``numpy`` arrays (rows x cols, row-major).
 
+The ``mlp_*`` functions check shapes and finiteness and hand the
+arithmetic to :mod:`kernels`, which holds the one batched implementation
+of the net; :func:`mlp_forward` and :func:`mlp_backward` run a single
+input as a one-row batch.
+
 Parameters live in one flat float64 vector laid out by
 :func:`param_layout` alone: w0, b0, w1, b1, ... raveled row-major, then
 any extra arrays a model appends (the policy's ``cond_emb``); the layout
@@ -133,7 +138,7 @@ def init_mlp(layer_sizes: Sequence[int], rng: "RandomSource") -> MlpParams:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray):
-    """Evaluate the net on one input vector.
+    """Evaluate the net on one input vector: a one-row batch.
 
     Returns ``(output, cache)`` where the cache holds per-layer activations
     for :func:`mlp_backward`.
@@ -141,11 +146,9 @@ def mlp_forward(params: MlpParams, x: np.ndarray):
     x = _as_f64(x)
     if x.shape != (params.input_size,):
         raise ShapeError(f"input shape {x.shape}, expected ({params.input_size},)")
-    acts = kernels.forward(params.weights, params.biases, x)
-    out = acts[-1]
-    if not np.isfinite(out).all():
-        raise DomainError("forward pass produced a non-finite output")
-    return out, acts
+    _, acts = mlp_forward_batch(params, x[None])
+    acts = [a[0] for a in acts]
+    return acts[-1], acts
 
 
 def mlp_backward(params: MlpParams, cache: list, upstream_grad: np.ndarray):
@@ -165,24 +168,21 @@ def mlp_backward(params: MlpParams, cache: list, upstream_grad: np.ndarray):
         raise ShapeError(
             f"upstream grad shape {upstream_grad.shape}, expected ({params.output_size},)"
         )
-    grad_w, grad_b, grad_x = kernels.backward(params.weights, cache, upstream_grad)
-    grad = np.empty_like(params.vector)
-    views_w, views_b = _layer_views(grad, params.layer_sizes)
-    for view, g in zip(views_w + views_b, grad_w + grad_b):
-        view[...] = g
-    return grad, grad_x
+    grad, grad_x = mlp_backward_batch(params, [_as_f64(a)[None] for a in cache],
+                                      upstream_grad[None])
+    return grad, grad_x[0]
 
 
 def mlp_forward_batch(params: MlpParams, inputs: np.ndarray):
-    """Batched forward pass (numpy on all backends); inputs shaped (B, in)."""
+    """Batched forward pass; inputs shaped (B, in).
+
+    Returns ``(outputs, cache)``, the cache holding one (B, size) array of
+    activations per layer for :func:`mlp_backward_batch`.
+    """
     inputs = _as_f64(inputs)
     if inputs.ndim != 2 or inputs.shape[1] != params.input_size:
         raise ShapeError(f"batch shape {inputs.shape}, expected (B, {params.input_size})")
-    acts = [inputs]
-    last = len(params.weights) - 1
-    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = acts[-1] @ w.T + b
-        acts.append(np.tanh(z) if layer < last else z)
+    acts = kernels.forward(params.weights, params.biases, inputs)
     if not np.isfinite(acts[-1]).all():
         raise DomainError("forward pass produced a non-finite output")
     return acts[-1], acts
@@ -198,13 +198,8 @@ def mlp_backward_batch(params: MlpParams, cache: list, upstream: np.ndarray):
     upstream = _as_f64(upstream)
     grad = np.empty_like(params.vector)
     grad_w, grad_b = _layer_views(grad, params.layer_sizes)
-    delta = upstream
-    for layer in range(len(params.weights) - 1, -1, -1):
-        np.matmul(delta.T, cache[layer], out=grad_w[layer])
-        delta.sum(axis=0, out=grad_b[layer])
-        back = delta @ params.weights[layer]
-        delta = back * (1.0 - cache[layer] ** 2) if layer > 0 else back
-    return grad, delta
+    input_grads = kernels.backward(params.weights, cache, upstream, grad_w, grad_b)
+    return grad, input_grads
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, require_int, require_number
 from .flow_policy import ToySample
 
 KINDS = ("fidelity", "smoothness", "alignment", "custom")
@@ -43,6 +43,8 @@ class RewardTerm:
     fn: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        require_int("stage", self.stage)
+        require_number("scale", self.scale)
         if self.kind not in KINDS:
             raise DomainError(f"unknown reward kind {self.kind!r}")
         if self.scale <= 0.0:

@@ -22,6 +22,14 @@ def checkpoint(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def items(tmp_path):
+    path = tmp_path / "items.csv"
+    rows = [f"item{i},{0.1 * (i % 5)},{i % 2},{float(i % 3)}" for i in range(12)]
+    path.write_text("id,score,label,f0\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
 def run_cli(tmp_path, checkpoint, *overrides):
     outdir = tmp_path / "out"
     config = tmp_path / "run.json"
@@ -97,11 +105,40 @@ class TestRejectedAtLoad:
         ("train", "train.ref_refresh_interval=1.5", "train: ref_refresh_interval"),
         ("train", "seed=true", "seed: must be an integer"),
         ("pretrain", "pretrain.learning_rate=-1", "pretrain.learning_rate"),
+        ("pretrain", "seed=-1", "seed: must be an integer >= 0"),
+        ("pretrain", "dataset.num_classes=true", "dataset.num_classes"),
+        ("pretrain", "policy.embed_dim=true", "policy.embed_dim"),
+        ("pretrain", "policy.hidden=[true]", "policy.hidden[0]"),
+        ("pretrain", "pretrain.steps=true", "pretrain.steps"),
+        ("pretrain", "pretrain.batch_size=true", "pretrain.batch_size"),
+        ("eval", "eval.num_groups=true", "eval.num_groups"),
+        ("audit", "audit.k=true", "audit.k"),
+        ("audit", "audit.k=abc", "audit.k"),
+        ("audit", "audit.k=2.5", "audit.k"),
+        ("audit", "audit.k=0", "audit.k"),
+        ("audit", "audit.max_iters=abc", "audit.max_iters"),
+        ("audit", "audit.max_iters=-1", "audit.max_iters"),
+        ("pretrain", "dataset.jitter=abc", "dataset.jitter"),
+        ("pretrain", "dataset.jitter=-1", "dataset.jitter"),
+        ("pretrain", "dataset.omega=abc", "dataset.omega"),
+        ("pretrain", "dataset.frame_dim=3", "dataset: circle dataset requires frame_dim = 2"),
+        ("train", "train.clip_eps=true", "train: clip_eps"),
+        ("train", "train.learning_rate=true", "train: learning_rate"),
+        ("train", "sde.eta=true", "sde: eta"),
+        ("train", "curriculum.alpha=true", "curriculum: alpha"),
+        ("train", "curriculum.thresholds=[true, 0.7, 0.7]", "curriculum: thresholds"),
+        ("train", "train.clip_eps=.inf", "train: clip_eps"),
+        ("pretrain", "dataset.omega=.nan", "dataset.omega"),
+        ("eval", 'rewards=[{"id": "f", "stage": 1, "kind": "fidelity", "scale": true}]',
+         "rewards: scale"),
+        ("eval", 'rewards=[{"id": "f", "stage": true, "kind": "fidelity", "scale": 0.05}]',
+         "rewards: stage"),
     ])
-    def test_bad_number_exits_1_without_failure_file(self, tmp_path, checkpoint, capsys,
+    def test_bad_number_exits_1_without_failure_file(self, tmp_path, checkpoint, items, capsys,
                                                      mode, override, message):
-        rc, outdir = run_cli(tmp_path, checkpoint, f"--set=mode={mode}", f"--set={override}",
-                             "--set=pretrain.steps=1", "--set=calibrate.steps=2")
+        rc, outdir = run_cli(tmp_path, checkpoint, f"--set=mode={mode}",
+                             "--set=pretrain.steps=1", "--set=calibrate.steps=2",
+                             f"--set=audit.input={items}", f"--set={override}")
         assert rc == 1
         assert not (outdir / "failure.json").exists()
         assert message in capsys.readouterr().err
