@@ -26,7 +26,6 @@ from .config import RunConfig
 from .curriculum import calibrate_thresholds
 from .errors import ConfigError
 from .flow_policy import (
-    decode_state,
     init_flow_policy,
     load_policy,
     pretrain_flow_matching,
@@ -132,15 +131,16 @@ def run_eval(cfg: RunConfig) -> None:
     num_groups = cfg.resolved["eval"]["num_groups"]
     rng = RandomSource(cfg.seed)
 
+    dims = policy.dims
     ordered = sorted(suite, key=lambda t: t.stage)
     all_values = []
     rows = []
     for g in range(num_groups):
-        cond = int(rng.stream(0, g).integers(0, policy.dims.num_classes))
-        rollout = sde_sample(policy, cond, sde,
-                             [rng.stream(1, g, i) for i in range(group_size)])
-        samples = [decode_state(x, policy.dims, cond) for x in rollout.final_states()]
-        matrix = eval_group(suite, samples)
+        cond = int(rng.stream(0, g).integers(0, dims.num_classes))
+        noise = rng.gaussian_streams((1, g), group_size, (sde.num_steps + 1) * dims.state_size)
+        rollout = sde_sample(policy, cond, sde, noise.reshape(group_size, sde.num_steps + 1, -1))
+        matrix = eval_group(
+            suite, rollout.final_states().reshape(group_size, dims.frames, dims.frame_dim), cond)
         all_values.append(matrix.values)
         rows.append([g, cond] + [repr(float(v)) for v in matrix.values.mean(axis=0)])
 

@@ -328,6 +328,7 @@ class RunConfig:
 
     def reward_suite(self) -> list:
         num_classes = self.resolved["dataset"]["num_classes"]
+        frame_dim = self.resolved["dataset"]["frame_dim"]
         suite = []
         for entry in self.resolved["rewards"]:
             extra = set(entry) - {"id", "kind", "stage", "scale"}
@@ -335,6 +336,9 @@ class RunConfig:
                 raise ConfigError([f"rewards: unknown keys {sorted(extra)}"])
             kwargs = dict(entry)
             if kwargs.get("kind") == "alignment":
+                if frame_dim < 2:  # the final frame's angle needs two coordinates
+                    raise DomainError(f"alignment term {kwargs.get('id')!r} needs "
+                                      f"dataset.frame_dim >= 2, got {frame_dim}")
                 kwargs["num_classes"] = num_classes
             suite.append(RewardTerm(**kwargs))
         validate_suite(suite)

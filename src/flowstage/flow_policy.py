@@ -413,27 +413,32 @@ def ode_sample(policy: FlowPolicy, cond: int, num_steps: int, rng: RandomSource,
     return decode_state(states[-1], policy.dims, cond)
 
 
-def sde_sample(policy: FlowPolicy, cond, config: SdeConfig,
-               rngs: Sequence[RandomSource], keep: Sequence[int] = ()) -> Rollout:
+def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
+               keep: Sequence[int] = ()) -> Rollout:
     """Stochastic rollout of a group, dx = (v - sigma_t^2/2 * score) dt + sigma_t dw.
 
-    Trajectory i draws its initial noise and all its step noise from
-    ``rngs[i]`` in one call, so it does not depend on the group size;
-    each SDE step is one forward pass over the whole group.  ``cond`` is
-    one condition for the group or one per trajectory.  Each transition is
-    Gaussian with mean from :func:`_step_coeffs` and std
-    sigma_t * sqrt(|dt|) = eta * sqrt(t |dt|); the exact log-density of
-    the realized next state is recorded (None when eta = 0).  The net's
-    layer activations are kept for the steps in ``keep`` only.
+    ``noise`` is the group's standard normal noise block, (G, K + 1, n):
+    row i holds trajectory i's initial state and then its K step
+    increments.  Drawing row i from its own stream, as
+    ``RandomSource.gaussian_streams(ids, G, (K + 1) * n)`` does (row i
+    equals ``stream(*ids, i).gaussian((K + 1) * n)`` bit for bit), makes
+    a trajectory independent of the group size.  Each SDE step is one
+    forward pass over the whole group.  ``cond`` is one condition for the
+    group or one per trajectory.  Each transition is Gaussian with mean
+    from :func:`_step_coeffs` and std sigma_t * sqrt(|dt|) =
+    eta * sqrt(t |dt|); the exact log-density of the realized next state
+    is recorded (None when eta = 0).  The net's layer activations are
+    kept for the steps in ``keep`` only.
     """
-    G = len(rngs)
-    if G < 1:
-        raise DomainError("need one random stream per trajectory, got none")
+    n = policy.dims.state_size
+    K = config.num_steps
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.ndim != 3 or noise.shape[1:] != (K + 1, n) or len(noise) < 1:
+        raise ShapeError(f"noise block shape {noise.shape}, expected (G >= 1, {K + 1}, {n})")
+    G = len(noise)
     conds = np.broadcast_to(np.asarray(cond, dtype=np.int64), (G,)).copy()
     if ((conds < 0) | (conds >= policy.dims.num_classes)).any():
         raise DomainError(f"condition {cond} out of range")
-    n = policy.dims.state_size
-    K = config.num_steps
     keep = {int(k) for k in keep}
     if any(not 0 <= k < K for k in keep):
         raise DomainError(f"kept steps {sorted(keep)} out of range [0, {K})")
@@ -441,7 +446,6 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig,
     dt = (config.t_min - 1.0) / K
     eta = config.eta
 
-    noise = np.stack([r.gaussian((K + 1) * n).reshape(K + 1, n) for r in rngs])
     states = np.empty((G, K + 1, n))
     states[:, 0] = noise[:, 0]
     means = np.empty((G, K, n))

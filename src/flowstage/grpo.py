@@ -1,8 +1,9 @@
 """Group-relative policy optimization with the staged reward curriculum.
 
 Each step rolls out a group of stochastic trajectories for one shared
-condition under the reference policy, in one batched pass per SDE step,
-scores them with the reward suite, mixes the terms with the curriculum
+condition under the reference policy, in one batched pass per SDE step
+from one block of per-trajectory noise, scores the group's final frames
+as one array with the reward suite, mixes the terms with the curriculum
 gates, and ascends the clipped importance-ratio surrogate through the
 per-step Gaussian transition densities.
 
@@ -40,7 +41,6 @@ from .flow_policy import (
     Rollout,
     SdeConfig,
     backprop_step,
-    decode_state,
     eval_step,
     sde_sample,
 )
@@ -305,15 +305,16 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
     K = config.sde.num_steps
     n_sel = math.ceil(config.timestep_fraction * K)
     subset = np.sort(rng.stream(_STREAM_SUBSET, step_index).permutation(K)[:n_sel])
-    rngs = [rng.stream(_STREAM_ROLLOUT, step_index, i) for i in range(config.group_size)]
+    G, dims = config.group_size, policy.dims
+    noise = rng.gaussian_streams((_STREAM_ROLLOUT, step_index), G, (K + 1) * dims.state_size)
     try:
-        rollout = sde_sample(ref_policy, cond, config.sde, rngs,
+        rollout = sde_sample(ref_policy, cond, config.sde, noise.reshape(G, K + 1, -1),
                              keep=subset if ref_policy is policy else ())
     except RolloutError as exc:
         raise RolloutError(f"step {step_index}, condition {cond}: {exc}") from exc
 
-    samples = [decode_state(x, policy.dims, cond) for x in rollout.final_states()]
-    matrix = eval_group(suite, samples)
+    matrix = eval_group(suite, rollout.final_states().reshape(G, dims.frames, dims.frame_dim),
+                        cond)
     if config.static_stage is not None:
         state = _static_state(matrix, config.static_stage)
     else:

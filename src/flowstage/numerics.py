@@ -255,12 +255,90 @@ def adam_step_arrays(params: np.ndarray, grad: np.ndarray, state: AdamState):
 # ---------------------------------------------------------------------------
 
 
+# numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx)
+_SEED_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence
+    splits its entropy (0 is one word)."""
+    if value < 0:
+        raise DomainError(f"expected non-negative integer, got {value}")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value, hash_const: int):
+    """SeedSequence's hashmix of a 32-bit ``value`` (an int, or a uint64
+    array of them).  Returns ``(mixed value, next hash constant)``."""
+    next_const = hash_const * _MULT_A & _MASK32
+    value = (value ^ hash_const) * next_const & _MASK32
+    return value ^ (value >> 16), next_const
+
+
+def _mix(x: int, y):
+    """SeedSequence's mix of a 32-bit int ``x`` with ``y`` (an int, or a
+    uint64 array); uint64 wrap-around leaves the low 32 bits exact."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _philox_keys(seed: int, spawn_key: tuple, count: int) -> np.ndarray:
+    """``(count, 2)`` uint64 Philox keys; row i is
+    ``SeedSequence(seed, spawn_key=spawn_key + (i,)).generate_state(2, uint64)``.
+
+    SeedSequence hashes its entropy words into a 4-word pool: the seed
+    words, zero-padded to 4 because there is a spawn key, then the spawn
+    key's words.  All of that but the last word, i, is the same for every
+    row, so it is mixed once here on a few ints; only i is mixed per row,
+    into each pool word, on a ``(count,)`` array, followed by the four
+    output words of ``generate_state``.  ``count`` is at most 2**32, so i
+    is one word and never part of the pool fill.
+    """
+    seed_words = _uint32_words(seed)
+    seed_words += [0] * (_SEED_POOL_SIZE - len(seed_words))
+    shared = seed_words + [w for k in spawn_key for w in _uint32_words(k)]
+    hash_const = _INIT_A
+    pool = []
+    for word in shared[:_SEED_POOL_SIZE]:
+        mixed, hash_const = _hashmix(word, hash_const)
+        pool.append(mixed)
+    for src in range(_SEED_POOL_SIZE):
+        for dst in range(_SEED_POOL_SIZE):
+            if src != dst:
+                mixed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], mixed)
+    for word in shared[_SEED_POOL_SIZE:]:
+        for dst in range(_SEED_POOL_SIZE):
+            mixed, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], mixed)
+
+    rows = np.arange(count, dtype=np.uint64)
+    words, out_const = [], _INIT_B
+    for dst in range(_SEED_POOL_SIZE):
+        mixed, hash_const = _hashmix(rows, hash_const)
+        word = _mix(pool[dst], mixed) ^ out_const
+        out_const = out_const * _MULT_B & _MASK32
+        word = word * out_const & _MASK32
+        words.append(word ^ (word >> 16))
+    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
+
+
 class RandomSource:
     """Counter-based random stream (Philox) with spawnable substreams.
 
     The same ``(seed, spawn_key)`` always reproduces the same draw sequence,
     and distinct spawn keys give statistically independent streams, so
-    parallel rollouts can each own one.
+    parallel rollouts can each own one.  :meth:`gaussian_streams` draws
+    from many sibling streams at once, bit for bit as :meth:`stream` would.
     """
 
     def __init__(self, seed: int, spawn_key: tuple = ()):
@@ -280,6 +358,33 @@ class RandomSource:
         if n < 1:
             raise DomainError(f"need n >= 1 draws, got {n}")
         return self._gen.standard_normal(int(n))
+
+    def gaussian_streams(self, ids: Sequence[int], count: int, n: int) -> np.ndarray:
+        """A ``(count, n)`` block whose row i is, bit for bit,
+        ``self.stream(*ids, i).gaussian(n)``.
+
+        The streams' Philox keys come from :func:`_philox_keys` in one
+        pass; the draws then reuse one Philox, set to each row's key at
+        counter 0 with an empty buffer, the state a fresh stream starts
+        in.  Negative ids are rejected, as SeedSequence rejects them.
+        """
+        if not 1 <= count <= _MASK32 + 1:
+            raise DomainError(f"need 1 <= count <= 2**32 streams, got {count}")
+        if n < 1:
+            raise DomainError(f"need n >= 1 draws, got {n}")
+        keys = _philox_keys(self.seed, self.spawn_key + tuple(int(i) for i in ids), count)
+        bits = np.random.Philox(0)
+        gen = np.random.Generator(bits)
+        zeros = np.zeros(4, dtype=np.uint64)
+        key_slot = {"counter": zeros, "key": None}
+        state = {"bit_generator": "Philox", "state": key_slot, "buffer": zeros,
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        out = np.empty((count, int(n)))
+        for i, key in enumerate(keys.tolist()):
+            key_slot["key"] = key
+            bits.state = state
+            gen.standard_normal(out=out[i])
+        return out
 
     def uniform(self, n: int | None = None):
         return self._gen.random() if n is None else self._gen.random(int(n))

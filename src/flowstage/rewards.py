@@ -1,4 +1,4 @@
-"""Staged reward terms over toy sequences.
+"""Staged reward terms over toy sequences, scored a whole group at a time.
 
 Three built-in terms of increasing abstraction, each a bounded
 exponential of a residual so that 1 is attained exactly on the term's
@@ -10,6 +10,21 @@ zero-residual set:
 
 The bounded range is what makes the curriculum gate thresholds
 comparable across terms.
+
+A group is one ``(G, T, D)`` frame array with one condition per row (or
+one for the group).  Each built-in term reduces the whole array at once
+(radii and their mean, second differences, the final frame), each
+reduction along the last axis of every row, which sums in the same order
+as it would for that row alone.  Only the step from the G reduced
+residuals to rewards is scalar: ``math.exp``, and ``math.atan2`` for the
+final frame's angle, once per row.  numpy's vectorised ``exp`` and
+``arctan2`` can differ from the C library's by an ulp, so keeping them
+scalar keeps every reward bit-identical to scoring one sample at a time.
+
+A ``custom`` term is a callable on one :class:`ToySample`; the rows are
+built as samples only when the suite has such a term.
+:func:`eval_reward_term` scores one sample as a one-row group through the
+same code, so each formula exists once.
 """
 
 from __future__ import annotations
@@ -103,80 +118,107 @@ class RewardMatrix:
         return self.values.shape[1]
 
 
-def wrapped_angle_error(angle: float, target: float) -> float:
-    """Absolute angular difference folded into [0, pi]."""
-    d = math.fmod(angle - target, 2.0 * math.pi)
-    if d < -math.pi:
-        d += 2.0 * math.pi
-    elif d > math.pi:
-        d -= 2.0 * math.pi
-    return abs(d)
+def wrapped_angle_error(angle, target):
+    """Absolute angular difference folded into [0, pi], elementwise."""
+    d = np.fmod(np.subtract(angle, target), 2.0 * math.pi)
+    d = np.where(d < -math.pi, d + 2.0 * math.pi, np.where(d > math.pi, d - 2.0 * math.pi, d))
+    return np.abs(d)
 
 
-def _fidelity(sample: ToySample, scale: float) -> float:
-    radii = np.linalg.norm(sample.frames, axis=1)
-    return math.exp(-float(np.mean((radii - 1.0) ** 2)) / scale)
+def _exp_each(exponents: np.ndarray) -> np.ndarray:
+    """``math.exp`` of each entry: the C library's exp, one scalar at a time."""
+    return np.array([math.exp(x) for x in exponents.tolist()])
 
 
-def _smoothness(sample: ToySample, scale: float) -> float:
-    f = sample.frames
-    if len(f) < 3:
-        return 1.0  # no curvature measurable on two frames
-    second = f[2:] - 2.0 * f[1:-1] + f[:-2]
-    return math.exp(-float(np.mean(np.sum(second**2, axis=1))) / scale)
+def _fidelity(frames: np.ndarray, scale: float) -> np.ndarray:
+    radii = np.linalg.norm(frames, axis=2)
+    return _exp_each(-np.mean((radii - 1.0) ** 2, axis=1) / scale)
 
 
-def _alignment(sample: ToySample, term: RewardTerm) -> float:
-    final = sample.frames[-1]
-    if float(np.linalg.norm(final)) < DEGENERATE_RADIUS:
-        raise DomainError("final frame at the origin: angle undefined")
-    target = 2.0 * math.pi * sample.condition / term.num_classes
-    err = wrapped_angle_error(math.atan2(final[1], final[0]), target)
-    return math.exp(-err * err / term.scale)
+def _smoothness(frames: np.ndarray, scale: float) -> np.ndarray:
+    if frames.shape[1] < 3:
+        return np.ones(len(frames))  # no curvature measurable on two frames
+    second = frames[:, 2:] - 2.0 * frames[:, 1:-1] + frames[:, :-2]
+    return _exp_each(-np.mean(np.sum(second**2, axis=2), axis=1) / scale)
+
+
+def _alignment(frames: np.ndarray, conds: np.ndarray, term: RewardTerm):
+    """Values and flags; a final frame at the origin has no angle and
+    scores 0, flagged."""
+    final = frames[:, -1]
+    if final.shape[1] < 2:
+        raise ShapeError(f"alignment term {term.id!r} needs frames of dimension >= 2, "
+                         f"got {final.shape[1]}")
+    degenerate = np.linalg.norm(final, axis=1) < DEGENERATE_RADIUS
+    angles = np.array([math.atan2(y, x) for x, y in final[:, :2].tolist()])
+    err = wrapped_angle_error(angles, 2.0 * math.pi * conds / term.num_classes)
+    values = _exp_each(-err * err / term.scale)
+    values[degenerate] = 0.0
+    return values, degenerate
+
+
+def _custom(term: RewardTerm, samples: Sequence[ToySample]):
+    """Values and flags; a value outside [0, 1], or a DomainError or
+    ShapeError from the callable, scores 0, flagged."""
+    values = np.zeros(len(samples))
+    flags = np.zeros(len(samples), dtype=bool)
+    for i, sample in enumerate(samples):
+        try:
+            value = float(term.fn(sample))
+            if not 0.0 <= value <= 1.0 or not math.isfinite(value):
+                raise DomainError(f"custom term {term.id!r} returned {value} outside [0, 1]")
+            values[i] = value
+        except (DomainError, ShapeError):
+            flags[i] = True
+    return values, flags
+
+
+def _score_term(term: RewardTerm, frames: np.ndarray, conds: np.ndarray, samples):
+    """One term's ``(values, flags)`` over the rows of ``frames``;
+    ``samples`` holds the rows as :class:`ToySample` for a custom term."""
+    if term.kind == "alignment":
+        return _alignment(frames, conds, term)
+    if term.kind == "custom":
+        return _custom(term, samples)
+    score = _fidelity if term.kind == "fidelity" else _smoothness
+    return score(frames, term.scale), np.zeros(len(frames), dtype=bool)
 
 
 def eval_reward_term(term: RewardTerm, sample: ToySample) -> float:
     """Score one sample with one term; always in [0, 1].
 
-    A degenerate sample the term cannot score (final frame at the origin
-    for alignment) yields 0.
+    A one-row group through the same code as :func:`eval_group`; a
+    sample the term cannot score (final frame at the origin for
+    alignment) yields 0.
     """
-    try:
-        return _eval_term_checked(term, sample)
-    except DomainError:
-        return 0.0
+    values, _ = _score_term(term, sample.frames[None], np.array([sample.condition]), [sample])
+    return float(values[0])
 
 
-def _eval_term_checked(term: RewardTerm, sample: ToySample) -> float:
-    if term.kind == "fidelity":
-        return _fidelity(sample, term.scale)
-    if term.kind == "smoothness":
-        return _smoothness(sample, term.scale)
-    if term.kind == "alignment":
-        return _alignment(sample, term)
-    value = float(term.fn(sample))
-    if not 0.0 <= value <= 1.0 or not math.isfinite(value):
-        raise DomainError(f"custom term {term.id!r} returned {value} outside [0, 1]")
-    return value
+def eval_group(suite: Sequence[RewardTerm], frames, conditions) -> RewardMatrix:
+    """Score every row of a ``(G, T, D)`` frame array with every term.
 
-
-def eval_group(suite: Sequence[RewardTerm], samples: Sequence[ToySample]) -> RewardMatrix:
-    """Score every sample with every term, once each.
-
-    Terms that fail on a sample contribute 0 with the diagnostic flag set.
+    ``conditions`` is one class for the whole group or one per row.
+    Terms that cannot score a row contribute 0 with the diagnostic flag
+    set; non-finite frames are rejected.
     """
     validate_suite(suite)
-    if len(samples) < 2:
+    frames = np.ascontiguousarray(frames, dtype=np.float64)
+    if frames.ndim != 3 or frames.shape[1] < 2:
+        raise ShapeError(f"frames must be (G, T >= 2, D), got {frames.shape}")
+    G = len(frames)
+    if G < 2:
         raise DomainError("group evaluation needs at least 2 samples")
+    if not np.isfinite(frames).all():
+        raise DomainError("non-finite frame")
+    conds = np.asarray(conditions, dtype=np.int64)
+    if conds.shape not in ((), (G,)):
+        raise ShapeError(f"need one condition or {G}, got shape {conds.shape}")
+    conds = np.broadcast_to(conds, (G,))
     ordered = sorted(suite, key=lambda term: term.stage)
-    G, K = len(samples), len(ordered)
-    values = np.zeros((G, K))
-    flags = np.zeros((G, K), dtype=bool)
-    for i, sample in enumerate(samples):
-        for j, term in enumerate(ordered):
-            try:
-                values[i, j] = _eval_term_checked(term, sample)
-            except (DomainError, ShapeError):
-                values[i, j] = 0.0
-                flags[i, j] = True
-    return RewardMatrix(values, flags)
+    samples = None
+    if any(term.kind == "custom" for term in ordered):
+        samples = [ToySample(f, c) for f, c in zip(frames, conds.tolist())]
+    columns = [_score_term(term, frames, conds, samples) for term in ordered]
+    return RewardMatrix(np.stack([v for v, _ in columns], axis=1),
+                        np.stack([f for _, f in columns], axis=1))

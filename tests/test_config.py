@@ -143,6 +143,27 @@ class TestRejectedAtLoad:
         assert not (outdir / "failure.json").exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["eval", "train", "calibrate"])
+    def test_alignment_on_one_dimensional_frames_exits_1(self, tmp_path, capsys, mode):
+        path = tmp_path / "line.ckpt"
+        save_policy(path, init_flow_policy(PolicyDims(frame_dim=1), hidden=(8,),
+                                           rng=RandomSource(0)))
+        rc, outdir = run_cli(tmp_path, str(path), f"--set=mode={mode}",
+                             "--set=dataset.frame_dim=1", "--set=calibrate.steps=2")
+        assert rc == 1
+        assert not (outdir / "failure.json").exists()
+        assert "dataset.frame_dim" in capsys.readouterr().err
+
+    def test_one_dimensional_frames_run_without_alignment(self, tmp_path):
+        path = tmp_path / "line.ckpt"
+        save_policy(path, init_flow_policy(PolicyDims(frame_dim=1), hidden=(8,),
+                                           rng=RandomSource(0)))
+        rc, outdir = run_cli(tmp_path, str(path), "--set=mode=eval", "--set=dataset.frame_dim=1",
+                             '--set=rewards=[{"id": "f", "stage": 1, "kind": "fidelity", '
+                             '"scale": 0.05}]')
+        assert rc == 0
+        assert (outdir / "eval_stats.json").is_file()
+
     def test_too_few_thresholds_for_train(self):
         errors = load_errors(TRAIN, "curriculum.thresholds=[0.7, 0.7]")
         assert any("curriculum.thresholds" in e for e in errors)

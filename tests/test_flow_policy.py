@@ -36,6 +36,14 @@ def small_policy(seed=0, dims=SMALL, hidden=(6,)):
     return init_flow_policy(dims, hidden=hidden, rng=RandomSource(seed))
 
 
+def noise_block(policy, cfg, *streams):
+    """The (G, K + 1, n) noise block of :func:`sde_sample`, row i drawn
+    from ``streams[i]``."""
+    size = (cfg.num_steps + 1) * policy.dims.state_size
+    block = np.stack([r.gaussian(size) for r in streams])
+    return block.reshape(len(streams), cfg.num_steps + 1, -1)
+
+
 def zeroed(policy):
     p = policy.copy()
     p.net.vector[:] = 0.0
@@ -159,7 +167,7 @@ class TestSdeSampling:
     def test_eta_zero_matches_ode_exactly(self):
         p = small_policy(8)
         cfg = SdeConfig(num_steps=12, eta=0.0, t_min=0.05)
-        traj = sde_sample(p, 2, cfg, [RandomSource(21)])[0]
+        traj = sde_sample(p, 2, cfg, noise_block(p, cfg, RandomSource(21)))[0]
         _, states = ode_path(p, 2, 12, RandomSource(21), t_min=0.05)
         assert traj.log_probs is None
         np.testing.assert_allclose(traj.states, states, atol=1e-12)
@@ -167,7 +175,7 @@ class TestSdeSampling:
     def test_log_probs_match_direct_density(self):
         p = small_policy(9)
         cfg = SdeConfig(num_steps=6, eta=0.5)
-        traj = sde_sample(p, 1, cfg, [RandomSource(300)])[0]
+        traj = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(300)))[0]
         n = SMALL.state_size
         for k in range(traj.num_steps):
             resid = traj.states[k + 1] - traj.step_means[k]
@@ -180,25 +188,26 @@ class TestSdeSampling:
     def test_fixed_seed_reproduces_trajectory(self):
         p = small_policy(10)
         cfg = SdeConfig(num_steps=5, eta=0.3)
-        a = sde_sample(p, 0, cfg, [RandomSource(41)])[0]
-        b = sde_sample(p, 0, cfg, [RandomSource(41)])[0]
+        a = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(41)))[0]
+        b = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(41)))[0]
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.log_probs, b.log_probs)
 
     def test_positive_stds_when_eta_positive(self):
         p = small_policy(11)
-        traj = sde_sample(p, 0, SdeConfig(num_steps=4, eta=0.2), [RandomSource(1)])[0]
+        cfg = SdeConfig(num_steps=4, eta=0.2)
+        traj = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(1)))[0]
         assert (traj.step_stds > 0).all()
 
     def test_group_rows_match_one_trajectory_calls(self):
         p = small_policy(16)
         cfg = SdeConfig(num_steps=6, eta=0.5)
         conds = [0, 1, 2, 0, 1]
-        streams = [RandomSource(90).stream(i) for i in range(len(conds))]
-        group = sde_sample(p, conds, cfg, streams)
+        block = RandomSource(90).gaussian_streams((), len(conds), 7 * SMALL.state_size)
+        group = sde_sample(p, conds, cfg, block.reshape(len(conds), 7, -1))
         assert len(group) == len(conds)
         for i, cond in enumerate(conds):
-            one = sde_sample(p, cond, cfg, [RandomSource(90).stream(i)])[0]
+            one = sde_sample(p, cond, cfg, noise_block(p, cfg, RandomSource(90).stream(i)))[0]
             row = group[i]
             assert row.condition == cond
             np.testing.assert_allclose(row.states, one.states, rtol=0, atol=1e-12)
@@ -208,9 +217,9 @@ class TestSdeSampling:
     def test_keeps_activations_only_for_named_steps(self):
         p = small_policy(17)
         cfg = SdeConfig(num_steps=5, eta=0.5)
-        streams = [RandomSource(91).stream(i) for i in range(3)]
-        assert sde_sample(p, 1, cfg, streams).kept == {}
-        rollout = sde_sample(p, 1, cfg, streams, keep=[3, 1])
+        noise = noise_block(p, cfg, *(RandomSource(91).stream(i) for i in range(3)))
+        assert sde_sample(p, 1, cfg, noise).kept == {}
+        rollout = sde_sample(p, 1, cfg, noise, keep=[3, 1])
         assert sorted(rollout.kept) == [1, 3]
         assert rollout.kept_activations([1, 2]) is None
         acts = rollout.kept_activations([1, 3])
@@ -220,14 +229,23 @@ class TestSdeSampling:
         p = small_policy(18)
         for w in p.net.weights:
             w *= 1e200
+        cfg = SdeConfig(num_steps=4, eta=0.5)
         # the scaled net overflows on purpose
         with pytest.raises(RolloutError), pytest.warns(RuntimeWarning):
-            sde_sample(p, 0, SdeConfig(num_steps=4, eta=0.5), [RandomSource(0)])
+            sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(0)))
+
+    def test_noise_block_shape_checked(self):
+        p = small_policy(19)
+        cfg = SdeConfig(num_steps=4, eta=0.5)
+        noise = noise_block(p, cfg, RandomSource(3), RandomSource(4))
+        for bad in (noise[:, :-1], noise[..., :-1], noise[0], noise[:0]):
+            with pytest.raises(ShapeError):
+                sde_sample(p, 0, cfg, bad)
 
     def test_times_decreasing_to_t_min(self):
         p = small_policy(12)
         cfg = SdeConfig(num_steps=5, eta=0.5, t_min=0.1)
-        traj = sde_sample(p, 0, cfg, [RandomSource(2)])[0]
+        traj = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(2)))[0]
         assert traj.times[0] == 1.0
         assert abs(traj.times[-1] - 0.1) < 1e-12
         assert (np.diff(traj.times) < 0).all()
@@ -236,19 +254,22 @@ class TestSdeSampling:
 class TestLogProbUnder:
     def test_self_consistency(self):
         p = small_policy(13)
-        traj = sde_sample(p, 1, SdeConfig(num_steps=8, eta=0.5), [RandomSource(55)])[0]
+        cfg = SdeConfig(num_steps=8, eta=0.5)
+        traj = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(55)))[0]
         lp = log_prob_under(p, traj)
         np.testing.assert_allclose(lp, traj.log_probs, atol=1e-10)
 
     def test_subset_selection(self):
         p = small_policy(13)
-        traj = sde_sample(p, 1, SdeConfig(num_steps=8, eta=0.5), [RandomSource(56)])[0]
+        cfg = SdeConfig(num_steps=8, eta=0.5)
+        traj = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(56)))[0]
         lp = log_prob_under(p, traj, [1, 4, 6])
         np.testing.assert_allclose(lp, traj.log_probs[[1, 4, 6]], atol=1e-10)
 
     def test_perturbed_policy_differs(self):
         p = small_policy(14)
-        traj = sde_sample(p, 0, SdeConfig(num_steps=4, eta=0.5), [RandomSource(57)])[0]
+        cfg = SdeConfig(num_steps=4, eta=0.5)
+        traj = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(57)))[0]
         q = p.copy()
         q.net.weights[0][0, 0] += 0.05
         assert not np.allclose(log_prob_under(q, traj), traj.log_probs)
@@ -259,7 +280,7 @@ class TestLogProbUnder:
         c = 0.5
         p = constant_velocity(init_flow_policy(dims, hidden=(2,), rng=RandomSource(1)), c)
         cfg = SdeConfig(num_steps=1, eta=0.5, t_min=0.2)
-        traj = sde_sample(p, 0, cfg, [RandomSource(60)])[0]
+        traj = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(60)))[0]
         # dt = -0.8, t = 1, sigma = 0.5: a_x = 1 + dt*eta^2*t/2 = 0.9
         # a_v = dt*(1 + eta^2*t*(1-t)/2) = dt, mean = 0.9 x - 0.8 c
         x0 = traj.states[0][0]
@@ -274,7 +295,8 @@ class TestLogProbUnder:
 
     def test_eta_zero_trajectory_rejected(self):
         p = small_policy(15)
-        traj = sde_sample(p, 0, SdeConfig(num_steps=3, eta=0.0), [RandomSource(58)])[0]
+        cfg = SdeConfig(num_steps=3, eta=0.0)
+        traj = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(58)))[0]
         with pytest.raises(DomainError):
             log_prob_under(p, traj)
 

@@ -15,7 +15,6 @@ from flowstage.flow_policy import (
     FlowPolicy,
     PolicyDims,
     SdeConfig,
-    decode_state,
     init_flow_policy,
     sde_sample,
 )
@@ -41,8 +40,9 @@ def tiny_policy(seed=0):
 
 def tiny_trajectories(ref, count=4, seed=100, num_steps=2):
     cfg = SdeConfig(num_steps=num_steps, eta=0.5, t_min=0.2)
+    noise = RandomSource(seed).gaussian_streams((), count, (num_steps + 1) * TINY.state_size)
     return sde_sample(ref, [i % TINY.num_classes for i in range(count)], cfg,
-                      [RandomSource(seed).stream(i) for i in range(count)])
+                      noise.reshape(count, num_steps + 1, -1))
 
 
 def small_train_config(**kw):
@@ -307,8 +307,8 @@ class TestGradientFidelity:
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(34))
         cfg = SdeConfig(num_steps=6, eta=0.5)
         subset = [0, 2, 3, 5]
-        streams = [RandomSource(500).stream(i) for i in range(6)]
-        rollout = sde_sample(policy, 2, cfg, streams, keep=subset)
+        noise = RandomSource(500).gaussian_streams((), 6, 7 * PLANAR.state_size)
+        rollout = sde_sample(policy, 2, cfg, noise.reshape(6, 7, -1), keep=subset)
         adv = normalize_advantages(np.array([0.9, 0.1, 0.5, 0.3, 0.7, 0.2]))
 
         J_re, grads_re, ratios_re, _ = surrogate_and_grads(
@@ -349,13 +349,12 @@ class TestGradientFidelity:
         policy = ref.copy()
         policy.net.weights[0][0, 0] += 0.02
 
-        dims = TINY
-        samples = [decode_state(t.final_state(), dims, t.condition) for t in trajs]
+        frames = trajs.final_states().reshape(len(trajs), TINY.frames, TINY.frame_dim)
         suite_a = [RewardTerm("fid", 1, "fidelity", 0.05)]
         suite_b = [RewardTerm("fid", 1, "fidelity", 0.5)]
         cfg = CurriculumConfig(thresholds=(0.75,))
-        adv_a = curriculum_step(eval_group(suite_a, samples), cfg).advantages
-        adv_b = curriculum_step(eval_group(suite_b, samples), cfg).advantages
+        adv_a = curriculum_step(eval_group(suite_a, frames, trajs.conditions), cfg).advantages
+        adv_b = curriculum_step(eval_group(suite_b, frames, trajs.conditions), cfg).advantages
         assert not np.allclose(adv_a, adv_b)
 
         _, grads_a, _, _ = surrogate_and_grads(policy, trajs, adv_a, [0, 1], 0.2, 5.0)

@@ -7,12 +7,15 @@ import math
 import numpy as np
 import pytest
 from helpers import finite_difference, naive_mlp_eval, rel_err_ok
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowstage.errors import DomainError, ShapeError
 from flowstage.flow_policy import PolicyDims, init_flow_policy, load_policy, save_policy
 from flowstage.numerics import (
     MlpParams,
     RandomSource,
+    _philox_keys,
     adam_init,
     adam_step_arrays,
     init_mlp,
@@ -278,6 +281,47 @@ class TestRandomSource:
     def test_invalid_count(self):
         with pytest.raises(DomainError):
             RandomSource(0).gaussian(0)
+
+
+SEEDS = [0, 2**32 - 1, 2**32, 2**40, 2**130]
+IDS = st.lists(st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**33 + 5]),
+                         st.integers(0, 2**40)), max_size=3)
+
+
+class TestGaussianStreams:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SEEDS), IDS, IDS, st.integers(1, 70), st.integers(1, 9))
+    def test_rows_equal_child_streams(self, seed, spawn, ids, count, n):
+        root = RandomSource(seed, tuple(spawn))
+        block = root.gaussian_streams(ids, count, n)
+        assert block.shape == (count, n)
+        for i in range(count):
+            np.testing.assert_array_equal(block[i], root.stream(*ids, i).gaussian(n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(SEEDS), IDS, st.integers(1, 70))
+    def test_keys_equal_seed_sequence(self, seed, spawn_key, count):
+        keys = _philox_keys(seed, tuple(spawn_key), count)
+        expected = [np.random.SeedSequence(seed, spawn_key=(*spawn_key, i))
+                    .generate_state(2, np.uint64) for i in range(count)]
+        np.testing.assert_array_equal(keys, expected)
+
+    @pytest.mark.parametrize("ids", [(-1,), (3, -2)])
+    def test_negative_id_rejected(self, ids):
+        with pytest.raises(ValueError):
+            RandomSource(5).gaussian_streams(ids, 4, 2)
+        with pytest.raises(ValueError):
+            RandomSource(5).stream(*ids, 0)
+
+    @pytest.mark.parametrize("count, n", [(0, 3), (3, 0)])
+    def test_invalid_sizes(self, count, n):
+        with pytest.raises(DomainError):
+            RandomSource(0).gaussian_streams((), count, n)
+
+    def test_leaves_the_parent_stream_alone(self):
+        root = RandomSource(8)
+        root.gaussian_streams((1,), 5, 3)
+        np.testing.assert_array_equal(root.gaussian(4), RandomSource(8).gaussian(4))
 
 
 class TestCheckpoints:
