@@ -1,10 +1,15 @@
 """Scorer-bias analysis over clustered items.
 
-Clusters scored items (or takes given labels), computes each cluster's
-coefficient of variation, and summarizes cross-cluster preference as the
-coefficient of variation of the cluster means.  A scorer that favors
-specific content shows a large cross-cluster value; an even-handed one
-stays low regardless of how many clusters the items are split into.
+Clusters scored items by their features (or groups them by given
+labels), computes each cluster's coefficient of variation, and
+summarizes cross-cluster preference as the coefficient of variation of
+the cluster means.  A scorer that favors specific content shows a large
+cross-cluster value; an even-handed one stays low regardless of how many
+clusters the items are split into.
+
+N items are three arrays, row i describing item i: ``scores`` (N,),
+``features`` (N, d) and ``labels`` (N,), either of the last two None
+when the items do not carry them.
 
 All standard deviations here are population (1/N) ones.
 """
@@ -13,37 +18,14 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+from array import array
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
 from .numerics import RandomSource
-
-
-@dataclass
-class ScoredItem:
-    """One scored item; needs features (for clustering) or a label."""
-
-    id: str
-    score: float
-    features: np.ndarray | None = None
-    label: int | None = None
-
-    def __post_init__(self):
-        self.score = float(self.score)
-        if not math.isfinite(self.score):
-            raise DomainError(f"item {self.id!r}: non-finite score")
-        if self.features is not None:
-            self.features = np.asarray(self.features, dtype=np.float64)
-            if self.features.ndim != 1:
-                raise ShapeError(f"item {self.id!r}: features must be a vector")
-        if self.label is not None:
-            self.label = int(self.label)
-        if self.features is None and self.label is None:
-            raise DomainError(f"item {self.id!r}: needs features or a label")
 
 
 @dataclass
@@ -170,30 +152,43 @@ def cluster_kappa(scores_by_cluster: Sequence[np.ndarray]) -> list:
     return out
 
 
-def audit(items: Sequence[ScoredItem], k: int | None = None, seed: int = 0,
+def _require_finite(what: str, values: np.ndarray, name_row: Callable[[int], str]) -> None:
+    """DomainError naming, by ``name_row(i)``, the first row of ``values``
+    that holds a non-finite number."""
+    finite = np.isfinite(values).reshape(len(values), -1).all(axis=1)
+    if not finite.all():
+        raise DomainError(f"{name_row(int(np.argmin(finite)))}: non-finite {what}")
+
+
+def audit(scores, features=None, labels=None, k: int | None = None, seed: int = 0,
           max_iters: int = 100) -> ClusterReport:
-    """Cluster items (or take their labels when ``k`` is None) and report
-    per-cluster and cross-cluster score statistics."""
-    if len(items) < 2:
+    """Cluster the items by ``features`` into ``k`` clusters (or group them
+    by ``labels`` when ``k`` is None) and report per-cluster and
+    cross-cluster score statistics."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise ShapeError(f"scores must be (N,), got {scores.shape}")
+    if len(scores) < 2:
         raise DomainError("need at least 2 items")
-    scores = np.array([item.score for item in items])
+    _require_finite("score", scores, "item {}".format)
 
     if k is None:
-        if any(item.label is None for item in items):
+        if labels is None:
             raise DomainError("k not given and some items carry no label")
-        labels = np.array([item.label for item in items])
-        index_of = {lab: i for i, lab in enumerate(sorted(set(labels.tolist())))}
-        labels = np.array([index_of[lab] for lab in labels])
-        num_clusters = len(index_of)
+        labels = np.asarray(labels)
+        if labels.shape != scores.shape:
+            raise ShapeError(f"labels shape {labels.shape}, expected {scores.shape}")
+        uniq, labels = np.unique(labels, return_inverse=True)
+        num_clusters = len(uniq)
         used_labels = True
     else:
-        if any(item.features is None for item in items):
-            raise DomainError("clustering requested but some items carry no features")
-        dims = {item.features.shape for item in items}
-        if len(dims) != 1:
-            raise ShapeError(f"inconsistent feature dimensions: {sorted(dims)}")
-        feats = np.stack([item.features for item in items])
-        labels = kmeans(feats, k, seed=seed, max_iters=max_iters)
+        if features is None:
+            raise DomainError("clustering requested but the items carry no features")
+        features = np.asarray(features, dtype=np.float64)
+        if features.ndim != 2 or len(features) != len(scores):
+            raise ShapeError(f"features shape {features.shape}, expected ({len(scores)}, d)")
+        _require_finite("feature", features, "item {}".format)
+        labels = kmeans(features, k, seed=seed, max_iters=max_iters)
         num_clusters = k
         used_labels = False
 
@@ -223,24 +218,45 @@ def audit(items: Sequence[ScoredItem], k: int | None = None, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 
-def read_items_csv(path) -> list:
+def read_items_csv(path):
     """Read items from a CSV with columns ``id``, ``score``, optional
-    ``label``, and any further columns treated as feature components."""
+    ``label``, and any further columns treated as feature components.
+
+    Returns ``(scores, features, labels)`` as :func:`audit` takes them:
+    ``features`` is None without feature columns, ``labels`` is None
+    unless every row has a label.  A row with fewer fields than the
+    header, or a non-finite score or feature, is a DomainError naming
+    its line; fields beyond the header's are ignored.  Numbers are
+    parsed by ``float`` and ``int`` as the rows stream past, so no row's
+    text is held.
+    """
+    scores, features, labels, lines = array("d"), array("d"), [], []
     with open(path, newline="") as fp:
-        reader = csv.DictReader(fp)
-        if reader.fieldnames is None or "id" not in reader.fieldnames \
-                or "score" not in reader.fieldnames:
+        reader = csv.reader(fp)
+        header = next(reader, None)
+        if header is None or "id" not in header or "score" not in header:
             raise DomainError(f"{path}: need at least 'id' and 'score' columns")
-        feature_cols = [c for c in reader.fieldnames if c not in ("id", "score", "label")]
-        items = []
+        column = {name: j for j, name in enumerate(header)}  # a repeated name: its last column
+        score_col, label_col = column["score"], column.get("label")
+        feature_cols = [column[c] for c in header if c not in ("id", "score", "label")]
         for row in reader:
-            label = row.get("label")
-            label = int(label) if label not in (None, "") else None
-            features = None
-            if feature_cols:
-                features = np.array([float(row[c]) for c in feature_cols])
-            items.append(ScoredItem(id=row["id"], score=float(row["score"]),
-                                    features=features, label=label))
-    if not items:
+            if not row:
+                continue  # a blank line
+            if len(row) < len(header):
+                raise DomainError(f"{path}, line {reader.line_num}: {len(row)} fields, "
+                                  f"the header has {len(header)}")
+            lines.append(reader.line_num)
+            if label_col is not None:
+                labels.append(int(row[label_col]) if row[label_col] != "" else None)
+            features.extend(map(float, map(row.__getitem__, feature_cols)))
+            scores.append(float(row[score_col]))
+    if not lines:
         raise DomainError(f"{path}: no items")
-    return items
+
+    scores = np.frombuffer(scores)
+    features = np.frombuffer(features).reshape(len(lines), -1) if feature_cols else None
+    for what, values in (("score", scores), ("feature", features)):
+        if values is not None:
+            _require_finite(what, values, lambda i: f"{path}, line {lines[i]}")
+    labels = np.array(labels) if labels and None not in labels else None
+    return scores, features, labels

@@ -171,8 +171,9 @@ def run_eval(cfg: RunConfig) -> None:
 
 def run_audit(cfg: RunConfig) -> None:
     a = cfg.resolved["audit"]
-    items = read_items_csv(a["input"])
-    report = audit(items, k=a["k"], seed=cfg.seed, max_iters=a["max_iters"])
+    scores, features, labels = read_items_csv(a["input"])
+    report = audit(scores, features, labels, k=a["k"], seed=cfg.seed,
+                   max_iters=a["max_iters"])
     with open(cfg.outdir / "audit_report.json", "w") as fp:
         report.write_json(fp)
     with open(cfg.outdir / "audit_clusters.csv", "w", newline="") as fp:

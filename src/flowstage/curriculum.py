@@ -188,6 +188,21 @@ def curriculum_step(matrix: RewardMatrix, config: CurriculumConfig,
     )
 
 
+def smooth_curve(values: Sequence[float], window: int) -> np.ndarray:
+    """Centered moving average with edge truncation."""
+    if window < 1:
+        raise DomainError("window must be >= 1")
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ShapeError("smooth_curve expects a 1-d series")
+    left, right = (window - 1) // 2, window // 2
+    out = np.empty_like(values)
+    for i in range(len(values)):
+        lo, hi = max(0, i - left), min(len(values), i + right + 1)
+        out[i] = values[lo:hi].mean()
+    return out
+
+
 def calibrate_thresholds(per_stage_logs: Sequence[Sequence[float]],
                          smooth_window: int = 5):
     """Thresholds from single-stage probe runs.
@@ -199,8 +214,6 @@ def calibrate_thresholds(per_stage_logs: Sequence[Sequence[float]],
 
     Returns ``(thresholds, warnings)``.
     """
-    from .grpo import smooth_curve  # local import: grpo depends on this module
-
     taus = []
     warnings = []
     for j, curve in enumerate(per_stage_logs, start=1):

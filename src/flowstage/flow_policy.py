@@ -70,22 +70,6 @@ class PolicyDims:
 
 
 @dataclass
-class ToySample:
-    """One generated or dataset sequence: (frames, frame_dim) plus its class."""
-
-    frames: np.ndarray
-    condition: int
-
-    def __post_init__(self):
-        self.frames = np.ascontiguousarray(self.frames, dtype=np.float64)
-        if self.frames.ndim != 2 or self.frames.shape[0] < 2:
-            raise ShapeError(f"frames must be (T >= 2, D), got {self.frames.shape}")
-        if not np.isfinite(self.frames).all():
-            raise DomainError("non-finite frame")
-        self.condition = int(self.condition)
-
-
-@dataclass
 class FlowPolicy:
     """Velocity net plus one learned embedding row per condition class.
 
@@ -150,33 +134,6 @@ class SdeConfig:
 
 
 @dataclass
-class Trajectory:
-    """One trajectory of a :class:`Rollout`, with everything needed to
-    re-evaluate it.
-
-    ``log_probs[k]`` is the Gaussian log-density of ``states[k + 1]`` under
-    mean ``step_means[k]`` and covariance ``step_stds[k]**2 * I``; it is
-    None when eta = 0 (the rollout is deterministic, no density exists).
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    step_means: np.ndarray
-    step_stds: np.ndarray
-    log_probs: np.ndarray | None
-    condition: int
-    eta: float
-    dt: float
-
-    @property
-    def num_steps(self) -> int:
-        return len(self.step_stds)
-
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-
-@dataclass
 class Transitions:
     """Recorded transitions x -> x_next, one per row, each with its own
     flow time, condition and noise std; the step size and eta are shared."""
@@ -190,33 +147,19 @@ class Transitions:
     eta: float
 
 
-def _transition_rows(times, states, stds, conds, dt, eta, steps) -> Transitions:
-    """Rows for ``steps`` of every trajectory in ``states`` (G, K + 1, n),
-    step-major: row ``u * G + i`` is trajectory i's step ``steps[u]``."""
-    steps = np.asarray(steps, dtype=np.int64)
-    G, K, n = states.shape[0], states.shape[1] - 1, states.shape[2]
-    if steps.ndim != 1 or ((steps < 0) | (steps >= K)).any():
-        raise DomainError(f"timestep indices {steps.tolist()} out of range [0, {K})")
-    by_step = states.transpose(1, 0, 2)
-    return Transitions(
-        x=by_step[steps].reshape(-1, n),
-        x_next=by_step[steps + 1].reshape(-1, n),
-        t=np.repeat(times[steps], G),
-        cond=np.tile(conds, len(steps)),
-        std=np.repeat(stds[steps], G),
-        dt=dt,
-        eta=eta,
-    )
-
-
 @dataclass
 class Rollout:
-    """A group of G stochastic trajectories sampled together, one row each.
+    """The one record of sampled trajectories: a group of G sampled
+    together, trajectory i in row i of each per-trajectory array.
 
     ``states`` is (G, K + 1, n), ``step_means`` (G, K, n) and ``log_probs``
-    (G, K), or None when eta = 0; the time grid ``times`` and the per-step
-    ``step_stds`` are shared by the group.  ``kept`` maps each step named
-    at sampling time to the velocity net's layer activations there, one
+    (G, K): ``log_probs[i, k]`` is the Gaussian log-density of
+    ``states[i, k + 1]`` under mean ``step_means[i, k]`` and covariance
+    ``step_stds[k]**2 * I``, and ``log_probs`` is None when eta = 0 (the
+    rollout is deterministic, no density exists).  The time grid ``times``
+    and the per-step ``step_stds`` are shared by the group, ``conditions``
+    holds one class per trajectory.  ``kept`` maps each step named at
+    sampling time to the velocity net's layer activations there, one
     (G, size) array per layer.
     """
 
@@ -233,25 +176,26 @@ class Rollout:
     def __len__(self) -> int:
         return len(self.states)
 
-    def __getitem__(self, i: int) -> Trajectory:
-        return Trajectory(
-            times=self.times,
-            states=self.states[i],
-            step_means=self.step_means[i],
-            step_stds=self.step_stds,
-            log_probs=None if self.log_probs is None else self.log_probs[i],
-            condition=int(self.conditions[i]),
-            eta=self.eta,
-            dt=self.dt,
-        )
-
     def final_states(self) -> np.ndarray:
         return self.states[:, -1]
 
     def transitions(self, steps: Sequence[int]) -> Transitions:
-        """The transitions at ``steps`` of every trajectory, step-major."""
-        return _transition_rows(self.times, self.states, self.step_stds, self.conditions,
-                                self.dt, self.eta, steps)
+        """The transitions at ``steps`` of every trajectory, step-major:
+        row ``u * G + i`` is trajectory i's step ``steps[u]``."""
+        steps = np.asarray(steps, dtype=np.int64)
+        G, K, n = self.states.shape[0], self.states.shape[1] - 1, self.states.shape[2]
+        if steps.ndim != 1 or ((steps < 0) | (steps >= K)).any():
+            raise DomainError(f"timestep indices {steps.tolist()} out of range [0, {K})")
+        by_step = self.states.transpose(1, 0, 2)
+        return Transitions(
+            x=by_step[steps].reshape(-1, n),
+            x_next=by_step[steps + 1].reshape(-1, n),
+            t=np.repeat(self.times[steps], G),
+            cond=np.tile(self.conditions, len(steps)),
+            std=np.repeat(self.step_stds[steps], G),
+            dt=self.dt,
+            eta=self.eta,
+        )
 
     def kept_activations(self, steps: Sequence[int]) -> list | None:
         """Layer activations at ``steps`` in the row order of
@@ -334,19 +278,6 @@ def velocity(policy: FlowPolicy, x: np.ndarray, t: float, cond: int) -> np.ndarr
     return out
 
 
-def score_from_velocity(x: np.ndarray, t: float, v: np.ndarray,
-                        t_min: float = DEFAULT_T_MIN) -> np.ndarray:
-    """Marginal score -(x + (1 - t) v) / t implied by the linear path.
-
-    Singular at t = 0; callers must stay above ``t_min``.
-    """
-    if t < t_min:
-        raise DomainError(f"flow time {t} below the score clamp t_min={t_min}")
-    x = np.asarray(x, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    return -(x + (1.0 - t) * v) / t
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -371,16 +302,12 @@ def _step_coeffs(t: float, dt: float, eta: float):
 
 
 def _log_density_rows(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """Log-density of each row of ``x`` under N(mean_row, std_row^2 I)."""
+    """Log-density of each row of ``x`` under N(mean_row, std_row^2 I);
+    ``std`` is one per row or one shared by all rows."""
     resid = x - mean
     var2 = 2.0 * std * std
     return (-0.5 * x.shape[1] * np.log(np.pi * var2)
             - np.einsum("ij,ij->i", resid, resid) / var2)
-
-
-def decode_state(x: np.ndarray, dims: PolicyDims, cond: int) -> ToySample:
-    """Reshape a flat final state into a frame sequence."""
-    return ToySample(np.asarray(x).reshape(dims.frames, dims.frame_dim), cond)
 
 
 def ode_path(policy: FlowPolicy, cond: int, num_steps: int, rng: RandomSource,
@@ -404,13 +331,6 @@ def ode_path(policy: FlowPolicy, cond: int, num_steps: int, rng: RandomSource,
             raise RolloutError(f"non-finite state at step {k} (t={times[k]:.4f})")
         states.append(x)
     return times, np.stack(states)
-
-
-def ode_sample(policy: FlowPolicy, cond: int, num_steps: int, rng: RandomSource,
-               t_min: float = 0.0) -> ToySample:
-    """Sample by integrating the deterministic flow; see :func:`ode_path`."""
-    _, states = ode_path(policy, cond, num_steps, rng, t_min)
-    return decode_state(states[-1], policy.dims, cond)
 
 
 def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
@@ -472,7 +392,7 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
         stds[k] = std
         states[:, k + 1] = x
         if log_probs is not None:
-            log_probs[:, k] = _log_density_rows(x, mean, np.full(G, std))
+            log_probs[:, k] = _log_density_rows(x, mean, std)
         if k in keep:
             kept[k] = acts
     return Rollout(
@@ -542,18 +462,6 @@ def _velocity_grad(policy: FlowPolicy, acts: list, upstream_v: np.ndarray,
     return np.concatenate([net_grad, emb_grad.ravel()])
 
 
-def log_prob_under(policy: FlowPolicy, traj: Trajectory,
-                   timestep_subset: Sequence[int] | None = None) -> np.ndarray:
-    """Per-step log-densities of a recorded rollout under a (possibly
-    different) policy; see :func:`eval_step`."""
-    if traj.log_probs is None:
-        raise DomainError("trajectory was sampled with eta = 0; no density exists")
-    steps = range(traj.num_steps) if timestep_subset is None else timestep_subset
-    rows = _transition_rows(traj.times, traj.states[None], traj.step_stds,
-                            np.array([traj.condition]), traj.dt, traj.eta, list(steps))
-    return eval_step(policy, rows).log_probs
-
-
 # ---------------------------------------------------------------------------
 # Toy dataset
 # ---------------------------------------------------------------------------
@@ -589,11 +497,6 @@ class ToyDataset:
         frames = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
         frames += self.jitter * rng.gaussian(n * T * 2).reshape(n, T, 2)
         return frames, conds.astype(np.int64)
-
-    def sample(self, rng: RandomSource) -> ToySample:
-        frames, conds = self.sample_batch(rng, 1)
-        return ToySample(frames[0], int(conds[0]))
-
 
 # ---------------------------------------------------------------------------
 # Flow-matching pretraining

@@ -381,17 +381,3 @@ def train(policy: FlowPolicy, config: TrainConfig, step_callback=None):
             step_callback(s, policy, rec)
     return policy, log
 
-
-def smooth_curve(values: Sequence[float], window: int) -> np.ndarray:
-    """Centered moving average with edge truncation."""
-    if window < 1:
-        raise DomainError("window must be >= 1")
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ShapeError("smooth_curve expects a 1-d series")
-    left, right = (window - 1) // 2, window // 2
-    out = np.empty_like(values)
-    for i in range(len(values)):
-        lo, hi = max(0, i - left), min(len(values), i + right + 1)
-        out[i] = values[lo:hi].mean()
-    return out

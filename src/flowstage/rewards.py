@@ -1,8 +1,7 @@
 """Staged reward terms over toy sequences, scored a whole group at a time.
 
-Three built-in terms of increasing abstraction, each a bounded
-exponential of a residual so that 1 is attained exactly on the term's
-zero-residual set:
+Three terms of increasing abstraction, each a bounded exponential of a
+residual so that 1 is attained exactly on the term's zero-residual set:
 
 * fidelity    exp(-mean_t (|f_t| - 1)^2 / scale)        points on the circle
 * smoothness  exp(-mean_t |f_{t+1} - 2 f_t + f_{t-1}|^2 / scale)
@@ -12,33 +11,27 @@ The bounded range is what makes the curriculum gate thresholds
 comparable across terms.
 
 A group is one ``(G, T, D)`` frame array with one condition per row (or
-one for the group).  Each built-in term reduces the whole array at once
-(radii and their mean, second differences, the final frame), each
-reduction along the last axis of every row, which sums in the same order
-as it would for that row alone.  Only the step from the G reduced
+one for the group).  Each term reduces the whole array at once (radii
+and their mean, second differences, the final frame), each reduction
+along the last axis of every row, which sums in the same order as it
+would for that row alone.  Only the step from the G reduced
 residuals to rewards is scalar: ``math.exp``, and ``math.atan2`` for the
 final frame's angle, once per row.  numpy's vectorised ``exp`` and
 ``arctan2`` can differ from the C library's by an ulp, so keeping them
 scalar keeps every reward bit-identical to scoring one sample at a time.
-
-A ``custom`` term is a callable on one :class:`ToySample`; the rows are
-built as samples only when the suite has such a term.
-:func:`eval_reward_term` scores one sample as a one-row group through the
-same code, so each formula exists once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, ShapeError, require_int, require_number
-from .flow_policy import ToySample
 
-KINDS = ("fidelity", "smoothness", "alignment", "custom")
+KINDS = ("fidelity", "smoothness", "alignment")
 
 DEFAULT_SCALES = {"fidelity": 0.05, "smoothness": 0.02, "alignment": 0.5}
 
@@ -55,7 +48,6 @@ class RewardTerm:
     kind: str
     scale: float
     num_classes: int = 0  # required by alignment to place class angles
-    fn: Callable | None = field(default=None, compare=False)
 
     def __post_init__(self):
         require_int("stage", self.stage)
@@ -66,8 +58,6 @@ class RewardTerm:
             raise DomainError("scale must be positive")
         if self.kind == "alignment" and self.num_classes < 1:
             raise DomainError("alignment term needs num_classes >= 1")
-        if self.kind == "custom" and self.fn is None:
-            raise DomainError("custom term needs a callable")
 
 
 def default_suite(num_classes: int, scales: dict | None = None) -> list:
@@ -157,42 +147,12 @@ def _alignment(frames: np.ndarray, conds: np.ndarray, term: RewardTerm):
     return values, degenerate
 
 
-def _custom(term: RewardTerm, samples: Sequence[ToySample]):
-    """Values and flags; a value outside [0, 1], or a DomainError or
-    ShapeError from the callable, scores 0, flagged."""
-    values = np.zeros(len(samples))
-    flags = np.zeros(len(samples), dtype=bool)
-    for i, sample in enumerate(samples):
-        try:
-            value = float(term.fn(sample))
-            if not 0.0 <= value <= 1.0 or not math.isfinite(value):
-                raise DomainError(f"custom term {term.id!r} returned {value} outside [0, 1]")
-            values[i] = value
-        except (DomainError, ShapeError):
-            flags[i] = True
-    return values, flags
-
-
-def _score_term(term: RewardTerm, frames: np.ndarray, conds: np.ndarray, samples):
-    """One term's ``(values, flags)`` over the rows of ``frames``;
-    ``samples`` holds the rows as :class:`ToySample` for a custom term."""
+def _score_term(term: RewardTerm, frames: np.ndarray, conds: np.ndarray):
+    """One term's ``(values, flags)`` over the rows of ``frames``."""
     if term.kind == "alignment":
         return _alignment(frames, conds, term)
-    if term.kind == "custom":
-        return _custom(term, samples)
     score = _fidelity if term.kind == "fidelity" else _smoothness
     return score(frames, term.scale), np.zeros(len(frames), dtype=bool)
-
-
-def eval_reward_term(term: RewardTerm, sample: ToySample) -> float:
-    """Score one sample with one term; always in [0, 1].
-
-    A one-row group through the same code as :func:`eval_group`; a
-    sample the term cannot score (final frame at the origin for
-    alignment) yields 0.
-    """
-    values, _ = _score_term(term, sample.frames[None], np.array([sample.condition]), [sample])
-    return float(values[0])
 
 
 def eval_group(suite: Sequence[RewardTerm], frames, conditions) -> RewardMatrix:
@@ -215,10 +175,7 @@ def eval_group(suite: Sequence[RewardTerm], frames, conditions) -> RewardMatrix:
     if conds.shape not in ((), (G,)):
         raise ShapeError(f"need one condition or {G}, got shape {conds.shape}")
     conds = np.broadcast_to(conds, (G,))
-    ordered = sorted(suite, key=lambda term: term.stage)
-    samples = None
-    if any(term.kind == "custom" for term in ordered):
-        samples = [ToySample(f, c) for f, c in zip(frames, conds.tolist())]
-    columns = [_score_term(term, frames, conds, samples) for term in ordered]
+    columns = [_score_term(term, frames, conds)
+               for term in sorted(suite, key=lambda term: term.stage)]
     return RewardMatrix(np.stack([v for v, _ in columns], axis=1),
                         np.stack([f for _, f in columns], axis=1))

@@ -7,15 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from flowstage.bias_audit import (
-    ClusterReport,
-    ScoredItem,
-    audit,
-    cluster_kappa,
-    kmeans,
-    read_items_csv,
-)
-from flowstage.errors import DomainError
+from flowstage import cli
+from flowstage.bias_audit import audit, cluster_kappa, kmeans, read_items_csv
+from flowstage.errors import DomainError, ShapeError
 from flowstage.numerics import RandomSource
 
 
@@ -31,7 +25,8 @@ def blob_features(rng, centers, per_cluster, radius=0.3):
 
 
 def synthetic_items(num_clusters=20, per_cluster=100, bias_range=0.0, seed=0):
-    """Items in well-separated blobs; optional per-cluster score offsets."""
+    """``(scores, features, labels)`` of items in well-separated blobs;
+    optional per-cluster score offsets."""
     rng = RandomSource(seed)
     centers = 10.0 * rng.gaussian(num_clusters * 5).reshape(num_clusters, 5)
     feats, truth = blob_features(rng, centers, per_cluster)
@@ -41,16 +36,7 @@ def synthetic_items(num_clusters=20, per_cluster=100, bias_range=0.0, seed=0):
         else np.zeros(num_clusters)
     )
     noise = 0.01 * rng.gaussian(len(feats))
-    items = [
-        ScoredItem(
-            id=f"item{i}",
-            score=1.0 + offsets[truth[i]] + noise[i],
-            features=feats[i],
-            label=int(truth[i]),
-        )
-        for i in range(len(feats))
-    ]
-    return items
+    return 1.0 + offsets[truth] + noise, feats, truth
 
 
 class TestKmeans:
@@ -108,55 +94,58 @@ class TestClusterKappa:
 class TestAudit:
     def test_unbiased_scorer_low_cross_cluster_cov(self):
         for seed in range(5):
-            items = synthetic_items(bias_range=0.0, seed=seed)
-            report = audit(items, k=20, seed=seed)
+            scores, feats, _ = synthetic_items(bias_range=0.0, seed=seed)
+            report = audit(scores, feats, k=20, seed=seed)
             assert report.inter_cluster_cov < 2.0
 
     def test_biased_scorer_at_least_ten_times_unbiased(self):
-        unbiased = audit(synthetic_items(bias_range=0.0, seed=1), k=20, seed=1)
-        biased = audit(synthetic_items(bias_range=0.5, seed=1), k=20, seed=1)
+        unbiased = audit(*synthetic_items(bias_range=0.0, seed=1), k=20, seed=1)
+        biased = audit(*synthetic_items(bias_range=0.5, seed=1), k=20, seed=1)
         assert biased.inter_cluster_cov >= 10.0 * unbiased.inter_cluster_cov
 
     def test_labels_bypass_clustering(self):
-        items = [
-            ScoredItem("a", 1.0, label=0),
-            ScoredItem("b", 3.0, label=0),
-            ScoredItem("c", 10.0, label=1),
-            ScoredItem("d", 30.0, label=1),
-        ]
-        report = audit(items)
+        report = audit([1.0, 3.0, 10.0, 30.0], labels=[0, 0, 1, 1])
         assert report.used_labels
         assert report.k == 2
         np.testing.assert_allclose(report.means, [2.0, 20.0], rtol=1e-12)
         np.testing.assert_allclose(report.sizes, [2, 2])
 
     def test_kappa_scale_invariance_through_audit(self):
-        items = synthetic_items(num_clusters=5, per_cluster=20, bias_range=0.3, seed=7)
-        r1 = audit(items, k=5, seed=0)
-        scaled = [
-            ScoredItem(i.id, i.score * 3.5, features=i.features, label=i.label)
-            for i in items
-        ]
-        r2 = audit(scaled, k=5, seed=0)
+        scores, feats, _ = synthetic_items(num_clusters=5, per_cluster=20, bias_range=0.3,
+                                           seed=7)
+        r1 = audit(scores, feats, k=5, seed=0)
+        r2 = audit(scores * 3.5, feats, k=5, seed=0)
         np.testing.assert_allclose(r1.kappas, r2.kappas, atol=1e-9)
         assert r1.inter_cluster_cov == pytest.approx(r2.inter_cluster_cov, abs=1e-9)
 
     def test_missing_labels_rejected_when_no_k(self):
-        items = [
-            ScoredItem("a", 1.0, features=np.array([0.0, 1.0])),
-            ScoredItem("b", 2.0, features=np.array([1.0, 0.0])),
-        ]
         with pytest.raises(DomainError):
-            audit(items)
+            audit([1.0, 2.0], features=[[0.0, 1.0], [1.0, 0.0]])
+
+    def test_missing_features_rejected_when_k_given(self):
+        with pytest.raises(DomainError):
+            audit([1.0, 2.0], labels=[0, 1], k=2)
+
+    def test_non_finite_values_rejected(self):
+        feats = np.zeros((3, 2))
+        with pytest.raises(DomainError, match="item 1: non-finite score"):
+            audit([1.0, np.inf, 2.0], feats, k=2)
+        with pytest.raises(DomainError, match="item 1: non-finite score"):
+            audit([1.0, np.nan, 2.0], labels=[0, 0, 1])
+        feats[2, 1] = np.nan
+        with pytest.raises(DomainError, match="item 2: non-finite feature"):
+            audit([1.0, 1.5, 2.0], feats, k=1)
+
+    def test_shapes_checked(self):
+        with pytest.raises(ShapeError):
+            audit([[1.0, 2.0]], labels=[0, 1])
+        with pytest.raises(ShapeError):
+            audit([1.0, 2.0], labels=[0, 1, 1])
+        with pytest.raises(ShapeError):
+            audit([1.0, 2.0], features=[0.0, 1.0], k=1)
 
     def test_report_serialization(self):
-        items = [
-            ScoredItem("a", 1.0, label=0),
-            ScoredItem("b", 2.0, label=0),
-            ScoredItem("c", 4.0, label=1),
-            ScoredItem("d", 2.0, label=1),
-        ]
-        report = audit(items)
+        report = audit([1.0, 2.0, 4.0, 2.0], labels=[0, 0, 1, 1])
         jbuf, cbuf = io.StringIO(), io.StringIO()
         report.write_json(jbuf)
         report.write_csv(cbuf)
@@ -174,10 +163,30 @@ class TestTabularIO:
             "a,1.5,0,0.0,1.0\n"
             "b,2.5,,1.0,0.0\n"
         )
-        items = read_items_csv(path)
-        assert items[0].label == 0
-        assert items[1].label is None
-        np.testing.assert_array_equal(items[1].features, [1.0, 0.0])
+        scores, features, labels = read_items_csv(path)
+        np.testing.assert_array_equal(scores, [1.5, 2.5])
+        np.testing.assert_array_equal(features, [[0.0, 1.0], [1.0, 0.0]])
+        assert labels is None  # one row is unlabelled
+        path.write_text(
+            "id,score,label,f0,f1\n"
+            "a,1.5,0,0.0,1.0\n"
+            "b,2.5,2,1.0,0.0\n"
+        )
+        _, _, labels = read_items_csv(path)
+        np.testing.assert_array_equal(labels, [0, 2])
+
+    def test_quoted_ids_blank_lines_and_extra_fields(self, tmp_path):
+        path = tmp_path / "items.csv"
+        path.write_text(
+            'label,id,score\n'
+            '3,"a, ""first""",0.25\n'
+            '\n'
+            '1,"b\nsecond",0.5,ignored\n'
+        )
+        scores, features, labels = read_items_csv(path)
+        np.testing.assert_array_equal(scores, [0.25, 0.5])
+        assert features is None
+        np.testing.assert_array_equal(labels, [3, 1])
 
     def test_read_items_requires_columns(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -185,6 +194,45 @@ class TestTabularIO:
         with pytest.raises(DomainError):
             read_items_csv(path)
 
-    def test_item_needs_features_or_label(self):
-        with pytest.raises(DomainError):
-            ScoredItem("x", 1.0)
+
+def six_items(tmp_path, rows):
+    path = tmp_path / "items.csv"
+    path.write_text("id,score,f0,f1\n" + "".join(f"item{i},{r}\n" for i, r in enumerate(rows)))
+    return path
+
+
+def run_audit(tmp_path, items, k):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"mode": "audit", "outdir": str(tmp_path / "out"),
+                                  "audit": {"input": str(items), "k": k}}))
+    return cli.main([str(config)]), tmp_path / "out"
+
+
+class TestBadAuditInputExits2:
+    """Malformed item rows end an audit run with exit 2 and a DomainError
+    naming the row, before any report is written."""
+
+    GOOD = ["0.1,0.0,0.0", "0.2,0.1,0.0", "0.3,5.0,5.0", "0.4,5.1,5.0", "0.5,9.0,0.0",
+            "0.6,9.1,0.0"]
+
+    @pytest.mark.parametrize("row, bad, k, message", [
+        (2, "0.3,nan,5.0", 1, "line 4: non-finite feature"),
+        (2, "0.3,nan,5.0", 3, "line 4: non-finite feature"),
+        (4, "0.5,9.0", 3, "line 6: 3 fields, the header has 4"),
+        (0, "inf,0.0,0.0", 3, "line 2: non-finite score"),
+    ], ids=["nan-feature-k1", "nan-feature-k3", "short-row", "inf-score"])
+    def test_bad_row(self, tmp_path, row, bad, k, message):
+        rows = list(self.GOOD)
+        rows[row] = bad
+        rc, out = run_audit(tmp_path, six_items(tmp_path, rows), k)
+        assert rc == 2
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure["error"] == "DomainError"
+        assert message in failure["message"]
+        assert not (out / "audit_report.json").exists()
+
+    def test_good_rows_run(self, tmp_path):
+        rc, out = run_audit(tmp_path, six_items(tmp_path, self.GOOD), 3)
+        assert rc == 0
+        assert [c["size"] for c in json.loads((out / "audit_report.json").read_text())[
+            "clusters"]] == [2, 2, 2]

@@ -164,6 +164,15 @@ class TestRejectedAtLoad:
         assert rc == 0
         assert (outdir / "eval_stats.json").is_file()
 
+    @pytest.mark.parametrize("mode", ["eval", "train"])
+    def test_custom_reward_kind_exits_1(self, tmp_path, checkpoint, capsys, mode):
+        # there is no custom reward kind: a config file cannot give a scoring callable
+        rc, outdir = run_cli(tmp_path, checkpoint, f"--set=mode={mode}",
+                             "--set=rewards=[{id: c, stage: 1, kind: custom, scale: 1.0}]")
+        assert rc == 1
+        assert not (outdir / "failure.json").exists()
+        assert "config error: rewards:" in capsys.readouterr().err
+
     def test_too_few_thresholds_for_train(self):
         errors = load_errors(TRAIN, "curriculum.thresholds=[0.7, 0.7]")
         assert any("curriculum.thresholds" in e for e in errors)

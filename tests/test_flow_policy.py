@@ -1,5 +1,5 @@
-"""Sampler contracts: velocity evaluation, score formula, ODE/SDE
-degeneracy, transition density validity, and pretraining behavior."""
+"""Sampler contracts: velocity evaluation, ODE/SDE degeneracy, transition
+density validity, and pretraining behavior."""
 
 import math
 
@@ -13,17 +13,13 @@ from flowstage.flow_policy import (
     PolicyDims,
     SdeConfig,
     ToyDataset,
-    ToySample,
-    decode_state,
+    eval_step,
     flow_matching_loss,
     init_flow_policy,
     load_policy,
-    log_prob_under,
     ode_path,
-    ode_sample,
     pretrain_flow_matching,
     save_policy,
-    score_from_velocity,
     sde_sample,
     velocity,
 )
@@ -42,6 +38,13 @@ def noise_block(policy, cfg, *streams):
     size = (cfg.num_steps + 1) * policy.dims.state_size
     block = np.stack([r.gaussian(size) for r in streams])
     return block.reshape(len(streams), cfg.num_steps + 1, -1)
+
+
+def reevaluated(policy, rollout, steps):
+    """Log-densities of ``rollout``'s transitions at ``steps`` under
+    ``policy``, (G, len(steps)) like ``rollout.log_probs``."""
+    rows = rollout.transitions(steps)
+    return eval_step(policy, rows).log_probs.reshape(len(steps), len(rollout)).T
 
 
 def zeroed(policy):
@@ -118,41 +121,20 @@ class TestVelocity:
             velocity(p, np.zeros(SMALL.state_size), 1.5, 0)
 
 
-class TestScore:
-    def test_pure_noise_end_is_negative_x(self):
-        x = np.array([0.3, -1.2])
-        v = np.array([5.0, -7.0])
-        np.testing.assert_allclose(score_from_velocity(x, 1.0, v), -x, rtol=1e-12)
-
-    def test_algebraic_zero(self):
-        t = 0.4
-        v = np.array([2.0, -1.0])
-        x = -(1.0 - t) * v
-        np.testing.assert_allclose(score_from_velocity(x, t, v), np.zeros(2), atol=1e-15)
-
-    def test_hand_case(self):
-        out = score_from_velocity(np.array([1.0, 0.0]), 0.5, np.array([0.0, 1.0]))
-        np.testing.assert_allclose(out, [-2.0, -1.0], rtol=1e-12)
-
-    def test_below_clamp_raises(self):
-        with pytest.raises(DomainError):
-            score_from_velocity(np.zeros(2), 0.01, np.zeros(2), t_min=0.04)
-
-
 class TestOdeSampling:
     def test_zero_velocity_returns_initial_noise(self):
         p = zeroed(small_policy(3))
         noise = RandomSource(77).gaussian(SMALL.state_size)
-        sample = ode_sample(p, 0, 8, RandomSource(77))
-        np.testing.assert_array_equal(sample.frames.reshape(-1), noise)
+        _, states = ode_path(p, 0, 8, RandomSource(77))
+        np.testing.assert_array_equal(states[-1], noise)
 
     def test_one_step_constant_velocity(self):
         # a single Euler step over [1, 0] uses dt = -1: x0 = z - c
         c = 0.7
         p = constant_velocity(small_policy(4), c)
         noise = RandomSource(5).gaussian(SMALL.state_size)
-        sample = ode_sample(p, 1, 1, RandomSource(5))
-        np.testing.assert_allclose(sample.frames.reshape(-1), noise - c, rtol=1e-12)
+        _, states = ode_path(p, 1, 1, RandomSource(5))
+        np.testing.assert_allclose(states[-1], noise - c, rtol=1e-12)
 
     def test_non_finite_state_is_rollout_error(self):
         p = small_policy(6)
@@ -160,44 +142,44 @@ class TestOdeSampling:
             w *= 1e200
         # the scaled net overflows on purpose
         with pytest.raises(RolloutError), pytest.warns(RuntimeWarning):
-            ode_sample(p, 0, 4, RandomSource(0))
+            ode_path(p, 0, 4, RandomSource(0))
 
 
 class TestSdeSampling:
     def test_eta_zero_matches_ode_exactly(self):
         p = small_policy(8)
         cfg = SdeConfig(num_steps=12, eta=0.0, t_min=0.05)
-        traj = sde_sample(p, 2, cfg, noise_block(p, cfg, RandomSource(21)))[0]
+        rollout = sde_sample(p, 2, cfg, noise_block(p, cfg, RandomSource(21)))
         _, states = ode_path(p, 2, 12, RandomSource(21), t_min=0.05)
-        assert traj.log_probs is None
-        np.testing.assert_allclose(traj.states, states, atol=1e-12)
+        assert rollout.log_probs is None
+        np.testing.assert_allclose(rollout.states[0], states, atol=1e-12)
 
     def test_log_probs_match_direct_density(self):
         p = small_policy(9)
         cfg = SdeConfig(num_steps=6, eta=0.5)
-        traj = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(300)))[0]
+        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(300)))
         n = SMALL.state_size
-        for k in range(traj.num_steps):
-            resid = traj.states[k + 1] - traj.step_means[k]
-            var = traj.step_stds[k] ** 2
+        for k in range(cfg.num_steps):
+            resid = rollout.states[0, k + 1] - rollout.step_means[0, k]
+            var = rollout.step_stds[k] ** 2
             expected = -0.5 * n * math.log(2.0 * math.pi * var) - float(
                 resid @ resid
             ) / (2.0 * var)
-            assert abs(traj.log_probs[k] - expected) < 1e-10
+            assert abs(rollout.log_probs[0, k] - expected) < 1e-10
 
     def test_fixed_seed_reproduces_trajectory(self):
         p = small_policy(10)
         cfg = SdeConfig(num_steps=5, eta=0.3)
-        a = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(41)))[0]
-        b = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(41)))[0]
+        a = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(41)))
+        b = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(41)))
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.log_probs, b.log_probs)
 
     def test_positive_stds_when_eta_positive(self):
         p = small_policy(11)
         cfg = SdeConfig(num_steps=4, eta=0.2)
-        traj = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(1)))[0]
-        assert (traj.step_stds > 0).all()
+        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(1)))
+        assert (rollout.step_stds > 0).all()
 
     def test_group_rows_match_one_trajectory_calls(self):
         p = small_policy(16)
@@ -207,12 +189,11 @@ class TestSdeSampling:
         group = sde_sample(p, conds, cfg, block.reshape(len(conds), 7, -1))
         assert len(group) == len(conds)
         for i, cond in enumerate(conds):
-            one = sde_sample(p, cond, cfg, noise_block(p, cfg, RandomSource(90).stream(i)))[0]
-            row = group[i]
-            assert row.condition == cond
-            np.testing.assert_allclose(row.states, one.states, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(row.step_means, one.step_means, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(row.log_probs, one.log_probs, rtol=0, atol=1e-12)
+            one = sde_sample(p, cond, cfg, noise_block(p, cfg, RandomSource(90).stream(i)))
+            assert group.conditions[i] == cond
+            for name in ("states", "step_means", "log_probs"):
+                np.testing.assert_allclose(getattr(group, name)[i], getattr(one, name)[0],
+                                           rtol=0, atol=1e-12)
 
     def test_keeps_activations_only_for_named_steps(self):
         p = small_policy(17)
@@ -245,34 +226,37 @@ class TestSdeSampling:
     def test_times_decreasing_to_t_min(self):
         p = small_policy(12)
         cfg = SdeConfig(num_steps=5, eta=0.5, t_min=0.1)
-        traj = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(2)))[0]
-        assert traj.times[0] == 1.0
-        assert abs(traj.times[-1] - 0.1) < 1e-12
-        assert (np.diff(traj.times) < 0).all()
+        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(2)))
+        assert rollout.times[0] == 1.0
+        assert abs(rollout.times[-1] - 0.1) < 1e-12
+        assert (np.diff(rollout.times) < 0).all()
 
 
-class TestLogProbUnder:
+class TestTransitionLogProbs:
+    """``eval_step`` over ``rollout.transitions``: the recorded transitions
+    re-evaluated under a policy."""
+
     def test_self_consistency(self):
         p = small_policy(13)
         cfg = SdeConfig(num_steps=8, eta=0.5)
-        traj = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(55)))[0]
-        lp = log_prob_under(p, traj)
-        np.testing.assert_allclose(lp, traj.log_probs, atol=1e-10)
+        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(55)))
+        lp = reevaluated(p, rollout, range(8))
+        np.testing.assert_allclose(lp, rollout.log_probs, atol=1e-10)
 
     def test_subset_selection(self):
         p = small_policy(13)
         cfg = SdeConfig(num_steps=8, eta=0.5)
-        traj = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(56)))[0]
-        lp = log_prob_under(p, traj, [1, 4, 6])
-        np.testing.assert_allclose(lp, traj.log_probs[[1, 4, 6]], atol=1e-10)
+        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(56)))
+        lp = reevaluated(p, rollout, [1, 4, 6])
+        np.testing.assert_allclose(lp, rollout.log_probs[:, [1, 4, 6]], atol=1e-10)
 
     def test_perturbed_policy_differs(self):
         p = small_policy(14)
         cfg = SdeConfig(num_steps=4, eta=0.5)
-        traj = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(57)))[0]
+        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(57)))
         q = p.copy()
         q.net.weights[0][0, 0] += 0.05
-        assert not np.allclose(log_prob_under(q, traj), traj.log_probs)
+        assert not np.allclose(reevaluated(q, rollout, range(4)), rollout.log_probs)
 
     def test_hand_built_single_step(self):
         # constant-velocity policy, one step, known closed-form density
@@ -280,25 +264,18 @@ class TestLogProbUnder:
         c = 0.5
         p = constant_velocity(init_flow_policy(dims, hidden=(2,), rng=RandomSource(1)), c)
         cfg = SdeConfig(num_steps=1, eta=0.5, t_min=0.2)
-        traj = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(60)))[0]
+        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(60)))
         # dt = -0.8, t = 1, sigma = 0.5: a_x = 1 + dt*eta^2*t/2 = 0.9
         # a_v = dt*(1 + eta^2*t*(1-t)/2) = dt, mean = 0.9 x - 0.8 c
-        x0 = traj.states[0][0]
+        x0 = rollout.states[0, 0, 0]
         mean = 0.9 * x0 - 0.8 * c
         std = 0.5 * 1.0 * math.sqrt(0.8)
         expected = -0.5 * math.log(2 * math.pi * std**2) - (
-            traj.states[1][0] - mean
+            rollout.states[0, 1, 0] - mean
         ) ** 2 / (2 * std**2)
-        np.testing.assert_allclose(traj.step_means[0], [mean], rtol=1e-12)
-        np.testing.assert_allclose(traj.step_stds[0], std, rtol=1e-12)
-        assert abs(log_prob_under(p, traj)[0] - expected) < 1e-10
-
-    def test_eta_zero_trajectory_rejected(self):
-        p = small_policy(15)
-        cfg = SdeConfig(num_steps=3, eta=0.0)
-        traj = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(58)))[0]
-        with pytest.raises(DomainError):
-            log_prob_under(p, traj)
+        np.testing.assert_allclose(rollout.step_means[0, 0], [mean], rtol=1e-12)
+        np.testing.assert_allclose(rollout.step_stds[0], std, rtol=1e-12)
+        assert abs(reevaluated(p, rollout, [0])[0, 0] - expected) < 1e-10
 
 
 class TestToyDataset:
@@ -392,17 +369,3 @@ class TestPersistence:
         assert loaded.layer_sizes == p.layer_sizes
         np.testing.assert_array_equal(p.vector, loaded.vector)
 
-
-class TestToySampleValidation:
-    def test_too_few_frames_rejected(self):
-        with pytest.raises(ShapeError):
-            ToySample(np.zeros((1, 2)), 0)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            ToySample(np.array([[np.nan, 0.0], [0.0, 0.0]]), 0)
-
-    def test_decode_state_shapes(self):
-        s = decode_state(np.arange(4.0), SMALL, 2)
-        assert s.frames.shape == (2, 2)
-        assert s.condition == 2

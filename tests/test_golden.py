@@ -1,13 +1,16 @@
 """Golden behaviour: a tiny pretrain -> train -> eval chain through the CLI
-at seed 0 must reproduce pinned reward statistics.
+at seed 0 must reproduce pinned reward statistics, and audit mode on a
+small seeded CSV must reproduce a pinned report.
 
-The values were recorded before the group rollout and reward scoring were
-vectorised; a later speed-up that moves behaviour fails here.
+The chain's values were recorded before the group rollout and reward
+scoring were vectorised; a later speed-up that moves behaviour fails here.
 """
 
+import csv
 import json
 
 import numpy as np
+import pytest
 
 from flowstage import cli
 
@@ -45,3 +48,61 @@ def test_pretrain_train_eval_chain_is_pinned(tmp_path):
     assert stats["group_size"] == 8 and stats["num_groups"] == 2
     np.testing.assert_allclose([t["mean"] for t in stats["terms"]], EVAL_MEANS,
                                rtol=1e-12, atol=0)
+
+
+# audit_report.json of the two audit runs below: (sizes, means, kappas,
+# inter_cluster_cov)
+AUDIT_KMEANS = (
+    [10, 8, 6],
+    [0.7897170865677922, 0.6068612956890037, 0.4017444242956534],
+    [4.765246477341669, 5.517370627690571, 7.477562375821776],
+    26.4373104745257,
+)
+AUDIT_LABELS = (
+    [8, 10, 6],
+    [0.6068612956890037, 0.7897170865677922, 0.4017444242956534],
+    [5.517370627690571, 4.765246477341669, 7.477562375821776],
+    26.4373104745257,
+)
+
+
+def write_audit_items(path, blank_labels):
+    """24 items in three planted blobs of 6, 8 and 10, labelled 5, 1 and 3,
+    with ids that need CSV quoting; every fifth label is left blank when
+    ``blank_labels``."""
+    rng = np.random.default_rng(20)
+    centers = np.array([[0.0, 0.0], [6.0, 0.0], [0.0, 6.0]])
+    blob = np.repeat(np.arange(3), [6, 8, 10])
+    feats = centers[blob] + 0.5 * rng.normal(size=(24, 2))
+    scores = 0.4 + 0.2 * blob + 0.03 * rng.normal(size=24)
+    with open(path, "w", newline="") as fp:
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(["id", "score", "label", "f0", "f1"])
+        for i in range(24):
+            label = "" if blank_labels and i % 5 == 0 else (5, 1, 3)[blob[i]]
+            writer.writerow([f'item {i}, "c{blob[i]}"', repr(float(scores[i])), label,
+                             repr(float(feats[i, 0])), repr(float(feats[i, 1]))])
+
+
+@pytest.mark.parametrize("k, expected", [(3, AUDIT_KMEANS), (None, AUDIT_LABELS)],
+                         ids=["kmeans", "labels"])
+def test_audit_report_is_pinned(tmp_path, k, expected):
+    """Clustered with ``k`` and grouped by labels.  The pinned values were
+    recorded while items were still read into one object per row, before
+    the reader and ``audit`` moved to arrays."""
+    items = tmp_path / "items.csv"
+    write_audit_items(items, blank_labels=k is not None)
+    assert '"item 0, ""c0"""' in items.read_text()
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"mode": "audit", "seed": 4, "outdir": str(tmp_path / "out"),
+                                  "audit": {"input": str(items), "k": k}}))
+    assert cli.main([str(config)]) == 0
+
+    report = json.loads((tmp_path / "out" / "audit_report.json").read_text())
+    clusters = report["clusters"]
+    sizes, means, kappas, inter = expected
+    assert report["used_labels"] is (k is None)
+    assert [c["size"] for c in clusters] == sizes
+    np.testing.assert_allclose([c["mean"] for c in clusters], means, rtol=1e-12, atol=0)
+    np.testing.assert_allclose([c["kappa"] for c in clusters], kappas, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(report["inter_cluster_cov"], inter, rtol=1e-12, atol=0)

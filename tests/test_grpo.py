@@ -9,7 +9,12 @@ import numpy as np
 import pytest
 from helpers import rel_err_ok
 
-from flowstage.curriculum import CurriculumConfig, curriculum_step, normalize_advantages
+from flowstage.curriculum import (
+    CurriculumConfig,
+    curriculum_step,
+    normalize_advantages,
+    smooth_curve,
+)
 from flowstage.errors import DomainError, ShapeError
 from flowstage.flow_policy import (
     FlowPolicy,
@@ -21,7 +26,6 @@ from flowstage.flow_policy import (
 from flowstage import flow_policy, grpo
 from flowstage.grpo import (
     TrainConfig,
-    smooth_curve,
     surrogate_and_grads,
     surrogate_objective,
     train,
@@ -100,6 +104,16 @@ class TestImportanceRatio:
         ref = tiny_policy(35)
         rollout = tiny_trajectories(ref, count=4, seed=600, num_steps=2)
         rollout.log_probs[1, 0] = np.nan
+        with pytest.raises(DomainError):
+            surrogate_and_grads(ref, rollout, np.ones(4), [0, 1], 0.2, 5.0)
+
+    def test_eta_zero_rollout_rejected(self):
+        # a deterministic rollout has no transition density to form a ratio from
+        ref = tiny_policy(15)
+        cfg = SdeConfig(num_steps=3, eta=0.0)
+        noise = RandomSource(58).gaussian_streams((), 4, 4 * TINY.state_size)
+        rollout = sde_sample(ref, 0, cfg, noise.reshape(4, 4, -1))
+        assert rollout.log_probs is None
         with pytest.raises(DomainError):
             surrogate_and_grads(ref, rollout, np.ones(4), [0, 1], 0.2, 5.0)
 
