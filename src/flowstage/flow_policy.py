@@ -25,7 +25,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, RolloutError, ShapeError, require_int, require_number
+from .errors import (
+    DomainError,
+    RolloutError,
+    ShapeError,
+    class_indices,
+    require_int,
+    require_number,
+)
 from .numerics import (
     MlpParams,
     RandomSource,
@@ -301,13 +308,14 @@ def _step_coeffs(t: float, dt: float, eta: float):
     return 1.0 + dt * half, dt * (1.0 + half * (1.0 - t))
 
 
-def _log_density_rows(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-    """Log-density of each row of ``x`` under N(mean_row, std_row^2 I);
-    ``std`` is one per row or one shared by all rows."""
+def _log_density_rows(x: np.ndarray, mean: np.ndarray, std) -> np.ndarray:
+    """Log-density of each row (last axis) of ``x`` under
+    N(mean_row, std_row^2 I); ``std`` broadcasts against the leading axes
+    (one per row, one per column of a (G, K, n) block, or one shared)."""
     resid = x - mean
     var2 = 2.0 * std * std
-    return (-0.5 * x.shape[1] * np.log(np.pi * var2)
-            - np.einsum("ij,ij->i", resid, resid) / var2)
+    return (-0.5 * x.shape[-1] * np.log(np.pi * var2)
+            - np.einsum("...j,...j->...", resid, resid) / var2)
 
 
 def ode_path(policy: FlowPolicy, cond: int, num_steps: int, rng: RandomSource,
@@ -343,12 +351,18 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     ``RandomSource.gaussian_streams(ids, G, (K + 1) * n)`` does (row i
     equals ``stream(*ids, i).gaussian((K + 1) * n)`` bit for bit), makes
     a trajectory independent of the group size.  Each SDE step is one
-    forward pass over the whole group.  ``cond`` is one condition for the
-    group or one per trajectory.  Each transition is Gaussian with mean
-    from :func:`_step_coeffs` and std sigma_t * sqrt(|dt|) =
+    forward pass over the whole group.  ``cond`` is one integer condition
+    for the group or one per trajectory.  Each transition is Gaussian
+    with mean from :func:`_step_coeffs` and std sigma_t * sqrt(|dt|) =
     eta * sqrt(t |dt|); the exact log-density of the realized next state
     is recorded (None when eta = 0).  The net's layer activations are
     kept for the steps in ``keep`` only.
+
+    ``noise`` is only read.  The net input is one (G, in) buffer reused
+    by every step, so a kept step's input activations are a copy of it;
+    every array of the returned :class:`Rollout` is new and the caller's.
+    ``states[:, k + 1]`` starts as ``std_k * noise[:, k + 1]`` and step k
+    adds its mean, the same IEEE sum as ``mean + std_k * noise``.
     """
     n = policy.dims.state_size
     K = config.num_steps
@@ -356,45 +370,42 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     if noise.ndim != 3 or noise.shape[1:] != (K + 1, n) or len(noise) < 1:
         raise ShapeError(f"noise block shape {noise.shape}, expected (G >= 1, {K + 1}, {n})")
     G = len(noise)
-    conds = np.broadcast_to(np.asarray(cond, dtype=np.int64), (G,)).copy()
-    if ((conds < 0) | (conds >= policy.dims.num_classes)).any():
-        raise DomainError(f"condition {cond} out of range")
+    conds = class_indices(cond, G, policy.dims.num_classes)
     keep = {int(k) for k in keep}
     if any(not 0 <= k < K for k in keep):
         raise DomainError(f"kept steps {sorted(keep)} out of range [0, {K})")
     times = time_grid(K, config.t_min)
     dt = (config.t_min - 1.0) / K
     eta = config.eta
+    stds = eta * np.sqrt(times[:-1] * -dt)
 
     states = np.empty((G, K + 1, n))
     states[:, 0] = noise[:, 0]
+    np.multiply(noise[:, 1:], stds[:, None], out=states[:, 1:])
     means = np.empty((G, K, n))
-    stds = np.empty(K)
-    log_probs = np.empty((G, K)) if eta > 0.0 else None
-    emb = policy.cond_emb[conds]
+    inputs = np.empty((G, policy.dims.net_input_size))
+    inputs[:, n + 1:] = policy.cond_emb[conds]
     kept = {}
-    x = states[:, 0]
     for k in range(K):
         t = float(times[k])
-        inputs = np.concatenate([x, np.full((G, 1), t), emb], axis=1)
+        x = states[:, k]
+        inputs[:, :n] = x
+        inputs[:, n] = t
         try:
             v, acts = mlp_forward_batch(policy.net, inputs)
         except DomainError as exc:
             raise RolloutError(f"step {k} (t={t:.4f}): {exc}") from exc
         a_x, a_v = _step_coeffs(t, dt, eta)
-        mean = a_x * x + a_v * v
-        std = eta * math.sqrt(t * -dt)
-        x = mean + std * noise[:, k + 1]
-        if not np.isfinite(x).all():
-            bad = np.flatnonzero(~np.isfinite(x).all(axis=1)).tolist()
+        mean = np.multiply(x, a_x, out=means[:, k])
+        mean += a_v * v
+        x_next = states[:, k + 1]
+        x_next += mean
+        if not np.isfinite(x_next).all():
+            bad = np.flatnonzero(~np.isfinite(x_next).all(axis=1)).tolist()
             raise RolloutError(f"non-finite state in rollouts {bad} at step {k} (t={t:.4f})")
-        means[:, k] = mean
-        stds[k] = std
-        states[:, k + 1] = x
-        if log_probs is not None:
-            log_probs[:, k] = _log_density_rows(x, mean, std)
         if k in keep:
-            kept[k] = acts
+            kept[k] = [acts[0].copy(), *acts[1:]]
+    log_probs = _log_density_rows(states[:, 1:], means, stds) if eta > 0.0 else None
     return Rollout(
         times=times,
         states=states,
@@ -480,9 +491,6 @@ class ToyDataset:
         if self.dims.frame_dim != 2:
             raise DomainError("circle dataset requires frame_dim = 2")
 
-    def target_angle(self, cond: int) -> float:
-        return 2.0 * math.pi * int(cond) / self.dims.num_classes
-
     def sample_batch(self, rng: RandomSource, n: int):
         """Returns (frames (n, T, 2), conditions (n,))."""
         if n < 1:
@@ -513,13 +521,6 @@ def _flow_matching_residual(policy: FlowPolicy, frames: np.ndarray, conds: np.nd
     inputs = np.concatenate([x_t, t[:, None], policy.cond_emb[conds]], axis=1)
     v, acts = mlp_forward_batch(policy.net, inputs)
     return v - (eps - data), acts
-
-
-def flow_matching_loss(policy: FlowPolicy, frames: np.ndarray, conds: np.ndarray,
-                       t: np.ndarray, eps: np.ndarray) -> float:
-    """Mean squared residual of the velocity net against (noise - data)."""
-    resid, _ = _flow_matching_residual(policy, frames, conds, t, eps)
-    return float(np.mean(resid**2))
 
 
 def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,

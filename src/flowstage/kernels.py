@@ -4,6 +4,12 @@ Both work on rows: ``inputs`` is ``(B, in)`` and every activation is
 ``(B, size)``.  Hidden layers apply tanh, the final layer is identity;
 ``weights[l]`` has shape ``(out_l, in_l)``.  Shape and finiteness checks
 live in the ``numerics.mlp_*`` functions, which call these.
+
+Neither function writes an array the caller passes in other than the
+gradient buffers of :func:`backward`.  :func:`forward` returns ``inputs``
+itself as the first activation, not a copy, so a caller that reuses its
+input buffer must copy that entry to keep it; every later activation is
+a fresh array the caller owns.
 """
 
 from __future__ import annotations
@@ -12,12 +18,19 @@ import numpy as np
 
 
 def forward(weights: list, biases: list, inputs: np.ndarray) -> list:
-    """Post-activation values of every layer, ``inputs`` first."""
+    """Post-activation values of every layer, ``inputs`` first.
+
+    Each layer's product is a new array (``np.dot`` makes the same BLAS
+    call as ``@``), and the bias and tanh are applied to it in place.
+    """
     acts = [inputs]
     last = len(weights) - 1
     for layer, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w.T + b
-        acts.append(np.tanh(z) if layer < last else z)
+        z = np.dot(acts[-1], w.T)
+        z += b
+        if layer < last:
+            np.tanh(z, out=z)
+        acts.append(z)
     return acts
 
 

@@ -276,17 +276,19 @@ def _uint32_words(value: int) -> list:
     return words
 
 
-def _hashmix(value, hash_const: int):
-    """SeedSequence's hashmix of a 32-bit ``value`` (an int, or a uint64
-    array of them).  Returns ``(mixed value, next hash constant)``."""
+def _hashmix(value, hash_const):
+    """SeedSequence's hashmix of a 32-bit ``value`` with ``hash_const``
+    (ints, or uint64 arrays that broadcast).  Returns ``(mixed value, next
+    hash constant)``."""
     next_const = hash_const * _MULT_A & _MASK32
     value = (value ^ hash_const) * next_const & _MASK32
     return value ^ (value >> 16), next_const
 
 
-def _mix(x: int, y):
-    """SeedSequence's mix of a 32-bit int ``x`` with ``y`` (an int, or a
-    uint64 array); uint64 wrap-around leaves the low 32 bits exact."""
+def _mix(x, y):
+    """SeedSequence's mix of 32-bit ``x`` with ``y`` (ints, or uint64
+    arrays that broadcast); uint64 wrap-around leaves the low 32 bits
+    exact."""
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ (result >> 16)
 
@@ -299,9 +301,9 @@ def _philox_keys(seed: int, spawn_key: tuple, count: int) -> np.ndarray:
     words, zero-padded to 4 because there is a spawn key, then the spawn
     key's words.  All of that but the last word, i, is the same for every
     row, so it is mixed once here on a few ints; only i is mixed per row,
-    into each pool word, on a ``(count,)`` array, followed by the four
-    output words of ``generate_state``.  ``count`` is at most 2**32, so i
-    is one word and never part of the pool fill.
+    into each pool word and then each of the four output words of
+    ``generate_state``, on one ``(4, count)`` array.  ``count`` is at most
+    2**32, so i is one word and never part of the pool fill.
     """
     seed_words = _uint32_words(seed)
     seed_words += [0] * (_SEED_POOL_SIZE - len(seed_words))
@@ -321,15 +323,23 @@ def _philox_keys(seed: int, spawn_key: tuple, count: int) -> np.ndarray:
             mixed, hash_const = _hashmix(word, hash_const)
             pool[dst] = _mix(pool[dst], mixed)
 
-    rows = np.arange(count, dtype=np.uint64)
-    words, out_const = [], _INIT_B
-    for dst in range(_SEED_POOL_SIZE):
-        mixed, hash_const = _hashmix(rows, hash_const)
-        word = _mix(pool[dst], mixed) ^ out_const
-        out_const = out_const * _MULT_B & _MASK32
-        word = word * out_const & _MASK32
-        words.append(word ^ (word >> 16))
-    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32], axis=1)
+    # i's hashmix into pool word dst takes the dst-th hash constant from
+    # here, and output word dst the dst-th output constant, so the four
+    # words are mixed at once, one per row of a (4, count) array.
+    hash_consts, out_consts = [hash_const], [_INIT_B]
+    for _ in range(_SEED_POOL_SIZE - 1):
+        hash_consts.append(hash_consts[-1] * _MULT_A & _MASK32)
+        out_consts.append(out_consts[-1] * _MULT_B & _MASK32)
+    hash_consts, out_consts, pool = (np.array(v, dtype=np.uint64)[:, None]
+                                     for v in (hash_consts, out_consts, pool))
+    mixed, _ = _hashmix(np.arange(count, dtype=np.uint64), hash_consts)
+    words = _mix(pool, mixed) ^ out_consts
+    words = words * (out_consts * _MULT_B & _MASK32) & _MASK32
+    words ^= words >> 16
+    keys = np.empty((count, 2), dtype=np.uint64)
+    keys[:, 0] = words[0] | words[1] << 32
+    keys[:, 1] = words[2] | words[3] << 32
+    return keys
 
 
 class RandomSource:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, require_int, require_number
+from .errors import DomainError, ShapeError, class_indices, require_int, require_number
 
 KINDS = ("fidelity", "smoothness", "alignment")
 
@@ -158,8 +158,9 @@ def _score_term(term: RewardTerm, frames: np.ndarray, conds: np.ndarray):
 def eval_group(suite: Sequence[RewardTerm], frames, conditions) -> RewardMatrix:
     """Score every row of a ``(G, T, D)`` frame array with every term.
 
-    ``conditions`` is one class for the whole group or one per row.
-    Terms that cannot score a row contribute 0 with the diagnostic flag
+    ``conditions`` is one class for the whole group or one per row, each
+    an integer in the range of every alignment term's classes.  Terms
+    that cannot score a row contribute 0 with the diagnostic flag
     set; non-finite frames are rejected.
     """
     validate_suite(suite)
@@ -171,10 +172,9 @@ def eval_group(suite: Sequence[RewardTerm], frames, conditions) -> RewardMatrix:
         raise DomainError("group evaluation needs at least 2 samples")
     if not np.isfinite(frames).all():
         raise DomainError("non-finite frame")
-    conds = np.asarray(conditions, dtype=np.int64)
-    if conds.shape not in ((), (G,)):
-        raise ShapeError(f"need one condition or {G}, got shape {conds.shape}")
-    conds = np.broadcast_to(conds, (G,))
+    classes = min((term.num_classes for term in suite if term.kind == "alignment"),
+                  default=None)
+    conds = class_indices(conditions, G, classes)
     columns = [_score_term(term, frames, conds)
                for term in sorted(suite, key=lambda term: term.stage)]
     return RewardMatrix(np.stack([v for v, _ in columns], axis=1),

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 from helpers import naive_mlp_eval
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowstage.errors import DomainError, RolloutError, ShapeError
 from flowstage.flow_policy import (
@@ -14,7 +16,6 @@ from flowstage.flow_policy import (
     SdeConfig,
     ToyDataset,
     eval_step,
-    flow_matching_loss,
     init_flow_policy,
     load_policy,
     ode_path,
@@ -23,7 +24,7 @@ from flowstage.flow_policy import (
     sde_sample,
     velocity,
 )
-from flowstage.numerics import RandomSource
+from flowstage.numerics import RandomSource, mlp_forward_batch
 
 SMALL = PolicyDims(frames=2, frame_dim=2, num_classes=3, embed_dim=2)
 
@@ -45,6 +46,16 @@ def reevaluated(policy, rollout, steps):
     ``policy``, (G, len(steps)) like ``rollout.log_probs``."""
     rows = rollout.transitions(steps)
     return eval_step(policy, rows).log_probs.reshape(len(steps), len(rollout)).T
+
+
+def flow_matching_loss(policy, frames, conds, t, eps):
+    """Mean squared residual of the velocity net against (noise - data) at
+    x_t = (1 - t) data + t noise."""
+    data = frames.reshape(len(frames), -1)
+    x_t = (1.0 - t)[:, None] * data + t[:, None] * eps
+    v, _ = mlp_forward_batch(
+        policy.net, np.concatenate([x_t, t[:, None], policy.cond_emb[conds]], axis=1))
+    return float(np.mean((v - (eps - data)) ** 2))
 
 
 def zeroed(policy):
@@ -223,6 +234,22 @@ class TestSdeSampling:
             with pytest.raises(ShapeError):
                 sde_sample(p, 0, cfg, bad)
 
+    @pytest.mark.parametrize("cond", [2.5, [0, 1.5], 2.0, True, [0, 3], -1, 3])
+    def test_bad_condition_is_domain_error(self, cond):
+        p = small_policy(20)
+        cfg = SdeConfig(num_steps=3, eta=0.5)
+        noise = noise_block(p, cfg, RandomSource(5), RandomSource(6))
+        with pytest.raises(DomainError):
+            sde_sample(p, cond, cfg, noise)
+
+    @pytest.mark.parametrize("cond", [[0], [0, 1, 2], [[0, 1]]])
+    def test_condition_count_is_shape_error(self, cond):
+        p = small_policy(21)
+        cfg = SdeConfig(num_steps=3, eta=0.5)
+        noise = noise_block(p, cfg, RandomSource(5), RandomSource(6))
+        with pytest.raises(ShapeError):
+            sde_sample(p, cond, cfg, noise)
+
     def test_times_decreasing_to_t_min(self):
         p = small_policy(12)
         cfg = SdeConfig(num_steps=5, eta=0.5, t_min=0.1)
@@ -230,6 +257,86 @@ class TestSdeSampling:
         assert rollout.times[0] == 1.0
         assert abs(rollout.times[-1] - 0.1) < 1e-12
         assert (np.diff(rollout.times) < 0).all()
+
+
+def reference_rollout(policy, cond, config, noise, keep):
+    """Per-step oracle for :func:`sde_sample`: a fresh net input, forward
+    pass, mean, state and log-density at every step, written
+    independently of the module's helpers."""
+    G, n, K, eta = len(noise), policy.dims.state_size, config.num_steps, config.eta
+    conds = np.broadcast_to(np.asarray(cond, dtype=np.int64), (G,))
+    times = np.linspace(1.0, config.t_min, K + 1)
+    dt = (config.t_min - 1.0) / K
+    states, means, stds, log_probs, kept = [noise[:, 0]], [], [], [], {}
+    x = noise[:, 0]
+    emb = policy.cond_emb[conds]
+    last = len(policy.net.weights) - 1
+    for k in range(K):
+        t = float(times[k])
+        acts = [np.concatenate([x, np.full((G, 1), t), emb], axis=1)]
+        for layer, (w, b) in enumerate(zip(policy.net.weights, policy.net.biases)):
+            z = acts[-1] @ w.T + b
+            acts.append(np.tanh(z) if layer < last else z)
+        half = 0.5 * eta * eta
+        mean = (1.0 + dt * half) * x + dt * (1.0 + half * (1.0 - t)) * acts[-1]
+        std = eta * math.sqrt(t * -dt)
+        x = mean + std * noise[:, k + 1]
+        if eta > 0.0:
+            resid = x - mean
+            var2 = 2.0 * std * std
+            log_probs.append(-0.5 * n * np.log(np.pi * var2)
+                             - np.einsum("ij,ij->i", resid, resid) / var2)
+        states.append(x)
+        means.append(mean)
+        stds.append(std)
+        if k in keep:
+            kept[k] = acts
+    return (np.stack(states, axis=1), np.stack(means, axis=1), np.array(stds),
+            np.stack(log_probs, axis=1) if eta > 0.0 else None, kept)
+
+
+class TestSdeSampleOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_per_step_oracle(self, data):
+        G = data.draw(st.integers(1, 70), label="G")
+        K = data.draw(st.integers(1, 20), label="K")
+        eta = data.draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0)), label="eta")
+        t_min = data.draw(st.floats(0.001, 0.9), label="t_min")
+        hidden = data.draw(st.sampled_from([(6,), (16, 16), (64, 64)]), label="hidden")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        dims = PolicyDims(frames=4, frame_dim=2, num_classes=5, embed_dim=3)
+        p = init_flow_policy(dims, hidden=hidden, rng=RandomSource(seed))
+        rng = RandomSource(seed, (1,))
+        if data.draw(st.booleans(), label="one condition"):
+            cond = data.draw(st.integers(0, dims.num_classes - 1), label="cond")
+        else:
+            cond = rng.integers(0, dims.num_classes, size=G)
+        keep = data.draw(st.sets(st.integers(0, K - 1)), label="keep")
+        cfg = SdeConfig(num_steps=K, eta=eta, t_min=t_min)
+        noise = rng.gaussian(G * (K + 1) * dims.state_size).reshape(G, K + 1, -1)
+        before = noise.copy()
+
+        rollout = sde_sample(p, cond, cfg, noise, keep=keep)
+        states, means, stds, log_probs, kept = reference_rollout(p, cond, cfg, noise, keep)
+        np.testing.assert_array_equal(noise, before)
+        np.testing.assert_array_equal(rollout.states, states)
+        np.testing.assert_array_equal(rollout.step_means, means)
+        np.testing.assert_array_equal(rollout.step_stds, stds)
+        if eta == 0.0:
+            assert rollout.log_probs is None
+        else:
+            np.testing.assert_array_equal(rollout.log_probs, log_probs)
+        np.testing.assert_array_equal(rollout.conditions, np.broadcast_to(cond, (G,)))
+        assert sorted(rollout.kept) == sorted(kept)
+        for k, acts in kept.items():
+            assert len(rollout.kept[k]) == len(acts)
+            for got, want in zip(rollout.kept[k], acts):
+                np.testing.assert_array_equal(got, want)
+        arrays = [a for acts in rollout.kept.values() for a in acts]
+        for i, a in enumerate(arrays):
+            assert not np.shares_memory(a, noise)
+            assert not any(np.shares_memory(a, b) for b in arrays[:i])
 
 
 class TestTransitionLogProbs:
@@ -293,8 +400,8 @@ class TestToyDataset:
         for f, c in zip(frames, conds):
             np.testing.assert_allclose(np.linalg.norm(f, axis=1), 1.0, atol=1e-12)
             angle = math.atan2(f[-1, 1], f[-1, 0]) % (2 * math.pi)
-            np.testing.assert_allclose(angle, ds.target_angle(c) % (2 * math.pi),
-                                       atol=1e-9)
+            target = 2.0 * math.pi * c / dims.num_classes
+            np.testing.assert_allclose(angle, target % (2 * math.pi), atol=1e-9)
 
     def test_rotation_rate(self):
         dims = PolicyDims(frames=4, frame_dim=2, num_classes=2, embed_dim=2)

@@ -10,6 +10,7 @@ from helpers import finite_difference, naive_mlp_eval, rel_err_ok
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowstage import kernels
 from flowstage.errors import DomainError, ShapeError
 from flowstage.flow_policy import PolicyDims, init_flow_policy, load_policy, save_policy
 from flowstage.numerics import (
@@ -96,6 +97,29 @@ class TestMlpForward:
         for i in range(3):
             out, _ = mlp_forward(params, X[i])
             np.testing.assert_allclose(out_b[i], out, rtol=1e-12)
+
+
+class TestKernelForward:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 70), st.lists(st.integers(1, 40), min_size=2, max_size=4),
+           st.integers(0, 2**32))
+    def test_equals_matmul_bias_tanh_and_leaves_inputs_alone(self, batch, sizes, seed):
+        rng = RandomSource(seed)
+        params = init_mlp(sizes, rng)
+        params.vector[:] = rng.gaussian(params.vector.size)
+        inputs = rng.gaussian(batch * sizes[0]).reshape(batch, sizes[0])
+        before = inputs.copy()
+        acts = kernels.forward(params.weights, params.biases, inputs)
+        assert acts[0] is inputs
+        np.testing.assert_array_equal(inputs, before)
+        expected = inputs
+        for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
+            expected = expected @ w.T + b
+            if layer < len(params.weights) - 1:
+                expected = np.tanh(expected)
+            np.testing.assert_array_equal(acts[layer + 1], expected)
+        for i, a in enumerate(acts[1:]):
+            assert not any(np.shares_memory(a, other) for other in acts[:i + 1])
 
 
 class TestMlpBackward:

@@ -296,6 +296,19 @@ class TestArrayScorer:
         with pytest.raises(DomainError):
             eval_group([FID], frames, 0)
 
+    @pytest.mark.parametrize("conds", [8, 9, -1, [0, 9, 1], 2.5, [0, 1.5, 2], 2.0, True])
+    def test_bad_conditions_rejected(self, conds):
+        frames = np.stack([circle([0.0, 0.5, 1.0])] * 3)
+        with pytest.raises(DomainError):
+            eval_group(default_suite(8), frames, conds)
+
+    def test_conditions_unchecked_against_classes_without_alignment(self):
+        frames = np.stack([circle([0.0, 0.5, 1.0])] * 3)
+        np.testing.assert_array_equal(eval_group([FID], frames, 9).values,
+                                      eval_group([FID], frames, 0).values)
+        with pytest.raises(DomainError):
+            eval_group([FID], frames, 0.5)
+
     def test_bad_shapes_rejected(self):
         with pytest.raises(ShapeError):
             eval_group([FID], np.zeros((3, 8)), 0)
