@@ -12,12 +12,20 @@ N items are three arrays, row i describing item i: ``scores`` (N,),
 when the items do not carry them.
 
 All standard deviations here are population (1/N) ones.
+
+:func:`read_items_csv` reads items from a CSV with one ``np.loadtxt``
+call over the body; numpy's C parser converts decimal text with the
+routine ``float`` uses, so its values are ``float``'s bit for bit.  When
+numpy declines the body, or a value is non-finite, the row loop
+:func:`_read_rows` (``csv``, ``float`` and ``int``) reads the file
+instead; only it can name the physical line of a bad row.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import warnings
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -224,32 +232,92 @@ def read_items_csv(path):
 
     Returns ``(scores, features, labels)`` as :func:`audit` takes them:
     ``features`` is None without feature columns, ``labels`` is None
-    unless every row has a label.  A row with fewer fields than the
-    header, or a non-finite score or feature, is a DomainError naming
-    its line; fields beyond the header's are ignored.  Numbers are
-    parsed by ``float`` and ``int`` as the rows stream past, so no row's
-    text is held.
+    unless every row has a label.  Fields beyond the header's are
+    ignored.  A header without ``id`` and ``score`` or with a repeated
+    name is a DomainError, and so is a row with fewer fields than the
+    header, a field that ``float`` (``int`` for the label) rejects, or a
+    non-finite score or feature; the message names the line, and the
+    column of a field that does not parse.
+
+    ``csv`` reads the header and one ``np.loadtxt`` call the body, from
+    the same open file and line by line, so the body's text is never
+    held whole; labels go through ``int`` and ids are dropped in that
+    pass.  numpy converts decimal text with CPython's
+    ``PyOS_string_to_double``, the routine ``float`` uses, so the values
+    equal the row loop's bit for bit.  numpy declines a short row, text
+    outside its grammar (``1_0``, non-ASCII digits), a body without rows
+    and a line holding an ASCII separator; then, or when a value is
+    non-finite, the row loop :func:`_read_rows` reads the file again and
+    returns the same arrays or raises the error.  Only it can name a
+    physical line: numpy counts records, and a quoted id may span lines.
+    csv's limit on a field's length (131,072 characters by default)
+    applies only when the row loop runs.
     """
+    with open(path, newline="") as fp:
+        header = next(csv.reader(fp), None)
+        id_col, score_col, label_col, feature_cols = _columns(path, header)
+        # the id is read, and dropped, so that a row missing it is short
+        usecols = [score_col, id_col]
+        dtype = [("score", np.float64), ("id", np.uint8)]
+        converters = {id_col: lambda text: 0}
+        if label_col is not None:
+            usecols.append(label_col)
+            dtype.append(("label", object))
+            converters[label_col] = _label
+        if feature_cols:
+            usecols.extend(feature_cols)
+            dtype.append(("features", np.float64, (len(feature_cols),)))
+        try:
+            with warnings.catch_warnings():
+                # numpy warns of a body with no rows; the row loop names it
+                warnings.simplefilter("error", UserWarning)
+                table = np.loadtxt(_numpy_lines(fp), dtype=dtype, delimiter=",",
+                                   quotechar='"', comments=None, usecols=usecols,
+                                   converters=converters, ndmin=1)
+        except (ValueError, UserWarning):
+            table = None
+    if table is None:
+        return _read_rows(path)
+    scores = np.ascontiguousarray(table["score"])
+    features = np.ascontiguousarray(table["features"]) if feature_cols else None
+    if not (np.isfinite(scores).all() and (features is None or np.isfinite(features).all())):
+        return _read_rows(path)
+    return scores, features, _labels(table["label"].tolist() if label_col is not None else [])
+
+
+def _numpy_lines(fp):
+    """The lines of ``fp``; ValueError at one holding an ASCII separator
+    (``\\x1c`` to ``\\x1f``), which numpy's number parser strips as
+    whitespace and ``float`` does not."""
+    for line in fp:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("a line holds an ASCII separator")
+        yield line
+
+
+def _read_rows(path):
+    """:func:`read_items_csv` row by row: ``csv`` tokenizes, ``float``
+    and ``int`` convert as the rows stream past, and every error names
+    its line."""
     scores, features, labels, lines = array("d"), array("d"), [], []
     with open(path, newline="") as fp:
         reader = csv.reader(fp)
         header = next(reader, None)
-        if header is None or "id" not in header or "score" not in header:
-            raise DomainError(f"{path}: need at least 'id' and 'score' columns")
-        column = {name: j for j, name in enumerate(header)}  # a repeated name: its last column
-        score_col, label_col = column["score"], column.get("label")
-        feature_cols = [column[c] for c in header if c not in ("id", "score", "label")]
+        _, score_col, label_col, feature_cols = _columns(path, header)
         for row in reader:
             if not row:
                 continue  # a blank line
             if len(row) < len(header):
                 raise DomainError(f"{path}, line {reader.line_num}: {len(row)} fields, "
                                   f"the header has {len(header)}")
+            try:
+                if label_col is not None:
+                    labels.append(_label(row[label_col]))
+                features.extend(map(float, map(row.__getitem__, feature_cols)))
+                scores.append(float(row[score_col]))
+            except ValueError as exc:
+                raise _unparsable(path, reader.line_num, header, row, label_col) from exc
             lines.append(reader.line_num)
-            if label_col is not None:
-                labels.append(int(row[label_col]) if row[label_col] != "" else None)
-            features.extend(map(float, map(row.__getitem__, feature_cols)))
-            scores.append(float(row[score_col]))
     if not lines:
         raise DomainError(f"{path}: no items")
 
@@ -258,5 +326,38 @@ def read_items_csv(path):
     for what, values in (("score", scores), ("feature", features)):
         if values is not None:
             _require_finite(what, values, lambda i: f"{path}, line {lines[i]}")
-    labels = np.array(labels) if labels and None not in labels else None
-    return scores, features, labels
+    return scores, features, _labels(labels)
+
+
+def _columns(path, header) -> tuple:
+    """``(id, score, label, features)``: the columns of ``header`` by
+    index, ``label`` None without one and ``features`` a list."""
+    if header is None or "id" not in header or "score" not in header:
+        raise DomainError(f"{path}: need at least 'id' and 'score' columns")
+    column = {name: j for j, name in enumerate(header)}
+    if len(column) < len(header):
+        repeated = next(name for j, name in enumerate(header) if column[name] != j)
+        raise DomainError(f"{path}: the header repeats column {repeated!r}")
+    feature_cols = [j for j, name in enumerate(header) if name not in ("id", "score", "label")]
+    return column["id"], column["score"], column.get("label"), feature_cols
+
+
+def _label(text: str):
+    return int(text) if text != "" else None
+
+
+def _labels(labels: list):
+    return np.array(labels) if labels and None not in labels else None
+
+
+def _unparsable(path, line: int, header: list, row: list, label_col) -> DomainError:
+    """DomainError naming the first field of ``row`` that ``float``, or
+    ``int`` for the label, rejects; ``row`` holds one."""
+    for j, name in enumerate(header):
+        try:
+            if j == label_col:
+                _label(row[j])
+            elif name != "id":
+                float(row[j])
+        except ValueError as exc:
+            return DomainError(f"{path}, line {line}, column {name!r}: {exc}")

@@ -229,7 +229,11 @@ class RunConfig:
                 self.train_config()
             except (ValueError, TypeError) as exc:
                 errors.append(f"train: {exc}")
-            if not errors and mode == "train" and cfg["train"]["static_stage"] is None:
+            stage, terms = cfg["train"]["static_stage"], len(cfg["rewards"])
+            if not errors and stage is not None and not 1 <= stage <= terms:
+                errors.append(f"train.static_stage: must lie in [1, {terms}] for "
+                              f"{terms} reward terms, got {stage!r}")
+            if not errors and mode == "train" and stage is None:
                 errors.extend(self._threshold_errors())
 
         _check(errors, "train.checkpoint_interval", cfg["train"]["checkpoint_interval"], 0)

@@ -350,13 +350,16 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     increments.  Drawing row i from its own stream, as
     ``RandomSource.gaussian_streams(ids, G, (K + 1) * n)`` does (row i
     equals ``stream(*ids, i).gaussian((K + 1) * n)`` bit for bit), makes
-    a trajectory independent of the group size.  Each SDE step is one
-    forward pass over the whole group.  ``cond`` is one integer condition
-    for the group or one per trajectory.  Each transition is Gaussian
-    with mean from :func:`_step_coeffs` and std sigma_t * sqrt(|dt|) =
-    eta * sqrt(t |dt|); the exact log-density of the realized next state
-    is recorded (None when eta = 0).  The net's layer activations are
-    kept for the steps in ``keep`` only.
+    a trajectory's noise independent of the group size.  Its states are
+    not, bit for bit: a G-row matrix product may sum in another order
+    than a one-row one, so they move with G at rounding level (one
+    64-row forward differed from row-by-row forwards by up to 8.9e-16).
+    Each SDE step is one forward pass over the whole group.  ``cond`` is
+    one integer condition for the group or one per trajectory.  Each
+    transition is Gaussian with mean from :func:`_step_coeffs` and std
+    sigma_t * sqrt(|dt|) = eta * sqrt(t |dt|); the exact log-density of
+    the realized next state is recorded (None when eta = 0).  The net's
+    layer activations are kept for the steps in ``keep`` only.
 
     ``noise`` is only read.  The net input is one (G, in) buffer reused
     by every step, so a kept step's input activations are a copy of it;

@@ -6,8 +6,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from flowstage import cli
+from flowstage import bias_audit, cli
 from flowstage.bias_audit import audit, cluster_kappa, kmeans, read_items_csv
 from flowstage.errors import DomainError, ShapeError
 from flowstage.numerics import RandomSource
@@ -194,6 +196,137 @@ class TestTabularIO:
         with pytest.raises(DomainError):
             read_items_csv(path)
 
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "items.csv"
+        path.write_text("id,score,f,f\na,0.5,1.0,2.0\nb,0.5,3.0,4.0\n")
+        with pytest.raises(DomainError, match="repeats column 'f'"):
+            read_items_csv(path)
+
+    def test_header_only_is_no_items(self, tmp_path):
+        path = tmp_path / "items.csv"
+        path.write_text("id,score,label,f0\n\n")
+        with pytest.raises(DomainError, match="no items"):
+            read_items_csv(path)
+
+    @pytest.mark.parametrize("header, bad_row, message", [
+        ("id,score,f0", "b,abc,2.0", "line 3, column 'score': could not convert string to "
+                                     "float: 'abc'"),
+        ("id,score,f0", "b,1.0,2.0x", "line 3, column 'f0': could not convert string to "
+                                      "float: '2.0x'"),
+        ("id,score,label", "b,1.0,3.0", "line 3, column 'label': invalid literal for int() "
+                                        "with base 10: '3.0'"),
+        # numpy's parser would strip the separator as whitespace
+        ("id,score,f0", "b,\x1c1.0,2.0", "line 3, column 'score': could not convert string to "
+                                         "float: '\\x1c1.0'"),
+    ], ids=["score", "feature", "label", "separator"])
+    def test_unparsable_field_names_line_and_column(self, tmp_path, header, bad_row, message):
+        path = tmp_path / "items.csv"
+        path.write_text(f"{header}\na,1.0,1\n{bad_row}\n")
+        with pytest.raises(DomainError) as exc:
+            read_items_csv(path)
+        assert str(exc.value) == f"{path}, {message}"
+
+    @pytest.mark.parametrize("second, labels", [("2", [0, 2]), ("", None)],
+                             ids=["labelled", "one-unlabelled"])
+    def test_labels_read_without_the_row_loop(self, tmp_path, monkeypatch, second, labels):
+        path = tmp_path / "items.csv"
+        path.write_text(f"id,score,label,f0\na,1.5,0,0.5\nb,2.5,{second},1.5\n")
+        monkeypatch.setattr(bias_audit, "_read_rows", None)
+        scores, features, got = read_items_csv(path)
+        np.testing.assert_array_equal(scores, [1.5, 2.5])
+        np.testing.assert_array_equal(features, [[0.5], [1.5]])
+        if labels is None:
+            assert got is None
+        else:
+            np.testing.assert_array_equal(got, labels)
+
+
+FLOAT_FORMATS = (repr, "{:.5g}".format, "{:.17e}".format, "{:.25e}".format)
+# text numpy's parser and ``float`` may read differently, non-finite values
+# and fields that do not parse at all
+ODD_NUMBERS = ["inf", "-Infinity", "nan", "-NaN", "1e400", "1_0", "\u0661\u0662", " 2.5 ",
+               "\t-0.0", "\x1c2.5", "2.5\x1f", "\xa02.5", "", "abc", '"2.5"', '"2"5', '2"5"']
+ODD_LABELS = [" 3 ", "+4", "3.0", "1_0", "\u0663", "99999999999999999999", "x", '"7"']
+IDS = ["item", '"a, b"', '"say ""hi"""', '"two\nlines"', '"cr\r\nlf"', "", '"1,2\n3"']
+
+
+def _number_text(data, odd: int) -> str:
+    """A score or feature field; odd text with probability ``odd``/10."""
+    if data.draw(st.integers(0, 9)) < odd:
+        return data.draw(st.sampled_from(ODD_NUMBERS))
+    value = data.draw(st.floats(allow_nan=False, allow_infinity=False))
+    return data.draw(st.sampled_from(FLOAT_FORMATS))(value)
+
+
+def _label_text(data, odd: int, missing: int) -> str:
+    roll = data.draw(st.integers(0, 9))
+    if roll < odd:
+        return data.draw(st.sampled_from(ODD_LABELS))
+    if roll < odd + missing:
+        return ""
+    return str(data.draw(st.integers(-3, 20)))
+
+
+def _items_text(data) -> str:
+    """A CSV of items: any column order, quoted ids with commas, doubled
+    quotes and newlines, blank lines, CRLF or LF line ends, extra and
+    missing trailing fields, odd numbers and labels, or no rows at all."""
+    odd = data.draw(st.sampled_from([0, 0, 1, 3]))
+    names = ["id", "score"] + [f"f{j}" for j in range(data.draw(st.integers(0, 3)))]
+    missing = None
+    if data.draw(st.booleans()):
+        names.append("label")
+        missing = data.draw(st.sampled_from([0, 0, 1]))
+    header = data.draw(st.permutations(names))
+    eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header)]
+    for _ in range(data.draw(st.integers(0, 5))):
+        fields = [data.draw(st.sampled_from(IDS)) if name == "id"
+                  else _label_text(data, odd, missing) if name == "label"
+                  else _number_text(data, odd) for name in header]
+        roll = data.draw(st.integers(0, 19))
+        if roll == 0:
+            fields.pop()  # a short row
+        elif roll == 1:
+            fields += ["extra", "1.0"]
+        elif roll == 2:
+            lines.append("")  # a blank line
+        lines.append(",".join(fields))
+    return eol.join(lines) + data.draw(st.sampled_from([eol, ""]))
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestReaderOracle:
+    """``read_items_csv`` against the row loop it falls back on."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_matches_the_row_loop(self, tmp_path, data):
+        path = tmp_path / "items.csv"
+        with open(path, "w", newline="") as fp:
+            fp.write(_items_text(data))
+        got, want = _outcome(read_items_csv, path), _outcome(bias_audit._read_rows, path)
+        if isinstance(want[0], type):
+            assert got == want
+            return
+        assert not isinstance(got[0], type), got
+        for g, w in zip(got, want):
+            if w is None:
+                assert g is None
+            else:
+                assert g.dtype == w.dtype and g.shape == w.shape
+                if w.dtype == object:  # labels beyond int64: an array of Python ints
+                    assert g.tolist() == w.tolist()
+                else:
+                    assert g.tobytes() == w.tobytes()
+
 
 def six_items(tmp_path, rows):
     path = tmp_path / "items.csv"
@@ -220,7 +353,8 @@ class TestBadAuditInputExits2:
         (2, "0.3,nan,5.0", 3, "line 4: non-finite feature"),
         (4, "0.5,9.0", 3, "line 6: 3 fields, the header has 4"),
         (0, "inf,0.0,0.0", 3, "line 2: non-finite score"),
-    ], ids=["nan-feature-k1", "nan-feature-k3", "short-row", "inf-score"])
+        (2, "0.3,abc,5.0", 3, "line 4, column 'f0': could not convert string to float"),
+    ], ids=["nan-feature-k1", "nan-feature-k3", "short-row", "inf-score", "abc-feature"])
     def test_bad_row(self, tmp_path, row, bad, k, message):
         rows = list(self.GOOD)
         rows[row] = bad

@@ -173,6 +173,13 @@ class TestRejectedAtLoad:
         assert not (outdir / "failure.json").exists()
         assert "config error: rewards:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", [0, 5])
+    def test_static_stage_outside_the_suite_exits_1(self, tmp_path, checkpoint, capsys, stage):
+        rc, outdir = run_cli(tmp_path, checkpoint, f"--set=train.static_stage={stage}")
+        assert rc == 1
+        assert not (outdir / "failure.json").exists()
+        assert "train.static_stage: must lie in [1, 3]" in capsys.readouterr().err
+
     def test_too_few_thresholds_for_train(self):
         errors = load_errors(TRAIN, "curriculum.thresholds=[0.7, 0.7]")
         assert any("curriculum.thresholds" in e for e in errors)
