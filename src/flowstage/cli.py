@@ -34,7 +34,7 @@ from .flow_policy import (
 )
 from .grpo import train
 from .numerics import RandomSource
-from .rewards import eval_group
+from .rewards import RewardSuite, eval_group
 
 
 def _write_csv(path, header, rows) -> None:
@@ -125,18 +125,17 @@ def run_train(cfg: RunConfig) -> None:
 def run_eval(cfg: RunConfig) -> None:
     """Per-term reward statistics over freshly sampled groups."""
     policy = _load_init_policy(cfg)
-    suite = cfg.reward_suite()
+    suite = RewardSuite.of(cfg.reward_suite())
     sde = cfg.sde_config()
     group_size = cfg.resolved["train"]["group_size"]
     num_groups = cfg.resolved["eval"]["num_groups"]
     rng = RandomSource(cfg.seed)
 
     dims = policy.dims
-    ordered = sorted(suite, key=lambda t: t.stage)
     all_values = []
     rows = []
     for g in range(num_groups):
-        cond = int(rng.stream(0, g).integers(0, dims.num_classes))
+        cond = int(rng.at_stream(0, g).integers(0, dims.num_classes))
         noise = rng.gaussian_streams((1, g), group_size, (sde.num_steps + 1) * dims.state_size)
         rollout = sde_sample(policy, cond, sde, noise.reshape(group_size, sde.num_steps + 1, -1))
         matrix = eval_group(
@@ -158,13 +157,13 @@ def run_eval(cfg: RunConfig) -> None:
                 "min": float(stacked[:, j].min()),
                 "max": float(stacked[:, j].max()),
             }
-            for j, term in enumerate(ordered)
+            for j, term in enumerate(suite.terms)
         ],
     }
     _write_json(cfg.outdir / "eval_stats.json", stats)
     _write_csv(
         cfg.outdir / "eval_groups.csv",
-        ["group", "condition"] + [f"mean_{t.id}" for t in ordered],
+        ["group", "condition"] + [f"mean_{t.id}" for t in suite.terms],
         rows,
     )
 

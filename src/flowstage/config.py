@@ -3,7 +3,9 @@
 A config file (YAML or JSON) is deep-merged over the defaults below,
 then dotted-path overrides are applied.  Every default is materialized
 into the resolved config that gets written next to the run's outputs, so
-an output directory is always self-describing and re-runnable.
+an output directory is always self-describing and re-runnable.  ``yaml``
+is imported only to read a non-JSON file or an override, so a run from a
+JSON file without overrides never loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ import copy
 import json
 from dataclasses import fields
 from pathlib import Path
-
-import yaml
 
 from .curriculum import CurriculumConfig
 from .errors import ConfigError, DomainError, require_int, require_number
@@ -128,13 +128,18 @@ def load_config_file(path) -> dict:
     if not path.exists():
         raise ConfigError([f"config file not found: {path}"])
     text = path.read_text()
-    try:
-        if path.suffix == ".json":
+    if path.suffix == ".json":
+        try:
             data = json.loads(text)
-        else:
+        except json.JSONDecodeError as exc:
+            raise ConfigError([f"{path}: parse error: {exc}"])
+    else:
+        import yaml
+
+        try:
             data = yaml.safe_load(text)
-    except (json.JSONDecodeError, yaml.YAMLError) as exc:
-        raise ConfigError([f"{path}: parse error: {exc}"])
+        except yaml.YAMLError as exc:
+            raise ConfigError([f"{path}: parse error: {exc}"])
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -147,6 +152,8 @@ def parse_override(text: str):
     if "=" not in text:
         raise ConfigError([f"override {text!r} must look like key.path=value"])
     key, raw = text.split("=", 1)
+    import yaml
+
     try:
         value = yaml.safe_load(raw)
     except yaml.YAMLError as exc:

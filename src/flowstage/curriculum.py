@@ -105,7 +105,13 @@ def group_means(matrix: RewardMatrix) -> np.ndarray:
     """Column means of the reward matrix."""
     if matrix.group_size < 2:
         raise DomainError("need a group of at least 2")
-    return matrix.values.mean(axis=0)
+    return _mean(matrix.values)
+
+
+def _mean(values: np.ndarray) -> np.ndarray:
+    """Mean along axis 0, as ``np.mean`` forms it (sum, then divide by the
+    count) without its dispatch."""
+    return np.add.reduce(values, axis=0) / len(values)
 
 
 def transition(j: int, means: np.ndarray, sparsities: np.ndarray,
@@ -130,9 +136,10 @@ def stage_weights(g: np.ndarray, alpha: float) -> np.ndarray:
     if alpha < 0.0:
         raise DomainError("alpha must be >= 0")
     z = alpha * np.asarray(g, dtype=np.float64)
-    z = z - z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    z -= z.max()
+    np.exp(z, out=z)
+    z /= z.sum()
+    return z
 
 
 def mixed_reward(matrix: RewardMatrix, weights: np.ndarray) -> np.ndarray:
@@ -150,9 +157,10 @@ def normalize_advantages(mixed: np.ndarray) -> np.ndarray:
     mixed = np.asarray(mixed, dtype=np.float64)
     if mixed.ndim != 1 or len(mixed) < 2:
         raise DomainError("need a group of at least 2")
-    centered = mixed - mixed.mean()
-    std = math.sqrt(float(np.mean(centered**2)))
-    return centered / (std + ADVANTAGE_STD_FLOOR)
+    centered = mixed - _mean(mixed)
+    std = math.sqrt(float(_mean(centered * centered)))
+    centered /= std + ADVANTAGE_STD_FLOOR
+    return centered
 
 
 def curriculum_step(matrix: RewardMatrix, config: CurriculumConfig,

@@ -61,4 +61,6 @@ def class_indices(conditions, count: int, num_classes: int | None) -> np.ndarray
         raise DomainError(f"conditions must be integers, got {conditions!r}")
     if num_classes is not None and ((values < 0) | (values >= num_classes)).any():
         raise DomainError(f"condition {conditions} out of range")
-    return np.broadcast_to(values, (count,)).astype(np.int64)
+    if values.ndim == 0:
+        return np.full(count, values, dtype=np.int64)
+    return values.astype(np.int64)

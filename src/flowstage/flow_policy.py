@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -80,22 +81,30 @@ class PolicyDims:
 class FlowPolicy:
     """Velocity net plus one learned embedding row per condition class.
 
-    Every trainable number lives in ``vector`` (see :attr:`layout`), used
-    as given when it is a contiguous float64 array; ``net.weights``,
-    ``net.biases`` and ``cond_emb`` are views into it.
+    Every trainable number lives in ``vector``, used as given when it is
+    a contiguous float64 array; ``net.weights``, ``net.biases`` and
+    ``cond_emb`` are views into it.  ``layout`` names each array of
+    ``vector`` with its shape: the net's :func:`param_layout`, then
+    ``cond_emb``.
     """
 
     dims: PolicyDims
     layer_sizes: tuple
     vector: np.ndarray
+    layout: list = field(init=False, repr=False)
     net: MlpParams = field(init=False, repr=False)
     cond_emb: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
         self.vector = np.ascontiguousarray(self.vector, dtype=np.float64)
-        self.cond_emb = split_params(self.vector, self.layout)["cond_emb"]
-        self.net = MlpParams(self.layer_sizes, self.vector[: -self.cond_emb.size])
+        emb_shape = (self.dims.num_classes, self.dims.embed_dim)
+        # a vector of the wrong size leaves the net part the wrong size,
+        # which MlpParams rejects
+        net_size = max(self.vector.size - math.prod(emb_shape), 0)
+        self.net = MlpParams(self.layer_sizes, self.vector[:net_size])
+        self.layout = self.net.layout + [("cond_emb", emb_shape)]
+        self.cond_emb = self.vector[net_size:].reshape(emb_shape)
         if self.net.input_size != self.dims.net_input_size:
             raise ShapeError(
                 f"net input {self.net.input_size} != state + time + embedding "
@@ -106,18 +115,24 @@ class FlowPolicy:
                 f"net output {self.net.output_size} != state size {self.dims.state_size}"
             )
 
-    @property
-    def layout(self) -> list:
-        """``(name, shape)`` of each array of ``vector``: the net's, then
-        ``cond_emb``."""
-        return _policy_layout(self.layer_sizes, self.dims)
-
     def copy(self) -> "FlowPolicy":
         return replace(self, vector=self.vector.copy())
 
 
 def _policy_layout(layer_sizes: tuple, dims: PolicyDims) -> list:
     return param_layout(layer_sizes, [("cond_emb", (dims.num_classes, dims.embed_dim))])
+
+
+class SdeGrid(NamedTuple):
+    """An :class:`SdeConfig`'s per-step constants: the K + 1 flow times
+    from 1 down to t_min, the shared step size dt < 0, each step's noise
+    std eta * sqrt(t_k |dt|), and each step's mean coefficients
+    ``(a_x, a_v)`` from :func:`_step_coeffs`.  The arrays are read-only."""
+
+    times: np.ndarray
+    dt: float
+    stds: np.ndarray
+    coeffs: list
 
 
 @dataclass(frozen=True)
@@ -138,6 +153,17 @@ class SdeConfig:
             raise DomainError("t_min must lie in (0, 1)")
         if self.eta < 0.0:
             raise DomainError("eta must be >= 0")
+
+    @cached_property
+    def grid(self) -> SdeGrid:
+        """The sampler's per-step constants, built on first use and kept
+        with this config, so every group sampled under it shares them."""
+        times = time_grid(self.num_steps, self.t_min)
+        dt = (self.t_min - 1.0) / self.num_steps
+        stds = self.eta * np.sqrt(times[:-1] * -dt)
+        times.flags.writeable = stds.flags.writeable = False
+        return SdeGrid(times, dt, stds,
+                       [_step_coeffs(t, dt, self.eta) for t in times[:-1].tolist()])
 
 
 @dataclass
@@ -164,7 +190,8 @@ class Rollout:
     ``states[i, k + 1]`` under mean ``step_means[i, k]`` and covariance
     ``step_stds[k]**2 * I``, and ``log_probs`` is None when eta = 0 (the
     rollout is deterministic, no density exists).  The time grid ``times``
-    and the per-step ``step_stds`` are shared by the group, ``conditions``
+    and the per-step ``step_stds`` are shared by the group (they are the
+    sampler config's read-only :class:`SdeGrid` arrays), ``conditions``
     holds one class per trajectory.  ``kept`` maps each step named at
     sampling time to the velocity net's layer activations there, one
     (G, size) array per layer.
@@ -210,6 +237,32 @@ class Rollout:
         if not all(int(k) in self.kept for k in steps):
             return None
         return [np.concatenate(layer) for layer in zip(*(self.kept[int(k)] for k in steps))]
+
+    def recorded_eval(self, steps: Sequence[int]) -> "TransitionEval | None":
+        """What :func:`eval_step` gives at ``steps`` under the policy that
+        sampled this rollout, read from the rollout instead of recomputed:
+        the recorded means and log-densities, the kept activations and
+        d mean / d v, in the row order of :meth:`transitions`.  None
+        unless every one of the steps was kept and the rollout has
+        densities (eta > 0).
+
+        The sampler formed each mean and log-density with the operations
+        :func:`eval_step` uses, so they equal what it computes from these
+        activations, bit for bit.  A fresh forward pass over all the rows
+        at once can differ from the sampler's per-step passes at rounding
+        level (a wider BLAS product may sum in another order).
+        """
+        acts = self.kept_activations(steps)
+        if acts is None or self.log_probs is None:
+            return None
+        steps = np.asarray(steps, dtype=np.int64)
+        _, a_v = _step_coeffs(self.times[steps], self.dt, self.eta)
+        return TransitionEval(
+            log_probs=self.log_probs[:, steps].T.reshape(-1),
+            means=self.step_means[:, steps].transpose(1, 0, 2).reshape(-1, self.states.shape[2]),
+            acts=acts,
+            a_v=np.repeat(a_v, len(self)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +319,22 @@ def _net_input(policy: FlowPolicy, x: np.ndarray, t: float, cond: int) -> np.nda
 
 
 def _check_velocity_args(policy: FlowPolicy, x: np.ndarray, t: float, cond: int):
-    if not 0 <= int(cond) < policy.dims.num_classes:
-        raise DomainError(
-            f"condition {cond} out of range [0, {policy.dims.num_classes})"
-        )
+    """``(x, cond)`` checked: the condition an integer class of the policy
+    (see :func:`errors.class_indices`), the time in [0, 1], the state one
+    vector of the policy's state size."""
+    cond = int(class_indices(cond, 1, policy.dims.num_classes)[0])
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"flow time {t} outside [0, 1]")
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape != (policy.dims.state_size,):
         raise ShapeError(f"state shape {x.shape}, expected ({policy.dims.state_size},)")
-    return x
+    return x, cond
 
 
 def velocity(policy: FlowPolicy, x: np.ndarray, t: float, cond: int) -> np.ndarray:
     """Velocity field at state ``x``, flow time ``t``, condition ``cond``."""
-    x = _check_velocity_args(policy, x, t, cond)
-    out, _ = mlp_forward(policy.net, _net_input(policy, x, float(t), int(cond)))
+    x, cond = _check_velocity_args(policy, x, t, cond)
+    out, _ = mlp_forward(policy.net, _net_input(policy, x, float(t), cond))
     return out
 
 
@@ -362,8 +415,9 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     layer activations are kept for the steps in ``keep`` only.
 
     ``noise`` is only read.  The net input is one (G, in) buffer reused
-    by every step, so a kept step's input activations are a copy of it;
-    every array of the returned :class:`Rollout` is new and the caller's.
+    by every step, so a kept step's input activations are a copy of it.
+    Every array of the returned :class:`Rollout` is new and the caller's
+    but ``times`` and ``step_stds``, the read-only ``config.grid``.
     ``states[:, k + 1]`` starts as ``std_k * noise[:, k + 1]`` and step k
     adds its mean, the same IEEE sum as ``mean + std_k * noise``.
     """
@@ -377,10 +431,8 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     keep = {int(k) for k in keep}
     if any(not 0 <= k < K for k in keep):
         raise DomainError(f"kept steps {sorted(keep)} out of range [0, {K})")
-    times = time_grid(K, config.t_min)
-    dt = (config.t_min - 1.0) / K
+    times, dt, stds, coeffs = config.grid
     eta = config.eta
-    stds = eta * np.sqrt(times[:-1] * -dt)
 
     states = np.empty((G, K + 1, n))
     states[:, 0] = noise[:, 0]
@@ -389,7 +441,7 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     inputs = np.empty((G, policy.dims.net_input_size))
     inputs[:, n + 1:] = policy.cond_emb[conds]
     kept = {}
-    for k in range(K):
+    for k, (a_x, a_v) in enumerate(coeffs):
         t = float(times[k])
         x = states[:, k]
         inputs[:, :n] = x
@@ -398,7 +450,6 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
             v, acts = mlp_forward_batch(policy.net, inputs)
         except DomainError as exc:
             raise RolloutError(f"step {k} (t={t:.4f}): {exc}") from exc
-        a_x, a_v = _step_coeffs(t, dt, eta)
         mean = np.multiply(x, a_x, out=means[:, k])
         mean += a_v * v
         x_next = states[:, k + 1]
@@ -434,20 +485,17 @@ class TransitionEval:
     a_v: np.ndarray
 
 
-def eval_step(policy: FlowPolicy, rows: Transitions,
-              acts: list | None = None) -> TransitionEval:
+def eval_step(policy: FlowPolicy, rows: Transitions) -> TransitionEval:
     """Log-densities of recorded transitions under ``policy``, every
     selected step of every trajectory at once.
 
     The transition means are recomputed from this policy's velocity in one
     forward pass over all rows; the visited states and the noise scales
-    stay frozen.  ``acts``, the layer activations the rollout itself kept
-    at these rows, replaces that forward pass; pass it only when
-    ``policy`` is the policy that sampled the rollout.
+    stay frozen.  Under the policy that sampled the rollout,
+    :meth:`Rollout.recorded_eval` gives the same without the pass.
     """
-    if acts is None:
-        inputs = np.concatenate([rows.x, rows.t[:, None], policy.cond_emb[rows.cond]], axis=1)
-        _, acts = mlp_forward_batch(policy.net, inputs)
+    inputs = np.concatenate([rows.x, rows.t[:, None], policy.cond_emb[rows.cond]], axis=1)
+    _, acts = mlp_forward_batch(policy.net, inputs)
     a_x, a_v = _step_coeffs(rows.t, rows.dt, rows.eta)
     means = a_x * rows.x + a_v[:, None] * acts[-1]
     return TransitionEval(_log_density_rows(rows.x_next, means, rows.std), means, acts, a_v)

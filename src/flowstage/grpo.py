@@ -7,11 +7,19 @@ as one array with the reward suite, mixes the terms with the curriculum
 gates, and ascends the clipped importance-ratio surrogate through the
 per-step Gaussian transition densities.
 
-On a refresh step the reference is the policy being optimised, so the
-ratios are exactly 1 and the gradient comes from the layer activations
-the rollout kept at the selected steps; only against a stale reference
-(``ref_refresh_interval > 1``) are the selected transitions re-evaluated
-in one batched forward pass, and only there can the clip bind.
+On a refresh step the reference is the policy being optimised, so
+everything the gradient needs at the selected steps is already in the
+rollout: the transition means and log-densities it recorded and the
+layer activations it kept.  The ratios are then exp(0) = 1.  Only
+against a stale reference (``ref_refresh_interval > 1``) are the
+selected transitions re-evaluated in one batched forward pass, and only
+there can the clip bind.
+
+What does not change from step to step is resolved once per run: the
+reward suite (checked and put in stage order) and the sampler's time
+grid and step constants (``SdeConfig.grid``).  Each step's condition
+and timestep subset are drawn from their stream keys through the run's
+one scratch generator (``RandomSource.at_stream``).
 
 Advantages enter the gradient as constants: nothing differentiates
 through the reward or mixing computations.
@@ -45,7 +53,7 @@ from .flow_policy import (
     sde_sample,
 )
 from .numerics import AdamState, RandomSource, adam_init, adam_step_arrays
-from .rewards import RewardTerm, default_suite, eval_group, validate_suite
+from .rewards import RewardSuite, RewardTerm, default_suite, eval_group
 
 # Stream ids for per-step child RNGs.
 _STREAM_COND, _STREAM_ROLLOUT, _STREAM_SUBSET = 0, 1, 2
@@ -65,7 +73,7 @@ class TrainConfig:
     seed: int = 0
     sde: SdeConfig = field(default_factory=SdeConfig)
     curriculum: CurriculumConfig = field(default_factory=CurriculumConfig)
-    suite: tuple | None = None  # defaults to the standard three-stage suite
+    suite: tuple | RewardSuite | None = None  # defaults to the standard three-stage suite
     static_stage: int | None = None  # train on one term only, bypassing gates
     smooth_window: int = 15
     max_grad_norm: float = 1.0  # 0 disables the global-norm clip
@@ -97,7 +105,7 @@ class TrainConfig:
             raise DomainError("learning_rate must be >= 0")
         if self.max_grad_norm < 0.0:
             raise DomainError("max_grad_norm must be >= 0")
-        if self.suite is not None:
+        if self.suite is not None and not isinstance(self.suite, RewardSuite):
             object.__setattr__(self, "suite", tuple(self.suite))
 
 
@@ -210,17 +218,19 @@ def surrogate_and_grads(policy: FlowPolicy, rollout: Rollout,
                         ref_policy: FlowPolicy | None = None):
     """Objective value and its exact gradient w.r.t. ``policy.vector``.
 
-    Evaluates each selected transition's log-density under ``policy``
-    against the rollout's recorded reference log-densities, all G x T'
-    of them in one batched forward and one batched backward pass.  The
-    ratio exp(new - old) is clamped to [1/ratio_clamp_max, ratio_clamp_max].
+    Takes each selected transition's log-density under ``policy`` against
+    the rollout's recorded reference log-densities, all G x T' of them at
+    once, and backpropagates in one batched backward pass.  The ratio
+    exp(new - old) is clamped to [1/ratio_clamp_max, ratio_clamp_max].
     The gradient flows only where the unclipped branch is active and the
     clamp does not bind; advantages are consumed as constants.
 
     ``ref_policy`` is the policy that sampled ``rollout``.  When it is
     ``policy`` itself and the rollout kept its activations at the
-    selected steps, those replace the forward pass (the ratios are then
-    exactly 1); otherwise the transitions are re-evaluated.
+    selected steps, the new log-densities, means and activations are the
+    rollout's own (:meth:`Rollout.recorded_eval`) and the ratios are
+    exp(0) = 1.  Otherwise :func:`eval_step` re-evaluates the
+    transitions in one batched forward pass.
 
     Returns ``(J, grads, ratios, clip_flags)``.
     """
@@ -234,8 +244,9 @@ def surrogate_and_grads(policy: FlowPolicy, rollout: Rollout,
         raise DomainError("trajectories must be sampled with eta > 0")
     advantages = np.asarray(advantages, dtype=np.float64)
     rows = rollout.transitions(subset)
-    acts = rollout.kept_activations(subset) if ref_policy is policy else None
-    ev = eval_step(policy, rows, acts)
+    ev = rollout.recorded_eval(subset) if ref_policy is policy else None
+    if ev is None:
+        ev = eval_step(policy, rows)
     old = rollout.log_probs[:, subset]
     if not np.isfinite(old).all():
         raise DomainError("recorded log-probabilities must be finite")
@@ -256,14 +267,16 @@ def surrogate_and_grads(policy: FlowPolicy, rollout: Rollout,
 # ---------------------------------------------------------------------------
 
 
-def _resolve_suite(policy: FlowPolicy, config: TrainConfig) -> tuple:
+def _resolve_suite(policy: FlowPolicy, config: TrainConfig) -> RewardSuite:
+    """The run's reward suite, checked; :func:`train` resolves it once and
+    hands it to every step in the config."""
     suite = config.suite
     if suite is None:
-        suite = tuple(default_suite(policy.dims.num_classes))
-    validate_suite(suite)
-    if config.static_stage is not None and not 1 <= config.static_stage <= len(suite):
+        suite = default_suite(policy.dims.num_classes)
+    suite = RewardSuite.of(suite)
+    if config.static_stage is not None and not 1 <= config.static_stage <= len(suite.terms):
         raise DomainError(f"static_stage {config.static_stage} out of range")
-    return tuple(suite)
+    return suite
 
 
 def _static_state(matrix, stage: int) -> CurriculumState:
@@ -293,7 +306,8 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
     advantages, ascends the surrogate, and returns
     ``(policy, opt_state, curriculum state, step record)``.  When
     ``ref_policy is policy`` the rollout keeps its activations at the
-    selected steps and the gradient is taken from them.  The Adam update
+    selected steps and the gradient is taken from the rollout alone (see
+    :func:`surrogate_and_grads`).  The Adam update
     is pure: the returned policy holds a new vector and neither input
     policy is written, so either may serve as a later step's reference.
     """
@@ -301,10 +315,10 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
     if opt_state is None:
         opt_state = adam_init(policy.vector, learning_rate=config.learning_rate)
 
-    cond = int(rng.stream(_STREAM_COND, step_index).integers(0, policy.dims.num_classes))
+    cond = int(rng.at_stream(_STREAM_COND, step_index).integers(0, policy.dims.num_classes))
     K = config.sde.num_steps
     n_sel = math.ceil(config.timestep_fraction * K)
-    subset = np.sort(rng.stream(_STREAM_SUBSET, step_index).permutation(K)[:n_sel])
+    subset = np.sort(rng.at_stream(_STREAM_SUBSET, step_index).permutation(K)[:n_sel])
     G, dims = config.group_size, policy.dims
     noise = rng.gaussian_streams((_STREAM_ROLLOUT, step_index), G, (K + 1) * dims.state_size)
     try:
@@ -363,6 +377,7 @@ def train(policy: FlowPolicy, config: TrainConfig, step_callback=None):
     ``step_callback(step, policy, record)`` runs after each update
     (checkpointing hook).  Returns ``(policy, TrainLog)``.
     """
+    config = replace(config, suite=_resolve_suite(policy, config))
     rng = RandomSource(config.seed)
     opt_state = adam_init(policy.vector, learning_rate=config.learning_rate)
     log = TrainLog()

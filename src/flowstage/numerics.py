@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -88,12 +88,14 @@ class MlpParams:
 
     Hidden layers use tanh, the final layer is identity; ``weights[l]`` has
     shape ``(layer_sizes[l + 1], layer_sizes[l])``.  ``weights`` and
-    ``biases`` are views into ``vector`` (see :func:`param_layout`), which
-    is used as given when it is already a contiguous float64 array.
+    ``biases`` are views into ``vector`` laid out by ``layout``, the
+    net's :func:`param_layout`; the vector is used as given when it is
+    already a contiguous float64 array.
     """
 
     layer_sizes: tuple
     vector: np.ndarray
+    layout: list = field(init=False, repr=False)
     weights: list = field(init=False, repr=False)
     biases: list = field(init=False, repr=False)
 
@@ -102,7 +104,8 @@ class MlpParams:
         if len(self.layer_sizes) < 2:
             raise ShapeError("need at least an input and an output layer")
         self.vector = _as_f64(self.vector)
-        self.weights, self.biases = _layer_views(self.vector, self.layer_sizes)
+        self.layout = param_layout(self.layer_sizes)
+        self.weights, self.biases = _layer_views(self.vector, self.layout)
         if not np.isfinite(self.vector).all():
             raise DomainError("non-finite parameter")
 
@@ -115,10 +118,11 @@ class MlpParams:
         return self.layer_sizes[-1]
 
 
-def _layer_views(vector: np.ndarray, layer_sizes: tuple):
-    """Per-layer weight and bias views of a net-layout vector."""
-    views = split_params(vector, param_layout(layer_sizes))
-    layers = range(len(layer_sizes) - 1)
+def _layer_views(vector: np.ndarray, layout: list):
+    """Per-layer weight and bias views of a vector laid out by a net's
+    ``layout``."""
+    views = split_params(vector, layout)
+    layers = range(len(layout) // 2)
     return [views[f"w{l}"] for l in layers], [views[f"b{l}"] for l in layers]
 
 
@@ -197,7 +201,7 @@ def mlp_backward_batch(params: MlpParams, cache: list, upstream: np.ndarray):
     """
     upstream = _as_f64(upstream)
     grad = np.empty_like(params.vector)
-    grad_w, grad_b = _layer_views(grad, params.layer_sizes)
+    grad_w, grad_b = _layer_views(grad, params.layout)
     input_grads = kernels.backward(params.weights, cache, upstream, grad_w, grad_b)
     return grad, input_grads
 
@@ -233,6 +237,10 @@ def adam_step_arrays(params: np.ndarray, grad: np.ndarray, state: AdamState):
 
     Pure: returns a new vector and a new state and writes neither input.
     Non-finite gradients are rejected so they cannot poison the moments.
+    Each operation is the textbook formula's, in its order, so the result
+    is bit for bit that of ``m = b1 m + (1 - b1) g``, ``v = b2 v +
+    (1 - b2) g g`` and ``params - lr m_hat / (sqrt(v_hat) + eps)``; only
+    the intermediate arrays are reused.
     """
     params, grad = _as_f64(params), _as_f64(grad)
     if params.shape != grad.shape or params.shape != state.m.shape:
@@ -242,12 +250,20 @@ def adam_step_arrays(params: np.ndarray, grad: np.ndarray, state: AdamState):
         raise DomainError("non-finite gradient; update rejected")
     t = state.step_count + 1
     b1, b2 = state.beta1, state.beta2
-    m = b1 * state.m + (1.0 - b1) * grad
-    v = b2 * state.v + (1.0 - b2) * grad * grad
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    new_params = params - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return new_params, replace(state, m=m, v=v, step_count=t)
+    m = np.multiply(state.m, b1)
+    tmp = np.multiply(grad, 1.0 - b1)
+    m += tmp
+    v = np.multiply(state.v, b2)
+    np.multiply(grad, 1.0 - b2, out=tmp)
+    tmp *= grad
+    v += tmp
+    denom = np.divide(v, 1.0 - b2**t)
+    np.sqrt(denom, out=denom)
+    denom += state.epsilon
+    np.divide(m, 1.0 - b1**t, out=tmp)
+    tmp *= state.learning_rate
+    tmp /= denom
+    return params - tmp, AdamState(m, v, t, state.learning_rate, b1, b2, state.epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -293,24 +309,21 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def _philox_keys(seed: int, spawn_key: tuple, count: int) -> np.ndarray:
-    """``(count, 2)`` uint64 Philox keys; row i is
-    ``SeedSequence(seed, spawn_key=spawn_key + (i,)).generate_state(2, uint64)``.
+def _child_pool(seed: int, spawn_key: tuple) -> tuple:
+    """SeedSequence's entropy pool after it has mixed in the words that
+    every child of ``(seed, spawn_key)`` shares, as ``(pool, next hash
+    constant)``.
 
     SeedSequence hashes its entropy words into a 4-word pool: the seed
-    words, zero-padded to 4 because there is a spawn key, then the spawn
-    key's words.  All of that but the last word, i, is the same for every
-    row, so it is mixed once here on a few ints; only i is mixed per row,
-    into each pool word and then each of the four output words of
-    ``generate_state``, on one ``(4, count)`` array.  ``count`` is at most
-    2**32, so i is one word and never part of the pool fill.
+    words, zero-padded to 4 because a child has a spawn key, then the
+    spawn key's words.  The first 4 words fill the pool and are
+    cross-mixed; each later word is mixed into every pool word.
     """
-    seed_words = _uint32_words(seed)
-    seed_words += [0] * (_SEED_POOL_SIZE - len(seed_words))
-    shared = seed_words + [w for k in spawn_key for w in _uint32_words(k)]
+    words = _uint32_words(seed)
+    words += [0] * (_SEED_POOL_SIZE - len(words))
     hash_const = _INIT_A
     pool = []
-    for word in shared[:_SEED_POOL_SIZE]:
+    for word in words[:_SEED_POOL_SIZE]:
         mixed, hash_const = _hashmix(word, hash_const)
         pool.append(mixed)
     for src in range(_SEED_POOL_SIZE):
@@ -318,14 +331,44 @@ def _philox_keys(seed: int, spawn_key: tuple, count: int) -> np.ndarray:
             if src != dst:
                 mixed, hash_const = _hashmix(pool[src], hash_const)
                 pool[dst] = _mix(pool[dst], mixed)
-    for word in shared[_SEED_POOL_SIZE:]:
+    later = words[_SEED_POOL_SIZE:] + [w for k in spawn_key for w in _uint32_words(k)]
+    return _mix_words((pool, hash_const), later)
+
+
+def _mix_words(state: tuple, words) -> tuple:
+    """``state``, a ``(pool, next hash constant)``, after mixing ``words``
+    into every pool word; a new state."""
+    pool, hash_const = list(state[0]), state[1]
+    for word in words:
         for dst in range(_SEED_POOL_SIZE):
             mixed, hash_const = _hashmix(word, hash_const)
             pool[dst] = _mix(pool[dst], mixed)
+    return pool, hash_const
 
-    # i's hashmix into pool word dst takes the dst-th hash constant from
-    # here, and output word dst the dst-th output constant, so the four
-    # words are mixed at once, one per row of a (4, count) array.
+
+def _philox_key(state: tuple) -> list:
+    """The Philox key, two uint64 as ints, that SeedSequence's
+    ``generate_state(2, uint64)`` gives for the pool of ``state``."""
+    out, const = [], _INIT_B
+    for word in state[0]:
+        word ^= const
+        const = const * _MULT_B & _MASK32
+        word = word * const & _MASK32
+        out.append(word ^ (word >> 16))
+    return [out[0] | out[1] << 32, out[2] | out[3] << 32]
+
+
+def _philox_keys(state: tuple, count: int) -> np.ndarray:
+    """``(count, 2)`` uint64 Philox keys; row i is the key of the pool of
+    ``state`` with one more entropy word, i: :func:`_philox_key` of
+    ``_mix_words(state, [i])``.
+
+    i's hashmix into pool word dst takes the dst-th hash constant from
+    ``state``, and output word dst the dst-th output constant, so the
+    four words are mixed at once, one per row of a ``(4, count)`` array.
+    ``count`` is at most 2**32, so i is one word.
+    """
+    pool, hash_const = state
     hash_consts, out_consts = [hash_const], [_INIT_B]
     for _ in range(_SEED_POOL_SIZE - 1):
         hash_consts.append(hash_consts[-1] * _MULT_A & _MASK32)
@@ -347,8 +390,11 @@ class RandomSource:
 
     The same ``(seed, spawn_key)`` always reproduces the same draw sequence,
     and distinct spawn keys give statistically independent streams, so
-    parallel rollouts can each own one.  :meth:`gaussian_streams` draws
-    from many sibling streams at once, bit for bit as :meth:`stream` would.
+    parallel rollouts can each own one.  :meth:`gaussian_streams` and
+    :meth:`at_stream` draw from child streams bit for bit as
+    :meth:`stream` would, from keys hashed off a pool this source mixes
+    once (negative ids are rejected, as SeedSequence rejects them), into
+    one Philox it keeps for the purpose.
     """
 
     def __init__(self, seed: int, spawn_key: tuple = ()):
@@ -356,6 +402,8 @@ class RandomSource:
         self.spawn_key = tuple(int(k) for k in spawn_key)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.Philox(seq))
+        self._pool = None
+        self._scratch = None
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, spawn_key={self.spawn_key})"
@@ -363,6 +411,36 @@ class RandomSource:
     def stream(self, *ids: int) -> "RandomSource":
         """Child stream; disjoint from the parent and from other ids."""
         return RandomSource(self.seed, self.spawn_key + tuple(int(i) for i in ids))
+
+    def _child_state(self, ids) -> tuple:
+        """The pool state of child ``ids`` (see :func:`_child_pool`); the
+        shared part is mixed on the first call only."""
+        if self._pool is None:
+            self._pool = _child_pool(self.seed, self.spawn_key)
+        return _mix_words(self._pool, [w for i in ids for w in _uint32_words(int(i))])
+
+    def _scratch_generator(self, key: list) -> np.random.Generator:
+        """The scratch generator, set to the state a fresh stream with
+        Philox ``key`` starts in: counter 0 and an empty buffer, given as
+        plain ints."""
+        if self._scratch is None:
+            self._scratch = np.random.Generator(np.random.Philox(0))
+        self._scratch.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return self._scratch
+
+    def at_stream(self, *ids: int) -> np.random.Generator:
+        """A generator that starts where ``stream(*ids)`` starts: its
+        draws equal that stream's, bit for bit.
+
+        It is the one scratch generator of this source, set afresh by every
+        call here and in :meth:`gaussian_streams`, so draw from it before
+        the next; no SeedSequence, Philox or Generator is built.
+        """
+        if not ids:
+            raise DomainError("at_stream needs at least one id")
+        return self._scratch_generator(_philox_key(self._child_state(ids)))
 
     def gaussian(self, n: int) -> np.ndarray:
         if n < 1:
@@ -374,26 +452,16 @@ class RandomSource:
         ``self.stream(*ids, i).gaussian(n)``.
 
         The streams' Philox keys come from :func:`_philox_keys` in one
-        pass; the draws then reuse one Philox, set to each row's key at
-        counter 0 with an empty buffer, the state a fresh stream starts
-        in.  Negative ids are rejected, as SeedSequence rejects them.
+        pass; the draws then reuse the scratch generator, set to each
+        row's key (this resets :meth:`at_stream`'s generator too).
         """
         if not 1 <= count <= _MASK32 + 1:
             raise DomainError(f"need 1 <= count <= 2**32 streams, got {count}")
         if n < 1:
             raise DomainError(f"need n >= 1 draws, got {n}")
-        keys = _philox_keys(self.seed, self.spawn_key + tuple(int(i) for i in ids), count)
-        bits = np.random.Philox(0)
-        gen = np.random.Generator(bits)
-        zeros = np.zeros(4, dtype=np.uint64)
-        key_slot = {"counter": zeros, "key": None}
-        state = {"bit_generator": "Philox", "state": key_slot, "buffer": zeros,
-                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         out = np.empty((count, int(n)))
-        for i, key in enumerate(keys.tolist()):
-            key_slot["key"] = key
-            bits.state = state
-            gen.standard_normal(out=out[i])
+        for i, key in enumerate(_philox_keys(self._child_state(ids), count).tolist()):
+            self._scratch_generator(key).standard_normal(out=out[i])
         return out
 
     def uniform(self, n: int | None = None):

@@ -24,7 +24,7 @@ scalar keeps every reward bit-identical to scoring one sample at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -81,6 +81,29 @@ def validate_suite(suite: Sequence[RewardTerm]) -> None:
         raise DomainError(f"stage indices must be contiguous 1..K, got {stages}")
 
 
+@dataclass(frozen=True)
+class RewardSuite:
+    """A reward suite checked once (see :func:`validate_suite`), for a run
+    that scores many groups with it: ``terms`` in stage order, and
+    ``num_classes``, the class range every alignment term accepts (None
+    without one)."""
+
+    terms: tuple
+    num_classes: int | None = field(init=False)
+
+    def __post_init__(self):
+        validate_suite(self.terms)
+        terms = tuple(sorted(self.terms, key=lambda term: term.stage))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "num_classes", min(
+            (term.num_classes for term in terms if term.kind == "alignment"), default=None))
+
+    @classmethod
+    def of(cls, suite: Sequence[RewardTerm]) -> "RewardSuite":
+        """``suite`` as a RewardSuite: checked unless it is one already."""
+        return suite if isinstance(suite, RewardSuite) else cls(suite)
+
+
 @dataclass
 class RewardMatrix:
     """Per-sample, per-term rewards for one group; ``flags`` marks entries
@@ -120,16 +143,34 @@ def _exp_each(exponents: np.ndarray) -> np.ndarray:
     return np.array([math.exp(x) for x in exponents.tolist()])
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis, as ``np.linalg.norm`` forms it
+    (square, sum, root) without its dispatch."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=-1))
+
+
+def _row_means(values: np.ndarray) -> np.ndarray:
+    """Mean along axis 1, as ``np.mean`` forms it (sum, then divide by the
+    count) without its dispatch."""
+    return np.add.reduce(values, axis=1) / values.shape[1]
+
+
 def _fidelity(frames: np.ndarray, scale: float) -> np.ndarray:
-    radii = np.linalg.norm(frames, axis=2)
-    return _exp_each(-np.mean((radii - 1.0) ** 2, axis=1) / scale)
+    dev = _norms(frames)
+    dev -= 1.0
+    dev *= dev
+    return _exp_each(-_row_means(dev) / scale)
 
 
 def _smoothness(frames: np.ndarray, scale: float) -> np.ndarray:
     if frames.shape[1] < 3:
         return np.ones(len(frames))  # no curvature measurable on two frames
-    second = frames[:, 2:] - 2.0 * frames[:, 1:-1] + frames[:, :-2]
-    return _exp_each(-np.mean(np.sum(second**2, axis=2), axis=1) / scale)
+    # f_{t+1} - 2 f_t + f_{t-1}, summed in that order
+    second = np.multiply(frames[:, 1:-1], 2.0)
+    np.subtract(frames[:, 2:], second, out=second)
+    second += frames[:, :-2]
+    second *= second
+    return _exp_each(-_row_means(np.add.reduce(second, axis=2)) / scale)
 
 
 def _alignment(frames: np.ndarray, conds: np.ndarray, term: RewardTerm):
@@ -139,7 +180,7 @@ def _alignment(frames: np.ndarray, conds: np.ndarray, term: RewardTerm):
     if final.shape[1] < 2:
         raise ShapeError(f"alignment term {term.id!r} needs frames of dimension >= 2, "
                          f"got {final.shape[1]}")
-    degenerate = np.linalg.norm(final, axis=1) < DEGENERATE_RADIUS
+    degenerate = _norms(final) < DEGENERATE_RADIUS
     angles = np.array([math.atan2(y, x) for x, y in final[:, :2].tolist()])
     err = wrapped_angle_error(angles, 2.0 * math.pi * conds / term.num_classes)
     values = _exp_each(-err * err / term.scale)
@@ -155,15 +196,17 @@ def _score_term(term: RewardTerm, frames: np.ndarray, conds: np.ndarray):
     return score(frames, term.scale), np.zeros(len(frames), dtype=bool)
 
 
-def eval_group(suite: Sequence[RewardTerm], frames, conditions) -> RewardMatrix:
+def eval_group(suite: Sequence[RewardTerm] | RewardSuite, frames,
+               conditions) -> RewardMatrix:
     """Score every row of a ``(G, T, D)`` frame array with every term.
 
     ``conditions`` is one class for the whole group or one per row, each
     an integer in the range of every alignment term's classes.  Terms
     that cannot score a row contribute 0 with the diagnostic flag
-    set; non-finite frames are rejected.
+    set; non-finite frames are rejected.  A :class:`RewardSuite` is used
+    as checked; any other suite is checked on every call.
     """
-    validate_suite(suite)
+    suite = RewardSuite.of(suite)
     frames = np.ascontiguousarray(frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[1] < 2:
         raise ShapeError(f"frames must be (G, T >= 2, D), got {frames.shape}")
@@ -172,10 +215,9 @@ def eval_group(suite: Sequence[RewardTerm], frames, conditions) -> RewardMatrix:
         raise DomainError("group evaluation needs at least 2 samples")
     if not np.isfinite(frames).all():
         raise DomainError("non-finite frame")
-    classes = min((term.num_classes for term in suite if term.kind == "alignment"),
-                  default=None)
-    conds = class_indices(conditions, G, classes)
-    columns = [_score_term(term, frames, conds)
-               for term in sorted(suite, key=lambda term: term.stage)]
-    return RewardMatrix(np.stack([v for v, _ in columns], axis=1),
-                        np.stack([f for _, f in columns], axis=1))
+    conds = class_indices(conditions, G, suite.num_classes)
+    values = np.empty((G, len(suite.terms)))
+    flags = np.empty((G, len(suite.terms)), dtype=bool)
+    for j, term in enumerate(suite.terms):
+        values[:, j], flags[:, j] = _score_term(term, frames, conds)
+    return RewardMatrix(values, flags)

@@ -2,6 +2,10 @@
 recorded, and configs that cannot run are rejected at load time."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,6 +73,33 @@ def test_defaults_are_the_dataclass_defaults():
     assert cfg.curriculum_config() == CurriculumConfig()
     assert cfg.reward_suite() == default_suite(cfg.policy_dims().num_classes)
     assert cfg.train_config() == TrainConfig(suite=tuple(cfg.reward_suite()))
+
+
+def test_yaml_is_imported_only_for_yaml_files_and_overrides(tmp_path):
+    # a JSON run without overrides never pays for importing yaml; a YAML
+    # file and a --set override still parse, YAML scalars included
+    (tmp_path / "run.json").write_text('{"mode": "pretrain", "seed": 3}')
+    (tmp_path / "run.yaml").write_text("mode: pretrain\nseed: 4\nsde:\n  eta: 0.25\n")
+    script = (
+        "import json, sys\n"
+        "import flowstage.cli\n"
+        "from flowstage.config import RunConfig\n"
+        "seen = ['yaml' in sys.modules]\n"
+        "a = RunConfig.from_file(sys.argv[1])\n"
+        "seen.append('yaml' in sys.modules)\n"
+        "b = RunConfig.from_file(sys.argv[2])\n"
+        "c = RunConfig.from_file(sys.argv[1], ['sde.eta=0.75', 'train.static_stage=null'])\n"
+        "print(json.dumps([seen, a.seed, b.seed, b.sde_config().eta, c.sde_config().eta,\n"
+        "                  c.resolved['train']['static_stage']]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run.json"),
+                          str(tmp_path / "run.yaml")],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[False, False], 3, 4, 0.25, 0.75, None]
 
 
 def test_overrides_do_not_leak_into_later_loads():

@@ -131,6 +131,22 @@ class TestVelocity:
         with pytest.raises(DomainError):
             velocity(p, np.zeros(SMALL.state_size), 1.5, 0)
 
+    @pytest.mark.parametrize("cond", [2.5, 2.0, True, -1])
+    def test_condition_must_be_an_integer_class(self, cond):
+        # a fractional condition is not truncated to a class, in velocity
+        # and in ode_path, as sde_sample and eval_group reject it too
+        p = small_policy()
+        with pytest.raises(DomainError):
+            velocity(p, np.zeros(SMALL.state_size), 0.5, cond)
+        with pytest.raises(DomainError):
+            ode_path(p, cond, 4, RandomSource(1))
+
+    def test_numpy_integer_condition_accepted(self):
+        p = small_policy()
+        x = np.full(SMALL.state_size, 0.3)
+        np.testing.assert_array_equal(velocity(p, x, 0.5, np.int64(2)),
+                                      velocity(p, x, 0.5, 2))
+
 
 class TestOdeSampling:
     def test_zero_velocity_returns_initial_noise(self):

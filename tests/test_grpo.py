@@ -198,21 +198,22 @@ class TestTrainStep:
                 assert abs(rec.objective) <= 1e-6
 
     def test_refresh_two_takes_both_paths(self, monkeypatch):
-        # refresh steps reuse the rollout's activations; stale steps
-        # re-evaluate, and there the clip does its job
-        reevaluated = []
+        # refresh steps take everything from the rollout and never call
+        # eval_step; stale steps re-evaluate, and there the clip does its job
+        done, reevaluated = [], []
         evaluate = grpo.eval_step
 
-        def spy(policy, rows, acts=None):
-            reevaluated.append(acts is None)
-            return evaluate(policy, rows, acts)
+        def spy(policy, rows):
+            reevaluated.append(len(done))  # the index of the step running
+            return evaluate(policy, rows)
 
         monkeypatch.setattr(grpo, "eval_step", spy)
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(12))
         cfg = small_train_config(num_steps=4, ref_refresh_interval=2, seed=17,
                                  learning_rate=5e-3)
-        _, log = train(policy, cfg)
-        assert reevaluated == [False, True, False, True]
+        _, log = train(policy, cfg, step_callback=lambda s, p, rec: done.append(s))
+        assert reevaluated == [1, 3]
+        assert [rec.refresh for rec in log.records] == [True, False, True, False]
         for rec in log.records:
             if rec.refresh:
                 assert rec.ratio_max_dev == 0.0
@@ -341,6 +342,40 @@ class TestGradientFidelity:
         arrays, arrays_re = (split_params(g, policy.layout) for g in (grads, grads_re))
         for name, b in arrays_re.items():
             assert np.linalg.norm(arrays[name] - b) <= 1e-12 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("seed, eta, t_min", [
+        (41, 0.5, 0.04), (42, 1.0, 0.04), (43, 0.2, 0.3), (44, 2.0, 0.01), (45, 0.5, 0.5)])
+    def test_on_policy_equals_reevaluation_bit_for_bit(self, seed, eta, t_min, monkeypatch):
+        # at the default net size, reading the rollout's means, log-densities
+        # and activations gives exactly what re-evaluating its transitions
+        # gives when the forward pass runs in the sampler's G-row batches (a
+        # 64-wide product over all G x T' rows at once sums in another order)
+        dims, G = PolicyDims(), 16
+        policy = init_flow_policy(dims, hidden=(64, 64), rng=RandomSource(seed))
+        cfg = SdeConfig(num_steps=16, eta=eta, t_min=t_min)
+        rng = RandomSource(seed + 100)
+        subset = np.sort(rng.stream(2).permutation(16)[:10])
+        noise = rng.gaussian_streams((1,), G, 17 * dims.state_size).reshape(G, 17, -1)
+        adv = normalize_advantages(rng.stream(3).gaussian(G))
+        kept = sde_sample(policy, 5, cfg, noise, keep=subset)
+        bare = sde_sample(policy, 5, cfg, noise)
+        assert bare.kept == {}
+        forward = flow_policy.mlp_forward_batch
+
+        def per_step_forward(net, inputs):
+            parts = [forward(net, inputs[i:i + G])[1] for i in range(0, len(inputs), G)]
+            acts = [np.concatenate(layer) for layer in zip(*parts)]
+            return acts[-1], acts
+
+        monkeypatch.setattr(flow_policy, "mlp_forward_batch", per_step_forward)
+        on = surrogate_and_grads(policy, kept, adv, subset, 0.1, 5.0, ref_policy=policy)
+        re = surrogate_and_grads(policy, bare, adv, subset, 0.1, 5.0,
+                                 ref_policy=policy.copy())
+        assert on[0] == re[0]
+        for a, b in zip(on[1:], re[1:]):
+            np.testing.assert_array_equal(a, b)
+        assert (on[2] == 1.0).all()
+        assert not on[3].any()
 
     def test_gradient_zero_when_all_clipped(self):
         ref = tiny_policy(32)

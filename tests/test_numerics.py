@@ -16,6 +16,7 @@ from flowstage.flow_policy import PolicyDims, init_flow_policy, load_policy, sav
 from flowstage.numerics import (
     MlpParams,
     RandomSource,
+    _child_pool,
     _philox_keys,
     adam_init,
     adam_step_arrays,
@@ -325,7 +326,7 @@ class TestGaussianStreams:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(SEEDS), IDS, st.integers(1, 70))
     def test_keys_equal_seed_sequence(self, seed, spawn_key, count):
-        keys = _philox_keys(seed, tuple(spawn_key), count)
+        keys = _philox_keys(_child_pool(seed, tuple(spawn_key)), count)
         expected = [np.random.SeedSequence(seed, spawn_key=(*spawn_key, i))
                     .generate_state(2, np.uint64) for i in range(count)]
         np.testing.assert_array_equal(keys, expected)
@@ -346,6 +347,33 @@ class TestGaussianStreams:
         root = RandomSource(8)
         root.gaussian_streams((1,), 5, 3)
         np.testing.assert_array_equal(root.gaussian(4), RandomSource(8).gaussian(4))
+
+
+class TestAtStream:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(SEEDS), IDS, IDS.filter(len), st.integers(1, 40),
+           st.integers(1, 20))
+    def test_draws_equal_child_stream(self, seed, spawn, ids, high, k):
+        root = RandomSource(seed, tuple(spawn))
+        assert (root.at_stream(*ids).integers(0, high)
+                == root.stream(*ids).integers(0, high))
+        np.testing.assert_array_equal(root.at_stream(*ids).permutation(k),
+                                      root.stream(*ids).permutation(k))
+
+    def test_each_call_starts_afresh(self):
+        # the scratch generator is shared: a call resets whatever an earlier
+        # call or gaussian_streams drew from it
+        root = RandomSource(4)
+        first = root.at_stream(2, 9).permutation(16)
+        root.at_stream(0, 9).integers(0, 8, size=50)
+        root.gaussian_streams((1, 9), 3, 5)
+        np.testing.assert_array_equal(root.at_stream(2, 9).permutation(16), first)
+        np.testing.assert_array_equal(root.gaussian(4), RandomSource(4).gaussian(4))
+
+    @pytest.mark.parametrize("ids", [(), (-1,), (3, -2)])
+    def test_bad_ids_rejected(self, ids):
+        with pytest.raises(ValueError):
+            RandomSource(5).at_stream(*ids)
 
 
 class TestCheckpoints:

@@ -15,6 +15,7 @@ from flowstage.numerics import RandomSource
 from flowstage.rewards import (
     DEGENERATE_RADIUS,
     RewardMatrix,
+    RewardSuite,
     RewardTerm,
     default_suite,
     eval_group,
@@ -171,6 +172,20 @@ class TestSuiteValidation:
         bad = [RewardTerm("a", 1, "fidelity", 0.1), RewardTerm("b", 3, "smoothness", 0.1)]
         with pytest.raises(DomainError):
             validate_suite(bad)
+
+    def test_reward_suite_checked_and_ordered_once(self):
+        terms = default_suite(num_classes=8)
+        suite = RewardSuite(tuple(reversed(terms)))
+        assert suite.terms == tuple(terms)
+        assert suite.num_classes == 8
+        assert RewardSuite.of(suite) is suite
+        assert RewardSuite([terms[0]]).num_classes is None
+        with pytest.raises(DomainError):
+            RewardSuite((terms[0], terms[2]))
+        frames = 2.0 * RandomSource(6).gaussian(4 * 8 * 2).reshape(4, 8, 2)
+        checked, unchecked = eval_group(suite, frames, 3), eval_group(terms[::-1], frames, 3)
+        np.testing.assert_array_equal(checked.values, unchecked.values)
+        np.testing.assert_array_equal(checked.flags, unchecked.flags)
 
     def test_alignment_requires_classes(self):
         with pytest.raises(DomainError):
