@@ -253,7 +253,7 @@ class RunConfig:
         if mode == "audit" and not cfg["audit"]["input"]:
             errors.append("audit.input: required for mode 'audit'")
         if mode == "calibrate":
-            _check(errors, "calibrate.steps", cfg["calibrate"]["steps"], 2)
+            errors.extend(self._calibrate_errors())
         _check(errors, "eval.num_groups", cfg["eval"]["num_groups"], 1)
         if cfg["audit"]["k"] is not None:
             _check(errors, "audit.k", cfg["audit"]["k"], 1)
@@ -261,6 +261,21 @@ class RunConfig:
 
         if errors:
             raise ConfigError(errors)
+
+    def _calibrate_errors(self) -> list:
+        """Each probe curve is smoothed with a centred window of
+        ``train.smooth_window`` steps.  A curve of at most half the window,
+        rounded up, is averaged whole at both ends, so its start equals its
+        end and no stage can show an improvement."""
+        errors = []
+        steps, window = self.resolved["calibrate"]["steps"], self.resolved["train"]["smooth_window"]
+        _check(errors, "calibrate.steps", steps, 2)
+        if not errors and isinstance(window, int) and window >= 1 and steps <= (window + 1) // 2:
+            errors.append(
+                f"calibrate.steps: must be > (train.smooth_window + 1) // 2 = {(window + 1) // 2}"
+                f" for train.smooth_window {window}, got {steps}; a shorter probe curve is "
+                "smoothed to its mean at both ends and no stage can improve")
+        return errors
 
     def _threshold_errors(self) -> list:
         """A curriculum run gates every reward term on its own threshold.

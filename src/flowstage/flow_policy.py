@@ -26,6 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     DomainError,
     RolloutError,
@@ -193,8 +194,17 @@ class Rollout:
     and the per-step ``step_stds`` are shared by the group (they are the
     sampler config's read-only :class:`SdeGrid` arrays), ``conditions``
     holds one class per trajectory.  ``kept`` maps each step named at
-    sampling time to the velocity net's layer activations there, one
-    (G, size) array per layer.
+    sampling time, in increasing order, to the velocity net's layer
+    activations there, one (G, size) array per layer.  It is read from
+    the two fields that store them: ``kept_inputs`` maps the kept steps,
+    in increasing order, to their net-input rows, and ``kept_layers``
+    holds one (len(kept_inputs), G, size) block per later layer, slot u
+    belonging to the u-th kept step.
+
+    From :func:`sde_sample`, ``states`` and ``step_means`` are views of
+    step-major (K + 1, G, n) and (K, G, n) arrays, and every kept array is
+    a view into the sampler's workspace, no two of them overlapping: a
+    kept step's input activations are its row of the net-input workspace.
     """
 
     times: np.ndarray
@@ -205,7 +215,19 @@ class Rollout:
     conditions: np.ndarray
     eta: float
     dt: float
-    kept: dict
+    kept_inputs: dict = field(repr=False)
+    kept_layers: list = field(repr=False)
+
+    def __post_init__(self):
+        rows = [len(block) for block in self.kept_layers]
+        if any(r != len(self.kept_inputs) for r in rows):
+            raise ShapeError(f"kept layer blocks of {rows} slots for "
+                             f"{len(self.kept_inputs)} kept steps")
+
+    @property
+    def kept(self) -> dict:
+        return {k: [x, *(block[u] for block in self.kept_layers)]
+                for u, (k, x) in enumerate(self.kept_inputs.items())}
 
     def __len__(self) -> int:
         return len(self.states)
@@ -233,18 +255,24 @@ class Rollout:
 
     def kept_activations(self, steps: Sequence[int]) -> list | None:
         """Layer activations at ``steps`` in the row order of
-        :meth:`transitions`, or None unless every one of them was kept."""
-        if not all(int(k) in self.kept for k in steps):
+        :meth:`transitions`, or None unless ``steps`` are the kept steps
+        in increasing order.  Every layer after the input is its
+        ``kept_layers`` block seen as (T' G, size), no copy; only the
+        input rows are gathered.
+        """
+        if not self.kept_inputs or [int(k) for k in steps] != list(self.kept_inputs):
             return None
-        return [np.concatenate(layer) for layer in zip(*(self.kept[int(k)] for k in steps))]
+        inputs = np.concatenate(list(self.kept_inputs.values()))
+        return [inputs, *(block.reshape(-1, block.shape[-1]) for block in self.kept_layers)]
 
     def recorded_eval(self, steps: Sequence[int]) -> "TransitionEval | None":
         """What :func:`eval_step` gives at ``steps`` under the policy that
         sampled this rollout, read from the rollout instead of recomputed:
         the recorded means and log-densities, the kept activations and
         d mean / d v, in the row order of :meth:`transitions`.  None
-        unless every one of the steps was kept and the rollout has
-        densities (eta > 0).
+        unless the steps are the kept steps in increasing order and the
+        rollout has densities (eta > 0); :func:`eval_step` is the general
+        path.
 
         The sampler formed each mean and log-density with the operations
         :func:`eval_step` uses, so they equal what it computes from these
@@ -259,7 +287,7 @@ class Rollout:
         _, a_v = _step_coeffs(self.times[steps], self.dt, self.eta)
         return TransitionEval(
             log_probs=self.log_probs[:, steps].T.reshape(-1),
-            means=self.step_means[:, steps].transpose(1, 0, 2).reshape(-1, self.states.shape[2]),
+            means=self.step_means.transpose(1, 0, 2)[steps].reshape(-1, self.states.shape[2]),
             acts=acts,
             a_v=np.repeat(a_v, len(self)),
         )
@@ -414,13 +442,27 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     the realized next state is recorded (None when eta = 0).  The net's
     layer activations are kept for the steps in ``keep`` only.
 
-    ``noise`` is only read.  The net input is one (G, in) buffer reused
-    by every step, so a kept step's input activations are a copy of it.
-    Every array of the returned :class:`Rollout` is new and the caller's
-    but ``times`` and ``step_stds``, the read-only ``config.grid``.
-    ``states[:, k + 1]`` starts as ``std_k * noise[:, k + 1]`` and step k
-    adds its mean, the same IEEE sum as ``mean + std_k * noise``.
+    The group is sampled in one step-major workspace, (K + 1, G, in):
+    row k is step k's net input (x_k, t_k, embedding), so its first n
+    columns hold the states.  It and every other buffer of the rollout
+    are views of one allocation.  The times and embeddings are written once;
+    ``work[k + 1, :, :n]`` starts as ``std_k * noise[:, k + 1]`` and step
+    k adds its mean, the same IEEE sum as ``mean + std_k * noise``.
+    :func:`kernels.forward` writes each layer into a preallocated buffer:
+    a kept step's hidden and output activations go to that step's slot of
+    the per-layer (len(keep), G, size) blocks (``Rollout.kept_layers``),
+    the other steps' to one shared scratch slot.  Finiteness is checked
+    once, on the final states after the last step: a non-finite velocity
+    or state carries into every later state.  Only on failure is the
+    first failing step looked for (see :func:`_raise_first_failure`).
+
+    ``noise`` is only read.  The returned :class:`Rollout` shares nothing
+    with the caller but ``times`` and ``step_stds``, the read-only
+    ``config.grid``.  Its ``states`` and ``step_means`` are (G, ...)
+    views of the step-major workspace and mean arrays, and ``kept``
+    holds views: a kept step's input activations are its workspace row.
     """
+    net = policy.net
     n = policy.dims.state_size
     K = config.num_steps
     noise = np.asarray(noise, dtype=np.float64)
@@ -428,49 +470,68 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
         raise ShapeError(f"noise block shape {noise.shape}, expected (G >= 1, {K + 1}, {n})")
     G = len(noise)
     conds = class_indices(cond, G, policy.dims.num_classes)
-    keep = {int(k) for k in keep}
+    keep = sorted({int(k) for k in keep})
     if any(not 0 <= k < K for k in keep):
-        raise DomainError(f"kept steps {sorted(keep)} out of range [0, {K})")
+        raise DomainError(f"kept steps {keep} out of range [0, {K})")
     times, dt, stds, coeffs = config.grid
     eta = config.eta
 
-    states = np.empty((G, K + 1, n))
-    states[:, 0] = noise[:, 0]
-    np.multiply(noise[:, 1:], stds[:, None], out=states[:, 1:])
-    means = np.empty((G, K, n))
-    inputs = np.empty((G, policy.dims.net_input_size))
-    inputs[:, n + 1:] = policy.cond_emb[conds]
-    kept = {}
+    # Each layer after the input gets one slot per kept step, in keep
+    # order, then one scratch slot.  All buffers are views of one
+    # allocation: as separate arrays, freeing them let glibc's malloc
+    # shrink the heap, and a loop of G = 64 rollouts then took 117 minor
+    # page faults per call.
+    T = len(keep)
+    layer_layout = [(f"layer{l}", (T + 1, G, size))
+                    for l, size in enumerate(net.layer_sizes[1:], start=1)]
+    layout = [("work", (K + 1, G, policy.dims.net_input_size)), ("means", (K, G, n)),
+              ("scaled", (G, n)), *layer_layout]
+    buffers = split_params(np.empty(sum(math.prod(shape) for _, shape in layout)), layout)
+    work, means, scaled = buffers["work"], buffers["means"], buffers["scaled"]
+    layers = [buffers[name] for name, _ in layer_layout]
+    work[:, :, n] = times[:, None]
+    work[:, :, n + 1:] = policy.cond_emb[conds]
+    by_step = work[:, :, :n]
+    by_step[0] = noise[:, 0]
+    np.multiply(noise[:, 1:].transpose(1, 0, 2), stds[:, None, None], out=by_step[1:])
+    slots = {k: u for u, k in enumerate(keep)}
     for k, (a_x, a_v) in enumerate(coeffs):
-        t = float(times[k])
-        x = states[:, k]
-        inputs[:, :n] = x
-        inputs[:, n] = t
-        try:
-            v, acts = mlp_forward_batch(policy.net, inputs)
-        except DomainError as exc:
-            raise RolloutError(f"step {k} (t={t:.4f}): {exc}") from exc
-        mean = np.multiply(x, a_x, out=means[:, k])
-        mean += a_v * v
-        x_next = states[:, k + 1]
-        x_next += mean
-        if not np.isfinite(x_next).all():
-            bad = np.flatnonzero(~np.isfinite(x_next).all(axis=1)).tolist()
-            raise RolloutError(f"non-finite state in rollouts {bad} at step {k} (t={t:.4f})")
-        if k in keep:
-            kept[k] = [acts[0].copy(), *acts[1:]]
-    log_probs = _log_density_rows(states[:, 1:], means, stds) if eta > 0.0 else None
+        out = [block[slots.get(k, T)] for block in layers]
+        v = kernels.forward(net.weights, net.biases, work[k], out=out)[-1]
+        mean = np.multiply(by_step[k], a_x, out=means[k])
+        mean += np.multiply(v, a_v, out=scaled)
+        by_step[k + 1] += mean
+    if not np.isfinite(by_step[K]).all():
+        _raise_first_failure(net, work, n, times)
+    states = by_step.transpose(1, 0, 2)
+    step_means = means.transpose(1, 0, 2)
+    log_probs = _log_density_rows(states[:, 1:], step_means, stds) if eta > 0.0 else None
     return Rollout(
         times=times,
         states=states,
-        step_means=means,
+        step_means=step_means,
         step_stds=stds,
         log_probs=log_probs,
         conditions=conds,
         eta=eta,
         dt=dt,
-        kept=kept,
+        kept_inputs={k: work[k] for k in keep},
+        kept_layers=[block[:T] for block in layers],
     )
+
+
+def _raise_first_failure(net: MlpParams, work: np.ndarray, n: int, times: np.ndarray):
+    """Raise the RolloutError of the first step k whose next state is not
+    finite: its velocity was not finite, or else the state overflowed.
+    Step k's input row ``work[k]`` is finite and was not written after
+    step k, so one more forward pass gives the velocity it gave then,
+    bit for bit."""
+    k = next(k for k in range(len(work) - 1) if not np.isfinite(work[k + 1, :, :n]).all())
+    t = float(times[k])
+    if not np.isfinite(kernels.forward(net.weights, net.biases, work[k])[-1]).all():
+        raise RolloutError(f"step {k} (t={t:.4f}): forward pass produced a non-finite output")
+    bad = np.flatnonzero(~np.isfinite(work[k + 1, :, :n]).all(axis=1)).tolist()
+    raise RolloutError(f"non-finite state in rollouts {bad} at step {k} (t={t:.4f})")
 
 
 @dataclass

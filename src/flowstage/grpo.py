@@ -10,10 +10,14 @@ per-step Gaussian transition densities.
 On a refresh step the reference is the policy being optimised, so
 everything the gradient needs at the selected steps is already in the
 rollout: the transition means and log-densities it recorded and the
-layer activations it kept.  The ratios are then exp(0) = 1.  Only
-against a stale reference (``ref_refresh_interval > 1``) are the
-selected transitions re-evaluated in one batched forward pass, and only
-there can the clip bind.
+layer activations it kept.  The sampler writes the selected steps'
+hidden and output activations into one block per layer, in the sorted
+order the subset is drawn in, so the backward pass reads those blocks in
+place; only the net-input rows are gathered from the sampler's
+workspace.  The ratios are then exp(0) = 1.  Only against a stale
+reference (``ref_refresh_interval > 1``) are the selected transitions
+re-evaluated in one batched forward pass, and only there can the clip
+bind.
 
 What does not change from step to step is resolved once per run: the
 reward suite (checked and put in stage order) and the sampler's time

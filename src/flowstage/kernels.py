@@ -3,13 +3,17 @@
 Both work on rows: ``inputs`` is ``(B, in)`` and every activation is
 ``(B, size)``.  Hidden layers apply tanh, the final layer is identity;
 ``weights[l]`` has shape ``(out_l, in_l)``.  Shape and finiteness checks
-live in the ``numerics.mlp_*`` functions, which call these.
+live in the ``numerics.mlp_*`` functions, which call these.  The SDE
+sampler (``flow_policy.sde_sample``) is the one caller that skips them:
+it calls :func:`forward` directly with every shape fixed by its own
+workspace, and checks finiteness once per rollout, after its last step.
 
 Neither function writes an array the caller passes in other than the
-gradient buffers of :func:`backward`.  :func:`forward` returns ``inputs``
-itself as the first activation, not a copy, so a caller that reuses its
-input buffer must copy that entry to keep it; every later activation is
-a fresh array the caller owns.
+gradient buffers of :func:`backward` and the ``out`` buffers of
+:func:`forward`.  :func:`forward` returns ``inputs`` itself as the first
+activation, not a copy, so a caller that reuses its input buffer must
+copy that entry to keep it.  Every later activation is a fresh array the
+caller owns, or the caller's own ``out`` buffer for that layer.
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def forward(weights: list, biases: list, inputs: np.ndarray) -> list:
+def forward(weights: list, biases: list, inputs: np.ndarray, out: list | None = None) -> list:
     """Post-activation values of every layer, ``inputs`` first.
 
-    Each layer's product is a new array (``np.dot`` makes the same BLAS
-    call as ``@``), and the bias and tanh are applied to it in place.
+    Each layer's product is a new array, or ``out[l]`` when the caller
+    passes one C-contiguous float64 ``(B, size)`` buffer per layer
+    (``np.dot`` makes the same BLAS call either way, and the same as
+    ``@``).  The bias and tanh are applied to it in place.
 
     The weights go in as ``w.T`` views, never as pre-transposed copies:
     BLAS picks its kernel by the operands' memory order, and another
@@ -35,7 +41,7 @@ def forward(weights: list, biases: list, inputs: np.ndarray) -> list:
     acts = [inputs]
     last = len(weights) - 1
     for layer, (w, b) in enumerate(zip(weights, biases)):
-        z = np.dot(acts[-1], w.T)
+        z = np.dot(acts[-1], w.T, out=None if out is None else out[layer])
         z += b
         if layer < last:
             np.tanh(z, out=z)

@@ -1,5 +1,6 @@
-"""Shared test utilities: naive re-implementations used as oracles and a
-generic central finite-difference gradient."""
+"""Shared test utilities: naive re-implementations used as oracles, a
+policy built to overflow, and a generic central finite-difference
+gradient."""
 
 from __future__ import annotations
 
@@ -25,6 +26,21 @@ def naive_mlp_eval(weights, biases, x):
             out.append(math.tanh(acc) if layer < len(weights) - 1 else acc)
         a = out
     return np.array(a)
+
+
+def late_overflow(policy):
+    """A copy of a flow policy (hidden layers of at least two units) whose
+    velocity overflows to inf once the flow time falls below about 0.41:
+    two hidden units read tanh(1 - t), every other weight is 0, and the
+    output adds each of them times 1.7e308.  On the K = 4, t_min = 0.04
+    grid that is step 3 (t = 0.28), with every earlier velocity finite."""
+    p = policy.copy()
+    p.vector[:] = 0.0
+    n = p.dims.state_size
+    p.net.weights[0][:2, n] = -1.0
+    p.net.biases[0][:2] = 1.0
+    p.net.weights[-1][:, :2] = 1.7e308
+    return p
 
 
 def finite_difference(f, vector, h=1e-5):

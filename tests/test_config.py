@@ -174,6 +174,27 @@ class TestRejectedAtLoad:
         assert not (outdir / "failure.json").exists()
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window, shortest", [(15, 9), (14, 8), (1, 2), (3, 3)])
+    def test_calibrate_steps_must_outlast_the_smoothing_window(self, window, shortest):
+        # a probe curve of at most (window + 1) // 2 steps is smoothed to
+        # its mean at both ends, so no stage could show an improvement
+        calibrate = {"mode": "calibrate", "policy": {"init_checkpoint": "init.ckpt"},
+                     "train": {"smooth_window": window}}
+        RunConfig.from_dict(calibrate, [f"calibrate.steps={shortest}"])
+        if shortest > 2:
+            errors = load_errors(calibrate, f"calibrate.steps={shortest - 1}")
+            assert len(errors) == 1
+            assert "calibrate.steps" in errors[0] and "train.smooth_window" in errors[0]
+
+    def test_short_calibrate_run_exits_1_without_failure_file(self, tmp_path, checkpoint,
+                                                              capsys):
+        rc, outdir = run_cli(tmp_path, checkpoint, "--set=mode=calibrate",
+                             "--set=calibrate.steps=6")
+        assert rc == 1
+        assert not (outdir / "failure.json").exists()
+        err = capsys.readouterr().err
+        assert "calibrate.steps" in err and "train.smooth_window" in err
+
     @pytest.mark.parametrize("mode", ["eval", "train", "calibrate"])
     def test_alignment_on_one_dimensional_frames_exits_1(self, tmp_path, capsys, mode):
         path = tmp_path / "line.ckpt"

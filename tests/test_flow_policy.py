@@ -2,10 +2,12 @@
 density validity, and pretraining behavior."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import naive_mlp_eval
+from helpers import late_overflow, naive_mlp_eval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -242,6 +244,60 @@ class TestSdeSampling:
         with pytest.raises(RolloutError), pytest.warns(RuntimeWarning):
             sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(0)))
 
+    def test_kept_activations_in_keep_order_are_views(self):
+        p = small_policy(26, hidden=(40, 30))
+        cfg = SdeConfig(num_steps=6, eta=0.5)
+        noise = noise_block(p, cfg, *(RandomSource(27).stream(i) for i in range(32)))
+        rollout = sde_sample(p, 2, cfg, noise, keep=[4, 1, 2])
+        steps = [1, 2, 4]
+        assert list(rollout.kept) == steps
+        tracemalloc.start()
+        try:
+            acts = rollout.kept_activations(steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the input rows are gathered (kept steps' workspace rows are not
+        # adjacent); every later layer is the kept block itself, no copy
+        assert peak < acts[0].nbytes + 4096 < sum(a.nbytes for a in acts[1:])
+        for layer, got in enumerate(acts):
+            np.testing.assert_array_equal(
+                got, np.concatenate([rollout.kept[k][layer] for k in steps]))
+            for k in steps:
+                assert layer == 0 or np.shares_memory(got, rollout.kept[k][layer])
+        # other orders and subsets go through eval_step instead
+        assert rollout.kept_activations([2, 1, 4]) is None
+        assert rollout.kept_activations([1, 2]) is None
+
+    def test_kept_blocks_must_match_the_kept_steps(self):
+        p = small_policy(28)
+        cfg = SdeConfig(num_steps=4, eta=0.5)
+        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(29)), keep=[0, 2])
+        with pytest.raises(ShapeError):
+            replace(rollout, kept_inputs={0: rollout.kept_inputs[0]})
+        with pytest.raises(ShapeError):
+            replace(rollout, kept_layers=[b[:1] for b in rollout.kept_layers])
+
+    def test_output_overflow_names_step_and_time(self):
+        p = late_overflow(small_policy(22, hidden=(4,)))
+        cfg = SdeConfig(num_steps=4, eta=0.5)
+        noise = noise_block(p, cfg, *(RandomSource(23).stream(i) for i in range(3)))
+        # the output product overflows on purpose
+        with pytest.raises(RolloutError) as err, pytest.warns(RuntimeWarning):
+            sde_sample(p, 1, cfg, noise)
+        assert str(err.value) == "step 3 (t=0.2800): forward pass produced a non-finite output"
+
+    def test_state_overflow_names_rollouts_step_and_time(self):
+        # a constant velocity stays finite; two huge increments in one
+        # coordinate of rollouts 0 and 2 overflow their state at step 1
+        p = constant_velocity(small_policy(24), 0.3)
+        cfg = SdeConfig(num_steps=4, eta=2.0)
+        noise = noise_block(p, cfg, *(RandomSource(25).stream(i) for i in range(4)))
+        noise[[0, 2], 1:3, 3] = 1.7e308
+        with pytest.raises(RolloutError) as err, pytest.warns(RuntimeWarning):
+            sde_sample(p, 1, cfg, noise)
+        assert str(err.value) == "non-finite state in rollouts [0, 2] at step 1 (t=0.7600)"
+
     def test_noise_block_shape_checked(self):
         p = small_policy(19)
         cfg = SdeConfig(num_steps=4, eta=0.5)
@@ -328,7 +384,12 @@ class TestSdeSampleOracle:
             cond = data.draw(st.integers(0, dims.num_classes - 1), label="cond")
         else:
             cond = rng.integers(0, dims.num_classes, size=G)
-        keep = data.draw(st.sets(st.integers(0, K - 1)), label="keep")
+        if data.draw(st.booleans(), label="train-shaped keep"):
+            # as train_step selects them: ceil(fraction K) steps, sorted
+            fraction = data.draw(st.floats(0.01, 1.0), label="timestep fraction")
+            keep = np.sort(rng.permutation(K)[:math.ceil(fraction * K)])
+        else:
+            keep = data.draw(st.sets(st.integers(0, K - 1)), label="keep")
         cfg = SdeConfig(num_steps=K, eta=eta, t_min=t_min)
         noise = rng.gaussian(G * (K + 1) * dims.state_size).reshape(G, K + 1, -1)
         before = noise.copy()
@@ -353,6 +414,13 @@ class TestSdeSampleOracle:
         for i, a in enumerate(arrays):
             assert not np.shares_memory(a, noise)
             assert not any(np.shares_memory(a, b) for b in arrays[:i])
+        steps = sorted(kept)
+        if steps:
+            acts = rollout.kept_activations(steps)
+            for layer, got in enumerate(acts):
+                np.testing.assert_array_equal(
+                    got, np.concatenate([kept[k][layer] for k in steps]))
+                assert layer == 0 or np.shares_memory(got, rollout.kept[steps[0]][layer])
 
 
 class TestTransitionLogProbs:

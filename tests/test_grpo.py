@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import rel_err_ok
+from helpers import late_overflow, rel_err_ok
 
 from flowstage.curriculum import (
     CurriculumConfig,
@@ -15,7 +15,7 @@ from flowstage.curriculum import (
     normalize_advantages,
     smooth_curve,
 )
-from flowstage.errors import DomainError, ShapeError
+from flowstage.errors import DomainError, RolloutError, ShapeError
 from flowstage.flow_policy import (
     FlowPolicy,
     PolicyDims,
@@ -277,6 +277,16 @@ class TestTrainStep:
         trained, log = train(policy, small_train_config(num_steps=0))
         assert len(log) == 0
         np.testing.assert_array_equal(policy.vector, trained.vector)
+
+    def test_rollout_failure_names_train_step_and_condition(self):
+        policy = late_overflow(init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(8)))
+        cfg = small_train_config()
+        rng = RandomSource(cfg.seed)
+        cond = int(rng.at_stream(grpo._STREAM_COND, 2).integers(0, PLANAR.num_classes))
+        with pytest.raises(RolloutError) as err, pytest.warns(RuntimeWarning):
+            train_step(policy, policy, cfg, rng, step_index=2)
+        assert str(err.value) == (f"step 2, condition {cond}: step 3 (t=0.2800): "
+                                  "forward pass produced a non-finite output")
 
     def test_csv_and_jsonl_emission(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(7))

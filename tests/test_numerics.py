@@ -123,6 +123,26 @@ class TestKernelForward:
             assert not any(np.shares_memory(a, other) for other in acts[:i + 1])
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 256), st.lists(st.integers(1, 70), min_size=2, max_size=4),
+           st.integers(0, 2**32))
+    def test_out_buffers_give_the_allocating_result(self, batch, sizes, seed):
+        rng = RandomSource(seed)
+        params = init_mlp(sizes, rng)
+        params.vector[:] = rng.gaussian(params.vector.size)
+        weights = params.vector.copy()
+        inputs = rng.gaussian(batch * sizes[0]).reshape(batch, sizes[0])
+        before = inputs.copy()
+        out = [np.full((batch, size), np.nan) for size in sizes[1:]]
+        acts = kernels.forward(params.weights, params.biases, inputs, out=out)
+        assert acts[0] is inputs
+        assert all(a is buf for a, buf in zip(acts[1:], out))
+        for got, want in zip(acts, kernels.forward(params.weights, params.biases, inputs)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(inputs, before)
+        np.testing.assert_array_equal(params.vector, weights)
+
+
 class TestMlpBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = RandomSource(5)
