@@ -23,6 +23,6 @@ from .flow_policy import (
 )
 from .grpo import TrainConfig, TrainLog, train, train_step
 from .numerics import RandomSource
-from .rewards import RewardMatrix, RewardTerm, default_suite, eval_group
+from .rewards import RewardMatrix, RewardSuite, RewardTerm, default_suite, eval_group
 
 __version__ = "0.1.0"

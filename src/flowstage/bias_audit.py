@@ -92,8 +92,9 @@ def _pairwise_sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     )
 
 
-def kmeans(features: np.ndarray, k: int, seed: int = 0, max_iters: int = 100) -> np.ndarray:
-    """Lloyd iterations from greedy farthest-point seeding.
+def kmeans(features: np.ndarray, k: int, seed: int = 0, *, max_iters: int) -> np.ndarray:
+    """At most ``max_iters`` Lloyd iterations (a run's ``audit.max_iters``)
+    from greedy farthest-point seeding.
 
     Deterministic under the seed: the first center is a random item, each
     further center is the item farthest from all chosen ones (ties to the
@@ -168,8 +169,8 @@ def _require_finite(what: str, values: np.ndarray, name_row: Callable[[int], str
         raise DomainError(f"{name_row(int(np.argmin(finite)))}: non-finite {what}")
 
 
-def audit(scores, features=None, labels=None, k: int | None = None, seed: int = 0,
-          max_iters: int = 100) -> ClusterReport:
+def audit(scores, features=None, labels=None, k: int | None = None, seed: int = 0, *,
+          max_iters: int) -> ClusterReport:
     """Cluster the items by ``features`` into ``k`` clusters (or group them
     by ``labels`` when ``k`` is None) and report per-cluster and
     cross-cluster score statistics."""

@@ -34,7 +34,7 @@ from .flow_policy import (
 )
 from .grpo import train
 from .numerics import RandomSource
-from .rewards import RewardSuite, eval_group
+from .rewards import eval_group
 
 
 def _write_csv(path, header, rows) -> None:
@@ -85,7 +85,7 @@ def run_calibrate(cfg: RunConfig) -> None:
     steps = cfg.resolved["calibrate"]["steps"]
     window = cfg.resolved["train"]["smooth_window"]
     curves = []
-    for stage in range(1, len(suite) + 1):
+    for stage in range(1, len(suite.terms) + 1):
         tc = cfg.train_config(static_stage=stage, num_steps=steps)
         _, log = train(base.copy(), tc)
         curve = log.term_means_matrix()[:, stage - 1]
@@ -125,7 +125,7 @@ def run_train(cfg: RunConfig) -> None:
 def run_eval(cfg: RunConfig) -> None:
     """Per-term reward statistics over freshly sampled groups."""
     policy = _load_init_policy(cfg)
-    suite = RewardSuite.of(cfg.reward_suite())
+    suite = cfg.reward_suite()
     sde = cfg.sde_config()
     group_size = cfg.resolved["train"]["group_size"]
     num_groups = cfg.resolved["eval"]["num_groups"]

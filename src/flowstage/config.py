@@ -17,14 +17,16 @@ from pathlib import Path
 
 from .curriculum import CurriculumConfig
 from .errors import ConfigError, DomainError, require_int, require_number
-from .flow_policy import PolicyDims, SdeConfig, ToyDataset
+from .flow_policy import DEFAULT_HIDDEN, PolicyDims, SdeConfig, ToyDataset
 from .grpo import TrainConfig
-from .rewards import RewardTerm, default_suite, validate_suite
+from .rewards import RewardSuite, RewardTerm, default_suite
 
 MODES = ("pretrain", "calibrate", "train", "eval", "audit")
 
 # TrainConfig fields that a run config sets from other sections
 _TRAIN_FROM_ELSEWHERE = ("seed", "sde", "curriculum", "suite")
+# PolicyDims fields that the dataset section sets; the policy section sets the rest
+_DATASET_DIMS = ("frames", "frame_dim", "num_classes")
 
 
 def _field_names(cls, skip=()) -> list:
@@ -41,18 +43,11 @@ DEFAULTS = {
     "mode": "train",
     "seed": 0,
     "outdir": "runs/default",
-    "dataset": {
-        "frames": 8,
-        "frame_dim": 2,
-        "num_classes": 8,
-        "omega": 0.2,
-        "jitter": 0.01,
-    },
-    "policy": {
-        "embed_dim": 8,
-        "hidden": [64, 64],
-        "init_checkpoint": None,
-    },
+    "dataset": {**_field_defaults(PolicyDims, ("embed_dim",)),
+                **_field_defaults(ToyDataset, ("dims",))},
+    "policy": {**_field_defaults(PolicyDims, _DATASET_DIMS),
+               "hidden": list(DEFAULT_HIDDEN),
+               "init_checkpoint": None},
     "pretrain": {
         "steps": 2000,
         "batch_size": 64,
@@ -61,7 +56,7 @@ DEFAULTS = {
     "sde": _field_defaults(SdeConfig),
     # an alignment term's num_classes comes from dataset.num_classes per run
     "rewards": [{"id": t.id, "kind": t.kind, "stage": t.stage, "scale": t.scale}
-                for t in default_suite(num_classes=1)],
+                for t in default_suite(num_classes=1).terms],
     "curriculum": {**_field_defaults(CurriculumConfig), "thresholds_file": None},
     "train": {**_field_defaults(TrainConfig, _TRAIN_FROM_ELSEWHERE),
               "checkpoint_interval": 0},
@@ -91,6 +86,16 @@ def _check(errors, name, value, low=None, require=require_int) -> None:
         kind = "an integer" if require is require_int else "a finite number"
         bound = "" if low is None else f" >= {low}"
         errors.append(f"{name}: must be {kind}{bound}, got {value!r}")
+
+
+def _input_file_errors(name, path, mode) -> list:
+    """Errors for input file setting ``name`` in ``mode``: it must name an
+    existing file.  One stat; the run reads the file."""
+    if not path:
+        return [f"{name}: required for mode {mode!r}"]
+    if not isinstance(path, str) or not Path(path).is_file():
+        return [f"{name}: no such file: {path!r}"]
+    return []
 
 
 def _deep_merge(base, override, path, errors):
@@ -232,14 +237,16 @@ class RunConfig:
                     builder()
                 except (ValueError, TypeError) as exc:
                     errors.append(f"{section}: {exc}")
-            try:
-                self.train_config()
-            except (ValueError, TypeError) as exc:
-                errors.append(f"train: {exc}")
             stage, terms = cfg["train"]["static_stage"], len(cfg["rewards"])
-            if not errors and stage is not None and not 1 <= stage <= terms:
+            if not errors and type(stage) is int and not 1 <= stage <= terms:
+                # TrainConfig rejects it too; this names the key and the range
                 errors.append(f"train.static_stage: must lie in [1, {terms}] for "
                               f"{terms} reward terms, got {stage!r}")
+            else:
+                try:
+                    self.train_config()
+                except (ValueError, TypeError) as exc:
+                    errors.append(f"train: {exc}")
             if not errors and mode == "train" and stage is None:
                 errors.extend(self._threshold_errors())
 
@@ -248,10 +255,11 @@ class RunConfig:
         if mode in ("calibrate", "train") and cfg["sde"]["eta"] == 0:
             errors.append(f"sde.eta: must be > 0 for mode {mode!r}; GRPO needs "
                           "the transition densities an eta = 0 rollout does not have")
-        if mode in ("calibrate", "train", "eval") and not cfg["policy"]["init_checkpoint"]:
-            errors.append(f"policy.init_checkpoint: required for mode {mode!r}")
-        if mode == "audit" and not cfg["audit"]["input"]:
-            errors.append("audit.input: required for mode 'audit'")
+        if mode in ("calibrate", "train", "eval"):
+            errors.extend(_input_file_errors("policy.init_checkpoint",
+                                             cfg["policy"]["init_checkpoint"], mode))
+        if mode == "audit":
+            errors.extend(_input_file_errors("audit.input", cfg["audit"]["input"], mode))
         if mode == "calibrate":
             errors.extend(self._calibrate_errors())
         _check(errors, "eval.num_groups", cfg["eval"]["num_groups"], 1)
@@ -315,12 +323,8 @@ class RunConfig:
 
     def policy_dims(self) -> PolicyDims:
         d = self.resolved["dataset"]
-        return PolicyDims(
-            frames=d["frames"],
-            frame_dim=d["frame_dim"],
-            num_classes=d["num_classes"],
-            embed_dim=self.resolved["policy"]["embed_dim"],
-        )
+        return PolicyDims(**{field: d[field] for field in _DATASET_DIMS},
+                          embed_dim=self.resolved["policy"]["embed_dim"])
 
     def dataset(self) -> ToyDataset:
         d = self.resolved["dataset"]
@@ -352,7 +356,7 @@ class RunConfig:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ConfigError([f"curriculum.thresholds_file: cannot read {path}: {exc!r}"])
 
-    def reward_suite(self) -> list:
+    def reward_suite(self) -> RewardSuite:
         num_classes = self.resolved["dataset"]["num_classes"]
         frame_dim = self.resolved["dataset"]["frame_dim"]
         suite = []
@@ -367,8 +371,7 @@ class RunConfig:
                                       f"dataset.frame_dim >= 2, got {frame_dim}")
                 kwargs["num_classes"] = num_classes
             suite.append(RewardTerm(**kwargs))
-        validate_suite(suite)
-        return suite
+        return RewardSuite(suite)
 
     def train_config(self, thresholds=None, static_stage=None,
                      num_steps=None) -> TrainConfig:
@@ -382,7 +385,7 @@ class RunConfig:
             seed=self.seed,
             sde=self.sde_config(),
             curriculum=self.curriculum_config(thresholds),
-            suite=tuple(self.reward_suite()),
+            suite=self.reward_suite(),
         )
 
     def write_resolved(self, directory) -> Path:

@@ -211,14 +211,14 @@ def smooth_curve(values: Sequence[float], window: int) -> np.ndarray:
     return out
 
 
-def calibrate_thresholds(per_stage_logs: Sequence[Sequence[float]],
-                         smooth_window: int = 5):
+def calibrate_thresholds(per_stage_logs: Sequence[Sequence[float]], smooth_window: int):
     """Thresholds from single-stage probe runs.
 
     Each curve is the per-step group mean of one term while training on
-    that term alone; the threshold is placed 70% of the way up the
-    smoothed observed improvement.  A non-improving curve keeps its start
-    value and emits a warning.
+    that term alone, smoothed with a centred window of ``smooth_window``
+    steps (a run's ``train.smooth_window``); the threshold is placed 70%
+    of the way up the smoothed observed improvement.  A non-improving
+    curve keeps its start value and emits a warning.
 
     Returns ``(thresholds, warnings)``.
     """

@@ -1,10 +1,12 @@
 """Conditional flow-matching policy over short frame sequences.
 
 A single MLP predicts a velocity field v(x, t, class); integrating it
-backward from t = 1 (pure noise) to t = 0 (data) generates samples.  The
-stochastic sampler adds a score-corrected drift and Brownian noise so
-that every transition has a tractable Gaussian density, which is what
-the policy-gradient trainer differentiates.
+backward from t = 1 (pure noise) towards t = 0 (data) generates samples.
+The one sampler, :func:`sde_sample`, adds a score-corrected drift and
+Brownian noise so that every transition has a tractable Gaussian
+density, which is what the policy-gradient trainer differentiates.  At
+eta = 0 both vanish and it is the deterministic Euler integration of
+dx = v dt from t = 1 down to t_min.
 
 Conventions, fixed here and relied on everywhere else:
 
@@ -52,6 +54,7 @@ from .numerics import (
 )
 
 DEFAULT_T_MIN = 0.04
+DEFAULT_HIDDEN = (64, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +196,12 @@ class Rollout:
     rollout is deterministic, no density exists).  The time grid ``times``
     and the per-step ``step_stds`` are shared by the group (they are the
     sampler config's read-only :class:`SdeGrid` arrays), ``conditions``
-    holds one class per trajectory.  ``kept`` maps each step named at
-    sampling time, in increasing order, to the velocity net's layer
-    activations there, one (G, size) array per layer.  It is read from
-    the two fields that store them: ``kept_inputs`` maps the kept steps,
-    in increasing order, to their net-input rows, and ``kept_layers``
-    holds one (len(kept_inputs), G, size) block per later layer, slot u
-    belonging to the u-th kept step.
+    holds one class per trajectory.  The velocity net's layer
+    activations at the steps named at sampling time (the kept steps) are
+    in two fields: ``kept_inputs`` maps the kept steps, in increasing
+    order, to their (G, in) net-input rows, and ``kept_layers`` holds one
+    (len(kept_inputs), G, size) block per later layer, slot u belonging
+    to the u-th kept step.
 
     From :func:`sde_sample`, ``states`` and ``step_means`` are views of
     step-major (K + 1, G, n) and (K, G, n) arrays, and every kept array is
@@ -223,11 +225,6 @@ class Rollout:
         if any(r != len(self.kept_inputs) for r in rows):
             raise ShapeError(f"kept layer blocks of {rows} slots for "
                              f"{len(self.kept_inputs)} kept steps")
-
-    @property
-    def kept(self) -> dict:
-        return {k: [x, *(block[u] for block in self.kept_layers)]
-                for u, (k, x) in enumerate(self.kept_inputs.items())}
 
     def __len__(self) -> int:
         return len(self.states)
@@ -298,7 +295,7 @@ class Rollout:
 # ---------------------------------------------------------------------------
 
 
-def init_flow_policy(dims: PolicyDims, hidden: Sequence[int] = (64, 64),
+def init_flow_policy(dims: PolicyDims, hidden: Sequence[int] = DEFAULT_HIDDEN,
                      rng: RandomSource | None = None) -> FlowPolicy:
     rng = rng if rng is not None else RandomSource(0)
     sizes = (dims.net_input_size, *hidden, dims.state_size)
@@ -342,27 +339,18 @@ def load_policy(path):
 # ---------------------------------------------------------------------------
 
 
-def _net_input(policy: FlowPolicy, x: np.ndarray, t: float, cond: int) -> np.ndarray:
-    return np.concatenate([x, [t], policy.cond_emb[cond]])
-
-
-def _check_velocity_args(policy: FlowPolicy, x: np.ndarray, t: float, cond: int):
-    """``(x, cond)`` checked: the condition an integer class of the policy
-    (see :func:`errors.class_indices`), the time in [0, 1], the state one
-    vector of the policy's state size."""
+def velocity(policy: FlowPolicy, x: np.ndarray, t: float, cond: int) -> np.ndarray:
+    """Velocity field at one state ``x``, flow time ``t`` in [0, 1] and
+    condition ``cond``, an integer class of the policy (see
+    :func:`errors.class_indices`): the one-state form of the forward pass
+    :func:`sde_sample` makes for a whole group at each step."""
     cond = int(class_indices(cond, 1, policy.dims.num_classes)[0])
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"flow time {t} outside [0, 1]")
     x = np.ascontiguousarray(x, dtype=np.float64)
     if x.shape != (policy.dims.state_size,):
         raise ShapeError(f"state shape {x.shape}, expected ({policy.dims.state_size},)")
-    return x, cond
-
-
-def velocity(policy: FlowPolicy, x: np.ndarray, t: float, cond: int) -> np.ndarray:
-    """Velocity field at state ``x``, flow time ``t``, condition ``cond``."""
-    x, cond = _check_velocity_args(policy, x, t, cond)
-    out, _ = mlp_forward(policy.net, _net_input(policy, x, float(t), cond))
+    out, _ = mlp_forward(policy.net, np.concatenate([x, [float(t)], policy.cond_emb[cond]]))
     return out
 
 
@@ -371,7 +359,7 @@ def velocity(policy: FlowPolicy, x: np.ndarray, t: float, cond: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def time_grid(num_steps: int, t_min: float = 0.0) -> np.ndarray:
+def time_grid(num_steps: int, t_min: float) -> np.ndarray:
     """Uniform decreasing times from 1 to t_min, num_steps + 1 points."""
     if num_steps < 1:
         raise DomainError("num_steps must be >= 1")
@@ -397,29 +385,6 @@ def _log_density_rows(x: np.ndarray, mean: np.ndarray, std) -> np.ndarray:
     var2 = 2.0 * std * std
     return (-0.5 * x.shape[-1] * np.log(np.pi * var2)
             - np.einsum("...j,...j->...", resid, resid) / var2)
-
-
-def ode_path(policy: FlowPolicy, cond: int, num_steps: int, rng: RandomSource,
-             t_min: float = 0.0):
-    """Deterministic Euler integration of dx = v dt from noise at t = 1.
-
-    Returns ``(times, states)`` with states stacked (num_steps + 1, n).
-    """
-    times = time_grid(num_steps, t_min)
-    dt = (float(t_min) - 1.0) / num_steps
-    x = rng.gaussian(policy.dims.state_size)
-    states = [x]
-    _check_velocity_args(policy, x, float(times[0]), cond)
-    for k in range(num_steps):
-        try:
-            v = velocity(policy, x, float(times[k]), cond)
-        except DomainError as exc:
-            raise RolloutError(f"step {k} (t={times[k]:.4f}): {exc}") from exc
-        x = x + dt * v
-        if not np.isfinite(x).all():
-            raise RolloutError(f"non-finite state at step {k} (t={times[k]:.4f})")
-        states.append(x)
-    return times, np.stack(states)
 
 
 def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
@@ -459,8 +424,9 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     ``noise`` is only read.  The returned :class:`Rollout` shares nothing
     with the caller but ``times`` and ``step_stds``, the read-only
     ``config.grid``.  Its ``states`` and ``step_means`` are (G, ...)
-    views of the step-major workspace and mean arrays, and ``kept``
-    holds views: a kept step's input activations are its workspace row.
+    views of the step-major workspace and mean arrays, and the kept
+    activations are views: a kept step's input activations are its
+    workspace row.
     """
     net = policy.net
     n = policy.dims.state_size
@@ -636,9 +602,10 @@ def _flow_matching_residual(policy: FlowPolicy, frames: np.ndarray, conds: np.nd
 
 
 def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
-                           rng: RandomSource, batch_size: int = 64,
-                           learning_rate: float = 1e-3):
-    """Regress the velocity net onto (noise - data) along the linear path.
+                           rng: RandomSource, batch_size: int, learning_rate: float):
+    """Regress the velocity net onto (noise - data) along the linear path,
+    ``steps`` Adam steps on batches of ``batch_size`` (a run's ``pretrain``
+    section).
 
     Returns ``(trained policy, per-step loss curve)``; the input policy is
     not mutated.

@@ -20,10 +20,11 @@ re-evaluated in one batched forward pass, and only there can the clip
 bind.
 
 What does not change from step to step is resolved once per run: the
-reward suite (checked and put in stage order) and the sampler's time
-grid and step constants (``SdeConfig.grid``).  Each step's condition
-and timestep subset are drawn from their stream keys through the run's
-one scratch generator (``RandomSource.at_stream``).
+reward suite, a :class:`RewardSuite` checked and put in stage order when
+it was built (:func:`train` fills in the default suite once), and the
+sampler's time grid and step constants (``SdeConfig.grid``).  Each
+step's condition and timestep subset are drawn from their stream keys
+through the run's one scratch generator (``RandomSource.at_stream``).
 
 Advantages enter the gradient as constants: nothing differentiates
 through the reward or mixing computations.
@@ -57,7 +58,7 @@ from .flow_policy import (
     sde_sample,
 )
 from .numerics import AdamState, RandomSource, adam_init, adam_step_arrays
-from .rewards import RewardSuite, RewardTerm, default_suite, eval_group
+from .rewards import RewardSuite, default_suite, eval_group
 
 # Stream ids for per-step child RNGs.
 _STREAM_COND, _STREAM_ROLLOUT, _STREAM_SUBSET = 0, 1, 2
@@ -77,7 +78,7 @@ class TrainConfig:
     seed: int = 0
     sde: SdeConfig = field(default_factory=SdeConfig)
     curriculum: CurriculumConfig = field(default_factory=CurriculumConfig)
-    suite: tuple | RewardSuite | None = None  # defaults to the standard three-stage suite
+    suite: RewardSuite | None = None  # train() fills in the standard three-stage suite
     static_stage: int | None = None  # train on one term only, bypassing gates
     smooth_window: int = 15
     max_grad_norm: float = 1.0  # 0 disables the global-norm clip
@@ -109,8 +110,9 @@ class TrainConfig:
             raise DomainError("learning_rate must be >= 0")
         if self.max_grad_norm < 0.0:
             raise DomainError("max_grad_norm must be >= 0")
-        if self.suite is not None and not isinstance(self.suite, RewardSuite):
-            object.__setattr__(self, "suite", tuple(self.suite))
+        if (self.suite is not None and self.static_stage is not None
+                and not 1 <= self.static_stage <= len(self.suite.terms)):
+            raise DomainError(f"static_stage {self.static_stage} out of range")
 
 
 @dataclass
@@ -149,8 +151,10 @@ class StepRecord:
 
 @dataclass
 class TrainLog:
-    """Append-only list of step records with tabular/JSONL export."""
+    """Append-only list of step records with tabular/JSONL export, for a
+    suite of ``num_terms`` reward terms."""
 
+    num_terms: int
     records: list = field(default_factory=list)
 
     def append(self, rec: StepRecord) -> None:
@@ -168,10 +172,9 @@ class TrainLog:
             fp.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
 
     def write_csv(self, fp) -> None:
-        if not self.records:
-            fp.write("")
-            return
-        K = len(self.records[0].weights)
+        """A header row, then one row per step; the header alone when no
+        step was taken."""
+        K = self.num_terms
         header = (
             ["step", "refresh", "condition", "objective", "grad_norm",
              "clip_fraction", "ratio_max_dev", "mixed_mean"]
@@ -271,18 +274,6 @@ def surrogate_and_grads(policy: FlowPolicy, rollout: Rollout,
 # ---------------------------------------------------------------------------
 
 
-def _resolve_suite(policy: FlowPolicy, config: TrainConfig) -> RewardSuite:
-    """The run's reward suite, checked; :func:`train` resolves it once and
-    hands it to every step in the config."""
-    suite = config.suite
-    if suite is None:
-        suite = default_suite(policy.dims.num_classes)
-    suite = RewardSuite.of(suite)
-    if config.static_stage is not None and not 1 <= config.static_stage <= len(suite.terms):
-        raise DomainError(f"static_stage {config.static_stage} out of range")
-    return suite
-
-
 def _static_state(matrix, stage: int) -> CurriculumState:
     """Fixed one-hot mixing for single-stage probe/baseline runs."""
     means = group_means(matrix)
@@ -302,20 +293,22 @@ def _static_state(matrix, stage: int) -> CurriculumState:
 
 def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
                rng: RandomSource, opt_state: AdamState | None = None,
-               prior_state: CurriculumState | None = None, step_index: int = 0,
-               refresh: bool = True):
+               prior_state: CurriculumState | None = None, step_index: int = 0):
     """One optimization step.
 
-    Rolls out the group under ``ref_policy``, computes curriculum
+    Rolls out the group under ``ref_policy``, scores it with
+    ``config.suite`` (which :func:`train` sets), computes curriculum
     advantages, ascends the surrogate, and returns
-    ``(policy, opt_state, curriculum state, step record)``.  When
-    ``ref_policy is policy`` the rollout keeps its activations at the
-    selected steps and the gradient is taken from the rollout alone (see
-    :func:`surrogate_and_grads`).  The Adam update
+    ``(policy, opt_state, curriculum state, step record)``.  A step with
+    ``ref_policy is policy`` is a refresh step: the rollout keeps its
+    activations at the selected steps and the gradient is taken from the
+    rollout alone (see :func:`surrogate_and_grads`).  The Adam update
     is pure: the returned policy holds a new vector and neither input
     policy is written, so either may serve as a later step's reference.
     """
-    suite = _resolve_suite(policy, config)
+    if config.suite is None:
+        raise DomainError("train_step needs config.suite; train() fills in the default")
+    refresh = ref_policy is policy
     if opt_state is None:
         opt_state = adam_init(policy.vector, learning_rate=config.learning_rate)
 
@@ -327,12 +320,12 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
     noise = rng.gaussian_streams((_STREAM_ROLLOUT, step_index), G, (K + 1) * dims.state_size)
     try:
         rollout = sde_sample(ref_policy, cond, config.sde, noise.reshape(G, K + 1, -1),
-                             keep=subset if ref_policy is policy else ())
+                             keep=subset if refresh else ())
     except RolloutError as exc:
         raise RolloutError(f"step {step_index}, condition {cond}: {exc}") from exc
 
-    matrix = eval_group(suite, rollout.final_states().reshape(G, dims.frames, dims.frame_dim),
-                        cond)
+    frames = rollout.final_states().reshape(G, dims.frames, dims.frame_dim)
+    matrix = eval_group(config.suite, frames, cond)
     if config.static_stage is not None:
         state = _static_state(matrix, config.static_stage)
     else:
@@ -381,18 +374,18 @@ def train(policy: FlowPolicy, config: TrainConfig, step_callback=None):
     ``step_callback(step, policy, record)`` runs after each update
     (checkpointing hook).  Returns ``(policy, TrainLog)``.
     """
-    config = replace(config, suite=_resolve_suite(policy, config))
+    if config.suite is None:
+        config = replace(config, suite=default_suite(policy.dims.num_classes))
     rng = RandomSource(config.seed)
     opt_state = adam_init(policy.vector, learning_rate=config.learning_rate)
-    log = TrainLog()
+    log = TrainLog(len(config.suite.terms))
     ref_policy = policy
     prior = None
     for s in range(config.num_steps):
-        refresh = s % config.ref_refresh_interval == 0
-        if refresh:
+        if s % config.ref_refresh_interval == 0:
             ref_policy = policy
         policy, opt_state, state, rec = train_step(
-            policy, ref_policy, config, rng, opt_state, prior, s, refresh
+            policy, ref_policy, config, rng, opt_state, prior, s
         )
         prior = state
         log.append(rec)

@@ -10,6 +10,10 @@ residual so that 1 is attained exactly on the term's zero-residual set:
 The bounded range is what makes the curriculum gate thresholds
 comparable across terms.
 
+A suite is one :class:`RewardSuite` from config load to scoring: its
+stage indices are checked and its terms put in stage order once, when
+it is built, and :func:`eval_group` uses it as given.
+
 A group is one ``(G, T, D)`` frame array with one condition per row (or
 one for the group).  Each term reduces the whole array at once (radii
 and their mean, second differences, the final frame), each reduction
@@ -25,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -60,48 +63,36 @@ class RewardTerm:
             raise DomainError("alignment term needs num_classes >= 1")
 
 
-def default_suite(num_classes: int, scales: dict | None = None) -> list:
-    """The standard three-stage suite."""
-    s = dict(DEFAULT_SCALES)
-    if scales:
-        s.update(scales)
-    return [
-        RewardTerm("fidelity", 1, "fidelity", s["fidelity"]),
-        RewardTerm("smoothness", 2, "smoothness", s["smoothness"]),
-        RewardTerm("alignment", 3, "alignment", s["alignment"], num_classes=num_classes),
-    ]
-
-
-def validate_suite(suite: Sequence[RewardTerm]) -> None:
-    """Stage indices must be exactly 1..K."""
-    if len(suite) < 1:
-        raise DomainError("empty reward suite")
-    stages = sorted(term.stage for term in suite)
-    if stages != list(range(1, len(suite) + 1)):
-        raise DomainError(f"stage indices must be contiguous 1..K, got {stages}")
-
-
 @dataclass(frozen=True)
 class RewardSuite:
-    """A reward suite checked once (see :func:`validate_suite`), for a run
-    that scores many groups with it: ``terms`` in stage order, and
-    ``num_classes``, the class range every alignment term accepts (None
-    without one)."""
+    """The one form of a reward suite, checked once when it is built:
+    ``terms`` in stage order, whose stage indices must be exactly 1..K,
+    and ``num_classes``, the class range every alignment term accepts
+    (None without one)."""
 
     terms: tuple
     num_classes: int | None = field(init=False)
 
     def __post_init__(self):
-        validate_suite(self.terms)
+        if len(self.terms) < 1:
+            raise DomainError("empty reward suite")
         terms = tuple(sorted(self.terms, key=lambda term: term.stage))
+        stages = [term.stage for term in terms]
+        if stages != list(range(1, len(terms) + 1)):
+            raise DomainError(f"stage indices must be contiguous 1..K, got {stages}")
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "num_classes", min(
             (term.num_classes for term in terms if term.kind == "alignment"), default=None))
 
-    @classmethod
-    def of(cls, suite: Sequence[RewardTerm]) -> "RewardSuite":
-        """``suite`` as a RewardSuite: checked unless it is one already."""
-        return suite if isinstance(suite, RewardSuite) else cls(suite)
+
+def default_suite(num_classes: int) -> RewardSuite:
+    """The standard three-stage suite at the default scales."""
+    s = DEFAULT_SCALES
+    return RewardSuite((
+        RewardTerm("fidelity", 1, "fidelity", s["fidelity"]),
+        RewardTerm("smoothness", 2, "smoothness", s["smoothness"]),
+        RewardTerm("alignment", 3, "alignment", s["alignment"], num_classes=num_classes),
+    ))
 
 
 @dataclass
@@ -196,17 +187,15 @@ def _score_term(term: RewardTerm, frames: np.ndarray, conds: np.ndarray):
     return score(frames, term.scale), np.zeros(len(frames), dtype=bool)
 
 
-def eval_group(suite: Sequence[RewardTerm] | RewardSuite, frames,
-               conditions) -> RewardMatrix:
+def eval_group(suite: RewardSuite, frames, conditions) -> RewardMatrix:
     """Score every row of a ``(G, T, D)`` frame array with every term.
 
     ``conditions`` is one class for the whole group or one per row, each
     an integer in the range of every alignment term's classes.  Terms
     that cannot score a row contribute 0 with the diagnostic flag
-    set; non-finite frames are rejected.  A :class:`RewardSuite` is used
-    as checked; any other suite is checked on every call.
+    set; non-finite frames are rejected.  ``suite`` is used as given: it
+    was checked when it was built.
     """
-    suite = RewardSuite.of(suite)
     frames = np.ascontiguousarray(frames, dtype=np.float64)
     if frames.ndim != 3 or frames.shape[1] < 2:
         raise ShapeError(f"frames must be (G, T >= 2, D), got {frames.shape}")

@@ -1,6 +1,6 @@
 """Shared test utilities: naive re-implementations used as oracles, a
-policy built to overflow, and a generic central finite-difference
-gradient."""
+rollout's kept activations by step, a policy built to overflow, and a
+generic central finite-difference gradient."""
 
 from __future__ import annotations
 
@@ -26,6 +26,13 @@ def naive_mlp_eval(weights, biases, x):
             out.append(math.tanh(acc) if layer < len(weights) - 1 else acc)
         a = out
     return np.array(a)
+
+
+def kept_by_step(rollout):
+    """A rollout's kept activations by step: each kept step, in increasing
+    order, to its layer activations, the net-input rows first."""
+    return {k: [x, *(block[u] for block in rollout.kept_layers)]
+            for u, (k, x) in enumerate(rollout.kept_inputs.items())}
 
 
 def late_overflow(policy):

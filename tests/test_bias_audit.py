@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from flowstage import bias_audit, cli
 from flowstage.bias_audit import audit, cluster_kappa, kmeans, read_items_csv
+from flowstage.config import DEFAULTS
 from flowstage.errors import DomainError, ShapeError
 from flowstage.numerics import RandomSource
+
+MAX_ITERS = DEFAULTS["audit"]["max_iters"]
 
 
 def blob_features(rng, centers, per_cluster, radius=0.3):
@@ -45,7 +48,7 @@ class TestKmeans:
     def test_k_equals_items_gives_singletons(self):
         rng = RandomSource(1)
         feats = rng.gaussian(12).reshape(6, 2)
-        labels = kmeans(feats, 6, seed=0)
+        labels = kmeans(feats, 6, seed=0, max_iters=MAX_ITERS)
         assert len(set(labels.tolist())) == 6
 
     def test_two_separated_blobs_recovered(self):
@@ -53,7 +56,7 @@ class TestKmeans:
         feats, truth = blob_features(
             rng, np.array([[0.0, 0.0], [50.0, 50.0]]), 40, radius=0.5
         )
-        labels = kmeans(feats, 2, seed=3)
+        labels = kmeans(feats, 2, seed=3, max_iters=MAX_ITERS)
         first, second = labels[truth == 0], labels[truth == 1]
         assert len(set(first.tolist())) == 1
         assert len(set(second.tolist())) == 1
@@ -62,11 +65,12 @@ class TestKmeans:
     def test_deterministic_under_seed(self):
         rng = RandomSource(3)
         feats = rng.gaussian(200).reshape(100, 2)
-        np.testing.assert_array_equal(kmeans(feats, 5, seed=9), kmeans(feats, 5, seed=9))
+        np.testing.assert_array_equal(kmeans(feats, 5, seed=9, max_iters=MAX_ITERS),
+                                      kmeans(feats, 5, seed=9, max_iters=MAX_ITERS))
 
     def test_k_larger_than_items_rejected(self):
         with pytest.raises(DomainError):
-            kmeans(np.zeros((3, 2)), 4)
+            kmeans(np.zeros((3, 2)), 4, max_iters=MAX_ITERS)
 
 
 class TestClusterKappa:
@@ -97,16 +101,18 @@ class TestAudit:
     def test_unbiased_scorer_low_cross_cluster_cov(self):
         for seed in range(5):
             scores, feats, _ = synthetic_items(bias_range=0.0, seed=seed)
-            report = audit(scores, feats, k=20, seed=seed)
+            report = audit(scores, feats, k=20, seed=seed, max_iters=MAX_ITERS)
             assert report.inter_cluster_cov < 2.0
 
     def test_biased_scorer_at_least_ten_times_unbiased(self):
-        unbiased = audit(*synthetic_items(bias_range=0.0, seed=1), k=20, seed=1)
-        biased = audit(*synthetic_items(bias_range=0.5, seed=1), k=20, seed=1)
+        unbiased = audit(*synthetic_items(bias_range=0.0, seed=1), k=20, seed=1,
+                         max_iters=MAX_ITERS)
+        biased = audit(*synthetic_items(bias_range=0.5, seed=1), k=20, seed=1,
+                       max_iters=MAX_ITERS)
         assert biased.inter_cluster_cov >= 10.0 * unbiased.inter_cluster_cov
 
     def test_labels_bypass_clustering(self):
-        report = audit([1.0, 3.0, 10.0, 30.0], labels=[0, 0, 1, 1])
+        report = audit([1.0, 3.0, 10.0, 30.0], labels=[0, 0, 1, 1], max_iters=MAX_ITERS)
         assert report.used_labels
         assert report.k == 2
         np.testing.assert_allclose(report.means, [2.0, 20.0], rtol=1e-12)
@@ -115,39 +121,39 @@ class TestAudit:
     def test_kappa_scale_invariance_through_audit(self):
         scores, feats, _ = synthetic_items(num_clusters=5, per_cluster=20, bias_range=0.3,
                                            seed=7)
-        r1 = audit(scores, feats, k=5, seed=0)
-        r2 = audit(scores * 3.5, feats, k=5, seed=0)
+        r1 = audit(scores, feats, k=5, seed=0, max_iters=MAX_ITERS)
+        r2 = audit(scores * 3.5, feats, k=5, seed=0, max_iters=MAX_ITERS)
         np.testing.assert_allclose(r1.kappas, r2.kappas, atol=1e-9)
         assert r1.inter_cluster_cov == pytest.approx(r2.inter_cluster_cov, abs=1e-9)
 
     def test_missing_labels_rejected_when_no_k(self):
         with pytest.raises(DomainError):
-            audit([1.0, 2.0], features=[[0.0, 1.0], [1.0, 0.0]])
+            audit([1.0, 2.0], features=[[0.0, 1.0], [1.0, 0.0]], max_iters=MAX_ITERS)
 
     def test_missing_features_rejected_when_k_given(self):
         with pytest.raises(DomainError):
-            audit([1.0, 2.0], labels=[0, 1], k=2)
+            audit([1.0, 2.0], labels=[0, 1], k=2, max_iters=MAX_ITERS)
 
     def test_non_finite_values_rejected(self):
         feats = np.zeros((3, 2))
         with pytest.raises(DomainError, match="item 1: non-finite score"):
-            audit([1.0, np.inf, 2.0], feats, k=2)
+            audit([1.0, np.inf, 2.0], feats, k=2, max_iters=MAX_ITERS)
         with pytest.raises(DomainError, match="item 1: non-finite score"):
-            audit([1.0, np.nan, 2.0], labels=[0, 0, 1])
+            audit([1.0, np.nan, 2.0], labels=[0, 0, 1], max_iters=MAX_ITERS)
         feats[2, 1] = np.nan
         with pytest.raises(DomainError, match="item 2: non-finite feature"):
-            audit([1.0, 1.5, 2.0], feats, k=1)
+            audit([1.0, 1.5, 2.0], feats, k=1, max_iters=MAX_ITERS)
 
     def test_shapes_checked(self):
         with pytest.raises(ShapeError):
-            audit([[1.0, 2.0]], labels=[0, 1])
+            audit([[1.0, 2.0]], labels=[0, 1], max_iters=MAX_ITERS)
         with pytest.raises(ShapeError):
-            audit([1.0, 2.0], labels=[0, 1, 1])
+            audit([1.0, 2.0], labels=[0, 1, 1], max_iters=MAX_ITERS)
         with pytest.raises(ShapeError):
-            audit([1.0, 2.0], features=[0.0, 1.0], k=1)
+            audit([1.0, 2.0], features=[0.0, 1.0], k=1, max_iters=MAX_ITERS)
 
     def test_report_serialization(self):
-        report = audit([1.0, 2.0, 4.0, 2.0], labels=[0, 0, 1, 1])
+        report = audit([1.0, 2.0, 4.0, 2.0], labels=[0, 0, 1, 1], max_iters=MAX_ITERS)
         jbuf, cbuf = io.StringIO(), io.StringIO()
         report.write_json(jbuf)
         report.write_csv(cbuf)

@@ -1,6 +1,7 @@
 """Run-config contracts: every value a run depends on can be set and is
 recorded, and configs that cannot run are rejected at load time."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -8,15 +9,32 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import kept_by_step
 
 from flowstage import cli
 from flowstage.config import RunConfig
-from flowstage.curriculum import CurriculumConfig
+from flowstage.curriculum import CurriculumConfig, calibrate_thresholds
 from flowstage.errors import ConfigError
-from flowstage.flow_policy import PolicyDims, SdeConfig, init_flow_policy, save_policy
+from flowstage.flow_policy import (
+    DEFAULT_HIDDEN,
+    PolicyDims,
+    SdeConfig,
+    ToyDataset,
+    init_flow_policy,
+    save_policy,
+)
 from flowstage.grpo import TrainConfig
 from flowstage.numerics import RandomSource
 from flowstage.rewards import default_suite
+
+
+@pytest.fixture(autouse=True)
+def in_tmp_dir(tmp_path, monkeypatch):
+    """Run each test in its own directory, where ``init.ckpt`` (the
+    checkpoint ``TRAIN`` names) exists: a config is checked at load only
+    for the file's existence."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "init.ckpt").touch()
 
 
 @pytest.fixture
@@ -69,10 +87,37 @@ class TestMaxGradNorm:
 
 def test_defaults_are_the_dataclass_defaults():
     cfg = RunConfig.from_dict(TRAIN)
+    assert cfg.policy_dims() == PolicyDims()
+    assert cfg.dataset() == ToyDataset()
+    assert cfg.resolved["policy"]["hidden"] == list(DEFAULT_HIDDEN)
+    assert inspect.signature(init_flow_policy).parameters["hidden"].default is DEFAULT_HIDDEN
     assert cfg.sde_config() == SdeConfig()
     assert cfg.curriculum_config() == CurriculumConfig()
     assert cfg.reward_suite() == default_suite(cfg.policy_dims().num_classes)
-    assert cfg.train_config() == TrainConfig(suite=tuple(cfg.reward_suite()))
+    assert cfg.train_config() == TrainConfig(suite=cfg.reward_suite())
+
+
+def test_calibrate_smooths_with_the_train_window(tmp_path, checkpoint):
+    rc, outdir = run_cli(tmp_path, checkpoint, "--set=mode=calibrate", "--set=calibrate.steps=9")
+    assert rc == 0
+    tau = json.loads((outdir / "tau.json").read_text())
+    assert tau["smooth_window"] == TrainConfig().smooth_window
+    curves = [[float(line.split(",")[1]) for line in
+               (outdir / f"calibrate_stage{stage}.csv").read_text().splitlines()[1:]]
+              for stage in (1, 2, 3)]
+    taus, _ = calibrate_thresholds(curves, TrainConfig().smooth_window)
+    assert tau["thresholds"] == taus.tolist()
+
+
+def test_zero_step_train_writes_the_log_header(tmp_path, checkpoint):
+    rc, outdir = run_cli(tmp_path, checkpoint, "--set=train.num_steps=0")
+    assert rc == 0
+    assert (outdir / "trainlog.jsonl").read_text() == ""
+    header = (outdir / "trainlog.csv").read_text()
+    (tmp_path / "one").mkdir()
+    rc, one_step = run_cli(tmp_path / "one", checkpoint, "--set=train.num_steps=1")
+    assert rc == 0
+    assert header == (one_step / "trainlog.csv").read_text().splitlines(keepends=True)[0]
 
 
 def test_yaml_is_imported_only_for_yaml_files_and_overrides(tmp_path):
@@ -254,6 +299,21 @@ class TestRejectedAtLoad:
         assert not (outdir / "failure.json").exists()
         assert "curriculum.thresholds_file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["calibrate", "train", "eval"])
+    def test_missing_init_checkpoint(self, tmp_path, capsys, mode):
+        rc, outdir = run_cli(tmp_path, str(tmp_path / "absent.ckpt"), f"--set=mode={mode}")
+        assert rc == 1
+        assert not (outdir / "failure.json").exists()
+        assert "config error: policy.init_checkpoint: no such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["absent.csv", "."])
+    def test_missing_audit_input(self, tmp_path, checkpoint, capsys, name):
+        rc, outdir = run_cli(tmp_path, checkpoint, "--set=mode=audit",
+                             f"--set=audit.input={tmp_path / name}")
+        assert rc == 1
+        assert not (outdir / "failure.json").exists()
+        assert "config error: audit.input: no such file" in capsys.readouterr().err
+
     def test_missing_thresholds_file(self, tmp_path, checkpoint):
         missing = tmp_path / "absent.json"
         rc, outdir = run_cli(tmp_path, checkpoint, f"--set=curriculum.thresholds_file={missing}")
@@ -284,4 +344,4 @@ def test_eval_keeps_no_activations(tmp_path, checkpoint, monkeypatch):
     rc, _ = run_cli(tmp_path, checkpoint, "--set=mode=eval")
     assert rc == 0
     assert len(rollouts) == 2
-    assert all(r.kept == {} and len(r) == 4 for r in rollouts)
+    assert all(kept_by_step(r) == {} and len(r) == 4 for r in rollouts)

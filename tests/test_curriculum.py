@@ -385,7 +385,7 @@ class TestCalibration:
 
     def test_empty_curve_rejected(self):
         with pytest.raises(DomainError):
-            calibrate_thresholds([[]])
+            calibrate_thresholds([[]], smooth_window=1)
 
 
 class TestConfigValidation:

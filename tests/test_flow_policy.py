@@ -1,5 +1,5 @@
-"""Sampler contracts: velocity evaluation, ODE/SDE degeneracy, transition
-density validity, and pretraining behavior."""
+"""Sampler contracts: velocity evaluation, the sampler at eta = 0 as the
+ODE, transition density validity, and pretraining behavior."""
 
 import math
 import tracemalloc
@@ -7,10 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import late_overflow, naive_mlp_eval
+from helpers import kept_by_step, late_overflow, naive_mlp_eval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowstage.config import DEFAULTS
 from flowstage.errors import DomainError, RolloutError, ShapeError
 from flowstage.flow_policy import (
     FlowPolicy,
@@ -20,7 +21,6 @@ from flowstage.flow_policy import (
     eval_step,
     init_flow_policy,
     load_policy,
-    ode_path,
     pretrain_flow_matching,
     save_policy,
     sde_sample,
@@ -29,6 +29,9 @@ from flowstage.flow_policy import (
 from flowstage.numerics import RandomSource, mlp_forward_batch
 
 SMALL = PolicyDims(frames=2, frame_dim=2, num_classes=3, embed_dim=2)
+PRETRAIN = DEFAULTS["pretrain"]
+# the deterministic sampler: at eta = 0 an SDE step is the Euler step x + dt v
+ODE = SdeConfig(num_steps=4, eta=0.0, t_min=0.05)
 
 
 def small_policy(seed=0, dims=SMALL, hidden=(6,)):
@@ -136,12 +139,12 @@ class TestVelocity:
     @pytest.mark.parametrize("cond", [2.5, 2.0, True, -1])
     def test_condition_must_be_an_integer_class(self, cond):
         # a fractional condition is not truncated to a class, in velocity
-        # and in ode_path, as sde_sample and eval_group reject it too
+        # and in the sampler at eta = 0, as eval_group rejects it too
         p = small_policy()
         with pytest.raises(DomainError):
             velocity(p, np.zeros(SMALL.state_size), 0.5, cond)
         with pytest.raises(DomainError):
-            ode_path(p, cond, 4, RandomSource(1))
+            sde_sample(p, cond, ODE, noise_block(p, ODE, RandomSource(1)))
 
     def test_numpy_integer_condition_accepted(self):
         p = small_policy()
@@ -153,17 +156,20 @@ class TestVelocity:
 class TestOdeSampling:
     def test_zero_velocity_returns_initial_noise(self):
         p = zeroed(small_policy(3))
-        noise = RandomSource(77).gaussian(SMALL.state_size)
-        _, states = ode_path(p, 0, 8, RandomSource(77))
-        np.testing.assert_array_equal(states[-1], noise)
+        cfg = replace(ODE, num_steps=8)
+        noise = noise_block(p, cfg, RandomSource(77))
+        rollout = sde_sample(p, 0, cfg, noise)
+        np.testing.assert_array_equal(rollout.states[0, -1], noise[0, 0])
 
     def test_one_step_constant_velocity(self):
-        # a single Euler step over [1, 0] uses dt = -1: x0 = z - c
+        # a single Euler step over [1, t_min] uses dt = t_min - 1
         c = 0.7
         p = constant_velocity(small_policy(4), c)
-        noise = RandomSource(5).gaussian(SMALL.state_size)
-        _, states = ode_path(p, 1, 1, RandomSource(5))
-        np.testing.assert_allclose(states[-1], noise - c, rtol=1e-12)
+        cfg = replace(ODE, num_steps=1)
+        noise = noise_block(p, cfg, RandomSource(5))
+        rollout = sde_sample(p, 1, cfg, noise)
+        np.testing.assert_allclose(rollout.states[0, -1], noise[0, 0] + (cfg.t_min - 1.0) * c,
+                                   rtol=1e-12)
 
     def test_non_finite_state_is_rollout_error(self):
         p = small_policy(6)
@@ -171,15 +177,20 @@ class TestOdeSampling:
             w *= 1e200
         # the scaled net overflows on purpose
         with pytest.raises(RolloutError), pytest.warns(RuntimeWarning):
-            ode_path(p, 0, 4, RandomSource(0))
+            sde_sample(p, 0, ODE, noise_block(p, ODE, RandomSource(0)))
 
 
 class TestSdeSampling:
     def test_eta_zero_matches_ode_exactly(self):
         p = small_policy(8)
         cfg = SdeConfig(num_steps=12, eta=0.0, t_min=0.05)
-        rollout = sde_sample(p, 2, cfg, noise_block(p, cfg, RandomSource(21)))
-        _, states = ode_path(p, 2, 12, RandomSource(21), t_min=0.05)
+        noise = noise_block(p, cfg, RandomSource(21))
+        rollout = sde_sample(p, 2, cfg, noise)
+        # Euler integration of dx = v dt from t = 1 down to t_min
+        dt = (cfg.t_min - 1.0) / cfg.num_steps
+        states = [noise[0, 0]]
+        for t in np.linspace(1.0, cfg.t_min, cfg.num_steps + 1)[:-1]:
+            states.append(states[-1] + dt * velocity(p, states[-1], float(t), 2))
         assert rollout.log_probs is None
         np.testing.assert_allclose(rollout.states[0], states, atol=1e-12)
 
@@ -228,9 +239,9 @@ class TestSdeSampling:
         p = small_policy(17)
         cfg = SdeConfig(num_steps=5, eta=0.5)
         noise = noise_block(p, cfg, *(RandomSource(91).stream(i) for i in range(3)))
-        assert sde_sample(p, 1, cfg, noise).kept == {}
+        assert kept_by_step(sde_sample(p, 1, cfg, noise)) == {}
         rollout = sde_sample(p, 1, cfg, noise, keep=[3, 1])
-        assert sorted(rollout.kept) == [1, 3]
+        assert sorted(kept_by_step(rollout)) == [1, 3]
         assert rollout.kept_activations([1, 2]) is None
         acts = rollout.kept_activations([1, 3])
         assert [a.shape for a in acts] == [(6, s) for s in p.net.layer_sizes]
@@ -250,7 +261,8 @@ class TestSdeSampling:
         noise = noise_block(p, cfg, *(RandomSource(27).stream(i) for i in range(32)))
         rollout = sde_sample(p, 2, cfg, noise, keep=[4, 1, 2])
         steps = [1, 2, 4]
-        assert list(rollout.kept) == steps
+        by_step = kept_by_step(rollout)
+        assert list(by_step) == steps
         tracemalloc.start()
         try:
             acts = rollout.kept_activations(steps)
@@ -262,9 +274,9 @@ class TestSdeSampling:
         assert peak < acts[0].nbytes + 4096 < sum(a.nbytes for a in acts[1:])
         for layer, got in enumerate(acts):
             np.testing.assert_array_equal(
-                got, np.concatenate([rollout.kept[k][layer] for k in steps]))
+                got, np.concatenate([by_step[k][layer] for k in steps]))
             for k in steps:
-                assert layer == 0 or np.shares_memory(got, rollout.kept[k][layer])
+                assert layer == 0 or np.shares_memory(got, by_step[k][layer])
         # other orders and subsets go through eval_step instead
         assert rollout.kept_activations([2, 1, 4]) is None
         assert rollout.kept_activations([1, 2]) is None
@@ -405,12 +417,13 @@ class TestSdeSampleOracle:
         else:
             np.testing.assert_array_equal(rollout.log_probs, log_probs)
         np.testing.assert_array_equal(rollout.conditions, np.broadcast_to(cond, (G,)))
-        assert sorted(rollout.kept) == sorted(kept)
+        by_step = kept_by_step(rollout)
+        assert sorted(by_step) == sorted(kept)
         for k, acts in kept.items():
-            assert len(rollout.kept[k]) == len(acts)
-            for got, want in zip(rollout.kept[k], acts):
+            assert len(by_step[k]) == len(acts)
+            for got, want in zip(by_step[k], acts):
                 np.testing.assert_array_equal(got, want)
-        arrays = [a for acts in rollout.kept.values() for a in acts]
+        arrays = [a for acts in by_step.values() for a in acts]
         for i, a in enumerate(arrays):
             assert not np.shares_memory(a, noise)
             assert not any(np.shares_memory(a, b) for b in arrays[:i])
@@ -420,7 +433,7 @@ class TestSdeSampleOracle:
             for layer, got in enumerate(acts):
                 np.testing.assert_array_equal(
                     got, np.concatenate([kept[k][layer] for k in steps]))
-                assert layer == 0 or np.shares_memory(got, rollout.kept[steps[0]][layer])
+                assert layer == 0 or np.shares_memory(got, by_step[steps[0]][layer])
 
 
 class TestTransitionLogProbs:
@@ -504,7 +517,9 @@ class TestPretraining:
     def test_zero_steps_returns_unchanged_policy(self):
         p = small_policy(20)
         ds = ToyDataset(SMALL)
-        trained, losses = pretrain_flow_matching(p, ds, 0, RandomSource(0))
+        trained, losses = pretrain_flow_matching(p, ds, 0, RandomSource(0),
+                                                 PRETRAIN["batch_size"],
+                                                 PRETRAIN["learning_rate"])
         assert losses == []
         np.testing.assert_array_equal(p.vector, trained.vector)
 
@@ -543,7 +558,9 @@ class TestPretraining:
             eps = eval_rng.gaussian(128 * dims.state_size).reshape(128, -1)
             t = eval_rng.uniform(128)
             before = flow_matching_loss(p, frames, conds, t, eps)
-            trained, _ = pretrain_flow_matching(p, ds, 2000, RandomSource(seed + 50))
+            trained, _ = pretrain_flow_matching(p, ds, 2000, RandomSource(seed + 50),
+                                                PRETRAIN["batch_size"],
+                                                PRETRAIN["learning_rate"])
             after = flow_matching_loss(trained, frames, conds, t, eps)
             wins += after < before
         assert wins >= 3

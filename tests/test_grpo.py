@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import late_overflow, rel_err_ok
+from helpers import kept_by_step, late_overflow, rel_err_ok
 
 from flowstage.curriculum import (
     CurriculumConfig,
@@ -32,7 +32,7 @@ from flowstage.grpo import (
     train_step,
 )
 from flowstage.numerics import RandomSource, mlp_forward_batch, split_params
-from flowstage.rewards import RewardTerm, default_suite, eval_group
+from flowstage.rewards import RewardSuite, RewardTerm, default_suite, eval_group
 
 TINY = PolicyDims(frames=2, frame_dim=1, num_classes=2, embed_dim=2)
 PLANAR = PolicyDims(frames=3, frame_dim=2, num_classes=4, embed_dim=4)
@@ -61,6 +61,7 @@ def small_train_config(**kw):
         seed=7,
         sde=SdeConfig(num_steps=4, eta=0.5),
         curriculum=CurriculumConfig(thresholds=(0.75, 0.75, 0.75)),
+        suite=default_suite(PLANAR.num_classes),
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
@@ -240,7 +241,7 @@ class TestTrainStep:
         np.testing.assert_array_equal(policy.vector, before)
         assert not np.array_equal(trained.vector, before)
         rollout = rollouts[0][1]
-        steps = sorted(rollout.kept)
+        steps = sorted(kept_by_step(rollout))
         rows = rollout.transitions(steps)
         inputs = np.concatenate([rows.x, rows.t[:, None], policy.cond_emb[rows.cond]], axis=1)
         _, fresh = mlp_forward_batch(policy.net, inputs)
@@ -277,6 +278,24 @@ class TestTrainStep:
         trained, log = train(policy, small_train_config(num_steps=0))
         assert len(log) == 0
         np.testing.assert_array_equal(policy.vector, trained.vector)
+
+    def test_default_suite_filled_in_once_per_run(self, monkeypatch):
+        calls = []
+        build = grpo.default_suite
+
+        def spy(num_classes):
+            calls.append(num_classes)
+            return build(num_classes)
+
+        monkeypatch.setattr(grpo, "default_suite", spy)
+        policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(10))
+        _, log = train(policy, small_train_config(num_steps=3, suite=None))
+        assert calls == [PLANAR.num_classes]
+        _, given = train(policy, small_train_config(num_steps=3))
+        buf, given_buf = io.StringIO(), io.StringIO()
+        log.write_jsonl(buf)
+        given.write_jsonl(given_buf)
+        assert buf.getvalue() == given_buf.getvalue()
 
     def test_rollout_failure_names_train_step_and_condition(self):
         policy = late_overflow(init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(8)))
@@ -369,7 +388,7 @@ class TestGradientFidelity:
         adv = normalize_advantages(rng.stream(3).gaussian(G))
         kept = sde_sample(policy, 5, cfg, noise, keep=subset)
         bare = sde_sample(policy, 5, cfg, noise)
-        assert bare.kept == {}
+        assert kept_by_step(bare) == {}
         forward = flow_policy.mlp_forward_batch
 
         def per_step_forward(net, inputs):
@@ -409,8 +428,8 @@ class TestGradientFidelity:
         policy.net.weights[0][0, 0] += 0.02
 
         frames = trajs.final_states().reshape(len(trajs), TINY.frames, TINY.frame_dim)
-        suite_a = [RewardTerm("fid", 1, "fidelity", 0.05)]
-        suite_b = [RewardTerm("fid", 1, "fidelity", 0.5)]
+        suite_a = RewardSuite([RewardTerm("fid", 1, "fidelity", 0.05)])
+        suite_b = RewardSuite([RewardTerm("fid", 1, "fidelity", 0.5)])
         cfg = CurriculumConfig(thresholds=(0.75,))
         adv_a = curriculum_step(eval_group(suite_a, frames, trajs.conditions), cfg).advantages
         adv_b = curriculum_step(eval_group(suite_b, frames, trajs.conditions), cfg).advantages
@@ -445,7 +464,13 @@ class TestConfigValidation:
 
     def test_suite_stage_bounds(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(8))
-        cfg = small_train_config(static_stage=9)
+        with pytest.raises(DomainError):
+            train_step(policy, policy.copy(), small_train_config(static_stage=9), RandomSource(0))
+        # without a suite the stage is checked against the default one,
+        # which train() fills in once per run
+        cfg = small_train_config(static_stage=4, suite=None)
+        with pytest.raises(DomainError):
+            train(policy, cfg)
         with pytest.raises(DomainError):
             train_step(policy, policy.copy(), cfg, RandomSource(0))
 

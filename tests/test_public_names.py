@@ -1,0 +1,50 @@
+"""Every public function and method of the package has a caller in the
+package itself: a helper that only tests call belongs in the tests."""
+
+import ast
+from pathlib import Path
+
+import flowstage
+
+SRC = Path(flowstage.__file__).resolve().parent
+
+# Public names that nothing in src/ calls, each with the reason it stays.
+ALLOWED = {
+    "flow_policy.velocity": "the one-state velocity; perfbench/test_perfbench.py traces it, "
+                            "and it is the one caller of numerics.mlp_forward",
+    "numerics.mlp_backward": "BENCHMARK.json's per_layer metrics name numerics.mlp_backward",
+}
+
+
+def public_defs():
+    """``module.function`` and ``module.Class.method`` for every public
+    function, and every public method of a public class, in src/."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}"
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{member.name}"
+
+
+def referenced_names() -> set:
+    """Every name read as a variable or an attribute anywhere in src/.  A
+    ``def`` and an import are not references: re-exporting a function
+    does not count as calling it."""
+    names = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_public_function_has_a_caller_in_src():
+    used = referenced_names()
+    uncalled = {name for name in public_defs() if name.rsplit(".", 1)[1] not in used}
+    # an allowed name that gains a caller leaves the list
+    assert uncalled == set(ALLOWED)

@@ -19,7 +19,6 @@ from flowstage.rewards import (
     RewardTerm,
     default_suite,
     eval_group,
-    validate_suite,
     wrapped_angle_error,
 )
 
@@ -33,7 +32,8 @@ def circle(angles, radius=1.0):
 def score(term, frames, cond=0):
     """``term``'s value on one (T, D) frame sequence: row 0 of a two-row
     group of it (a group needs at least two rows)."""
-    matrix = eval_group([dataclasses.replace(term, stage=1)], np.stack([frames, frames]), cond)
+    matrix = eval_group(RewardSuite([dataclasses.replace(term, stage=1)]),
+                        np.stack([frames, frames]), cond)
     return float(matrix.values[0, 0])
 
 
@@ -131,7 +131,7 @@ class TestEvalGroup:
     def test_single_term_matches_per_sample_eval(self):
         rng = RandomSource(7)
         frames = rng.gaussian(24).reshape(3, 4, 2)
-        matrix = eval_group([FID], frames, 0)
+        matrix = eval_group(RewardSuite([FID]), frames, 0)
         expected = [score(FID, f) for f in frames]
         np.testing.assert_allclose(matrix.values[:, 0], expected, rtol=1e-12)
 
@@ -140,7 +140,7 @@ class TestEvalGroup:
         frames, conds = ds.sample_batch(RandomSource(8), 5)
         suite = self.suite()
         matrix = eval_group(suite, frames, conds)
-        ordered = sorted(suite, key=lambda t: t.stage)
+        ordered = sorted(suite.terms, key=lambda t: t.stage)
         for i, (f, c) in enumerate(zip(frames, conds)):
             for j, term in enumerate(ordered):
                 np.testing.assert_allclose(matrix.values[i, j], score(term, f, c), rtol=1e-12)
@@ -171,21 +171,22 @@ class TestSuiteValidation:
     def test_contiguous_stages_required(self):
         bad = [RewardTerm("a", 1, "fidelity", 0.1), RewardTerm("b", 3, "smoothness", 0.1)]
         with pytest.raises(DomainError):
-            validate_suite(bad)
+            RewardSuite(bad)
+        with pytest.raises(DomainError):
+            RewardSuite(())
 
     def test_reward_suite_checked_and_ordered_once(self):
-        terms = default_suite(num_classes=8)
+        terms = default_suite(num_classes=8).terms
         suite = RewardSuite(tuple(reversed(terms)))
         assert suite.terms == tuple(terms)
         assert suite.num_classes == 8
-        assert RewardSuite.of(suite) is suite
         assert RewardSuite([terms[0]]).num_classes is None
         with pytest.raises(DomainError):
             RewardSuite((terms[0], terms[2]))
         frames = 2.0 * RandomSource(6).gaussian(4 * 8 * 2).reshape(4, 8, 2)
-        checked, unchecked = eval_group(suite, frames, 3), eval_group(terms[::-1], frames, 3)
-        np.testing.assert_array_equal(checked.values, unchecked.values)
-        np.testing.assert_array_equal(checked.flags, unchecked.flags)
+        reordered, ordered = eval_group(suite, frames, 3), eval_group(RewardSuite(terms), frames, 3)
+        np.testing.assert_array_equal(reordered.values, ordered.values)
+        np.testing.assert_array_equal(reordered.flags, ordered.flags)
 
     def test_alignment_requires_classes(self):
         with pytest.raises(DomainError):
@@ -203,7 +204,7 @@ class TestRangeInvariant:
         rng = RandomSource(seed)
         frames = 2.0 * rng.gaussian(10).reshape(5, 2)
         cond = int(rng.integers(0, 8))
-        for term in default_suite(num_classes=8):
+        for term in default_suite(num_classes=8).terms:
             value = score(term, frames, cond)
             assert 0.0 <= value <= 1.0
 
@@ -253,8 +254,8 @@ def _oracle_term(term, frames, condition):
     return _oracle_alignment(frames, condition, term)
 
 
-def oracle_group(suite, frames, conditions):
-    ordered = sorted(suite, key=lambda term: term.stage)
+def oracle_group(terms, frames, conditions):
+    ordered = sorted(terms, key=lambda term: term.stage)
     values = np.zeros((len(frames), len(ordered)))
     flags = np.zeros(values.shape, dtype=bool)
     for i, (f, c) in enumerate(zip(frames, conditions)):
@@ -285,14 +286,18 @@ class TestArrayScorer:
         else:
             conds = rng.integers(0, classes, size=G)
             per_row = conds.tolist()
-        suite = default_suite(classes, {
-            "fidelity": data.draw(st.floats(0.01, 2.0), label="fid scale"),
-            "smoothness": data.draw(st.floats(0.01, 2.0), label="smooth scale"),
-            "alignment": data.draw(st.floats(0.01, 2.0), label="align scale")})
-        suite = data.draw(st.permutations(suite), label="suite order")
+        terms = [
+            RewardTerm("fidelity", 1, "fidelity",
+                       data.draw(st.floats(0.01, 2.0), label="fid scale")),
+            RewardTerm("smoothness", 2, "smoothness",
+                       data.draw(st.floats(0.01, 2.0), label="smooth scale")),
+            RewardTerm("alignment", 3, "alignment",
+                       data.draw(st.floats(0.01, 2.0), label="align scale"), num_classes=classes),
+        ]
+        terms = data.draw(st.permutations(terms), label="suite order")
 
-        matrix = eval_group(suite, frames, conds)
-        values, flags = oracle_group(suite, frames, per_row)
+        matrix = eval_group(RewardSuite(terms), frames, conds)
+        values, flags = oracle_group(terms, frames, per_row)
         np.testing.assert_array_equal(matrix.values, values)
         np.testing.assert_array_equal(matrix.flags, flags)
         assert matrix.flags[origin, 2].all()
@@ -309,7 +314,7 @@ class TestArrayScorer:
         frames = np.zeros((3, 4, 2))
         frames[1, 2, 0] = np.nan
         with pytest.raises(DomainError):
-            eval_group([FID], frames, 0)
+            eval_group(RewardSuite([FID]), frames, 0)
 
     @pytest.mark.parametrize("conds", [8, 9, -1, [0, 9, 1], 2.5, [0, 1.5, 2], 2.0, True])
     def test_bad_conditions_rejected(self, conds):
@@ -319,18 +324,18 @@ class TestArrayScorer:
 
     def test_conditions_unchecked_against_classes_without_alignment(self):
         frames = np.stack([circle([0.0, 0.5, 1.0])] * 3)
-        np.testing.assert_array_equal(eval_group([FID], frames, 9).values,
-                                      eval_group([FID], frames, 0).values)
+        np.testing.assert_array_equal(eval_group(RewardSuite([FID]), frames, 9).values,
+                                      eval_group(RewardSuite([FID]), frames, 0).values)
         with pytest.raises(DomainError):
-            eval_group([FID], frames, 0.5)
+            eval_group(RewardSuite([FID]), frames, 0.5)
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(ShapeError):
-            eval_group([FID], np.zeros((3, 8)), 0)
+            eval_group(RewardSuite([FID]), np.zeros((3, 8)), 0)
         with pytest.raises(ShapeError):
-            eval_group([FID], np.zeros((3, 1, 2)), 0)
+            eval_group(RewardSuite([FID]), np.zeros((3, 1, 2)), 0)
         with pytest.raises(ShapeError):
-            eval_group([FID], np.zeros((3, 4, 2)), [0, 1])
+            eval_group(RewardSuite([FID]), np.zeros((3, 4, 2)), [0, 1])
         align = RewardTerm("align", 1, "alignment", 0.5, num_classes=8)
         with pytest.raises(ShapeError):
-            eval_group([align], np.ones((3, 4, 1)), 0)
+            eval_group(RewardSuite([align]), np.ones((3, 4, 1)), 0)
