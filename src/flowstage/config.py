@@ -98,6 +98,21 @@ def _input_file_errors(name, path, mode) -> list:
     return []
 
 
+def _merged(base, value, here, errors):
+    """``value`` given for key ``here``, whose current value is ``base``.
+    A mapping is merged into a mapping key by key; where ``base`` is a
+    mapping or a list, anything else is an error and ``base`` stays."""
+    if isinstance(base, dict):
+        if isinstance(value, dict):
+            return _deep_merge(base, value, here, errors)
+        errors.append(f"{here}: must be a mapping, got {value!r}")
+        return base
+    if isinstance(base, list) and not isinstance(value, list):
+        errors.append(f"{here}: must be a list, got {value!r}")
+        return base
+    return value
+
+
 def _deep_merge(base, override, path, errors):
     """Merge override into a copy of base, flagging unknown keys."""
     merged = dict(base)
@@ -106,10 +121,7 @@ def _deep_merge(base, override, path, errors):
         if key not in base:
             errors.append(f"{here}: unknown key")
             continue
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            merged[key] = _deep_merge(base[key], value, here, errors)
-        else:
-            merged[key] = value
+        merged[key] = _merged(base[key], value, here, errors)
     return merged
 
 
@@ -125,7 +137,7 @@ def _set_dotted(tree, dotted, value, errors):
     if not isinstance(node, dict) or leaf not in node:
         errors.append(f"{dotted}: unknown key")
         return
-    node[leaf] = value
+    node[leaf] = _merged(node[leaf], value, dotted, errors)
 
 
 def load_config_file(path) -> dict:
@@ -224,11 +236,14 @@ class RunConfig:
 
         if not errors:
             # constructors carry the numeric range checks; translate their
-            # complaints into field-level diagnostics
+            # complaints into field-level diagnostics, each section built
+            # on its own so that each error is reported once, under it
             builders = [
                 ("sde", self.sde_config),
                 ("curriculum", self.curriculum_config),
                 ("rewards", self.reward_suite),
+                ("train", lambda: TrainConfig(**self._section(
+                    "train", TrainConfig, _TRAIN_FROM_ELSEWHERE))),
             ]
             if mode == "pretrain":  # the only mode that draws from the dataset
                 builders.append(("dataset", self.dataset))
@@ -238,15 +253,11 @@ class RunConfig:
                 except (ValueError, TypeError) as exc:
                     errors.append(f"{section}: {exc}")
             stage, terms = cfg["train"]["static_stage"], len(cfg["rewards"])
-            if not errors and type(stage) is int and not 1 <= stage <= terms:
-                # TrainConfig rejects it too; this names the key and the range
+            if type(stage) is int and not 1 <= stage <= terms:
+                # the one check across sections: TrainConfig makes it
+                # against its suite; this names the key and the range
                 errors.append(f"train.static_stage: must lie in [1, {terms}] for "
                               f"{terms} reward terms, got {stage!r}")
-            else:
-                try:
-                    self.train_config()
-                except (ValueError, TypeError) as exc:
-                    errors.append(f"train: {exc}")
             if not errors and mode == "train" and stage is None:
                 errors.extend(self._threshold_errors())
 

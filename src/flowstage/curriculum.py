@@ -163,6 +163,24 @@ def normalize_advantages(mixed: np.ndarray) -> np.ndarray:
     return centered
 
 
+def _mixing_state(matrix: RewardMatrix, weigh) -> CurriculumState:
+    """The chain every mixing step shares: the group means and per-term
+    Hoyer sparsities of ``matrix``, ``weigh(means, sparsities) -> (gates,
+    weights)``, then the mixture and its normalized advantages."""
+    means = group_means(matrix)
+    sparsities = np.array([hoyer(matrix.values[:, j]) for j in range(matrix.num_terms)])
+    gates, weights = weigh(means, sparsities)
+    mixed = mixed_reward(matrix, weights)
+    return CurriculumState(
+        group_means=means,
+        sparsities=sparsities,
+        transitions=gates,
+        weights=weights,
+        mixed=mixed,
+        advantages=normalize_advantages(mixed),
+    )
+
+
 def curriculum_step(matrix: RewardMatrix, config: CurriculumConfig,
                     prior_state: CurriculumState | None = None) -> CurriculumState:
     """Full mixing chain: means, sparsities, gates, weights, mixture,
@@ -176,24 +194,29 @@ def curriculum_step(matrix: RewardMatrix, config: CurriculumConfig,
             f"{matrix.num_terms} reward terms but only "
             f"{len(config.thresholds)} thresholds"
         )
-    means = group_means(matrix)
-    sparsities = np.array([hoyer(matrix.values[:, j]) for j in range(matrix.num_terms)])
-    gates = np.array([
-        transition(j, means, sparsities, config) for j in range(1, matrix.num_terms + 1)
-    ])
-    weights = stage_weights(gates, config.alpha)
-    if config.weight_mode == "ema" and prior_state is not None:
-        weights = config.ema_decay * prior_state.weights + (1.0 - config.ema_decay) * weights
-        weights = weights / weights.sum()
-    mixed = mixed_reward(matrix, weights)
-    return CurriculumState(
-        group_means=means,
-        sparsities=sparsities,
-        transitions=gates,
-        weights=weights,
-        mixed=mixed,
-        advantages=normalize_advantages(mixed),
-    )
+
+    def weigh(means, sparsities):
+        gates = np.array([
+            transition(j, means, sparsities, config) for j in range(1, matrix.num_terms + 1)
+        ])
+        weights = stage_weights(gates, config.alpha)
+        if config.weight_mode == "ema" and prior_state is not None:
+            weights = config.ema_decay * prior_state.weights + (1.0 - config.ema_decay) * weights
+            weights = weights / weights.sum()
+        return gates, weights
+
+    return _mixing_state(matrix, weigh)
+
+
+def static_step(matrix: RewardMatrix, stage: int) -> CurriculumState:
+    """Fixed one-hot mixing on ``stage`` (1-indexed) for single-stage probe
+    and baseline runs: no gates (all zero), and the mixture is that
+    term's rewards."""
+    if not 1 <= stage <= matrix.num_terms:
+        raise DomainError(f"stage index {stage} out of range 1..{matrix.num_terms}")
+    weights = np.zeros(matrix.num_terms)
+    weights[stage - 1] = 1.0
+    return _mixing_state(matrix, lambda means, sparsities: (np.zeros(matrix.num_terms), weights))
 
 
 def smooth_curve(values: Sequence[float], window: int) -> np.ndarray:

@@ -171,105 +171,77 @@ class SdeConfig:
 
 
 @dataclass
-class Transitions:
-    """Recorded transitions x -> x_next, one per row, each with its own
-    flow time, condition and noise std; the step size and eta are shared."""
-
-    x: np.ndarray
-    x_next: np.ndarray
-    t: np.ndarray
-    cond: np.ndarray
-    std: np.ndarray
-    dt: float
-    eta: float
-
-
-@dataclass
 class Rollout:
-    """The one record of sampled trajectories: a group of G sampled
-    together, trajectory i in row i of each per-trajectory array.
+    """The one record of a sampled group, from sampling to gradient:
+    trajectory i is row i of the group axis of each array.
 
-    ``states`` is (G, K + 1, n), ``step_means`` (G, K, n) and ``log_probs``
-    (G, K): ``log_probs[i, k]`` is the Gaussian log-density of
-    ``states[i, k + 1]`` under mean ``step_means[i, k]`` and covariance
-    ``step_stds[k]**2 * I``, and ``log_probs`` is None when eta = 0 (the
-    rollout is deterministic, no density exists).  The time grid ``times``
-    and the per-step ``step_stds`` are shared by the group (they are the
-    sampler config's read-only :class:`SdeGrid` arrays), ``conditions``
-    holds one class per trajectory.  The velocity net's layer
-    activations at the steps named at sampling time (the kept steps) are
-    in two fields: ``kept_inputs`` maps the kept steps, in increasing
-    order, to their (G, in) net-input rows, and ``kept_layers`` holds one
-    (len(kept_inputs), G, size) block per later layer, slot u belonging
-    to the u-th kept step.
+    ``net_inputs`` is the sampler's step-major (K + 1, G, in) workspace:
+    row k holds step k's net inputs (x_k, t_k, embedding), so its first n
+    columns are the states, which ``states`` shows as a (G, K + 1, n)
+    view.  ``step_means`` is (G, K, n) and ``log_probs`` (G, K):
+    ``log_probs[i, k]`` is the Gaussian log-density of ``states[i, k + 1]``
+    under mean ``step_means[i, k]`` and covariance ``step_stds[k]**2 * I``,
+    and ``log_probs`` is None when eta = 0 (the rollout is deterministic,
+    no density exists).  The time grid ``times`` and the per-step
+    ``step_stds`` are shared by the group (they are the sampler config's
+    read-only :class:`SdeGrid` arrays), ``conditions`` holds one class per
+    trajectory.
 
-    From :func:`sde_sample`, ``states`` and ``step_means`` are views of
-    step-major (K + 1, G, n) and (K, G, n) arrays, and every kept array is
-    a view into the sampler's workspace, no two of them overlapping: a
-    kept step's input activations are its row of the net-input workspace.
+    ``kept_steps`` are the steps named at sampling time, sorted: the
+    transitions a gradient is taken at.  The net's activations there are
+    kept: the inputs are those steps' ``net_inputs`` rows, and
+    ``kept_layers`` holds one (len(kept_steps), G, size) block per later
+    layer, slot u belonging to ``kept_steps[u]``.  Whatever is read per
+    kept transition is step-major: row ``u * G + i`` is trajectory i's
+    step ``kept_steps[u]``.  From :func:`sde_sample`, ``step_means`` is a
+    view of a step-major (K, G, n) array, and it, ``net_inputs`` and the
+    kept blocks are views of one allocation, no two of them overlapping.
     """
 
     times: np.ndarray
-    states: np.ndarray
+    net_inputs: np.ndarray
     step_means: np.ndarray
     step_stds: np.ndarray
     log_probs: np.ndarray | None
     conditions: np.ndarray
     eta: float
     dt: float
-    kept_inputs: dict = field(repr=False)
+    kept_steps: np.ndarray = field(repr=False)
     kept_layers: list = field(repr=False)
 
     def __post_init__(self):
+        self.kept_steps = np.asarray(self.kept_steps, dtype=np.int64)
         rows = [len(block) for block in self.kept_layers]
-        if any(r != len(self.kept_inputs) for r in rows):
+        if any(r != len(self.kept_steps) for r in rows):
             raise ShapeError(f"kept layer blocks of {rows} slots for "
-                             f"{len(self.kept_inputs)} kept steps")
+                             f"{len(self.kept_steps)} kept steps")
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.net_inputs.shape[1]
+
+    @property
+    def states(self) -> np.ndarray:
+        """The visited states, (G, K + 1, n), a view of ``net_inputs``."""
+        return self.net_inputs[:, :, :self.step_means.shape[-1]].transpose(1, 0, 2)
 
     def final_states(self) -> np.ndarray:
         return self.states[:, -1]
 
-    def transitions(self, steps: Sequence[int]) -> Transitions:
-        """The transitions at ``steps`` of every trajectory, step-major:
-        row ``u * G + i`` is trajectory i's step ``steps[u]``."""
-        steps = np.asarray(steps, dtype=np.int64)
-        G, K, n = self.states.shape[0], self.states.shape[1] - 1, self.states.shape[2]
-        if steps.ndim != 1 or ((steps < 0) | (steps >= K)).any():
-            raise DomainError(f"timestep indices {steps.tolist()} out of range [0, {K})")
-        by_step = self.states.transpose(1, 0, 2)
-        return Transitions(
-            x=by_step[steps].reshape(-1, n),
-            x_next=by_step[steps + 1].reshape(-1, n),
-            t=np.repeat(self.times[steps], G),
-            cond=np.tile(self.conditions, len(steps)),
-            std=np.repeat(self.step_stds[steps], G),
-            dt=self.dt,
-            eta=self.eta,
-        )
-
-    def kept_activations(self, steps: Sequence[int]) -> list | None:
-        """Layer activations at ``steps`` in the row order of
-        :meth:`transitions`, or None unless ``steps`` are the kept steps
-        in increasing order.  Every layer after the input is its
-        ``kept_layers`` block seen as (T' G, size), no copy; only the
-        input rows are gathered.
+    def kept_activations(self) -> list:
+        """The net's layer activations at the kept steps, one (T' G, size)
+        array per layer, inputs first.  Every layer after the input is its
+        ``kept_layers`` block seen as (T' G, size), no copy; only the input
+        rows are gathered from ``net_inputs``.
         """
-        if not self.kept_inputs or [int(k) for k in steps] != list(self.kept_inputs):
-            return None
-        inputs = np.concatenate(list(self.kept_inputs.values()))
-        return [inputs, *(block.reshape(-1, block.shape[-1]) for block in self.kept_layers)]
+        inputs = self.net_inputs[self.kept_steps]
+        return [inputs.reshape(-1, inputs.shape[-1]),
+                *(block.reshape(-1, block.shape[-1]) for block in self.kept_layers)]
 
-    def recorded_eval(self, steps: Sequence[int]) -> "TransitionEval | None":
-        """What :func:`eval_step` gives at ``steps`` under the policy that
-        sampled this rollout, read from the rollout instead of recomputed:
-        the recorded means and log-densities, the kept activations and
-        d mean / d v, in the row order of :meth:`transitions`.  None
-        unless the steps are the kept steps in increasing order and the
-        rollout has densities (eta > 0); :func:`eval_step` is the general
-        path.
+    def recorded_eval(self) -> "TransitionEval":
+        """What :func:`eval_step` gives under the policy that sampled this
+        rollout, read from the rollout instead of recomputed: the recorded
+        means and log-densities at the kept steps, their activations and
+        d mean / d v.  The rollout must have densities (eta > 0).
 
         The sampler formed each mean and log-density with the operations
         :func:`eval_step` uses, so they equal what it computes from these
@@ -277,15 +249,12 @@ class Rollout:
         at once can differ from the sampler's per-step passes at rounding
         level (a wider BLAS product may sum in another order).
         """
-        acts = self.kept_activations(steps)
-        if acts is None or self.log_probs is None:
-            return None
-        steps = np.asarray(steps, dtype=np.int64)
+        steps = self.kept_steps
         _, a_v = _step_coeffs(self.times[steps], self.dt, self.eta)
         return TransitionEval(
             log_probs=self.log_probs[:, steps].T.reshape(-1),
-            means=self.step_means.transpose(1, 0, 2)[steps].reshape(-1, self.states.shape[2]),
-            acts=acts,
+            means=self.step_means.transpose(1, 0, 2)[steps].reshape(-1, self.step_means.shape[-1]),
+            acts=self.kept_activations(),
             a_v=np.repeat(a_v, len(self)),
         )
 
@@ -404,8 +373,9 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     one integer condition for the group or one per trajectory.  Each
     transition is Gaussian with mean from :func:`_step_coeffs` and std
     sigma_t * sqrt(|dt|) = eta * sqrt(t |dt|); the exact log-density of
-    the realized next state is recorded (None when eta = 0).  The net's
-    layer activations are kept for the steps in ``keep`` only.
+    the realized next state is recorded (None when eta = 0).  The steps in
+    ``keep``, sorted, are the rollout's ``kept_steps``, the transitions a
+    gradient is taken at; the net's layer activations are kept there only.
 
     The group is sampled in one step-major workspace, (K + 1, G, in):
     row k is step k's net input (x_k, t_k, embedding), so its first n
@@ -423,10 +393,9 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
 
     ``noise`` is only read.  The returned :class:`Rollout` shares nothing
     with the caller but ``times`` and ``step_stds``, the read-only
-    ``config.grid``.  Its ``states`` and ``step_means`` are (G, ...)
-    views of the step-major workspace and mean arrays, and the kept
-    activations are views: a kept step's input activations are its
-    workspace row.
+    ``config.grid``.  It holds the workspace itself as ``net_inputs``, so
+    a kept step's input activations are its workspace row, and
+    ``step_means`` is a (G, K, n) view of the step-major mean array.
     """
     net = policy.net
     n = policy.dims.state_size
@@ -469,19 +438,19 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
         by_step[k + 1] += mean
     if not np.isfinite(by_step[K]).all():
         _raise_first_failure(net, work, n, times)
-    states = by_step.transpose(1, 0, 2)
     step_means = means.transpose(1, 0, 2)
-    log_probs = _log_density_rows(states[:, 1:], step_means, stds) if eta > 0.0 else None
+    log_probs = (_log_density_rows(by_step[1:].transpose(1, 0, 2), step_means, stds)
+                 if eta > 0.0 else None)
     return Rollout(
         times=times,
-        states=states,
+        net_inputs=work,
         step_means=step_means,
         step_stds=stds,
         log_probs=log_probs,
         conditions=conds,
         eta=eta,
         dt=dt,
-        kept_inputs={k: work[k] for k in keep},
+        kept_steps=keep,
         kept_layers=[block[:T] for block in layers],
     )
 
@@ -502,7 +471,7 @@ def _raise_first_failure(net: MlpParams, work: np.ndarray, n: int, times: np.nda
 
 @dataclass
 class TransitionEval:
-    """Recorded transitions re-evaluated under one policy: per-row
+    """A rollout's kept transitions evaluated under one policy: per-row
     log-densities and transition means, the net's layer activations and
     d mean / d v, kept for :func:`backprop_step`."""
 
@@ -512,32 +481,51 @@ class TransitionEval:
     a_v: np.ndarray
 
 
-def eval_step(policy: FlowPolicy, rows: Transitions) -> TransitionEval:
-    """Log-densities of recorded transitions under ``policy``, every
-    selected step of every trajectory at once.
+def _kept_targets(rollout: Rollout):
+    """Each kept transition's next state and noise std, in the step-major
+    row order of :meth:`Rollout.kept_activations`."""
+    steps, n = rollout.kept_steps, rollout.step_means.shape[-1]
+    return (rollout.net_inputs[steps + 1, :, :n].reshape(-1, n),
+            np.repeat(rollout.step_stds[steps], len(rollout)))
 
-    The transition means are recomputed from this policy's velocity in one
-    forward pass over all rows; the visited states and the noise scales
-    stay frozen.  Under the policy that sampled the rollout,
-    :meth:`Rollout.recorded_eval` gives the same without the pass.
+
+def eval_step(policy: FlowPolicy, rollout: Rollout) -> TransitionEval:
+    """Log-densities of a rollout's kept transitions under ``policy``,
+    every kept step of every trajectory at once, in the step-major row
+    order of :meth:`Rollout.kept_activations`.
+
+    The kept steps' rows of ``rollout.net_inputs`` are gathered once and
+    their embedding columns overwritten with ``policy``'s; one forward
+    pass over them recomputes the transition means, while the visited
+    states and the noise scales stay frozen.  Under the policy that
+    sampled the rollout, :meth:`Rollout.recorded_eval` gives the same
+    without the pass.
     """
-    inputs = np.concatenate([rows.x, rows.t[:, None], policy.cond_emb[rows.cond]], axis=1)
+    steps, n = rollout.kept_steps, policy.dims.state_size
+    inputs = rollout.net_inputs[steps]
+    inputs[:, :, n + 1:] = policy.cond_emb[rollout.conditions]
+    inputs = inputs.reshape(-1, inputs.shape[-1])
     _, acts = mlp_forward_batch(policy.net, inputs)
-    a_x, a_v = _step_coeffs(rows.t, rows.dt, rows.eta)
-    means = a_x * rows.x + a_v[:, None] * acts[-1]
-    return TransitionEval(_log_density_rows(rows.x_next, means, rows.std), means, acts, a_v)
+    a_x, a_v = _step_coeffs(np.repeat(rollout.times[steps], len(rollout)), rollout.dt, rollout.eta)
+    means = a_x * inputs[:, :n] + a_v[:, None] * acts[-1]
+    x_next, std = _kept_targets(rollout)
+    return TransitionEval(_log_density_rows(x_next, means, std), means, acts, a_v)
 
 
-def backprop_step(policy: FlowPolicy, rows: Transitions, ev: TransitionEval,
+def backprop_step(policy: FlowPolicy, rollout: Rollout, ev: TransitionEval,
                   upstream: np.ndarray) -> np.ndarray:
-    """Gradient of ``sum_r upstream[r] * log_prob[r]`` w.r.t. ``policy.vector``.
+    """Gradient of ``sum_r upstream[r] * log_prob[r]`` w.r.t. ``policy.vector``
+    over the rollout's kept transitions, ``ev`` their evaluation under
+    ``policy`` and both in the row order of :meth:`Rollout.kept_activations`.
 
     d logp / d mean = (x_next - mean) / std^2 and d mean / d v = a_v; the
     rest is :func:`_velocity_grad`.
     """
-    dmean = (rows.x_next - ev.means) / (rows.std * rows.std)[:, None]
+    x_next, std = _kept_targets(rollout)
+    dmean = (x_next - ev.means) / (std * std)[:, None]
     upstream_v = (upstream * ev.a_v)[:, None] * dmean
-    return _velocity_grad(policy, ev.acts, upstream_v, rows.cond)
+    conds = np.tile(rollout.conditions, len(rollout.kept_steps))
+    return _velocity_grad(policy, ev.acts, upstream_v, conds)
 
 
 def _velocity_grad(policy: FlowPolicy, acts: list, upstream_v: np.ndarray,

@@ -7,16 +7,17 @@ as one array with the reward suite, mixes the terms with the curriculum
 gates, and ascends the clipped importance-ratio surrogate through the
 per-step Gaussian transition densities.
 
-On a refresh step the reference is the policy being optimised, so
-everything the gradient needs at the selected steps is already in the
-rollout: the transition means and log-densities it recorded and the
-layer activations it kept.  The sampler writes the selected steps'
-hidden and output activations into one block per layer, in the sorted
-order the subset is drawn in, so the backward pass reads those blocks in
-place; only the net-input rows are gathered from the sampler's
-workspace.  The ratios are then exp(0) = 1.  Only against a stale
-reference (``ref_refresh_interval > 1``) are the selected transitions
-re-evaluated in one batched forward pass, and only there can the clip
+The gradient is taken at a subset of the denoising steps, drawn once per
+step and handed to the sampler as the rollout's kept steps; from there
+the :class:`Rollout` is the one record of those transitions.  The sampler
+writes their hidden and output activations into one block per layer, so
+the backward pass reads those blocks in place; only the net-input rows
+are gathered from the rollout's workspace.  On a refresh step the
+reference is the policy being optimised, so the gradient needs nothing
+the rollout lacks: the transition means and log-densities it recorded
+and the activations it kept, and the ratios are exp(0) = 1.  Only against
+a stale reference (``ref_refresh_interval > 1``) are the kept transitions
+re-evaluated, in one batched forward pass, and only there can the clip
 bind.
 
 What does not change from step to step is resolved once per run: the
@@ -36,18 +37,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
-
 import numpy as np
 
-from .curriculum import (
-    CurriculumConfig,
-    CurriculumState,
-    curriculum_step,
-    group_means,
-    hoyer,
-    normalize_advantages,
-)
+from .curriculum import CurriculumConfig, CurriculumState, curriculum_step, static_step
 from .errors import DomainError, RolloutError, ShapeError, require_int, require_number
 from .flow_policy import (
     FlowPolicy,
@@ -219,42 +211,37 @@ def surrogate_objective(ratios: np.ndarray, advantages: np.ndarray, clip_eps: fl
     return float(elems.mean()), flags
 
 
-def surrogate_and_grads(policy: FlowPolicy, rollout: Rollout,
-                        advantages: np.ndarray, timestep_subset: Sequence[int],
+def surrogate_and_grads(policy: FlowPolicy, rollout: Rollout, advantages: np.ndarray,
                         clip_eps: float, ratio_clamp_max: float,
                         ref_policy: FlowPolicy | None = None):
     """Objective value and its exact gradient w.r.t. ``policy.vector``.
 
-    Takes each selected transition's log-density under ``policy`` against
-    the rollout's recorded reference log-densities, all G x T' of them at
+    Takes each kept transition's log-density under ``policy`` against the
+    rollout's recorded reference log-densities, all G x T' of them at
     once, and backpropagates in one batched backward pass.  The ratio
     exp(new - old) is clamped to [1/ratio_clamp_max, ratio_clamp_max].
     The gradient flows only where the unclipped branch is active and the
     clamp does not bind; advantages are consumed as constants.
 
     ``ref_policy`` is the policy that sampled ``rollout``.  When it is
-    ``policy`` itself and the rollout kept its activations at the
-    selected steps, the new log-densities, means and activations are the
-    rollout's own (:meth:`Rollout.recorded_eval`) and the ratios are
-    exp(0) = 1.  Otherwise :func:`eval_step` re-evaluates the
+    ``policy`` itself, the new log-densities, means and activations are
+    the rollout's own (:meth:`Rollout.recorded_eval`) and the ratios are
+    exp(0) = 1.  Otherwise :func:`eval_step` re-evaluates the kept
     transitions in one batched forward pass.
 
     Returns ``(J, grads, ratios, clip_flags)``.
     """
-    subset = [int(k) for k in timestep_subset]
-    G, T_sel = len(rollout), len(subset)
+    steps = rollout.kept_steps
+    G, T_sel = len(rollout), len(steps)
     if G != len(advantages):
         raise ShapeError("one advantage per trajectory required")
     if T_sel < 1:
-        raise DomainError("need at least one selected timestep")
+        raise DomainError("need at least one kept timestep")
     if rollout.log_probs is None:
         raise DomainError("trajectories must be sampled with eta > 0")
     advantages = np.asarray(advantages, dtype=np.float64)
-    rows = rollout.transitions(subset)
-    ev = rollout.recorded_eval(subset) if ref_policy is policy else None
-    if ev is None:
-        ev = eval_step(policy, rows)
-    old = rollout.log_probs[:, subset]
+    ev = rollout.recorded_eval() if ref_policy is policy else eval_step(policy, rollout)
+    old = rollout.log_probs[:, steps]
     if not np.isfinite(old).all():
         raise DomainError("recorded log-probabilities must be finite")
     raw = np.exp(ev.log_probs.reshape(T_sel, G).T - old)
@@ -265,30 +252,13 @@ def surrogate_and_grads(policy: FlowPolicy, rollout: Rollout,
     # or where the hard clamp binds (flat in the log-prob)
     live = ~flags & (raw > 1.0 / ratio_clamp_max) & (raw < ratio_clamp_max)
     upstream = np.where(live, ((1.0 / (G * T_sel)) * advantages)[:, None] * raw, 0.0)
-    grads = backprop_step(policy, rows, ev, upstream.T.reshape(-1))
+    grads = backprop_step(policy, rollout, ev, upstream.T.reshape(-1))
     return J, grads, ratios, flags
 
 
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------
-
-
-def _static_state(matrix, stage: int) -> CurriculumState:
-    """Fixed one-hot mixing for single-stage probe/baseline runs."""
-    means = group_means(matrix)
-    sparsities = np.array([hoyer(matrix.values[:, j]) for j in range(matrix.num_terms)])
-    weights = np.zeros(matrix.num_terms)
-    weights[stage - 1] = 1.0
-    mixed = matrix.values[:, stage - 1].copy()
-    return CurriculumState(
-        group_means=means,
-        sparsities=sparsities,
-        transitions=np.zeros(matrix.num_terms),
-        weights=weights,
-        mixed=mixed,
-        advantages=normalize_advantages(mixed),
-    )
 
 
 def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
@@ -299,10 +269,10 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
     Rolls out the group under ``ref_policy``, scores it with
     ``config.suite`` (which :func:`train` sets), computes curriculum
     advantages, ascends the surrogate, and returns
-    ``(policy, opt_state, curriculum state, step record)``.  A step with
-    ``ref_policy is policy`` is a refresh step: the rollout keeps its
-    activations at the selected steps and the gradient is taken from the
-    rollout alone (see :func:`surrogate_and_grads`).  The Adam update
+    ``(policy, opt_state, curriculum state, step record)``.  The rollout
+    keeps the step's timestep subset as its kept steps.  A step with
+    ``ref_policy is policy`` is a refresh step: the gradient is taken from
+    the rollout alone (see :func:`surrogate_and_grads`).  The Adam update
     is pure: the returned policy holds a new vector and neither input
     policy is written, so either may serve as a later step's reference.
     """
@@ -320,20 +290,20 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
     noise = rng.gaussian_streams((_STREAM_ROLLOUT, step_index), G, (K + 1) * dims.state_size)
     try:
         rollout = sde_sample(ref_policy, cond, config.sde, noise.reshape(G, K + 1, -1),
-                             keep=subset if refresh else ())
+                             keep=subset)
     except RolloutError as exc:
         raise RolloutError(f"step {step_index}, condition {cond}: {exc}") from exc
 
     frames = rollout.final_states().reshape(G, dims.frames, dims.frame_dim)
     matrix = eval_group(config.suite, frames, cond)
     if config.static_stage is not None:
-        state = _static_state(matrix, config.static_stage)
+        state = static_step(matrix, config.static_stage)
     else:
         state = curriculum_step(matrix, config.curriculum, prior_state)
 
     J, grads, ratios, flags = surrogate_and_grads(
-        policy, rollout, state.advantages, subset, config.clip_eps,
-        config.ratio_clamp_max, ref_policy=ref_policy,
+        policy, rollout, state.advantages, config.clip_eps, config.ratio_clamp_max,
+        ref_policy=ref_policy,
     )
     grad_norm = math.sqrt(float(grads @ grads))
     # ascend J: Adam minimizes, so feed the negated (and clipped) gradient
@@ -367,7 +337,7 @@ def train(policy: FlowPolicy, config: TrainConfig, step_callback=None):
     steps.  On a refresh step the reference is the policy object itself,
     which makes the step on-policy: its gradient comes from the rollout's
     own activations.  Steps against a stale reference re-evaluate the
-    selected transitions.  Keeping the policy object as the reference is
+    kept transitions.  Keeping the policy object as the reference is
     sound because the Adam update is pure: it never writes the old
     vector, so the reference keeps the parameters that sampled.  A fixed
     seed makes the whole trace bit-reproducible.  The optional

@@ -6,7 +6,8 @@ Both work on rows: ``inputs`` is ``(B, in)`` and every activation is
 live in the ``numerics.mlp_*`` functions, which call these.  The SDE
 sampler (``flow_policy.sde_sample``) is the one caller that skips them:
 it calls :func:`forward` directly with every shape fixed by its own
-workspace, and checks finiteness once per rollout, after its last step.
+workspace, passing the ``out`` buffers its rollout keeps, and checks
+finiteness once per rollout, after its last step.
 
 Neither function writes an array the caller passes in other than the
 gradient buffers of :func:`backward` and the ``out`` buffers of

@@ -1,12 +1,18 @@
-"""Shared test utilities: naive re-implementations used as oracles, a
-rollout's kept activations by step, a policy built to overflow, and a
-generic central finite-difference gradient."""
+"""Shared test utilities: naive re-implementations used as oracles (the
+MLP forward pass, and the row-major transition gather, evaluation and
+backprop that ``eval_step``/``backprop_step`` must match), a rollout's
+kept activations by step, a policy built to overflow, and a generic
+central finite-difference gradient."""
 
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
+
+from flowstage.flow_policy import _log_density_rows, _step_coeffs, _velocity_grad
+from flowstage.numerics import mlp_forward_batch
 
 
 def naive_mlp_eval(weights, biases, x):
@@ -31,8 +37,47 @@ def naive_mlp_eval(weights, biases, x):
 def kept_by_step(rollout):
     """A rollout's kept activations by step: each kept step, in increasing
     order, to its layer activations, the net-input rows first."""
-    return {k: [x, *(block[u] for block in rollout.kept_layers)]
-            for u, (k, x) in enumerate(rollout.kept_inputs.items())}
+    return {int(k): [rollout.net_inputs[k], *(block[u] for block in rollout.kept_layers)]
+            for u, k in enumerate(rollout.kept_steps)}
+
+
+def row_major_transitions(rollout, steps):
+    """The transitions at ``steps`` of every trajectory, one per row,
+    step-major (row ``u * G + i`` is trajectory i's step ``steps[u]``),
+    each with its own flow time, condition and noise std, gathered from
+    the (G, K + 1, n) ``rollout.states``: the reference for what
+    ``eval_step`` and ``backprop_step`` read from a rollout."""
+    steps = np.asarray(steps, dtype=np.int64)
+    G, n = len(rollout), rollout.states.shape[2]
+    by_step = rollout.states.transpose(1, 0, 2)
+    return SimpleNamespace(
+        x=by_step[steps].reshape(-1, n),
+        x_next=by_step[steps + 1].reshape(-1, n),
+        t=np.repeat(rollout.times[steps], G),
+        cond=np.tile(rollout.conditions, len(steps)),
+        std=np.repeat(rollout.step_stds[steps], G),
+        dt=rollout.dt,
+        eta=rollout.eta,
+    )
+
+
+def row_major_eval(policy, rows):
+    """Reference ``eval_step`` over :func:`row_major_transitions` rows:
+    net inputs built from the rows, one forward pass, the means and
+    log-densities.  Returns ``(log_probs, means, acts, a_v)``."""
+    inputs = np.concatenate([rows.x, rows.t[:, None], policy.cond_emb[rows.cond]], axis=1)
+    _, acts = mlp_forward_batch(policy.net, inputs)
+    a_x, a_v = _step_coeffs(rows.t, rows.dt, rows.eta)
+    means = a_x * rows.x + a_v[:, None] * acts[-1]
+    return _log_density_rows(rows.x_next, means, rows.std), means, acts, a_v
+
+
+def row_major_backprop(policy, rows, means, acts, a_v, upstream):
+    """Reference ``backprop_step`` over :func:`row_major_transitions`
+    rows: the gradient of ``sum_r upstream[r] * log_prob[r]``."""
+    dmean = (rows.x_next - means) / (rows.std * rows.std)[:, None]
+    upstream_v = (upstream * a_v)[:, None] * dmean
+    return _velocity_grad(policy, acts, upstream_v, rows.cond)
 
 
 def late_overflow(policy):

@@ -12,7 +12,7 @@ import pytest
 from helpers import kept_by_step
 
 from flowstage import cli
-from flowstage.config import RunConfig
+from flowstage.config import DEFAULTS, RunConfig
 from flowstage.curriculum import CurriculumConfig, calibrate_thresholds
 from flowstage.errors import ConfigError
 from flowstage.flow_policy import (
@@ -154,6 +154,12 @@ def test_overrides_do_not_leak_into_later_loads():
     assert cfg.sde_config().eta == 0.5
 
 
+def test_mapping_override_merges_into_its_section():
+    cfg = RunConfig.from_dict(TRAIN, ["dataset={frames: 3, jitter: 0.5}"])
+    assert cfg.resolved["dataset"] == {**DEFAULTS["dataset"], "frames": 3, "jitter": 0.5}
+    assert load_errors(TRAIN, "dataset={frames: 3, depth: 2}") == ["dataset.depth: unknown key"]
+
+
 class TestRejectedAtLoad:
     @pytest.mark.parametrize("mode", ["train", "calibrate"])
     def test_eta_zero_exits_1_without_failure_file(self, tmp_path, checkpoint, capsys, mode):
@@ -218,6 +224,41 @@ class TestRejectedAtLoad:
         assert rc == 1
         assert not (outdir / "failure.json").exists()
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given", ["set", "file"])
+    @pytest.mark.parametrize("value", [5, None])
+    @pytest.mark.parametrize("section", [key for key, default in DEFAULTS.items()
+                                         if isinstance(default, (dict, list))])
+    def test_section_given_as_a_scalar_exits_1(self, tmp_path, checkpoint, capsys,
+                                               section, value, given):
+        if given == "set":
+            rc, outdir = run_cli(tmp_path, checkpoint, f"--set={section}={json.dumps(value)}")
+        else:
+            config = tmp_path / "scalar.json"
+            config.write_text(json.dumps({"outdir": str(tmp_path / "out"), section: value}))
+            rc, outdir = cli.main([str(config)]), tmp_path / "out"
+        assert rc == 1
+        assert not outdir.exists()
+        err = capsys.readouterr().err
+        assert f"config error: {section}: must be a " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides, lines", [
+        (["sde.num_steps=0"], ["sde: num_steps must be >= 1"]),
+        (["sde.eta=-1"], ["sde: eta must be >= 0"]),
+        (["curriculum.alpha=0"], ["curriculum: alpha must be > 0"]),
+        (["curriculum.weight_mode=x"], ["curriculum: unknown weight_mode 'x'"]),
+        (["rewards=[{id: f, stage: 1, kind: fidelity, scale: -1}]"],
+         ["rewards: scale must be positive"]),
+        (["sde.num_steps=0", "train.group_size=1", "train.static_stage=4"],
+         ["sde: num_steps must be >= 1", "train: group_size must be >= 2",
+          "train.static_stage: must lie in [1, 3] for 3 reward terms, got 4"]),
+    ])
+    def test_each_error_reported_once_under_its_own_section(self, tmp_path, checkpoint, capsys,
+                                                            overrides, lines):
+        rc, _ = run_cli(tmp_path, checkpoint, *(f"--set={o}" for o in overrides))
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error: {line}" for line in lines]
 
     @pytest.mark.parametrize("window, shortest", [(15, 9), (14, 8), (1, 2), (3, 3)])
     def test_calibrate_steps_must_outlast_the_smoothing_window(self, window, shortest):

@@ -19,6 +19,7 @@ from flowstage.curriculum import (
     normalize_advantages,
     sigmoid,
     stage_weights,
+    static_step,
     transition,
 )
 from flowstage.errors import DomainError, ShapeError
@@ -297,6 +298,30 @@ class TestCurriculumStep:
         m = matrix_of(np.full((3, 2), 0.5))
         with pytest.raises(DomainError):
             curriculum_step(m, CurriculumConfig(thresholds=(0.7,)))
+
+
+class TestStaticStep:
+    def test_one_hot_mixture_is_the_stage_column(self):
+        # rewards are finite and >= 0, so values @ one_hot adds only exact
+        # zeros to the column; the statistics are curriculum_step's
+        values = RandomSource(12).uniform(24).reshape(8, 3)
+        values[:, 1] = 0.0
+        m = matrix_of(values)
+        full = curriculum_step(m, CurriculumConfig())
+        for stage in (1, 2, 3):
+            state = static_step(m, stage)
+            np.testing.assert_array_equal(state.mixed, values[:, stage - 1])
+            np.testing.assert_array_equal(state.weights, np.eye(3)[stage - 1])
+            np.testing.assert_array_equal(state.transitions, np.zeros(3))
+            np.testing.assert_array_equal(state.group_means, full.group_means)
+            np.testing.assert_array_equal(state.sparsities, full.sparsities)
+            np.testing.assert_array_equal(state.advantages,
+                                          normalize_advantages(values[:, stage - 1]))
+
+    @pytest.mark.parametrize("stage", [0, 4])
+    def test_stage_outside_the_terms_rejected(self, stage):
+        with pytest.raises(DomainError):
+            static_step(matrix_of(np.full((3, 3), 0.5)), stage)
 
 
 class TestCurriculumMonotonicity:

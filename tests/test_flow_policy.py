@@ -46,11 +46,11 @@ def noise_block(policy, cfg, *streams):
     return block.reshape(len(streams), cfg.num_steps + 1, -1)
 
 
-def reevaluated(policy, rollout, steps):
-    """Log-densities of ``rollout``'s transitions at ``steps`` under
-    ``policy``, (G, len(steps)) like ``rollout.log_probs``."""
-    rows = rollout.transitions(steps)
-    return eval_step(policy, rows).log_probs.reshape(len(steps), len(rollout)).T
+def reevaluated(policy, rollout):
+    """Log-densities of ``rollout``'s kept transitions under ``policy``,
+    (G, len(kept_steps)) like ``rollout.log_probs``."""
+    T = len(rollout.kept_steps)
+    return eval_step(policy, rollout).log_probs.reshape(T, len(rollout)).T
 
 
 def flow_matching_loss(policy, frames, conds, t, eps):
@@ -242,8 +242,8 @@ class TestSdeSampling:
         assert kept_by_step(sde_sample(p, 1, cfg, noise)) == {}
         rollout = sde_sample(p, 1, cfg, noise, keep=[3, 1])
         assert sorted(kept_by_step(rollout)) == [1, 3]
-        assert rollout.kept_activations([1, 2]) is None
-        acts = rollout.kept_activations([1, 3])
+        assert rollout.kept_steps.tolist() == [1, 3]
+        acts = rollout.kept_activations()
         assert [a.shape for a in acts] == [(6, s) for s in p.net.layer_sizes]
 
     def test_non_finite_state_is_rollout_error(self):
@@ -265,7 +265,7 @@ class TestSdeSampling:
         assert list(by_step) == steps
         tracemalloc.start()
         try:
-            acts = rollout.kept_activations(steps)
+            acts = rollout.kept_activations()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -277,16 +277,13 @@ class TestSdeSampling:
                 got, np.concatenate([by_step[k][layer] for k in steps]))
             for k in steps:
                 assert layer == 0 or np.shares_memory(got, by_step[k][layer])
-        # other orders and subsets go through eval_step instead
-        assert rollout.kept_activations([2, 1, 4]) is None
-        assert rollout.kept_activations([1, 2]) is None
 
     def test_kept_blocks_must_match_the_kept_steps(self):
         p = small_policy(28)
         cfg = SdeConfig(num_steps=4, eta=0.5)
         rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(29)), keep=[0, 2])
         with pytest.raises(ShapeError):
-            replace(rollout, kept_inputs={0: rollout.kept_inputs[0]})
+            replace(rollout, kept_steps=[0])
         with pytest.raises(ShapeError):
             replace(rollout, kept_layers=[b[:1] for b in rollout.kept_layers])
 
@@ -429,7 +426,8 @@ class TestSdeSampleOracle:
             assert not any(np.shares_memory(a, b) for b in arrays[:i])
         steps = sorted(kept)
         if steps:
-            acts = rollout.kept_activations(steps)
+            assert rollout.kept_steps.tolist() == steps
+            acts = rollout.kept_activations()
             for layer, got in enumerate(acts):
                 np.testing.assert_array_equal(
                     got, np.concatenate([kept[k][layer] for k in steps]))
@@ -437,30 +435,30 @@ class TestSdeSampleOracle:
 
 
 class TestTransitionLogProbs:
-    """``eval_step`` over ``rollout.transitions``: the recorded transitions
-    re-evaluated under a policy."""
+    """``eval_step`` over a rollout's kept transitions: the recorded
+    transitions re-evaluated under a policy."""
 
     def test_self_consistency(self):
         p = small_policy(13)
         cfg = SdeConfig(num_steps=8, eta=0.5)
-        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(55)))
-        lp = reevaluated(p, rollout, range(8))
+        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(55)), keep=range(8))
+        lp = reevaluated(p, rollout)
         np.testing.assert_allclose(lp, rollout.log_probs, atol=1e-10)
 
     def test_subset_selection(self):
         p = small_policy(13)
         cfg = SdeConfig(num_steps=8, eta=0.5)
-        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(56)))
-        lp = reevaluated(p, rollout, [1, 4, 6])
+        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(56)), keep=[1, 4, 6])
+        lp = reevaluated(p, rollout)
         np.testing.assert_allclose(lp, rollout.log_probs[:, [1, 4, 6]], atol=1e-10)
 
     def test_perturbed_policy_differs(self):
         p = small_policy(14)
         cfg = SdeConfig(num_steps=4, eta=0.5)
-        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(57)))
+        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(57)), keep=range(4))
         q = p.copy()
         q.net.weights[0][0, 0] += 0.05
-        assert not np.allclose(reevaluated(q, rollout, range(4)), rollout.log_probs)
+        assert not np.allclose(reevaluated(q, rollout), rollout.log_probs)
 
     def test_hand_built_single_step(self):
         # constant-velocity policy, one step, known closed-form density
@@ -468,7 +466,7 @@ class TestTransitionLogProbs:
         c = 0.5
         p = constant_velocity(init_flow_policy(dims, hidden=(2,), rng=RandomSource(1)), c)
         cfg = SdeConfig(num_steps=1, eta=0.5, t_min=0.2)
-        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(60)))
+        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(60)), keep=[0])
         # dt = -0.8, t = 1, sigma = 0.5: a_x = 1 + dt*eta^2*t/2 = 0.9
         # a_v = dt*(1 + eta^2*t*(1-t)/2) = dt, mean = 0.9 x - 0.8 c
         x0 = rollout.states[0, 0, 0]
@@ -479,7 +477,7 @@ class TestTransitionLogProbs:
         ) ** 2 / (2 * std**2)
         np.testing.assert_allclose(rollout.step_means[0, 0], [mean], rtol=1e-12)
         np.testing.assert_allclose(rollout.step_stds[0], std, rtol=1e-12)
-        assert abs(reevaluated(p, rollout, [0])[0, 0] - expected) < 1e-10
+        assert abs(reevaluated(p, rollout)[0, 0] - expected) < 1e-10
 
 
 class TestToyDataset:

@@ -7,7 +7,16 @@ import math
 
 import numpy as np
 import pytest
-from helpers import kept_by_step, late_overflow, rel_err_ok
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from helpers import (
+    kept_by_step,
+    late_overflow,
+    rel_err_ok,
+    row_major_backprop,
+    row_major_eval,
+    row_major_transitions,
+)
 
 from flowstage.curriculum import (
     CurriculumConfig,
@@ -43,10 +52,11 @@ def tiny_policy(seed=0):
 
 
 def tiny_trajectories(ref, count=4, seed=100, num_steps=2):
+    """A rollout that keeps every step, so a gradient is taken at all of them."""
     cfg = SdeConfig(num_steps=num_steps, eta=0.5, t_min=0.2)
     noise = RandomSource(seed).gaussian_streams((), count, (num_steps + 1) * TINY.state_size)
     return sde_sample(ref, [i % TINY.num_classes for i in range(count)], cfg,
-                      noise.reshape(count, num_steps + 1, -1))
+                      noise.reshape(count, num_steps + 1, -1), keep=range(num_steps))
 
 
 def small_train_config(**kw):
@@ -77,7 +87,7 @@ class TestImportanceRatio:
         rollout = tiny_trajectories(ref, count=4, seed=600, num_steps=2)
         rollout.log_probs -= shift
         adv = normalize_advantages(np.array([0.9, 0.1, 0.5, 0.3]))
-        _, grads, ratios, _ = surrogate_and_grads(ref, rollout, adv, [0, 1], 0.2, 5.0)
+        _, grads, ratios, _ = surrogate_and_grads(ref, rollout, adv, 0.2, 5.0)
         return ratios, grads
 
     def test_equal_logps_give_one(self):
@@ -106,17 +116,17 @@ class TestImportanceRatio:
         rollout = tiny_trajectories(ref, count=4, seed=600, num_steps=2)
         rollout.log_probs[1, 0] = np.nan
         with pytest.raises(DomainError):
-            surrogate_and_grads(ref, rollout, np.ones(4), [0, 1], 0.2, 5.0)
+            surrogate_and_grads(ref, rollout, np.ones(4), 0.2, 5.0)
 
     def test_eta_zero_rollout_rejected(self):
         # a deterministic rollout has no transition density to form a ratio from
         ref = tiny_policy(15)
         cfg = SdeConfig(num_steps=3, eta=0.0)
         noise = RandomSource(58).gaussian_streams((), 4, 4 * TINY.state_size)
-        rollout = sde_sample(ref, 0, cfg, noise.reshape(4, 4, -1))
+        rollout = sde_sample(ref, 0, cfg, noise.reshape(4, 4, -1), keep=[0, 1])
         assert rollout.log_probs is None
         with pytest.raises(DomainError):
-            surrogate_and_grads(ref, rollout, np.ones(4), [0, 1], 0.2, 5.0)
+            surrogate_and_grads(ref, rollout, np.ones(4), 0.2, 5.0)
 
 
 class TestSurrogateObjective:
@@ -204,9 +214,9 @@ class TestTrainStep:
         done, reevaluated = [], []
         evaluate = grpo.eval_step
 
-        def spy(policy, rows):
+        def spy(policy, rollout):
             reevaluated.append(len(done))  # the index of the step running
-            return evaluate(policy, rows)
+            return evaluate(policy, rollout)
 
         monkeypatch.setattr(grpo, "eval_step", spy)
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(12))
@@ -242,10 +252,10 @@ class TestTrainStep:
         assert not np.array_equal(trained.vector, before)
         rollout = rollouts[0][1]
         steps = sorted(kept_by_step(rollout))
-        rows = rollout.transitions(steps)
+        rows = row_major_transitions(rollout, steps)
         inputs = np.concatenate([rows.x, rows.t[:, None], policy.cond_emb[rows.cond]], axis=1)
         _, fresh = mlp_forward_batch(policy.net, inputs)
-        for kept, now in zip(rollout.kept_activations(steps), fresh):
+        for kept, now in zip(rollout.kept_activations(), fresh):
             np.testing.assert_array_equal(kept, now)
 
     def test_stale_reference_produces_nonunit_ratios(self):
@@ -324,19 +334,17 @@ class TestGradientFidelity:
         ref = tiny_policy(31)
         trajs = tiny_trajectories(ref, count=4, seed=200, num_steps=2)
         advantages = normalize_advantages(np.array([0.9, 0.1, 0.5, 0.3]))
-        subset = [0, 1]
+        assert trajs.kept_steps.tolist() == [0, 1]
         eps, clamp = 0.2, 5.0
 
         vector = ref.vector + 0.01 * RandomSource(77).gaussian(ref.vector.size)
         policy = FlowPolicy(ref.dims, ref.layer_sizes, vector)
 
-        J, grads, _, _ = surrogate_and_grads(policy, trajs, advantages, subset,
-                                             eps, clamp)
+        J, grads, _, _ = surrogate_and_grads(policy, trajs, advantages, eps, clamp)
 
         def objective(test_vector):
             p = FlowPolicy(ref.dims, ref.layer_sizes, test_vector.copy())
-            val, _, _, _ = surrogate_and_grads(p, trajs, advantages, subset,
-                                               eps, clamp)
+            val, _, _, _ = surrogate_and_grads(p, trajs, advantages, eps, clamp)
             return val
 
         assert objective(vector) == pytest.approx(J, rel=1e-12)
@@ -355,14 +363,13 @@ class TestGradientFidelity:
         rollout = sde_sample(policy, 2, cfg, noise.reshape(6, 7, -1), keep=subset)
         adv = normalize_advantages(np.array([0.9, 0.1, 0.5, 0.3, 0.7, 0.2]))
 
-        J_re, grads_re, ratios_re, _ = surrogate_and_grads(
-            policy, rollout, adv, subset, 0.2, 5.0)
+        J_re, grads_re, ratios_re, _ = surrogate_and_grads(policy, rollout, adv, 0.2, 5.0)
         forwards = []
         forward = flow_policy.mlp_forward_batch
         monkeypatch.setattr(flow_policy, "mlp_forward_batch",
                             lambda *a: forwards.append(1) or forward(*a))
         J, grads, ratios, flags = surrogate_and_grads(
-            policy, rollout, adv, subset, 0.2, 5.0, ref_policy=policy)
+            policy, rollout, adv, 0.2, 5.0, ref_policy=policy)
         assert forwards == []
         assert (ratios == 1.0).all()
         assert flags.mean() == 0.0
@@ -387,8 +394,12 @@ class TestGradientFidelity:
         noise = rng.gaussian_streams((1,), G, 17 * dims.state_size).reshape(G, 17, -1)
         adv = normalize_advantages(rng.stream(3).gaussian(G))
         kept = sde_sample(policy, 5, cfg, noise, keep=subset)
-        bare = sde_sample(policy, 5, cfg, noise)
-        assert kept_by_step(bare) == {}
+        # the same rollout with its kept hidden and output activations
+        # blanked: re-evaluation must not read them
+        bare = sde_sample(policy, 5, cfg, noise, keep=subset)
+        for block in bare.kept_layers:
+            block.fill(np.nan)
+        assert all(np.isnan(a).all() for acts in kept_by_step(bare).values() for a in acts[1:])
         forward = flow_policy.mlp_forward_batch
 
         def per_step_forward(net, inputs):
@@ -397,9 +408,8 @@ class TestGradientFidelity:
             return acts[-1], acts
 
         monkeypatch.setattr(flow_policy, "mlp_forward_batch", per_step_forward)
-        on = surrogate_and_grads(policy, kept, adv, subset, 0.1, 5.0, ref_policy=policy)
-        re = surrogate_and_grads(policy, bare, adv, subset, 0.1, 5.0,
-                                 ref_policy=policy.copy())
+        on = surrogate_and_grads(policy, kept, adv, 0.1, 5.0, ref_policy=policy)
+        re = surrogate_and_grads(policy, bare, adv, 0.1, 5.0, ref_policy=policy.copy())
         assert on[0] == re[0]
         for a, b in zip(on[1:], re[1:]):
             np.testing.assert_array_equal(a, b)
@@ -412,9 +422,7 @@ class TestGradientFidelity:
         adv = np.array([1.0, -1.0])
         # clip so tight that any ratio deviation selects the clipped branch
         policy = FlowPolicy(ref.dims, ref.layer_sizes, ref.vector + 0.05)
-        _, grads, ratios, flags = surrogate_and_grads(
-            policy, trajs, adv, [0, 1], 1e-12, 5.0
-        )
+        _, grads, ratios, flags = surrogate_and_grads(policy, trajs, adv, 1e-12, 5.0)
         for (i, t), flagged in np.ndenumerate(flags):
             if not flagged:
                 # unflagged elements moved ratio the pessimistic way and were
@@ -435,14 +443,75 @@ class TestGradientFidelity:
         adv_b = curriculum_step(eval_group(suite_b, frames, trajs.conditions), cfg).advantages
         assert not np.allclose(adv_a, adv_b)
 
-        _, grads_a, _, _ = surrogate_and_grads(policy, trajs, adv_a, [0, 1], 0.2, 5.0)
-        _, grads_b, _, _ = surrogate_and_grads(policy, trajs, adv_b, [0, 1], 0.2, 5.0)
+        _, grads_a, _, _ = surrogate_and_grads(policy, trajs, adv_a, 0.2, 5.0)
+        _, grads_b, _, _ = surrogate_and_grads(policy, trajs, adv_b, 0.2, 5.0)
         # bandwidths changed the gradient, but only through the advantages:
         # feeding the same advantage values back reproduces it bit for bit
-        _, grads_b2, _, _ = surrogate_and_grads(policy, trajs, adv_b.copy(),
-                                                [0, 1], 0.2, 5.0)
+        _, grads_b2, _, _ = surrogate_and_grads(policy, trajs, adv_b.copy(), 0.2, 5.0)
         assert not np.array_equal(grads_a, grads_b)
         np.testing.assert_array_equal(grads_b, grads_b2)
+
+
+class TestRowMajorOracle:
+    """``eval_step``, ``Rollout.recorded_eval`` and ``backprop_step`` read
+    the kept transitions from the rollout's own step-major arrays; they
+    must give, bit for bit, what the row-major transition record gave."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_row_major_formulas(self, data):
+        G = data.draw(st.integers(2, 64), label="G")
+        K = data.draw(st.integers(1, 16), label="K")
+        steps = sorted(data.draw(st.sets(st.integers(0, K - 1), min_size=1), label="kept"))
+        eta = data.draw(st.floats(0.01, 2.0), label="eta")
+        t_min = data.draw(st.floats(0.001, 0.9), label="t_min")
+        hidden = data.draw(st.sampled_from([(6,), (16, 16), (64, 64)]), label="hidden")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        dims = PolicyDims(frames=4, frame_dim=2, num_classes=5, embed_dim=3)
+        policy = init_flow_policy(dims, hidden=hidden, rng=RandomSource(seed))
+        other = init_flow_policy(dims, hidden=hidden, rng=RandomSource(seed, (9,)))
+        rng = RandomSource(seed, (1,))
+        cfg = SdeConfig(num_steps=K, eta=eta, t_min=t_min)
+        noise = rng.gaussian(G * (K + 1) * dims.state_size).reshape(G, K + 1, -1)
+        conds = rng.integers(0, dims.num_classes, size=G)
+        rollout = sde_sample(policy, conds, cfg, noise, keep=steps[::-1])
+        assert rollout.kept_steps.tolist() == steps
+        rows = row_major_transitions(rollout, steps)
+        upstream = rng.gaussian(G * len(steps))
+
+        # the recorded path as the row-major record read it, then
+        # re-evaluation under the sampling policy and under another one
+        _, a_v = flow_policy._step_coeffs(rows.t, rows.dt, rows.eta)
+        recorded = (rollout.log_probs[:, steps].T.reshape(-1),
+                    rollout.step_means.transpose(1, 0, 2)[steps].reshape(-1, dims.state_size),
+                    [np.concatenate([kept_by_step(rollout)[k][layer] for k in steps])
+                     for layer in range(len(policy.layer_sizes))],
+                    a_v)
+        inputs = rollout.net_inputs.copy()
+        cases = [(policy, rollout.recorded_eval(), recorded),
+                 (policy, flow_policy.eval_step(policy, rollout), row_major_eval(policy, rows)),
+                 (other, flow_policy.eval_step(other, rollout), row_major_eval(other, rows))]
+        np.testing.assert_array_equal(rollout.net_inputs, inputs)
+        for p, ev, (log_probs, means, acts, a_v) in cases:
+            np.testing.assert_array_equal(ev.log_probs, log_probs)
+            np.testing.assert_array_equal(ev.means, means)
+            assert len(ev.acts) == len(acts)
+            for got, want in zip(ev.acts, acts):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(ev.a_v, a_v)
+            np.testing.assert_array_equal(
+                flow_policy.backprop_step(p, rollout, ev, upstream),
+                row_major_backprop(p, rows, means, acts, a_v, upstream))
+
+    def test_rollout_without_kept_steps_rejected(self):
+        ref = tiny_policy(36)
+        cfg = SdeConfig(num_steps=2, eta=0.5, t_min=0.2)
+        noise = RandomSource(700).gaussian_streams((), 4, 3 * TINY.state_size)
+        rollout = sde_sample(ref, 0, cfg, noise.reshape(4, 3, -1))
+        assert rollout.kept_steps.size == 0
+        for reference in (ref, None):
+            with pytest.raises(DomainError):
+                surrogate_and_grads(ref, rollout, np.ones(4), 0.2, 5.0, ref_policy=reference)
 
 
 class TestConfigValidation:
