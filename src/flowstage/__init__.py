@@ -21,7 +21,7 @@ from .flow_policy import (
     save_policy,
     sde_sample,
 )
-from .grpo import TrainConfig, TrainLog, train, train_step
+from .grpo import TrainConfig, train, train_step
 from .numerics import RandomSource
 from .rewards import RewardMatrix, RewardSuite, RewardTerm, default_suite, eval_group
 

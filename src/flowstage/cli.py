@@ -8,6 +8,12 @@ from one config file; dotted-path overrides adjust individual fields:
 Every run writes a resolved-config snapshot into its output directory
 first, so outputs are always reproducible from what sits next to them.
 Exit codes: 0 success, 1 config error, 2 runtime failure.
+
+The training loops yield ``(step, policy, record)`` after each update
+and write nothing; this module writes what a run keeps: checkpoints as
+the steps arrive, and the step log (``trainlog.*``, ``pretrain_loss.csv``)
+when the loop ends, finished or failed.  A run that fails at step k exits
+2 with ``failure.json`` and its k completed steps logged.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import numpy as np
 from .bias_audit import audit, read_items_csv
 from .config import RunConfig
 from .curriculum import calibrate_thresholds
-from .errors import ConfigError
+from .errors import ConfigError, RolloutError
 from .flow_policy import (
     init_flow_policy,
     load_policy,
@@ -68,14 +74,16 @@ def run_pretrain(cfg: RunConfig) -> None:
         rng=rng.stream(100),
     )
     p = cfg.resolved["pretrain"]
-    trained, losses = pretrain_flow_matching(
-        policy, cfg.dataset(), p["steps"], rng.stream(101),
-        batch_size=p["batch_size"], learning_rate=p["learning_rate"],
-    )
-    save_policy(cfg.outdir / "policy.ckpt", trained,
+    losses = []
+    try:
+        for _, policy, loss in pretrain_flow_matching(
+                policy, cfg.dataset(), p["steps"], rng.stream(101),
+                batch_size=p["batch_size"], learning_rate=p["learning_rate"]):
+            losses.append(loss)
+    finally:
+        _write_csv(cfg.outdir / "pretrain_loss.csv", ["step", "loss"], enumerate(losses))
+    save_policy(cfg.outdir / "policy.ckpt", policy,
                 {"stage": "pretrained", "pretrain_steps": p["steps"], "seed": cfg.seed})
-    _write_csv(cfg.outdir / "pretrain_loss.csv", ["step", "loss"],
-               [(i, repr(loss)) for i, loss in enumerate(losses)])
 
 
 def run_calibrate(cfg: RunConfig) -> None:
@@ -87,11 +95,10 @@ def run_calibrate(cfg: RunConfig) -> None:
     curves = []
     for stage in range(1, len(suite.terms) + 1):
         tc = cfg.train_config(static_stage=stage, num_steps=steps)
-        _, log = train(base.copy(), tc)
-        curve = log.term_means_matrix()[:, stage - 1]
+        curve = [float(rec.term_means[stage - 1]) for _, _, rec in train(base, tc)]
         curves.append(curve)
         _write_csv(cfg.outdir / f"calibrate_stage{stage}.csv", ["step", "term_mean"],
-                   [(i, repr(float(v))) for i, v in enumerate(curve)])
+                   enumerate(curve))
     taus, warnings = calibrate_thresholds(curves, smooth_window=window)
     _write_json(cfg.outdir / "tau.json", {
         "thresholds": [float(t) for t in taus],
@@ -103,23 +110,38 @@ def run_calibrate(cfg: RunConfig) -> None:
         print(f"warning: {line}", file=sys.stderr)
 
 
+def _write_trainlog(outdir: Path, num_terms: int, records: list) -> None:
+    """``trainlog.jsonl``, one line per step, and ``trainlog.csv``, a header
+    and then one row per step, both from each record's ``to_dict()``."""
+    dicts = [rec.to_dict() for rec in records]
+    with open(outdir / "trainlog.jsonl", "w") as fp:
+        fp.writelines(json.dumps(d, sort_keys=True) + "\n" for d in dicts)
+    header = (["step", "refresh", "condition", "objective", "grad_norm", "clip_fraction",
+               "ratio_max_dev", "mixed_mean"]
+              + [f"{column}_{j}" for column in ("weight", "term_mean", "sparsity", "gate")
+                 for j in range(1, num_terms + 1)])
+    _write_csv(outdir / "trainlog.csv", header, [
+        [d["step"], int(d["refresh"]), d["condition"], d["objective"], d["grad_norm"],
+         d["clip_fraction"], d["ratio_max_dev"], d["mixed_mean"],
+         *d["weights"], *d["term_means"], *d["sparsities"], *d["transitions"]]
+        for d in dicts])
+
+
 def run_train(cfg: RunConfig) -> None:
     policy = _load_init_policy(cfg)
     tc = cfg.train_config(thresholds=cfg.thresholds_from_file())
     interval = cfg.resolved["train"]["checkpoint_interval"]
-
-    def checkpoint(step, current, _rec):
-        if interval and (step + 1) % interval == 0:
-            save_policy(cfg.outdir / f"policy_step{step + 1:05d}.ckpt", current,
-                        {"stage": "train", "step": step + 1, "seed": cfg.seed})
-
-    trained, log = train(policy, tc, step_callback=checkpoint)
-    save_policy(cfg.outdir / "policy_final.ckpt", trained,
+    records = []
+    try:
+        for step, policy, rec in train(policy, tc):
+            records.append(rec)
+            if interval and (step + 1) % interval == 0:
+                save_policy(cfg.outdir / f"policy_step{step + 1:05d}.ckpt", policy,
+                            {"stage": "train", "step": step + 1, "seed": cfg.seed})
+    finally:
+        _write_trainlog(cfg.outdir, len(tc.suite.terms), records)
+    save_policy(cfg.outdir / "policy_final.ckpt", policy,
                 {"stage": "trained", "steps": tc.num_steps, "seed": cfg.seed})
-    with open(cfg.outdir / "trainlog.jsonl", "w") as fp:
-        log.write_jsonl(fp)
-    with open(cfg.outdir / "trainlog.csv", "w", newline="") as fp:
-        log.write_csv(fp)
 
 
 def run_eval(cfg: RunConfig) -> None:
@@ -137,7 +159,11 @@ def run_eval(cfg: RunConfig) -> None:
     for g in range(num_groups):
         cond = int(rng.at_stream(0, g).integers(0, dims.num_classes))
         noise = rng.gaussian_streams((1, g), group_size, (sde.num_steps + 1) * dims.state_size)
-        rollout = sde_sample(policy, cond, sde, noise.reshape(group_size, sde.num_steps + 1, -1))
+        try:
+            rollout = sde_sample(policy, cond, sde,
+                                 noise.reshape(group_size, sde.num_steps + 1, -1))
+        except RolloutError as exc:
+            raise RolloutError(f"group {g}, condition {cond}: {exc}") from exc
         matrix = eval_group(
             suite, rollout.final_states().reshape(group_size, dims.frames, dims.frame_dim), cond)
         all_values.append(matrix.values)

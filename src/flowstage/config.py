@@ -27,6 +27,8 @@ MODES = ("pretrain", "calibrate", "train", "eval", "audit")
 _TRAIN_FROM_ELSEWHERE = ("seed", "sde", "curriculum", "suite")
 # PolicyDims fields that the dataset section sets; the policy section sets the rest
 _DATASET_DIMS = ("frames", "frame_dim", "num_classes")
+# the keys of each entry of the rewards section
+_REWARD_KEYS = ("id", "stage", "kind", "scale")
 
 
 def _field_names(cls, skip=()) -> list:
@@ -250,6 +252,8 @@ class RunConfig:
             for section, builder in builders:
                 try:
                     builder()
+                except ConfigError as exc:  # already names its field
+                    errors.extend(exc.details)
                 except (ValueError, TypeError) as exc:
                     errors.append(f"{section}: {exc}")
             stage, terms = cfg["train"]["static_stage"], len(cfg["rewards"])
@@ -368,21 +372,34 @@ class RunConfig:
             raise ConfigError([f"curriculum.thresholds_file: cannot read {path}: {exc!r}"])
 
     def reward_suite(self) -> RewardSuite:
-        num_classes = self.resolved["dataset"]["num_classes"]
-        frame_dim = self.resolved["dataset"]["frame_dim"]
-        suite = []
-        for entry in self.resolved["rewards"]:
-            extra = set(entry) - {"id", "kind", "stage", "scale"}
-            if extra:
-                raise ConfigError([f"rewards: unknown keys {sorted(extra)}"])
-            kwargs = dict(entry)
-            if kwargs.get("kind") == "alignment":
-                if frame_dim < 2:  # the final frame's angle needs two coordinates
-                    raise DomainError(f"alignment term {kwargs.get('id')!r} needs "
-                                      f"dataset.frame_dim >= 2, got {frame_dim}")
-                kwargs["num_classes"] = num_classes
-            suite.append(RewardTerm(**kwargs))
-        return RewardSuite(suite)
+        """The run's suite; a malformed entry is reported once, under
+        ``rewards[i]``."""
+        terms = []
+        for i, entry in enumerate(self.resolved["rewards"]):
+            try:
+                terms.append(self._reward_term(entry))
+            except (ValueError, TypeError) as exc:
+                raise ConfigError([f"rewards[{i}]: {exc}"]) from exc
+        return RewardSuite(terms)
+
+    def _reward_term(self, entry) -> RewardTerm:
+        holds = "an entry holds exactly id, stage, kind and scale"
+        if not isinstance(entry, dict):
+            raise DomainError(f"must be a mapping, got {entry!r}; {holds}")
+        missing = [key for key in _REWARD_KEYS if key not in entry]
+        unknown = sorted(set(entry) - set(_REWARD_KEYS))
+        found = [f"{what} keys {keys}" for what, keys in
+                 (("missing", missing), ("unknown", unknown)) if keys]
+        if found:
+            raise DomainError(f"{', '.join(found)}; {holds}")
+        kwargs = dict(entry)
+        if kwargs["kind"] == "alignment":
+            frame_dim = self.resolved["dataset"]["frame_dim"]
+            if frame_dim < 2:  # the final frame's angle needs two coordinates
+                raise DomainError(f"alignment term {kwargs['id']!r} needs "
+                                  f"dataset.frame_dim >= 2, got {frame_dim}")
+            kwargs["num_classes"] = self.resolved["dataset"]["num_classes"]
+        return RewardTerm(**kwargs)
 
     def train_config(self, thresholds=None, static_stage=None,
                      num_steps=None) -> TrainConfig:

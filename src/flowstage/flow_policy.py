@@ -595,14 +595,14 @@ def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
     ``steps`` Adam steps on batches of ``batch_size`` (a run's ``pretrain``
     section).
 
-    Returns ``(trained policy, per-step loss curve)``; the input policy is
-    not mutated.
+    A generator, like :func:`grpo.train`: it yields ``(step, policy,
+    loss)`` after each update, the step index, the updated policy and the
+    batch's mean squared residual as a float, and nothing for 0 steps.  The
+    caller keeps what it needs, so a run that fails at step k has already
+    been handed its k losses.  The input policy is not mutated.
     """
-    if steps == 0:
-        return policy.copy(), []
     n = policy.dims.state_size
     opt = adam_init(policy.vector, learning_rate=learning_rate)
-    losses = []
     for step in range(steps):
         frames, conds = dataset.sample_batch(rng.stream(0, step), batch_size)
         if len(frames) == 0:
@@ -614,8 +614,8 @@ def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
         eps = noise_rng.gaussian(B * n).reshape(B, n)
         t = noise_rng.uniform(B)
         resid, acts = _flow_matching_residual(policy, frames, conds, t, eps)
-        losses.append(float(np.mean(resid**2)))
+        loss = float(np.mean(resid**2))
         grad = _velocity_grad(policy, acts, (2.0 / (B * n)) * resid, conds)
         vector, opt = adam_step_arrays(policy.vector, grad, opt)
         policy = replace(policy, vector=vector)
-    return policy, losses
+        yield step, policy, loss

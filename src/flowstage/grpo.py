@@ -29,12 +29,15 @@ through the run's one scratch generator (``RandomSource.at_stream``).
 
 Advantages enter the gradient as constants: nothing differentiates
 through the reward or mixing computations.
+
+A run is the generator :func:`train`: it yields each updated policy and
+the step's :class:`StepRecord` as soon as the step is done, and writes
+nothing itself.  Its caller decides what a run keeps, so a run that
+fails keeps every step it completed.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, replace
 import numpy as np
@@ -109,7 +112,8 @@ class TrainConfig:
 
 @dataclass
 class StepRecord:
-    """One optimization step's logged statistics."""
+    """One optimization step's logged statistics; :meth:`to_dict` is the
+    one form a run's log is written from."""
 
     step: int
     refresh: bool
@@ -139,51 +143,6 @@ class StepRecord:
             "clip_fraction": self.clip_fraction,
             "ratio_max_dev": self.ratio_max_dev,
         }
-
-
-@dataclass
-class TrainLog:
-    """Append-only list of step records with tabular/JSONL export, for a
-    suite of ``num_terms`` reward terms."""
-
-    num_terms: int
-    records: list = field(default_factory=list)
-
-    def append(self, rec: StepRecord) -> None:
-        self.records.append(rec)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def term_means_matrix(self) -> np.ndarray:
-        """Per-term group means, one row per step."""
-        return np.stack([r.term_means for r in self.records])
-
-    def write_jsonl(self, fp) -> None:
-        for rec in self.records:
-            fp.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-
-    def write_csv(self, fp) -> None:
-        """A header row, then one row per step; the header alone when no
-        step was taken."""
-        K = self.num_terms
-        header = (
-            ["step", "refresh", "condition", "objective", "grad_norm",
-             "clip_fraction", "ratio_max_dev", "mixed_mean"]
-            + [f"weight_{j}" for j in range(1, K + 1)]
-            + [f"term_mean_{j}" for j in range(1, K + 1)]
-            + [f"sparsity_{j}" for j in range(1, K + 1)]
-            + [f"gate_{j}" for j in range(1, K + 1)]
-        )
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(header)
-        for r in self.records:
-            row = [r.step, int(r.refresh), r.condition, repr(r.objective),
-                   repr(r.grad_norm), repr(r.clip_fraction), repr(r.ratio_max_dev),
-                   repr(r.mixed_mean)]
-            for arr in (r.weights, r.term_means, r.sparsities, r.transitions):
-                row.extend(repr(float(x)) for x in arr)
-            writer.writerow(row)
 
 
 # ---------------------------------------------------------------------------
@@ -330,36 +289,30 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
     return policy, opt_state, state, rec
 
 
-def train(policy: FlowPolicy, config: TrainConfig, step_callback=None):
-    """Run ``config.num_steps`` optimization steps.
+def train(policy: FlowPolicy, config: TrainConfig):
+    """Run ``config.num_steps`` optimization steps as a generator that
+    yields ``(step, policy, record)`` after each update: the step index,
+    the updated policy and its :class:`StepRecord`.  Nothing runs until
+    the first ``next()``, nothing is written, and 0 steps yield nothing;
+    the caller keeps what a run keeps, so a run that fails at step k has
+    already handed over its k completed steps.
 
     The reference policy is refreshed every ``ref_refresh_interval``
-    steps.  On a refresh step the reference is the policy object itself,
-    which makes the step on-policy: its gradient comes from the rollout's
-    own activations.  Steps against a stale reference re-evaluate the
-    kept transitions.  Keeping the policy object as the reference is
-    sound because the Adam update is pure: it never writes the old
-    vector, so the reference keeps the parameters that sampled.  A fixed
-    seed makes the whole trace bit-reproducible.  The optional
-    ``step_callback(step, policy, record)`` runs after each update
-    (checkpointing hook).  Returns ``(policy, TrainLog)``.
+    steps.  On a refresh step it is the policy object itself, which makes
+    the step on-policy: its gradient comes from the rollout's own
+    activations.  Steps against a stale reference re-evaluate the kept
+    transitions.  This is sound because the Adam update is pure: no
+    policy that was yielded or serves as a reference is ever written.  A
+    fixed seed makes the whole trace bit-reproducible.
     """
     if config.suite is None:
         config = replace(config, suite=default_suite(policy.dims.num_classes))
     rng = RandomSource(config.seed)
     opt_state = adam_init(policy.vector, learning_rate=config.learning_rate)
-    log = TrainLog(len(config.suite.terms))
-    ref_policy = policy
     prior = None
     for s in range(config.num_steps):
-        if s % config.ref_refresh_interval == 0:
+        if s % config.ref_refresh_interval == 0:  # always on step 0
             ref_policy = policy
-        policy, opt_state, state, rec = train_step(
-            policy, ref_policy, config, rng, opt_state, prior, s
-        )
-        prior = state
-        log.append(rec)
-        if step_callback is not None:
-            step_callback(s, policy, rec)
-    return policy, log
-
+        policy, opt_state, prior, rec = train_step(policy, ref_policy, config, rng,
+                                                   opt_state, prior, s)
+        yield s, policy, rec

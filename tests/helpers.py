@@ -1,8 +1,9 @@
 """Shared test utilities: naive re-implementations used as oracles (the
 MLP forward pass, and the row-major transition gather, evaluation and
 backprop that ``eval_step``/``backprop_step`` must match), a rollout's
-kept activations by step, a policy built to overflow, and a generic
-central finite-difference gradient."""
+kept activations by step, a policy built to overflow, a training
+generator run to its end, and a generic central finite-difference
+gradient."""
 
 from __future__ import annotations
 
@@ -81,11 +82,16 @@ def row_major_backprop(policy, rows, means, acts, a_v, upstream):
 
 
 def late_overflow(policy):
-    """A copy of a flow policy (hidden layers of at least two units) whose
-    velocity overflows to inf once the flow time falls below about 0.41:
-    two hidden units read tanh(1 - t), every other weight is 0, and the
-    output adds each of them times 1.7e308.  On the K = 4, t_min = 0.04
-    grid that is step 3 (t = 0.28), with every earlier velocity finite."""
+    """A copy of a flow policy with exactly one hidden layer, of at least
+    two units, whose velocity overflows to inf once the flow time falls
+    below about 0.41: two hidden units read tanh(1 - t), every other
+    weight is 0, and the output adds each of them times 1.7e308.  On the
+    K = 4, t_min = 0.04 grid that is step 3 (t = 0.28), with every earlier
+    velocity finite.  A second hidden layer would read only zeros and pass
+    on tanh(0) = 0, so such a policy is refused."""
+    if len(policy.net.weights) != 2:
+        raise ValueError(f"late_overflow needs one hidden layer, got "
+                         f"{len(policy.net.weights) - 1}")
     p = policy.copy()
     p.vector[:] = 0.0
     n = p.dims.state_size
@@ -93,6 +99,16 @@ def late_overflow(policy):
     p.net.biases[0][:2] = 1.0
     p.net.weights[-1][:, :2] = 1.7e308
     return p
+
+
+def drain(steps, policy):
+    """Run a training generator (``train``, ``pretrain_flow_matching``) to
+    its end.  Returns the last policy it yielded (``policy`` when it
+    yielded none) and its records in step order."""
+    records = []
+    for _, policy, record in steps:
+        records.append(record)
+    return policy, records
 
 
 def finite_difference(f, vector, h=1e-5):

@@ -9,9 +9,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import kept_by_step
+from helpers import kept_by_step, late_overflow
 
-from flowstage import cli
+from flowstage import cli, flow_policy, grpo
 from flowstage.config import DEFAULTS, RunConfig
 from flowstage.curriculum import CurriculumConfig, calibrate_thresholds
 from flowstage.errors import ConfigError
@@ -212,9 +212,9 @@ class TestRejectedAtLoad:
         ("train", "train.clip_eps=.inf", "train: clip_eps"),
         ("pretrain", "dataset.omega=.nan", "dataset.omega"),
         ("eval", 'rewards=[{"id": "f", "stage": 1, "kind": "fidelity", "scale": true}]',
-         "rewards: scale"),
+         "rewards[0]: scale"),
         ("eval", 'rewards=[{"id": "f", "stage": true, "kind": "fidelity", "scale": 0.05}]',
-         "rewards: stage"),
+         "rewards[0]: stage"),
     ])
     def test_bad_number_exits_1_without_failure_file(self, tmp_path, checkpoint, items, capsys,
                                                      mode, override, message):
@@ -249,7 +249,19 @@ class TestRejectedAtLoad:
         (["curriculum.alpha=0"], ["curriculum: alpha must be > 0"]),
         (["curriculum.weight_mode=x"], ["curriculum: unknown weight_mode 'x'"]),
         (["rewards=[{id: f, stage: 1, kind: fidelity, scale: -1}]"],
-         ["rewards: scale must be positive"]),
+         ["rewards[0]: scale must be positive"]),
+        (["rewards=[5]"],
+         ["rewards[0]: must be a mapping, got 5; an entry holds exactly id, stage, kind "
+          "and scale"]),
+        (["rewards=[{id: f, stage: 1, kind: fidelity, scale: 1}, {id: s, stage: 2}]"],
+         ["rewards[1]: missing keys ['kind', 'scale']; an entry holds exactly id, stage, "
+          "kind and scale"]),
+        (["rewards=[{id: f, stage: 1, kind: fidelity, scale: 1, extra: 0}]"],
+         ["rewards[0]: unknown keys ['extra']; an entry holds exactly id, stage, kind "
+          "and scale"]),
+        (["rewards=[{stage: 1, kind: fidelity, scale: 1, extra: 0}]"],
+         ["rewards[0]: missing keys ['id'], unknown keys ['extra']; an entry holds exactly "
+          "id, stage, kind and scale"]),
         (["sde.num_steps=0", "train.group_size=1", "train.static_stage=4"],
          ["sde: num_steps must be >= 1", "train: group_size must be >= 2",
           "train.static_stage: must lie in [1, 3] for 3 reward terms, got 4"]),
@@ -309,7 +321,7 @@ class TestRejectedAtLoad:
                              "--set=rewards=[{id: c, stage: 1, kind: custom, scale: 1.0}]")
         assert rc == 1
         assert not (outdir / "failure.json").exists()
-        assert "config error: rewards:" in capsys.readouterr().err
+        assert "config error: rewards[0]: unknown reward kind" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", [0, 5])
     def test_static_stage_outside_the_suite_exits_1(self, tmp_path, checkpoint, capsys, stage):
@@ -386,3 +398,68 @@ def test_eval_keeps_no_activations(tmp_path, checkpoint, monkeypatch):
     assert rc == 0
     assert len(rollouts) == 2
     assert all(kept_by_step(r) == {} and len(r) == 4 for r in rollouts)
+
+
+def fail_at(calls: int, fn):
+    """``fn``, raising instead on its ``calls + 1``-th call."""
+    done = []
+
+    def failing(*args, **kwargs):
+        done.append(None)
+        if len(done) > calls:
+            raise RuntimeError(f"call {calls} failed")
+        return fn(*args, **kwargs)
+
+    return failing
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_failed_train_run_keeps_its_completed_steps(tmp_path, checkpoint, monkeypatch, capsys, k):
+    settings = ("--set=train.num_steps=5", "--set=train.checkpoint_interval=2")
+    (tmp_path / "full").mkdir()
+    rc, full = run_cli(tmp_path / "full", checkpoint, *settings)
+    assert rc == 0
+    monkeypatch.setattr(grpo, "train_step", fail_at(k, grpo.train_step))
+    rc, outdir = run_cli(tmp_path, checkpoint, *settings)
+    assert rc == 2
+    assert json.loads((outdir / "failure.json").read_text())["message"] == f"call {k} failed"
+    assert "error: RuntimeError" in capsys.readouterr().err
+    jsonl = (full / "trainlog.jsonl").read_text().splitlines(keepends=True)
+    assert len(jsonl) == 5
+    assert (outdir / "trainlog.jsonl").read_text() == "".join(jsonl[:k])
+    rows = (full / "trainlog.csv").read_text().splitlines(keepends=True)
+    assert (outdir / "trainlog.csv").read_text() == "".join(rows[:k + 1])
+    kept = sorted(path.name for path in outdir.glob("*.ckpt"))
+    assert kept == [f"policy_step{s:05d}.ckpt" for s in range(2, k + 1, 2)]
+    for name in kept:
+        assert (outdir / name).read_bytes() == (full / name).read_bytes()
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_failed_pretrain_run_keeps_its_completed_losses(tmp_path, checkpoint, monkeypatch, k):
+    settings = ("--set=mode=pretrain", "--set=pretrain.steps=6", "--set=pretrain.batch_size=8")
+    (tmp_path / "full").mkdir()
+    rc, full = run_cli(tmp_path / "full", checkpoint, *settings)
+    assert rc == 0
+    monkeypatch.setattr(flow_policy, "adam_step_arrays", fail_at(k, flow_policy.adam_step_arrays))
+    rc, outdir = run_cli(tmp_path, checkpoint, *settings)
+    assert rc == 2
+    assert (outdir / "failure.json").is_file()
+    assert not (outdir / "policy.ckpt").exists()
+    rows = (full / "pretrain_loss.csv").read_text().splitlines(keepends=True)
+    assert len(rows) == 7
+    assert (outdir / "pretrain_loss.csv").read_text() == "".join(rows[:k + 1])
+
+
+def test_eval_rollout_failure_names_group_and_condition(tmp_path):
+    path = tmp_path / "overflow.ckpt"
+    save_policy(path, late_overflow(init_flow_policy(PolicyDims(), hidden=(8,),
+                                                     rng=RandomSource(0))))
+    # the output product overflows on purpose, in every group
+    with pytest.warns(RuntimeWarning):
+        rc, outdir = run_cli(tmp_path, str(path), "--set=mode=eval", "--set=sde.num_steps=4")
+    assert rc == 2
+    cond = int(RandomSource(0).at_stream(0, 0).integers(0, PolicyDims().num_classes))
+    assert json.loads((outdir / "failure.json").read_text())["message"] == (
+        f"group 0, condition {cond}: step 3 (t=0.2800): "
+        "forward pass produced a non-finite output")

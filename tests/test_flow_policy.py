@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import kept_by_step, late_overflow, naive_mlp_eval
+from helpers import drain, kept_by_step, late_overflow, naive_mlp_eval
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -296,6 +296,11 @@ class TestSdeSampling:
             sde_sample(p, 1, cfg, noise)
         assert str(err.value) == "step 3 (t=0.2800): forward pass produced a non-finite output"
 
+    def test_late_overflow_needs_one_hidden_layer(self):
+        # a second hidden layer reads only zeros and passes on tanh(0) = 0
+        with pytest.raises(ValueError):
+            late_overflow(small_policy(22, hidden=(4, 4)))
+
     def test_state_overflow_names_rollouts_step_and_time(self):
         # a constant velocity stays finite; two huge increments in one
         # coordinate of rollouts 0 and 2 overflow their state at step 1
@@ -515,9 +520,9 @@ class TestPretraining:
     def test_zero_steps_returns_unchanged_policy(self):
         p = small_policy(20)
         ds = ToyDataset(SMALL)
-        trained, losses = pretrain_flow_matching(p, ds, 0, RandomSource(0),
-                                                 PRETRAIN["batch_size"],
-                                                 PRETRAIN["learning_rate"])
+        trained, losses = drain(pretrain_flow_matching(p, ds, 0, RandomSource(0),
+                                                       PRETRAIN["batch_size"],
+                                                       PRETRAIN["learning_rate"]), p)
         assert losses == []
         np.testing.assert_array_equal(p.vector, trained.vector)
 
@@ -541,8 +546,8 @@ class TestPretraining:
             return flow_matching_loss(policy, frames, conds, t, eps)
 
         before = residual(p)
-        trained, _ = pretrain_flow_matching(p, ds, 1500, RandomSource(31),
-                                            batch_size=32, learning_rate=3e-3)
+        trained, _ = drain(pretrain_flow_matching(p, ds, 1500, RandomSource(31),
+                                                  batch_size=32, learning_rate=3e-3), p)
         assert residual(trained) < 0.1 * before
 
     def test_held_out_loss_improves_majority_of_seeds(self):
@@ -556,9 +561,9 @@ class TestPretraining:
             eps = eval_rng.gaussian(128 * dims.state_size).reshape(128, -1)
             t = eval_rng.uniform(128)
             before = flow_matching_loss(p, frames, conds, t, eps)
-            trained, _ = pretrain_flow_matching(p, ds, 2000, RandomSource(seed + 50),
-                                                PRETRAIN["batch_size"],
-                                                PRETRAIN["learning_rate"])
+            trained, _ = drain(pretrain_flow_matching(p, ds, 2000, RandomSource(seed + 50),
+                                                      PRETRAIN["batch_size"],
+                                                      PRETRAIN["learning_rate"]), p)
             after = flow_matching_loss(trained, frames, conds, t, eps)
             wins += after < before
         assert wins >= 3

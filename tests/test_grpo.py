@@ -2,7 +2,8 @@
 after reference refreshes, full-pipeline gradient fidelity against finite
 differences, advantage detachment, and trace determinism."""
 
-import io
+import csv
+import json
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    drain,
     kept_by_step,
     late_overflow,
     rel_err_ok,
@@ -32,7 +34,7 @@ from flowstage.flow_policy import (
     init_flow_policy,
     sde_sample,
 )
-from flowstage import flow_policy, grpo
+from flowstage import cli, flow_policy, grpo
 from flowstage.grpo import (
     TrainConfig,
     surrogate_and_grads,
@@ -57,6 +59,11 @@ def tiny_trajectories(ref, count=4, seed=100, num_steps=2):
     noise = RandomSource(seed).gaussian_streams((), count, (num_steps + 1) * TINY.state_size)
     return sde_sample(ref, [i % TINY.num_classes for i in range(count)], cfg,
                       noise.reshape(count, num_steps + 1, -1), keep=range(num_steps))
+
+
+def jsonl(records):
+    """The trainlog.jsonl lines of ``records``."""
+    return [json.dumps(rec.to_dict(), sort_keys=True) for rec in records]
 
 
 def small_train_config(**kw):
@@ -200,9 +207,9 @@ class TestTrainStep:
     def test_first_step_identity(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(2))
         cfg = small_train_config(num_steps=6, ref_refresh_interval=2, seed=11)
-        _, log = train(policy, cfg)
+        _, log = drain(train(policy, cfg), policy)
         assert len(log) == 6
-        for rec in log.records:
+        for rec in log:
             if rec.refresh:
                 assert rec.ratio_max_dev <= 1e-9
                 assert rec.clip_fraction == 0.0
@@ -222,14 +229,17 @@ class TestTrainStep:
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(12))
         cfg = small_train_config(num_steps=4, ref_refresh_interval=2, seed=17,
                                  learning_rate=5e-3)
-        _, log = train(policy, cfg, step_callback=lambda s, p, rec: done.append(s))
+        log = []
+        for s, _, rec in train(policy, cfg):
+            done.append(s)
+            log.append(rec)
         assert reevaluated == [1, 3]
-        assert [rec.refresh for rec in log.records] == [True, False, True, False]
-        for rec in log.records:
+        assert [rec.refresh for rec in log] == [True, False, True, False]
+        for rec in log:
             if rec.refresh:
                 assert rec.ratio_max_dev == 0.0
                 assert rec.clip_fraction == 0.0
-        assert any(rec.clip_fraction > 0.0 for rec in log.records if not rec.refresh)
+        assert any(rec.clip_fraction > 0.0 for rec in log if not rec.refresh)
 
     def test_stale_reference_is_left_as_it_sampled(self, monkeypatch):
         # step 0 refreshes (the reference is the policy itself), step 1
@@ -246,7 +256,7 @@ class TestTrainStep:
         before = policy.vector.copy()
         cfg = small_train_config(num_steps=2, ref_refresh_interval=2, seed=19,
                                  learning_rate=5e-3)
-        trained, _ = train(policy, cfg)
+        trained, _ = drain(train(policy, cfg), policy)
         assert [ref is policy for ref, _ in rollouts] == [True, True]
         np.testing.assert_array_equal(policy.vector, before)
         assert not np.array_equal(trained.vector, before)
@@ -262,30 +272,27 @@ class TestTrainStep:
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(3))
         cfg = small_train_config(num_steps=6, ref_refresh_interval=3,
                                  learning_rate=5e-3, seed=13)
-        _, log = train(policy, cfg)
-        off_refresh = [r for r in log.records if not r.refresh]
+        _, log = drain(train(policy, cfg), policy)
+        off_refresh = [r for r in log if not r.refresh]
         assert any(r.ratio_max_dev > 1e-9 for r in off_refresh)
 
     def test_static_stage_uses_one_hot_weights(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(4))
         cfg = small_train_config(static_stage=1, num_steps=2)
-        _, log = train(policy, cfg)
-        for rec in log.records:
+        _, log = drain(train(policy, cfg), policy)
+        for rec in log:
             np.testing.assert_array_equal(rec.weights, [1.0, 0.0, 0.0])
 
     def test_determinism(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(5))
         cfg = small_train_config(num_steps=5, seed=21)
-        _, log1 = train(policy.copy(), cfg)
-        _, log2 = train(policy.copy(), cfg)
-        buf1, buf2 = io.StringIO(), io.StringIO()
-        log1.write_jsonl(buf1)
-        log2.write_jsonl(buf2)
-        assert buf1.getvalue() == buf2.getvalue()
+        _, log1 = drain(train(policy.copy(), cfg), policy)
+        _, log2 = drain(train(policy.copy(), cfg), policy)
+        assert jsonl(log1) == jsonl(log2)
 
     def test_zero_steps(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(6))
-        trained, log = train(policy, small_train_config(num_steps=0))
+        trained, log = drain(train(policy, small_train_config(num_steps=0)), policy)
         assert len(log) == 0
         np.testing.assert_array_equal(policy.vector, trained.vector)
 
@@ -299,13 +306,10 @@ class TestTrainStep:
 
         monkeypatch.setattr(grpo, "default_suite", spy)
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(10))
-        _, log = train(policy, small_train_config(num_steps=3, suite=None))
+        _, log = drain(train(policy, small_train_config(num_steps=3, suite=None)), policy)
         assert calls == [PLANAR.num_classes]
-        _, given = train(policy, small_train_config(num_steps=3))
-        buf, given_buf = io.StringIO(), io.StringIO()
-        log.write_jsonl(buf)
-        given.write_jsonl(given_buf)
-        assert buf.getvalue() == given_buf.getvalue()
+        _, given = drain(train(policy, small_train_config(num_steps=3)), policy)
+        assert jsonl(log) == jsonl(given)
 
     def test_rollout_failure_names_train_step_and_condition(self):
         policy = late_overflow(init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(8)))
@@ -317,16 +321,28 @@ class TestTrainStep:
         assert str(err.value) == (f"step 2, condition {cond}: step 3 (t=0.2800): "
                                   "forward pass produced a non-finite output")
 
-    def test_csv_and_jsonl_emission(self):
+    def test_csv_and_jsonl_emission(self, tmp_path):
+        # the CLI writes both files from each record's to_dict(): every CSV
+        # cell is the text of its JSONL value (refresh as 0/1)
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(7))
-        _, log = train(policy, small_train_config(num_steps=3))
-        jsonl, csv_buf = io.StringIO(), io.StringIO()
-        log.write_jsonl(jsonl)
-        log.write_csv(csv_buf)
-        assert len(jsonl.getvalue().splitlines()) == 3
-        lines = csv_buf.getvalue().splitlines()
-        assert len(lines) == 4
-        assert lines[0].startswith("step,refresh,condition,objective")
+        _, log = drain(train(policy, small_train_config(num_steps=3)), policy)
+        cli._write_trainlog(tmp_path, 3, log)
+        lines = (tmp_path / "trainlog.jsonl").read_text().splitlines()
+        assert lines == jsonl(log)
+        with open(tmp_path / "trainlog.csv", newline="") as fp:
+            header, *rows = list(csv.reader(fp))
+        assert len(rows) == 3
+        assert ",".join(header).startswith("step,refresh,condition,objective")
+        for line, row in zip(lines, rows):
+            d = json.loads(line)
+            want = {key: d[key] for key in ("step", "condition", "objective", "grad_norm",
+                                            "clip_fraction", "ratio_max_dev", "mixed_mean")}
+            want["refresh"] = int(d["refresh"])
+            for column, key in (("weight", "weights"), ("term_mean", "term_means"),
+                                ("sparsity", "sparsities"), ("gate", "transitions")):
+                want.update((f"{column}_{j}", v) for j, v in enumerate(d[key], start=1))
+            assert len(row) == len(header)
+            assert dict(zip(header, row)) == {key: repr(v) for key, v in want.items()}
 
 
 class TestGradientFidelity:
@@ -532,6 +548,9 @@ class TestConfigValidation:
             small_train_config(timestep_fraction=0.0)
 
     def test_suite_stage_bounds(self):
+        """A stage outside the suite is refused by train_step and by train;
+        train is a generator, so it raises on its first ``next()``, not
+        when it is called."""
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(8))
         with pytest.raises(DomainError):
             train_step(policy, policy.copy(), small_train_config(static_stage=9), RandomSource(0))
@@ -539,7 +558,7 @@ class TestConfigValidation:
         # which train() fills in once per run
         cfg = small_train_config(static_stage=4, suite=None)
         with pytest.raises(DomainError):
-            train(policy, cfg)
+            next(train(policy, cfg))
         with pytest.raises(DomainError):
             train_step(policy, policy.copy(), cfg, RandomSource(0))
 
