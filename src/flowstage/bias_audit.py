@@ -24,7 +24,6 @@ instead; only it can name the physical line of a bad row.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -65,18 +64,6 @@ class ClusterReport:
                 for i in range(self.k)
             ],
         }
-
-    def write_json(self, fp) -> None:
-        json.dump(self.to_dict(), fp, sort_keys=True, indent=2)
-        fp.write("\n")
-
-    def write_csv(self, fp) -> None:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["cluster", "size", "mean", "std", "kappa"])
-        for i in range(self.k):
-            kappa = "" if self.kappas[i] is None else repr(self.kappas[i])
-            writer.writerow([i, int(self.sizes[i]), repr(float(self.means[i])),
-                             repr(float(self.stds[i])), kappa])
 
 
 # ---------------------------------------------------------------------------

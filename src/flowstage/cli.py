@@ -9,11 +9,16 @@ Every run writes a resolved-config snapshot into its output directory
 first, so outputs are always reproducible from what sits next to them.
 Exit codes: 0 success, 1 config error, 2 runtime failure.
 
-The training loops yield ``(step, policy, record)`` after each update
-and write nothing; this module writes what a run keeps: checkpoints as
-the steps arrive, and the step log (``trainlog.*``, ``pretrain_loss.csv``)
-when the loop ends, finished or failed.  A run that fails at step k exits
-2 with ``failure.json`` and its k completed steps logged.
+A mode reads the objects its :class:`RunConfig` built at load, and this
+module writes every output file: each JSON file through
+:func:`_write_json`, each CSV file through :func:`_write_csv`, the
+checkpoints through ``save_policy`` and ``trainlog.jsonl`` as one JSON
+line per step.  The training loops yield ``(step, policy, record)``
+after each update and write nothing; this module writes what a run
+keeps: checkpoints as the steps arrive, and the step log (``trainlog.*``,
+``pretrain_loss.csv``) when the loop ends, finished or failed.  A run
+that fails at step k exits 2 with ``failure.json`` and its k completed
+steps logged.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import csv
 import json
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +50,7 @@ from .rewards import eval_group
 
 
 def _write_csv(path, header, rows) -> None:
+    """``csv`` writes a float as its ``repr`` and None as an empty cell."""
     with open(path, "w", newline="") as fp:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(header)
@@ -59,10 +66,10 @@ def _write_json(path, payload) -> None:
 def _load_init_policy(cfg: RunConfig):
     path = Path(cfg.resolved["policy"]["init_checkpoint"])
     policy, _ = load_policy(path)
-    if policy.dims != cfg.policy_dims():
+    if policy.dims != cfg.dims:
         raise ConfigError([
             f"policy.init_checkpoint: checkpoint dims {policy.dims} do not match "
-            f"the configured dims {cfg.policy_dims()}"
+            f"the configured dims {cfg.dims}"
         ])
     return policy
 
@@ -70,7 +77,7 @@ def _load_init_policy(cfg: RunConfig):
 def run_pretrain(cfg: RunConfig) -> None:
     rng = RandomSource(cfg.seed)
     policy = init_flow_policy(
-        cfg.policy_dims(), hidden=tuple(cfg.resolved["policy"]["hidden"]),
+        cfg.dims, hidden=tuple(cfg.resolved["policy"]["hidden"]),
         rng=rng.stream(100),
     )
     p = cfg.resolved["pretrain"]
@@ -89,12 +96,11 @@ def run_pretrain(cfg: RunConfig) -> None:
 def run_calibrate(cfg: RunConfig) -> None:
     """Single-stage probe runs; thresholds at 70% of each observed gain."""
     base = _load_init_policy(cfg)
-    suite = cfg.reward_suite()
     steps = cfg.resolved["calibrate"]["steps"]
-    window = cfg.resolved["train"]["smooth_window"]
+    window = cfg.train.smooth_window
     curves = []
-    for stage in range(1, len(suite.terms) + 1):
-        tc = cfg.train_config(static_stage=stage, num_steps=steps)
+    for stage in range(1, len(cfg.suite.terms) + 1):
+        tc = replace(cfg.train, static_stage=stage, num_steps=steps)
         curve = [float(rec.term_means[stage - 1]) for _, _, rec in train(base, tc)]
         curves.append(curve)
         _write_csv(cfg.outdir / f"calibrate_stage{stage}.csv", ["step", "term_mean"],
@@ -129,27 +135,24 @@ def _write_trainlog(outdir: Path, num_terms: int, records: list) -> None:
 
 def run_train(cfg: RunConfig) -> None:
     policy = _load_init_policy(cfg)
-    tc = cfg.train_config(thresholds=cfg.thresholds_from_file())
     interval = cfg.resolved["train"]["checkpoint_interval"]
     records = []
     try:
-        for step, policy, rec in train(policy, tc):
+        for step, policy, rec in train(policy, cfg.train):
             records.append(rec)
             if interval and (step + 1) % interval == 0:
                 save_policy(cfg.outdir / f"policy_step{step + 1:05d}.ckpt", policy,
                             {"stage": "train", "step": step + 1, "seed": cfg.seed})
     finally:
-        _write_trainlog(cfg.outdir, len(tc.suite.terms), records)
+        _write_trainlog(cfg.outdir, len(cfg.suite.terms), records)
     save_policy(cfg.outdir / "policy_final.ckpt", policy,
-                {"stage": "trained", "steps": tc.num_steps, "seed": cfg.seed})
+                {"stage": "trained", "steps": cfg.train.num_steps, "seed": cfg.seed})
 
 
 def run_eval(cfg: RunConfig) -> None:
     """Per-term reward statistics over freshly sampled groups."""
     policy = _load_init_policy(cfg)
-    suite = cfg.reward_suite()
-    sde = cfg.sde_config()
-    group_size = cfg.resolved["train"]["group_size"]
+    suite, sde, group_size = cfg.suite, cfg.sde, cfg.train.group_size
     num_groups = cfg.resolved["eval"]["num_groups"]
     rng = RandomSource(cfg.seed)
 
@@ -167,7 +170,7 @@ def run_eval(cfg: RunConfig) -> None:
         matrix = eval_group(
             suite, rollout.final_states().reshape(group_size, dims.frames, dims.frame_dim), cond)
         all_values.append(matrix.values)
-        rows.append([g, cond] + [repr(float(v)) for v in matrix.values.mean(axis=0)])
+        rows.append([g, cond, *matrix.values.mean(axis=0).tolist()])
 
     stacked = np.concatenate(all_values)
     stats = {
@@ -198,11 +201,11 @@ def run_audit(cfg: RunConfig) -> None:
     a = cfg.resolved["audit"]
     scores, features, labels = read_items_csv(a["input"])
     report = audit(scores, features, labels, k=a["k"], seed=cfg.seed,
-                   max_iters=a["max_iters"])
-    with open(cfg.outdir / "audit_report.json", "w") as fp:
-        report.write_json(fp)
-    with open(cfg.outdir / "audit_clusters.csv", "w", newline="") as fp:
-        report.write_csv(fp)
+                   max_iters=a["max_iters"]).to_dict()
+    _write_json(cfg.outdir / "audit_report.json", report)
+    _write_csv(cfg.outdir / "audit_clusters.csv", ["cluster", "size", "mean", "std", "kappa"],
+               [[c["index"], c["size"], c["mean"], c["std"], c["kappa"]]
+                for c in report["clusters"]])
 
 
 MODE_RUNNERS = {
@@ -212,6 +215,13 @@ MODE_RUNNERS = {
     "eval": run_eval,
     "audit": run_audit,
 }
+
+
+def _config_error(lines) -> int:
+    """Report each line as a config error; the exit code for one."""
+    for line in lines:
+        print(f"config error: {line}", file=sys.stderr)
+    return 1
 
 
 def main(argv=None) -> int:
@@ -230,18 +240,16 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig.from_file(args.config, args.overrides)
     except ConfigError as exc:
-        for line in exc.details:
-            print(f"config error: {line}", file=sys.stderr)
-        return 1
-
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    cfg.write_resolved(cfg.outdir)
+        return _config_error(exc.details)
+    try:
+        cfg.outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _config_error([f"outdir: cannot create {cfg.outdir}: {exc}"])
+    _write_json(cfg.outdir / "resolved_config.json", cfg.resolved)
     try:
         MODE_RUNNERS[cfg.mode](cfg)
     except ConfigError as exc:
-        for line in exc.details:
-            print(f"config error: {line}", file=sys.stderr)
-        return 1
+        return _config_error(exc.details)
     except Exception as exc:  # runtime failure: keep partial artifacts
         _write_json(cfg.outdir / "failure.json", {
             "mode": cfg.mode,

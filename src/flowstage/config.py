@@ -3,7 +3,10 @@
 A config file (YAML or JSON) is deep-merged over the defaults below,
 then dotted-path overrides are applied.  Every default is materialized
 into the resolved config that gets written next to the run's outputs, so
-an output directory is always self-describing and re-runnable.  ``yaml``
+an output directory is always self-describing and re-runnable.  Each
+section is built into its typed object once, at load, while it is
+validated, and :class:`RunConfig` keeps what it built; a run reads those
+objects, so the thresholds file is read once, at load.  ``yaml``
 is imported only to read a non-JSON file or an override, so a run from a
 JSON file without overrides never loads it.
 """
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .curriculum import CurriculumConfig
@@ -100,6 +103,18 @@ def _input_file_errors(name, path, mode) -> list:
     return []
 
 
+def _read_thresholds(path) -> list:
+    """The thresholds in ``curriculum.thresholds_file``, as calibrate mode
+    writes them."""
+    if not isinstance(path, str):  # open() takes an int as a file descriptor
+        raise ConfigError([f"curriculum.thresholds_file: must be a path, got {path!r}"])
+    try:
+        with open(path) as fp:
+            return [float(t) for t in json.load(fp)["thresholds"]]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError([f"curriculum.thresholds_file: cannot read {path}: {exc!r}"])
+
+
 def _merged(base, value, here, errors):
     """``value`` given for key ``here``, whose current value is ``base``.
     A mapping is merged into a mapping key by key; where ``base`` is a
@@ -146,7 +161,10 @@ def load_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"config file not found: {path}"])
-    text = path.read_text()
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"{path}: cannot read: {exc}"])
     if path.suffix == ".json":
         try:
             data = json.loads(text)
@@ -181,7 +199,15 @@ def parse_override(text: str):
 
 
 class RunConfig:
-    """Validated, fully materialized run configuration."""
+    """Validated, fully materialized run configuration.
+
+    Loading builds each section once and keeps it: ``dims`` (a
+    :class:`PolicyDims`), ``sde``, ``suite`` and ``train``, the
+    :class:`TrainConfig` a train run trains with, holding the seed, the
+    sde settings, the curriculum and the suite.  In train mode the
+    curriculum's thresholds come from ``curriculum.thresholds_file`` when
+    one is set, read at load and only then.
+    """
 
     def __init__(self, resolved: dict):
         self.resolved = resolved
@@ -236,14 +262,17 @@ class RunConfig:
         _check(errors, "pretrain.batch_size", pretrain["batch_size"], 1)
         _check(errors, "pretrain.learning_rate", pretrain["learning_rate"], 0, require_number)
 
+        built = {}
         if not errors:
+            self.dims = PolicyDims(**{field: dataset[field] for field in _DATASET_DIMS},
+                                   embed_dim=cfg["policy"]["embed_dim"])
             # constructors carry the numeric range checks; translate their
             # complaints into field-level diagnostics, each section built
             # on its own so that each error is reported once, under it
             builders = [
-                ("sde", self.sde_config),
-                ("curriculum", self.curriculum_config),
-                ("rewards", self.reward_suite),
+                ("sde", lambda: SdeConfig(**self._section("sde", SdeConfig))),
+                ("curriculum", self._curriculum),
+                ("rewards", self._reward_suite),
                 ("train", lambda: TrainConfig(**self._section(
                     "train", TrainConfig, _TRAIN_FROM_ELSEWHERE))),
             ]
@@ -251,7 +280,7 @@ class RunConfig:
                 builders.append(("dataset", self.dataset))
             for section, builder in builders:
                 try:
-                    builder()
+                    built[section] = builder()
                 except ConfigError as exc:  # already names its field
                     errors.extend(exc.details)
                 except (ValueError, TypeError) as exc:
@@ -262,8 +291,6 @@ class RunConfig:
                 # against its suite; this names the key and the range
                 errors.append(f"train.static_stage: must lie in [1, {terms}] for "
                               f"{terms} reward terms, got {stage!r}")
-            if not errors and mode == "train" and stage is None:
-                errors.extend(self._threshold_errors())
 
         _check(errors, "train.checkpoint_interval", cfg["train"]["checkpoint_interval"], 0)
 
@@ -284,6 +311,10 @@ class RunConfig:
 
         if errors:
             raise ConfigError(errors)
+        # every section built without an error, so composing them cannot fail
+        self.sde, self.suite = built["sde"], built["rewards"]
+        self.train = replace(built["train"], seed=self.seed, sde=self.sde,
+                             curriculum=built["curriculum"], suite=self.suite)
 
     def _calibrate_errors(self) -> list:
         """Each probe curve is smoothed with a centred window of
@@ -300,29 +331,7 @@ class RunConfig:
                 "smoothed to its mean at both ends and no stage can improve")
         return errors
 
-    def _threshold_errors(self) -> list:
-        """A curriculum run gates every reward term on its own threshold.
-
-        Inline thresholds may outnumber the terms (the defaults carry
-        three); a calibrated file must hold exactly one per term, or it
-        was calibrated for another suite.
-        """
-        terms = len(self.resolved["rewards"])
-        try:
-            taus = self.thresholds_from_file()
-        except ConfigError as exc:
-            return exc.details
-        if taus is None:
-            count = len(self.resolved["curriculum"]["thresholds"])
-            if count < terms:
-                return [f"curriculum.thresholds: {count} thresholds for {terms} reward "
-                        "terms; give one per term or set train.static_stage"]
-        elif len(taus) != terms:
-            return [f"curriculum.thresholds_file: {len(taus)} thresholds for {terms} "
-                    "reward terms; calibrate against this reward suite"]
-        return []
-
-    # -- typed accessors ----------------------------------------------------
+    # -- typed accessors and section builders -------------------------------
 
     @property
     def mode(self) -> str:
@@ -336,42 +345,41 @@ class RunConfig:
     def outdir(self) -> Path:
         return Path(self.resolved["outdir"])
 
-    def policy_dims(self) -> PolicyDims:
-        d = self.resolved["dataset"]
-        return PolicyDims(**{field: d[field] for field in _DATASET_DIMS},
-                          embed_dim=self.resolved["policy"]["embed_dim"])
-
     def dataset(self) -> ToyDataset:
         d = self.resolved["dataset"]
-        return ToyDataset(self.policy_dims(), omega=d["omega"], jitter=d["jitter"])
+        return ToyDataset(self.dims, omega=d["omega"], jitter=d["jitter"])
 
     def _section(self, name: str, cls, skip=()) -> dict:
         """The fields of ``cls`` that section ``name`` sets, by name."""
         section = self.resolved[name]
         return {field: section[field] for field in _field_names(cls, skip)}
 
-    def sde_config(self) -> SdeConfig:
-        return SdeConfig(**self._section("sde", SdeConfig))
+    def _curriculum(self) -> CurriculumConfig:
+        """The curriculum section, its thresholds read from
+        ``thresholds_file`` in train mode when one is set.
 
-    def curriculum_config(self, thresholds=None) -> CurriculumConfig:
+        A run that gates on the thresholds needs one per reward term.
+        Inline thresholds may outnumber the terms (the defaults carry
+        three); a calibrated file must hold exactly one per term, or it
+        was calibrated for another suite.
+        """
         kwargs = self._section("curriculum", CurriculumConfig)
-        if thresholds is not None:
-            kwargs["thresholds"] = thresholds
-        return CurriculumConfig(**kwargs)
-
-    def thresholds_from_file(self) -> list | None:
-        """The thresholds in ``curriculum.thresholds_file`` (as calibrate
-        mode writes them), or None when no file is set."""
         path = self.resolved["curriculum"]["thresholds_file"]
-        if not path:
-            return None
-        try:
-            with open(path) as fp:
-                return [float(t) for t in json.load(fp)["thresholds"]]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            raise ConfigError([f"curriculum.thresholds_file: cannot read {path}: {exc!r}"])
+        train = self.mode == "train"
+        if train and path:
+            kwargs["thresholds"] = _read_thresholds(path)
+        curriculum = CurriculumConfig(**kwargs)
+        if train and self.resolved["train"]["static_stage"] is None:
+            count, terms = len(curriculum.thresholds), len(self.resolved["rewards"])
+            if path and count != terms:
+                raise ConfigError([f"curriculum.thresholds_file: {count} thresholds for "
+                                   f"{terms} reward terms; calibrate against this reward suite"])
+            if not path and count < terms:
+                raise ConfigError([f"curriculum.thresholds: {count} thresholds for {terms} "
+                                   "reward terms; give one per term or set train.static_stage"])
+        return curriculum
 
-    def reward_suite(self) -> RewardSuite:
+    def _reward_suite(self) -> RewardSuite:
         """The run's suite; a malformed entry is reported once, under
         ``rewards[i]``."""
         terms = []
@@ -400,27 +408,3 @@ class RunConfig:
                                   f"dataset.frame_dim >= 2, got {frame_dim}")
             kwargs["num_classes"] = self.resolved["dataset"]["num_classes"]
         return RewardTerm(**kwargs)
-
-    def train_config(self, thresholds=None, static_stage=None,
-                     num_steps=None) -> TrainConfig:
-        kwargs = self._section("train", TrainConfig, _TRAIN_FROM_ELSEWHERE)
-        if num_steps is not None:
-            kwargs["num_steps"] = num_steps
-        if static_stage is not None:
-            kwargs["static_stage"] = static_stage
-        return TrainConfig(
-            **kwargs,
-            seed=self.seed,
-            sde=self.sde_config(),
-            curriculum=self.curriculum_config(thresholds),
-            suite=self.reward_suite(),
-        )
-
-    def write_resolved(self, directory) -> Path:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / "resolved_config.json"
-        with open(path, "w") as fp:
-            json.dump(self.resolved, fp, sort_keys=True, indent=2)
-            fp.write("\n")
-        return path

@@ -1,7 +1,7 @@
 """Bias-audit contracts: clustering determinism and recovery, per-cluster
 CoV arithmetic, scorer-bias contrast, and tabular I/O."""
 
-import io
+import csv
 import json
 
 import numpy as np
@@ -152,15 +152,17 @@ class TestAudit:
         with pytest.raises(ShapeError):
             audit([1.0, 2.0], features=[0.0, 1.0], k=1, max_iters=MAX_ITERS)
 
-    def test_report_serialization(self):
-        report = audit([1.0, 2.0, 4.0, 2.0], labels=[0, 0, 1, 1], max_iters=MAX_ITERS)
-        jbuf, cbuf = io.StringIO(), io.StringIO()
-        report.write_json(jbuf)
-        report.write_csv(cbuf)
-        payload = json.loads(jbuf.getvalue())
+    def test_report_serialization(self, tmp_path):
+        payload, rows = audit_outputs(tmp_path, [1.0, 2.0, 4.0, 2.0], [0, 0, 1, 1])
         assert payload["std_convention"] == "population"
         assert payload["k"] == 2
-        assert len(cbuf.getvalue().splitlines()) == 3
+        assert len(rows) == 3
+
+    def test_zero_mean_cluster_writes_an_empty_kappa_cell(self, tmp_path):
+        payload, rows = audit_outputs(tmp_path, [-1.0, 1.0, 4.0, 2.0], [0, 0, 1, 1])
+        assert payload["clusters"][0]["kappa"] is None
+        assert rows[0][-1] == "kappa" and rows[1][-1] == ""
+        assert float(rows[2][-1]) == payload["clusters"][1]["kappa"]
 
 
 class TestTabularIO:
@@ -345,6 +347,19 @@ def run_audit(tmp_path, items, k):
     config.write_text(json.dumps({"mode": "audit", "outdir": str(tmp_path / "out"),
                                   "audit": {"input": str(items), "k": k}}))
     return cli.main([str(config)]), tmp_path / "out"
+
+
+def audit_outputs(tmp_path, scores, labels):
+    """``audit_report.json`` and the rows of ``audit_clusters.csv`` of an
+    audit run by labels over items with these scores."""
+    items = tmp_path / "items.csv"
+    items.write_text("id,score,label\n" + "".join(
+        f"item{i},{score!r},{label}\n" for i, (score, label) in enumerate(zip(scores, labels))))
+    rc, out = run_audit(tmp_path, items, None)
+    assert rc == 0
+    with open(out / "audit_clusters.csv", newline="") as fp:
+        rows = list(csv.reader(fp))
+    return json.loads((out / "audit_report.json").read_text()), rows
 
 
 class TestBadAuditInputExits2:

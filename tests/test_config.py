@@ -53,6 +53,9 @@ def items(tmp_path):
 
 
 def run_cli(tmp_path, checkpoint, *overrides):
+    """The exit code and the output directory of a run from a small config
+    in ``tmp_path``: ``tmp_path / "out"`` unless an override sets
+    ``outdir``."""
     outdir = tmp_path / "out"
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
@@ -61,6 +64,9 @@ def run_cli(tmp_path, checkpoint, *overrides):
         "train": {"num_steps": 2, "group_size": 4},
         "eval": {"num_groups": 2},
     }))
+    for text in overrides:
+        if text.startswith("--set=outdir="):
+            outdir = Path(text.removeprefix("--set=outdir="))
     return cli.main([str(config), *overrides]), outdir
 
 
@@ -74,10 +80,12 @@ TRAIN = {"mode": "train", "policy": {"init_checkpoint": "init.ckpt"}}
 
 
 class TestMaxGradNorm:
-    def test_override_reaches_train_config_and_resolved_file(self, tmp_path):
+    def test_override_reaches_train_config_and_resolved_file(self, tmp_path, checkpoint):
         cfg = RunConfig.from_dict(TRAIN, ["train.max_grad_norm=0.5"])
-        assert cfg.train_config().max_grad_norm == 0.5
-        with open(cfg.write_resolved(tmp_path)) as fp:
+        assert cfg.train.max_grad_norm == 0.5
+        rc, outdir = run_cli(tmp_path, checkpoint, "--set=train.max_grad_norm=0.5")
+        assert rc == 0
+        with open(outdir / "resolved_config.json") as fp:
             assert json.load(fp)["train"]["max_grad_norm"] == 0.5
 
     def test_negative_rejected(self):
@@ -87,14 +95,14 @@ class TestMaxGradNorm:
 
 def test_defaults_are_the_dataclass_defaults():
     cfg = RunConfig.from_dict(TRAIN)
-    assert cfg.policy_dims() == PolicyDims()
+    assert cfg.dims == PolicyDims()
     assert cfg.dataset() == ToyDataset()
     assert cfg.resolved["policy"]["hidden"] == list(DEFAULT_HIDDEN)
     assert inspect.signature(init_flow_policy).parameters["hidden"].default is DEFAULT_HIDDEN
-    assert cfg.sde_config() == SdeConfig()
-    assert cfg.curriculum_config() == CurriculumConfig()
-    assert cfg.reward_suite() == default_suite(cfg.policy_dims().num_classes)
-    assert cfg.train_config() == TrainConfig(suite=cfg.reward_suite())
+    assert cfg.sde == SdeConfig()
+    assert cfg.train.curriculum == CurriculumConfig()
+    assert cfg.suite == default_suite(cfg.dims.num_classes)
+    assert cfg.train == TrainConfig(suite=cfg.suite)
 
 
 def test_calibrate_smooths_with_the_train_window(tmp_path, checkpoint):
@@ -134,7 +142,7 @@ def test_yaml_is_imported_only_for_yaml_files_and_overrides(tmp_path):
         "seen.append('yaml' in sys.modules)\n"
         "b = RunConfig.from_file(sys.argv[2])\n"
         "c = RunConfig.from_file(sys.argv[1], ['sde.eta=0.75', 'train.static_stage=null'])\n"
-        "print(json.dumps([seen, a.seed, b.seed, b.sde_config().eta, c.sde_config().eta,\n"
+        "print(json.dumps([seen, a.seed, b.seed, b.sde.eta, c.sde.eta,\n"
         "                  c.resolved['train']['static_stage']]))\n"
     )
     src = str(Path(cli.__file__).resolve().parent.parent)
@@ -150,8 +158,8 @@ def test_yaml_is_imported_only_for_yaml_files_and_overrides(tmp_path):
 def test_overrides_do_not_leak_into_later_loads():
     RunConfig.from_dict(TRAIN, ["train.max_grad_norm=0.25", "sde.eta=0.3"])
     cfg = RunConfig.from_dict(TRAIN)
-    assert cfg.train_config().max_grad_norm == 1.0
-    assert cfg.sde_config().eta == 0.5
+    assert cfg.train.max_grad_norm == 1.0
+    assert cfg.sde.eta == 0.5
 
 
 def test_mapping_override_merges_into_its_section():
@@ -265,6 +273,12 @@ class TestRejectedAtLoad:
         (["sde.num_steps=0", "train.group_size=1", "train.static_stage=4"],
          ["sde: num_steps must be >= 1", "train: group_size must be >= 2",
           "train.static_stage: must lie in [1, 3] for 3 reward terms, got 4"]),
+        (["sde.num_steps=0", "curriculum.thresholds=[0.7, 0.7]", "train.group_size=1"],
+         ["sde: num_steps must be >= 1", "curriculum.thresholds: 2 thresholds for 3 reward "
+          "terms; give one per term or set train.static_stage",
+          "train: group_size must be >= 2"]),
+        (["curriculum.thresholds_file=5"],
+         ["curriculum.thresholds_file: must be a path, got 5"]),
     ])
     def test_each_error_reported_once_under_its_own_section(self, tmp_path, checkpoint, capsys,
                                                             overrides, lines):
@@ -373,16 +387,83 @@ class TestRejectedAtLoad:
         assert rc == 1
         assert not (outdir / "failure.json").exists()
 
+    @pytest.mark.parametrize("text", ["not json", '{"thresholds": 0.7}'])
+    def test_unreadable_thresholds_file_with_static_stage(self, tmp_path, checkpoint, capsys,
+                                                          text):
+        # a static-stage run does not gate on the thresholds, but a file it
+        # names is still read, and checked, at load
+        tau = tmp_path / "tau.json"
+        tau.write_text(text)
+        rc, outdir = run_cli(tmp_path, checkpoint, "--set=train.static_stage=1",
+                             f"--set=curriculum.thresholds_file={tau}")
+        assert rc == 1
+        assert not outdir.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: curriculum.thresholds_file: cannot read {tau}: ")
+        assert len(err.splitlines()) == 1
+
     def test_thresholds_file_overrides_inline_thresholds(self, tmp_path, checkpoint):
         tau = tmp_path / "tau.json"
         tau.write_text(json.dumps({"thresholds": [0.6, 0.65, 0.7]}))
         cfg = RunConfig.from_dict(TRAIN, [f"curriculum.thresholds_file={tau}",
                                           "curriculum.thresholds=[0.7]"])
-        tc = cfg.train_config(thresholds=cfg.thresholds_from_file())
-        assert tc.curriculum.thresholds == (0.6, 0.65, 0.7)
+        assert cfg.train.curriculum.thresholds == (0.6, 0.65, 0.7)
         rc, outdir = run_cli(tmp_path, checkpoint, f"--set=curriculum.thresholds_file={tau}")
         assert rc == 0
         assert (outdir / "trainlog.jsonl").is_file()
+
+
+def test_thresholds_file_is_read_once_at_load(tmp_path, checkpoint, monkeypatch):
+    tau = tmp_path / "tau.json"
+    tau.write_text(json.dumps({"thresholds": [0.6, 0.65, 0.7]}))
+    cfg = RunConfig.from_dict({**TRAIN, "outdir": "out", "policy": {"init_checkpoint": checkpoint},
+                               "train": {"num_steps": 2, "group_size": 4}},
+                              [f"curriculum.thresholds_file={tau}"])
+    tau.unlink()
+    trained = []
+
+    def spy(policy, config):
+        trained.append(config)
+        return grpo.train(policy, config)
+
+    monkeypatch.setattr(cli, "train", spy)
+    cfg.outdir.mkdir()
+    cli.run_train(cfg)
+    assert trained == [cfg.train]
+    assert cfg.train.curriculum.thresholds == (0.6, 0.65, 0.7)
+    assert len((cfg.outdir / "trainlog.jsonl").read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("what", ["directory", "not UTF-8"])
+def test_unreadable_config_file_exits_1(tmp_path, capsys, what):
+    path = tmp_path
+    if what == "not UTF-8":
+        path = tmp_path / "run.yaml"
+        path.write_bytes(b"mode: \xff\n")
+    assert cli.main([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: cannot read: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a file", "under a file"])
+def test_outdir_that_cannot_be_created_exits_1(tmp_path, checkpoint, capsys, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept")
+    outdir = blocker / "out" if under else blocker
+    rc, _ = run_cli(tmp_path, checkpoint, f"--set=outdir={outdir}")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: outdir: cannot create {outdir}: ")
+    assert len(err.splitlines()) == 1
+    assert blocker.read_text() == "kept"
+
+
+def test_run_cli_returns_the_outdir_an_override_sets(tmp_path, checkpoint):
+    rc, outdir = run_cli(tmp_path, checkpoint, "--set=mode=eval", "--set=outdir=elsewhere")
+    assert rc == 0
+    assert outdir == Path("elsewhere") and (tmp_path / "elsewhere" / "eval_stats.json").is_file()
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_keeps_no_activations(tmp_path, checkpoint, monkeypatch):

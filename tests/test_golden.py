@@ -106,3 +106,13 @@ def test_audit_report_is_pinned(tmp_path, k, expected):
     np.testing.assert_allclose([c["mean"] for c in clusters], means, rtol=1e-12, atol=0)
     np.testing.assert_allclose([c["kappa"] for c in clusters], kappas, rtol=1e-12, atol=0)
     np.testing.assert_allclose(report["inter_cluster_cov"], inter, rtol=1e-12, atol=0)
+
+    # every cell of audit_clusters.csv equals its audit_report.json value
+    with open(tmp_path / "out" / "audit_clusters.csv", newline="") as fp:
+        header, *rows = csv.reader(fp)
+    assert header == ["cluster", "size", "mean", "std", "kappa"]
+    assert len(rows) == len(clusters)
+    for row, c in zip(rows, clusters):
+        assert [int(row[0]), int(row[1])] == [c["index"], c["size"]]
+        assert [float(cell) if cell else None for cell in row[2:]] == [
+            c["mean"], c["std"], c["kappa"]]
