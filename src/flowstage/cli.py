@@ -39,7 +39,6 @@ from .curriculum import calibrate_thresholds
 from .errors import ConfigError, RolloutError
 from .flow_policy import (
     init_flow_policy,
-    load_policy,
     pretrain_flow_matching,
     save_policy,
     sde_sample,
@@ -63,17 +62,6 @@ def _write_json(path, payload) -> None:
         fp.write("\n")
 
 
-def _load_init_policy(cfg: RunConfig):
-    path = Path(cfg.resolved["policy"]["init_checkpoint"])
-    policy, _ = load_policy(path)
-    if policy.dims != cfg.dims:
-        raise ConfigError([
-            f"policy.init_checkpoint: checkpoint dims {policy.dims} do not match "
-            f"the configured dims {cfg.dims}"
-        ])
-    return policy
-
-
 def run_pretrain(cfg: RunConfig) -> None:
     rng = RandomSource(cfg.seed)
     policy = init_flow_policy(
@@ -95,7 +83,7 @@ def run_pretrain(cfg: RunConfig) -> None:
 
 def run_calibrate(cfg: RunConfig) -> None:
     """Single-stage probe runs; thresholds at 70% of each observed gain."""
-    base = _load_init_policy(cfg)
+    base = cfg.init_policy
     steps = cfg.resolved["calibrate"]["steps"]
     window = cfg.train.smooth_window
     curves = []
@@ -134,7 +122,7 @@ def _write_trainlog(outdir: Path, num_terms: int, records: list) -> None:
 
 
 def run_train(cfg: RunConfig) -> None:
-    policy = _load_init_policy(cfg)
+    policy = cfg.init_policy
     interval = cfg.resolved["train"]["checkpoint_interval"]
     records = []
     try:
@@ -151,7 +139,7 @@ def run_train(cfg: RunConfig) -> None:
 
 def run_eval(cfg: RunConfig) -> None:
     """Per-term reward statistics over freshly sampled groups."""
-    policy = _load_init_policy(cfg)
+    policy = cfg.init_policy
     suite, sde, group_size = cfg.suite, cfg.sde, cfg.train.group_size
     num_groups = cfg.resolved["eval"]["num_groups"]
     rng = RandomSource(cfg.seed)
@@ -248,8 +236,6 @@ def main(argv=None) -> int:
     _write_json(cfg.outdir / "resolved_config.json", cfg.resolved)
     try:
         MODE_RUNNERS[cfg.mode](cfg)
-    except ConfigError as exc:
-        return _config_error(exc.details)
     except Exception as exc:  # runtime failure: keep partial artifacts
         _write_json(cfg.outdir / "failure.json", {
             "mode": cfg.mode,

@@ -6,7 +6,8 @@ into the resolved config that gets written next to the run's outputs, so
 an output directory is always self-describing and re-runnable.  Each
 section is built into its typed object once, at load, while it is
 validated, and :class:`RunConfig` keeps what it built; a run reads those
-objects, so the thresholds file is read once, at load.  ``yaml``
+objects, so the thresholds file and the initial checkpoint are read
+once, at load, and a bad one exits before the run starts.  ``yaml``
 is imported only to read a non-JSON file or an override, so a run from a
 JSON file without overrides never loads it.
 """
@@ -20,11 +21,20 @@ from pathlib import Path
 
 from .curriculum import CurriculumConfig
 from .errors import ConfigError, DomainError, require_int, require_number
-from .flow_policy import DEFAULT_HIDDEN, PolicyDims, SdeConfig, ToyDataset
+from .flow_policy import (
+    DEFAULT_HIDDEN,
+    FlowPolicy,
+    PolicyDims,
+    SdeConfig,
+    ToyDataset,
+    load_policy,
+)
 from .grpo import TrainConfig
 from .rewards import RewardSuite, RewardTerm, default_suite
 
 MODES = ("pretrain", "calibrate", "train", "eval", "audit")
+# the modes that start from policy.init_checkpoint
+_POLICY_MODES = ("calibrate", "train", "eval")
 
 # TrainConfig fields that a run config sets from other sections
 _TRAIN_FROM_ELSEWHERE = ("seed", "sde", "curriculum", "suite")
@@ -206,7 +216,10 @@ class RunConfig:
     :class:`TrainConfig` a train run trains with, holding the seed, the
     sde settings, the curriculum and the suite.  In train mode the
     curriculum's thresholds come from ``curriculum.thresholds_file`` when
-    one is set, read at load and only then.
+    one is set, read at load and only then.  In the modes that start from
+    ``policy.init_checkpoint`` (calibrate, train, eval), ``init_policy``
+    is the policy read from it at load, checked against ``dims``; it is
+    None in the others.
     """
 
     def __init__(self, resolved: dict):
@@ -262,6 +275,10 @@ class RunConfig:
         _check(errors, "pretrain.batch_size", pretrain["batch_size"], 1)
         _check(errors, "pretrain.learning_rate", pretrain["learning_rate"], 0, require_number)
 
+        policy_errors = []
+        if mode in _POLICY_MODES:
+            policy_errors = _input_file_errors("policy.init_checkpoint",
+                                               cfg["policy"]["init_checkpoint"], mode)
         built = {}
         if not errors:
             self.dims = PolicyDims(**{field: dataset[field] for field in _DATASET_DIMS},
@@ -278,6 +295,8 @@ class RunConfig:
             ]
             if mode == "pretrain":  # the only mode that draws from the dataset
                 builders.append(("dataset", self.dataset))
+            if mode in _POLICY_MODES and not policy_errors:
+                builders.append(("policy", self._init_policy))
             for section, builder in builders:
                 try:
                     built[section] = builder()
@@ -297,9 +316,7 @@ class RunConfig:
         if mode in ("calibrate", "train") and cfg["sde"]["eta"] == 0:
             errors.append(f"sde.eta: must be > 0 for mode {mode!r}; GRPO needs "
                           "the transition densities an eta = 0 rollout does not have")
-        if mode in ("calibrate", "train", "eval"):
-            errors.extend(_input_file_errors("policy.init_checkpoint",
-                                             cfg["policy"]["init_checkpoint"], mode))
+        errors.extend(policy_errors)
         if mode == "audit":
             errors.extend(_input_file_errors("audit.input", cfg["audit"]["input"], mode))
         if mode == "calibrate":
@@ -313,6 +330,7 @@ class RunConfig:
             raise ConfigError(errors)
         # every section built without an error, so composing them cannot fail
         self.sde, self.suite = built["sde"], built["rewards"]
+        self.init_policy = built.get("policy")
         self.train = replace(built["train"], seed=self.seed, sde=self.sde,
                              curriculum=built["curriculum"], suite=self.suite)
 
@@ -378,6 +396,19 @@ class RunConfig:
                 raise ConfigError([f"curriculum.thresholds: {count} thresholds for {terms} "
                                    "reward terms; give one per term or set train.static_stage"])
         return curriculum
+
+    def _init_policy(self) -> FlowPolicy:
+        """The policy in ``policy.init_checkpoint``; a file that is not a
+        policy checkpoint, or one of other dims, is a config error."""
+        path = self.resolved["policy"]["init_checkpoint"]
+        try:
+            policy, _ = load_policy(path)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError([f"policy.init_checkpoint: cannot read {path}: {exc!r}"])
+        if policy.dims != self.dims:
+            raise ConfigError([f"policy.init_checkpoint: checkpoint dims {policy.dims} do not "
+                               f"match the configured dims {self.dims}"])
+        return policy
 
     def _reward_suite(self) -> RewardSuite:
         """The run's suite; a malformed entry is reported once, under

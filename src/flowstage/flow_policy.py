@@ -178,11 +178,14 @@ class Rollout:
     ``net_inputs`` is the sampler's step-major (K + 1, G, in) workspace:
     row k holds step k's net inputs (x_k, t_k, embedding), so its first n
     columns are the states, which ``states`` shows as a (G, K + 1, n)
-    view.  ``step_means`` is (G, K, n) and ``log_probs`` (G, K):
+    view.  ``step_means`` is (G, K, n) and :attr:`log_probs` (G, K):
     ``log_probs[i, k]`` is the Gaussian log-density of ``states[i, k + 1]``
     under mean ``step_means[i, k]`` and covariance ``step_stds[k]**2 * I``,
     and ``log_probs`` is None when eta = 0 (the rollout is deterministic,
-    no density exists).  The time grid ``times`` and the per-step
+    no density exists).  It is computed on first read from the recorded
+    states and means and then kept, so a rollout that is only scored
+    (eval mode) never computes it; nothing may write ``net_inputs`` or
+    ``step_means`` before that read.  The time grid ``times`` and the per-step
     ``step_stds`` are shared by the group (they are the sampler config's
     read-only :class:`SdeGrid` arrays), ``conditions`` holds one class per
     trajectory.
@@ -202,7 +205,6 @@ class Rollout:
     net_inputs: np.ndarray
     step_means: np.ndarray
     step_stds: np.ndarray
-    log_probs: np.ndarray | None
     conditions: np.ndarray
     eta: float
     dt: float
@@ -223,6 +225,15 @@ class Rollout:
     def states(self) -> np.ndarray:
         """The visited states, (G, K + 1, n), a view of ``net_inputs``."""
         return self.net_inputs[:, :, :self.step_means.shape[-1]].transpose(1, 0, 2)
+
+    @cached_property
+    def log_probs(self) -> np.ndarray | None:
+        """The (G, K) transition log-densities, None when eta = 0: formed on
+        first read, with the same operations and bits as when the sampler
+        formed them, and then kept (assignable and writable in place)."""
+        if self.eta == 0.0:
+            return None
+        return _log_density_rows(self.states[:, 1:], self.step_means, self.step_stds)
 
     def final_states(self) -> np.ndarray:
         return self.states[:, -1]
@@ -372,8 +383,11 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     Each SDE step is one forward pass over the whole group.  ``cond`` is
     one integer condition for the group or one per trajectory.  Each
     transition is Gaussian with mean from :func:`_step_coeffs` and std
-    sigma_t * sqrt(|dt|) = eta * sqrt(t |dt|); the exact log-density of
-    the realized next state is recorded (None when eta = 0).  The steps in
+    sigma_t * sqrt(|dt|) = eta * sqrt(t |dt|).  The exact log-density of
+    each realized next state is not formed here: ``Rollout.log_probs``
+    computes it on first read from the recorded states and means, with
+    the same operations and bits as when it was formed here (None when
+    eta = 0), so sampling for scoring alone never pays for it.  The steps in
     ``keep``, sorted, are the rollout's ``kept_steps``, the transitions a
     gradient is taken at; the net's layer activations are kept there only.
 
@@ -396,6 +410,8 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     ``config.grid``.  It holds the workspace itself as ``net_inputs``, so
     a kept step's input activations are its workspace row, and
     ``step_means`` is a (G, K, n) view of the step-major mean array.
+    Nothing may write either before ``log_probs`` is first read:
+    :func:`eval_step` writes only a gathered copy of the kept rows.
     """
     net = policy.net
     n = policy.dims.state_size
@@ -409,7 +425,6 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     if any(not 0 <= k < K for k in keep):
         raise DomainError(f"kept steps {keep} out of range [0, {K})")
     times, dt, stds, coeffs = config.grid
-    eta = config.eta
 
     # Each layer after the input gets one slot per kept step, in keep
     # order, then one scratch slot.  All buffers are views of one
@@ -429,26 +444,23 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     by_step = work[:, :, :n]
     by_step[0] = noise[:, 0]
     np.multiply(noise[:, 1:].transpose(1, 0, 2), stds[:, None, None], out=by_step[1:])
-    slots = {k: u for u, k in enumerate(keep)}
+    scratch_out = [block[T] for block in layers]
+    kept_out = {k: [block[u] for block in layers] for u, k in enumerate(keep)}
+    weights, biases = net.weights, net.biases
     for k, (a_x, a_v) in enumerate(coeffs):
-        out = [block[slots.get(k, T)] for block in layers]
-        v = kernels.forward(net.weights, net.biases, work[k], out=out)[-1]
+        v = kernels.forward(weights, biases, work[k], out=kept_out.get(k, scratch_out))[-1]
         mean = np.multiply(by_step[k], a_x, out=means[k])
         mean += np.multiply(v, a_v, out=scaled)
         by_step[k + 1] += mean
     if not np.isfinite(by_step[K]).all():
         _raise_first_failure(net, work, n, times)
-    step_means = means.transpose(1, 0, 2)
-    log_probs = (_log_density_rows(by_step[1:].transpose(1, 0, 2), step_means, stds)
-                 if eta > 0.0 else None)
     return Rollout(
         times=times,
         net_inputs=work,
-        step_means=step_means,
+        step_means=means.transpose(1, 0, 2),
         step_stds=stds,
-        log_probs=log_probs,
         conditions=conds,
-        eta=eta,
+        eta=config.eta,
         dt=dt,
         kept_steps=keep,
         kept_layers=[block[:T] for block in layers],

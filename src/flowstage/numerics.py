@@ -385,6 +385,13 @@ def _philox_keys(state: tuple, count: int) -> np.ndarray:
     return keys
 
 
+def _fresh_philox_state(key) -> dict:
+    """The state a fresh Philox stream with ``key`` starts in: counter 0
+    and an empty buffer, given as plain ints."""
+    return {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 class RandomSource:
     """Counter-based random stream (Philox) with spawnable substreams.
 
@@ -419,15 +426,10 @@ class RandomSource:
             self._pool = _child_pool(self.seed, self.spawn_key)
         return _mix_words(self._pool, [w for i in ids for w in _uint32_words(int(i))])
 
-    def _scratch_generator(self, key: list) -> np.random.Generator:
-        """The scratch generator, set to the state a fresh stream with
-        Philox ``key`` starts in: counter 0 and an empty buffer, given as
-        plain ints."""
+    def _scratch_generator(self) -> np.random.Generator:
+        """The one scratch generator of this source, built on first use."""
         if self._scratch is None:
             self._scratch = np.random.Generator(np.random.Philox(0))
-        self._scratch.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         return self._scratch
 
     def at_stream(self, *ids: int) -> np.random.Generator:
@@ -440,7 +442,9 @@ class RandomSource:
         """
         if not ids:
             raise DomainError("at_stream needs at least one id")
-        return self._scratch_generator(_philox_key(self._child_state(ids)))
+        gen = self._scratch_generator()
+        gen.bit_generator.state = _fresh_philox_state(_philox_key(self._child_state(ids)))
+        return gen
 
     def gaussian(self, n: int) -> np.ndarray:
         if n < 1:
@@ -452,16 +456,25 @@ class RandomSource:
         ``self.stream(*ids, i).gaussian(n)``.
 
         The streams' Philox keys come from :func:`_philox_keys` in one
-        pass; the draws then reuse the scratch generator, set to each
-        row's key (this resets :meth:`at_stream`'s generator too).
+        pass.  The draws then reuse the scratch generator: one fresh-stream
+        state is built per call, and each row writes its key into it, sets
+        the generator to it and draws its row through the generator's
+        bound ``standard_normal`` (this resets :meth:`at_stream`'s
+        generator too).  Setting a row's state costs about an eighth of
+        drawing a 272-value row, so the draws themselves bound this loop.
         """
         if not 1 <= count <= _MASK32 + 1:
             raise DomainError(f"need 1 <= count <= 2**32 streams, got {count}")
         if n < 1:
             raise DomainError(f"need n >= 1 draws, got {n}")
         out = np.empty((count, int(n)))
+        gen = self._scratch_generator()
+        bit_generator, draw = gen.bit_generator, gen.standard_normal
+        state = _fresh_philox_state(None)
         for i, key in enumerate(_philox_keys(self._child_state(ids), count).tolist()):
-            self._scratch_generator(key).standard_normal(out=out[i])
+            state["state"]["key"] = key
+            bit_generator.state = state
+            draw(out=out[i])
         return out
 
     def uniform(self, n: int | None = None):

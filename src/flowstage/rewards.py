@@ -20,9 +20,11 @@ and their mean, second differences, the final frame), each reduction
 along the last axis of every row, which sums in the same order as it
 would for that row alone.  Only the step from the G reduced
 residuals to rewards is scalar: ``math.exp``, and ``math.atan2`` for the
-final frame's angle, once per row.  numpy's vectorised ``exp`` and
-``arctan2`` can differ from the C library's by an ulp, so keeping them
-scalar keeps every reward bit-identical to scoring one sample at a time.
+final frame's angle, once per row, mapped over the residuals and read
+into an array by ``np.fromiter`` (no per-row Python frame or list).
+numpy's vectorised ``exp`` and ``arctan2`` can differ from the C
+library's by an ulp, so keeping them scalar keeps every reward
+bit-identical to scoring one sample at a time.
 """
 
 from __future__ import annotations
@@ -131,7 +133,7 @@ def wrapped_angle_error(angle, target):
 
 def _exp_each(exponents: np.ndarray) -> np.ndarray:
     """``math.exp`` of each entry: the C library's exp, one scalar at a time."""
-    return np.array([math.exp(x) for x in exponents.tolist()])
+    return np.fromiter(map(math.exp, exponents.tolist()), np.float64, len(exponents))
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -172,7 +174,8 @@ def _alignment(frames: np.ndarray, conds: np.ndarray, term: RewardTerm):
         raise ShapeError(f"alignment term {term.id!r} needs frames of dimension >= 2, "
                          f"got {final.shape[1]}")
     degenerate = _norms(final) < DEGENERATE_RADIUS
-    angles = np.array([math.atan2(y, x) for x, y in final[:, :2].tolist()])
+    angles = np.fromiter(map(math.atan2, final[:, 1].tolist(), final[:, 0].tolist()),
+                         np.float64, len(final))
     err = wrapped_angle_error(angles, 2.0 * math.pi * conds / term.num_classes)
     values = _exp_each(-err * err / term.scale)
     values[degenerate] = 0.0

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from helpers import kept_by_step, late_overflow
 
@@ -21,27 +22,27 @@ from flowstage.flow_policy import (
     SdeConfig,
     ToyDataset,
     init_flow_policy,
+    load_policy,
     save_policy,
 )
 from flowstage.grpo import TrainConfig
-from flowstage.numerics import RandomSource
+from flowstage.numerics import CHECKPOINT_MAGIC, RandomSource
 from flowstage.rewards import default_suite
 
 
 @pytest.fixture(autouse=True)
 def in_tmp_dir(tmp_path, monkeypatch):
     """Run each test in its own directory, where ``init.ckpt`` (the
-    checkpoint ``TRAIN`` names) exists: a config is checked at load only
-    for the file's existence."""
+    checkpoint ``TRAIN`` names) holds a small policy of the default dims:
+    a config that starts from it reads it at load."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "init.ckpt").touch()
+    save_policy(tmp_path / "init.ckpt",
+                init_flow_policy(PolicyDims(), hidden=(8,), rng=RandomSource(0)))
 
 
 @pytest.fixture
 def checkpoint(tmp_path):
-    path = tmp_path / "init.ckpt"
-    save_policy(path, init_flow_policy(PolicyDims(), hidden=(8,), rng=RandomSource(0)))
-    return str(path)
+    return str(tmp_path / "init.ckpt")
 
 
 @pytest.fixture
@@ -163,7 +164,8 @@ def test_overrides_do_not_leak_into_later_loads():
 
 
 def test_mapping_override_merges_into_its_section():
-    cfg = RunConfig.from_dict(TRAIN, ["dataset={frames: 3, jitter: 0.5}"])
+    # pretrain mode: a train config would reject init.ckpt, of 8 frames
+    cfg = RunConfig.from_dict({"mode": "pretrain"}, ["dataset={frames: 3, jitter: 0.5}"])
     assert cfg.resolved["dataset"] == {**DEFAULTS["dataset"], "frames": 3, "jitter": 0.5}
     assert load_errors(TRAIN, "dataset={frames: 3, depth: 2}") == ["dataset.depth: unknown key"]
 
@@ -373,6 +375,37 @@ class TestRejectedAtLoad:
         assert not (outdir / "failure.json").exists()
         assert "config error: policy.init_checkpoint: no such file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["calibrate", "train", "eval"])
+    def test_init_checkpoint_of_other_dims(self, tmp_path, checkpoint, capsys, mode):
+        rc, outdir = run_cli(tmp_path, checkpoint, f"--set=mode={mode}",
+                             "--set=dataset.num_classes=3")
+        assert rc == 1
+        assert not outdir.exists()
+        assert capsys.readouterr().err == (
+            f"config error: policy.init_checkpoint: checkpoint dims {PolicyDims()} do not "
+            f"match the configured dims {PolicyDims(num_classes=3)}\n")
+
+    @pytest.mark.parametrize("mode", ["calibrate", "train", "eval"])
+    @pytest.mark.parametrize("content", ["json", "truncated", "bad header"])
+    def test_init_checkpoint_that_does_not_load(self, tmp_path, checkpoint, capsys, mode,
+                                                content):
+        path = tmp_path / "bad.ckpt"
+        if content == "json":
+            path = tmp_path / "other.json"
+            path.write_text(json.dumps({"mode": "eval"}))
+        elif content == "truncated":
+            path.write_bytes(Path(checkpoint).read_bytes()[:-8])
+        else:
+            path.write_bytes(CHECKPOINT_MAGIC + b"{not json\n")
+        rc, outdir = run_cli(tmp_path, str(path), f"--set=mode={mode}")
+        assert rc == 1
+        assert not outdir.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: policy.init_checkpoint: cannot read {path}: ")
+        assert len(err.splitlines()) == 1
+        if content == "json":
+            assert err.endswith(f"DomainError('{path}: not a flowstage checkpoint')\n")
+
     @pytest.mark.parametrize("name", ["absent.csv", "."])
     def test_missing_audit_input(self, tmp_path, checkpoint, capsys, name):
         rc, outdir = run_cli(tmp_path, checkpoint, "--set=mode=audit",
@@ -411,6 +444,18 @@ class TestRejectedAtLoad:
         rc, outdir = run_cli(tmp_path, checkpoint, f"--set=curriculum.thresholds_file={tau}")
         assert rc == 0
         assert (outdir / "trainlog.jsonl").is_file()
+
+
+def test_init_checkpoint_is_read_once_at_load(tmp_path, checkpoint):
+    cfg = RunConfig.from_dict({"mode": "eval", "outdir": "out",
+                               "policy": {"init_checkpoint": checkpoint},
+                               "train": {"group_size": 4}, "eval": {"num_groups": 2}})
+    expected, _ = load_policy(checkpoint)
+    np.testing.assert_array_equal(cfg.init_policy.vector, expected.vector)
+    Path(checkpoint).unlink()
+    cfg.outdir.mkdir()
+    cli.run_eval(cfg)
+    assert (cfg.outdir / "eval_stats.json").is_file()
 
 
 def test_thresholds_file_is_read_once_at_load(tmp_path, checkpoint, monkeypatch):

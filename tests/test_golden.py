@@ -1,9 +1,13 @@
 """Golden behaviour: a tiny pretrain -> train -> eval chain through the CLI
-at seed 0 must reproduce pinned reward statistics, and audit mode on a
-small seeded CSV must reproduce a pinned report.
+at seed 0 must reproduce pinned reward statistics, an eval at the wide
+group of the ``sample_wide`` benchmark must reproduce its output files
+exactly, and audit mode on a small seeded CSV must reproduce a pinned
+report.
 
 The chain's values were recorded before the group rollout and reward
-scoring were vectorised; a later speed-up that moves behaviour fails here.
+scoring were vectorised, and the wide eval's before sampling stopped
+forming the log-densities that eval never reads; a later speed-up that
+moves behaviour fails here.
 """
 
 import csv
@@ -25,7 +29,10 @@ TRAIN_TERM_MEANS = [
 EVAL_MEANS = [0.00997113574249944, 3.692202994881434e-45, 0.39469347250907016]
 
 
-def test_pretrain_train_eval_chain_is_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def pretrained(tmp_path_factory):
+    """The chain's config file and the checkpoint its pretrain run wrote."""
+    tmp_path = tmp_path_factory.mktemp("chain")
     config = tmp_path / "run.json"
     config.write_text(json.dumps({
         "seed": 0,
@@ -33,8 +40,12 @@ def test_pretrain_train_eval_chain_is_pinned(tmp_path):
         "train": {"num_steps": 4},
         "eval": {"num_groups": 2},
     }))
-    ckpt = tmp_path / "pre" / "policy.ckpt"
     assert cli.main([str(config), "--set=mode=pretrain", f"--set=outdir={tmp_path / 'pre'}"]) == 0
+    return config, tmp_path / "pre" / "policy.ckpt"
+
+
+def test_pretrain_train_eval_chain_is_pinned(tmp_path, pretrained):
+    config, ckpt = pretrained
     assert cli.main([str(config), "--set=mode=train", f"--set=outdir={tmp_path / 'train'}",
                      f"--set=policy.init_checkpoint={ckpt}"]) == 0
     assert cli.main([str(config), "--set=mode=eval", f"--set=outdir={tmp_path / 'eval'}",
@@ -48,6 +59,37 @@ def test_pretrain_train_eval_chain_is_pinned(tmp_path):
     assert stats["group_size"] == 8 and stats["num_groups"] == 2
     np.testing.assert_allclose([t["mean"] for t in stats["terms"]], EVAL_MEANS,
                                rtol=1e-12, atol=0)
+
+
+# eval_stats.json and eval_groups.csv of the chain's eval at 2 groups of 64
+WIDE_EVAL_STATS = {
+    "group_size": 64,
+    "num_groups": 2,
+    "seed": 0,
+    "terms": [
+        {"id": "fidelity", "stage": 1, "max": 0.258640904001549,
+         "mean": 0.01859424864965251, "min": 3.519214289850379e-20,
+         "std": 0.036533904868219697},
+        {"id": "smoothness", "stage": 2, "max": 6.693509989309549e-13,
+         "mean": 5.534725019216066e-15, "min": 0.0, "std": 5.900463686986176e-14},
+        {"id": "alignment", "stage": 3, "max": 0.9996200885394421,
+         "mean": 0.25704164772930227, "min": 3.489076597247935e-09,
+         "std": 0.3613759971270413},
+    ],
+}
+WIDE_EVAL_GROUPS = """\
+group,condition,mean_fidelity,mean_smoothness,mean_alignment
+0,2,0.015745612285330734,1.902879685165432e-24,0.301641944518499
+1,0,0.02144288501397428,1.1069450036529253e-14,0.21244135094010552
+"""
+
+
+def test_wide_eval_is_pinned_exactly(tmp_path, pretrained):
+    config, ckpt = pretrained
+    assert cli.main([str(config), "--set=mode=eval", f"--set=outdir={tmp_path}",
+                     f"--set=policy.init_checkpoint={ckpt}", "--set=train.group_size=64"]) == 0
+    assert json.loads((tmp_path / "eval_stats.json").read_text()) == WIDE_EVAL_STATS
+    assert (tmp_path / "eval_groups.csv").read_text() == WIDE_EVAL_GROUPS
 
 
 # audit_report.json of the two audit runs below: (sizes, means, kappas,

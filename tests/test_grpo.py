@@ -530,6 +530,63 @@ class TestRowMajorOracle:
                 surrogate_and_grads(ref, rollout, np.ones(4), 0.2, 5.0, ref_policy=reference)
 
 
+class TestLazyLogDensities:
+    """``Rollout.log_probs`` is formed on first read, once: sampling and
+    scoring alone never form it, and an on-policy step forms it once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        density = flow_policy._log_density_rows
+
+        def counted(*args):
+            calls.append(1)
+            return density(*args)
+
+        monkeypatch.setattr(flow_policy, "_log_density_rows", counted)
+        return calls
+
+    @staticmethod
+    def sampled(eta=0.5):
+        policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(3))
+        cfg = SdeConfig(num_steps=4, eta=eta)
+        noise = RandomSource(4).gaussian_streams((), 5, 5 * PLANAR.state_size)
+        return sde_sample(policy, 1, cfg, noise.reshape(5, 5, -1), keep=[1, 3])
+
+    def test_formed_on_first_read_only(self, calls):
+        rollout = self.sampled()
+        assert calls == []
+        first = rollout.log_probs
+        assert len(calls) == 1
+        assert rollout.log_probs is first
+        assert len(calls) == 1
+        np.testing.assert_array_equal(
+            first, flow_policy._log_density_rows(
+                rollout.states[:, 1:], rollout.step_means, rollout.step_stds))
+
+    def test_eta_zero_forms_nothing(self, calls):
+        assert self.sampled(eta=0.0).log_probs is None
+        assert calls == []
+
+    def test_eval_run_forms_nothing(self, tmp_path, calls):
+        ckpt = tmp_path / "init.ckpt"
+        flow_policy.save_policy(ckpt, init_flow_policy(PolicyDims(), hidden=(8,),
+                                                       rng=RandomSource(5)))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"mode": "eval", "outdir": str(tmp_path / "out"),
+                                      "policy": {"init_checkpoint": str(ckpt)},
+                                      "train": {"group_size": 8}, "eval": {"num_groups": 2}}))
+        assert cli.main([str(config)]) == 0
+        assert (tmp_path / "out" / "eval_stats.json").is_file()
+        assert calls == []
+
+    def test_on_policy_step_forms_it_once(self, calls):
+        policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(6))
+        _, _, _, rec = train_step(policy, policy, small_train_config(), RandomSource(7))
+        assert rec.refresh
+        assert len(calls) == 1
+
+
 class TestConfigValidation:
     def test_group_size(self):
         with pytest.raises(DomainError):

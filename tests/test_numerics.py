@@ -363,6 +363,14 @@ class TestGaussianStreams:
         with pytest.raises(DomainError):
             RandomSource(0).gaussian_streams((), count, n)
 
+    @pytest.mark.parametrize("count", [1, 16, 64])
+    def test_rows_at_group_widths(self, count):
+        # 272 draws: a (K + 1) x n noise row of the default sampler
+        root = RandomSource(9001)
+        block = root.gaussian_streams((1, 7), count, 272)
+        for i in range(count):
+            np.testing.assert_array_equal(block[i], root.stream(1, 7, i).gaussian(272))
+
     def test_leaves_the_parent_stream_alone(self):
         root = RandomSource(8)
         root.gaussian_streams((1,), 5, 3)
@@ -389,6 +397,29 @@ class TestAtStream:
         root.gaussian_streams((1, 9), 3, 5)
         np.testing.assert_array_equal(root.at_stream(2, 9).permutation(16), first)
         np.testing.assert_array_equal(root.gaussian(4), RandomSource(4).gaussian(4))
+
+    def test_interleaved_calls_match_child_streams(self):
+        # at_stream(a) is left part-way through a buffered draw, then
+        # gaussian_streams and at_stream(b) reuse its generator: every
+        # draw still equals its own stream's
+        root = RandomSource(6)
+        a = root.at_stream(0, 3)
+        drawn_a = (a.integers(0, 8), a.standard_normal(3), a.integers(0, 5, size=3))
+        block = root.gaussian_streams((1, 3), 5, 7)
+        b = root.at_stream(2, 3)
+        drawn_b = (b.permutation(16), b.integers(0, 8))
+        second = root.gaussian_streams((1, 4), 3, 7)
+
+        ref_a = root.stream(0, 3)
+        assert drawn_a[0] == ref_a.integers(0, 8)
+        np.testing.assert_array_equal(drawn_a[1], ref_a.gaussian(3))
+        np.testing.assert_array_equal(drawn_a[2], ref_a.integers(0, 5, size=3))
+        ref_b = root.stream(2, 3)
+        np.testing.assert_array_equal(drawn_b[0], ref_b.permutation(16))
+        assert drawn_b[1] == ref_b.integers(0, 8)
+        for ids, rows in (((1, 3), block), ((1, 4), second)):
+            for i, row in enumerate(rows):
+                np.testing.assert_array_equal(row, root.stream(*ids, i).gaussian(7))
 
     @pytest.mark.parametrize("ids", [(), (-1,), (3, -2)])
     def test_bad_ids_rejected(self, ids):
