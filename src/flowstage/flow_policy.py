@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -400,7 +401,10 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     :func:`kernels.forward` writes each layer into a preallocated buffer:
     a kept step's hidden and output activations go to that step's slot of
     the per-layer (len(keep), G, size) blocks (``Rollout.kept_layers``),
-    the other steps' to one shared scratch slot.  Finiteness is checked
+    the other steps' to one shared scratch slot.  Those buffers, each
+    step's list of them, the forward and the ufuncs are resolved before
+    the first step, so the loop looks nothing up: it takes each step's
+    row views and makes the step's numpy calls.  Finiteness is checked
     once, on the final states after the last step: a non-finite velocity
     or state carries into every later state.  Only on failure is the
     first failing step looked for (see :func:`_raise_first_failure`).
@@ -432,26 +436,30 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     # shrink the heap, and a loop of G = 64 rollouts then took 117 minor
     # page faults per call.
     T = len(keep)
-    layer_layout = [(f"layer{l}", (T + 1, G, size))
-                    for l, size in enumerate(net.layer_sizes[1:], start=1)]
-    layout = [("work", (K + 1, G, policy.dims.net_input_size)), ("means", (K, G, n)),
-              ("scaled", (G, n)), *layer_layout]
-    buffers = split_params(np.empty(sum(math.prod(shape) for _, shape in layout)), layout)
-    work, means, scaled = buffers["work"], buffers["means"], buffers["scaled"]
-    layers = [buffers[name] for name, _ in layer_layout]
+    shapes = [(K + 1, G, policy.dims.net_input_size), (K, G, n), (G, n),
+              *((T + 1, G, size) for size in net.layer_sizes[1:])]
+    counts = [math.prod(shape) for shape in shapes]
+    memory = np.empty(sum(counts))
+    work, means, scaled, *layers = (memory[start:start + count].reshape(shape) for shape, count, start
+                                    in zip(shapes, counts, accumulate(counts, initial=0)))
     work[:, :, n] = times[:, None]
     work[:, :, n + 1:] = policy.cond_emb[conds]
     by_step = work[:, :, :n]
     by_step[0] = noise[:, 0]
     np.multiply(noise[:, 1:].transpose(1, 0, 2), stds[:, None, None], out=by_step[1:])
-    scratch_out = [block[T] for block in layers]
-    kept_out = {k: [block[u] for block in layers] for u, k in enumerate(keep)}
+    # step k's out buffers: its kept slot of each layer, else the scratch slot
+    outs = [[layer[T] for layer in layers]] * K
+    for u, k in enumerate(keep):
+        outs[k] = [layer[u] for layer in layers]
+    # looked up per call, so a wrapper installed on the module is the one called
+    forward, multiply = kernels.forward, np.multiply
     weights, biases = net.weights, net.biases
-    for k, (a_x, a_v) in enumerate(coeffs):
-        v = kernels.forward(weights, biases, work[k], out=kept_out.get(k, scratch_out))[-1]
-        mean = np.multiply(by_step[k], a_x, out=means[k])
-        mean += np.multiply(v, a_v, out=scaled)
-        by_step[k + 1] += mean
+    for (a_x, a_v), x_in, x, x_next, mean, out in zip(coeffs, work, by_step, by_step[1:],
+                                                      means, outs):
+        v = forward(weights, biases, x_in, out)[-1]
+        multiply(x, a_x, out=mean)
+        mean += multiply(v, a_v, out=scaled)
+        x_next += mean
     if not np.isfinite(by_step[K]).all():
         _raise_first_failure(net, work, n, times)
     return Rollout(
@@ -536,7 +544,8 @@ def backprop_step(policy: FlowPolicy, rollout: Rollout, ev: TransitionEval,
     x_next, std = _kept_targets(rollout)
     dmean = (x_next - ev.means) / (std * std)[:, None]
     upstream_v = (upstream * ev.a_v)[:, None] * dmean
-    conds = np.tile(rollout.conditions, len(rollout.kept_steps))
+    # np.tile's rows from one C-level repeat (np.tile makes several numpy calls)
+    conds = rollout.conditions[None].repeat(len(rollout.kept_steps), axis=0).reshape(-1)
     return _velocity_grad(policy, ev.acts, upstream_v, conds)
 
 
@@ -544,11 +553,16 @@ def _velocity_grad(policy: FlowPolicy, acts: list, upstream_v: np.ndarray,
                    conds: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. ``policy.vector`` of ``sum_r upstream_v[r] . v_r``
     over velocities evaluated with activations ``acts`` under ``conds``:
-    one backward pass, then each row's embedding slice to its condition."""
-    net_grad, input_grads = mlp_backward_batch(policy.net, acts, upstream_v)
-    emb_grad = np.zeros_like(policy.cond_emb)
+    one backward pass writes the net's part of one new policy-sized
+    vector, then each row's embedding slice is added to its condition's
+    row of the rest."""
+    grad = np.empty_like(policy.vector)
+    net_size = policy.net.vector.size
+    _, input_grads = mlp_backward_batch(policy.net, acts, upstream_v, grad[:net_size])
+    emb_grad = grad[net_size:].reshape(policy.cond_emb.shape)
+    emb_grad.fill(0.0)
     np.add.at(emb_grad, conds, input_grads[:, policy.dims.state_size + 1:])
-    return np.concatenate([net_grad, emb_grad.ravel()])
+    return grad
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,16 @@ bind.
 
 What does not change from step to step is resolved once per run: the
 reward suite, a :class:`RewardSuite` checked and put in stage order when
-it was built (:func:`train` fills in the default suite once), and the
-sampler's time grid and step constants (``SdeConfig.grid``).  Each
-step's condition and timestep subset are drawn from their stream keys
-through the run's one scratch generator (``RandomSource.at_stream``).
+it was built (:func:`train` fills in the default suite once); the
+sampler's time grid and step constants (``SdeConfig.grid``); the
+kept-step count (``TrainConfig.kept_count``); the random pools that the
+condition, timestep-subset and rollout streams' first ids lead to, which
+the run's :class:`RandomSource` keeps, so each step mixes in only its
+index; and the net layout's spans, from which each step's new policy and
+gradient are split (``numerics._net_spans``; a new policy's finiteness
+is still checked).  Each step's condition and timestep subset are drawn
+from their stream keys through the run's one scratch generator
+(``RandomSource.at_stream``).
 
 Advantages enter the gradient as constants: nothing differentiates
 through the reward or mixing computations.
@@ -40,6 +46,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+
 import numpy as np
 
 from .curriculum import CurriculumConfig, CurriculumState, curriculum_step, static_step
@@ -108,6 +116,16 @@ class TrainConfig:
         if (self.suite is not None and self.static_stage is not None
                 and not 1 <= self.static_stage <= len(self.suite.terms)):
             raise DomainError(f"static_stage {self.static_stage} out of range")
+
+    @cached_property
+    def kept_count(self) -> int:
+        """How many of the sampler's K steps each step's gradient is taken
+        at: ceil(timestep_fraction * K), where a product within rounding
+        of an integer counts as that integer (0.14 * 50 is
+        7.000000000000001 in floats, and keeps 7 steps, not 8)."""
+        product = self.timestep_fraction * self.sde.num_steps
+        nearest = round(product)
+        return nearest if math.isclose(product, nearest, rel_tol=1e-12) else math.ceil(product)
 
 
 @dataclass
@@ -243,8 +261,7 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
 
     cond = int(rng.at_stream(_STREAM_COND, step_index).integers(0, policy.dims.num_classes))
     K = config.sde.num_steps
-    n_sel = math.ceil(config.timestep_fraction * K)
-    subset = np.sort(rng.at_stream(_STREAM_SUBSET, step_index).permutation(K)[:n_sel])
+    subset = np.sort(rng.at_stream(_STREAM_SUBSET, step_index).permutation(K)[:config.kept_count])
     G, dims = config.group_size, policy.dims
     noise = rng.gaussian_streams((_STREAM_ROLLOUT, step_index), G, (K + 1) * dims.state_size)
     try:

@@ -5,9 +5,11 @@ Both work on rows: ``inputs`` is ``(B, in)`` and every activation is
 ``weights[l]`` has shape ``(out_l, in_l)``.  Shape and finiteness checks
 live in the ``numerics.mlp_*`` functions, which call these.  The SDE
 sampler (``flow_policy.sde_sample``) is the one caller that skips them:
-it calls :func:`forward` directly with every shape fixed by its own
-workspace, passing the ``out`` buffers its rollout keeps, and checks
-finiteness once per rollout, after its last step.
+it binds :func:`forward` once per call, looking it up on this module
+then, so a wrapper installed here is the one it calls for every step.
+Each step passes a net input with every shape fixed by the sampler's
+workspace and the ``out`` buffers its rollout keeps, and finiteness is
+checked once per rollout, after its last step.
 
 Neither function writes an array the caller passes in other than the
 gradient buffers of :func:`backward` and the ``out`` buffers of
@@ -15,6 +17,10 @@ gradient buffers of :func:`backward` and the ``out`` buffers of
 activation, not a copy, so a caller that reuses its input buffer must
 copy that entry to keep it.  Every later activation is a fresh array the
 caller owns, or the caller's own ``out`` buffer for that layer.
+``numerics.mlp_backward_batch`` may pass views of a caller's gradient
+slice as the gradient buffers: the policy gradient passes the net's
+slice of one policy-sized vector, so the net gradient is written there
+in place.
 """
 
 from __future__ import annotations
@@ -39,12 +45,14 @@ def forward(weights: list, biases: list, inputs: np.ndarray, out: list | None = 
     and ``np.dot`` on the view agreed bit for bit.  So every sampled
     state and checkpoint depends on this choice.
     """
+    if out is None:
+        out = [None] * len(weights)
     acts = [inputs]
-    last = len(weights) - 1
-    for layer, (w, b) in enumerate(zip(weights, biases)):
-        z = np.dot(acts[-1], w.T, out=None if out is None else out[layer])
+    z, last = inputs, weights[-1]  # the identity layer, told apart by object
+    for w, b, o in zip(weights, biases, out):
+        z = np.dot(z, w.T, out=o)
         z += b
-        if layer < last:
+        if w is not last:
             np.tanh(z, out=z)
         acts.append(z)
     return acts

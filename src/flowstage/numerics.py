@@ -22,6 +22,7 @@ writes a parameter vector in place.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -104,8 +105,8 @@ class MlpParams:
         if len(self.layer_sizes) < 2:
             raise ShapeError("need at least an input and an output layer")
         self.vector = _as_f64(self.vector)
-        self.layout = param_layout(self.layer_sizes)
-        self.weights, self.biases = _layer_views(self.vector, self.layout)
+        self.layout = list(_net_spans(self.layer_sizes)[0])
+        self.weights, self.biases = _layer_views(self.vector, self.layer_sizes)
         if not np.isfinite(self.vector).all():
             raise DomainError("non-finite parameter")
 
@@ -118,12 +119,29 @@ class MlpParams:
         return self.layer_sizes[-1]
 
 
-def _layer_views(vector: np.ndarray, layout: list):
-    """Per-layer weight and bias views of a vector laid out by a net's
-    ``layout``."""
-    views = split_params(vector, layout)
-    layers = range(len(layout) // 2)
-    return [views[f"w{l}"] for l in layers], [views[f"b{l}"] for l in layers]
+@functools.lru_cache(maxsize=64)
+def _net_spans(layer_sizes: tuple) -> tuple:
+    """A net's :func:`param_layout` and each of its arrays' ``(start,
+    stop, shape)`` in the flat vector, as tuples, so no caller can change
+    what the next one gets.  Worked out once per layer sizes (for the 64
+    most recent): every policy a run builds from Adam's new vectors, and
+    every gradient, is split by the same spans."""
+    layout, spans, start = param_layout(layer_sizes), [], 0
+    for _, shape in layout:
+        stop = start + math.prod(shape)
+        spans.append((start, stop, shape))
+        start = stop
+    return tuple(layout), tuple(spans)
+
+
+def _layer_views(vector: np.ndarray, layer_sizes: tuple):
+    """Per-layer weight and bias views of a vector laid out by the
+    :func:`param_layout` of ``layer_sizes``."""
+    spans = _net_spans(layer_sizes)[1]
+    if vector.shape != (spans[-1][1],):
+        raise ShapeError(f"parameter vector shape {vector.shape}, expected ({spans[-1][1]},)")
+    views = [vector[start:stop].reshape(shape) for start, stop, shape in spans]
+    return views[0::2], views[1::2]
 
 
 def init_mlp(layer_sizes: Sequence[int], rng: "RandomSource") -> MlpParams:
@@ -192,16 +210,21 @@ def mlp_forward_batch(params: MlpParams, inputs: np.ndarray):
     return acts[-1], acts
 
 
-def mlp_backward_batch(params: MlpParams, cache: list, upstream: np.ndarray):
+def mlp_backward_batch(params: MlpParams, cache: list, upstream: np.ndarray,
+                       grad: np.ndarray | None = None):
     """Batched backward pass.
 
     Returns ``(grad, input_grads)``: the parameter gradient summed over the
     batch, flat in the layout of ``params.vector``, and one input gradient
-    row per batch row.
+    row per batch row.  The gradient is written into ``grad`` when the
+    caller passes one, a float64 vector the size of ``params.vector``
+    (the net's slice of a larger gradient, say), and into a new vector
+    otherwise.
     """
     upstream = _as_f64(upstream)
-    grad = np.empty_like(params.vector)
-    grad_w, grad_b = _layer_views(grad, params.layout)
+    if grad is None:
+        grad = np.empty_like(params.vector)
+    grad_w, grad_b = _layer_views(grad, params.layer_sizes)
     input_grads = kernels.backward(params.weights, cache, upstream, grad_w, grad_b)
     return grad, input_grads
 
@@ -399,9 +422,11 @@ class RandomSource:
     and distinct spawn keys give statistically independent streams, so
     parallel rollouts can each own one.  :meth:`gaussian_streams` and
     :meth:`at_stream` draw from child streams bit for bit as
-    :meth:`stream` would, from keys hashed off a pool this source mixes
-    once (negative ids are rejected, as SeedSequence rejects them), into
-    one Philox it keeps for the purpose.
+    :meth:`stream` would, into one Philox this source keeps for the
+    purpose, from keys hashed off the pool each child's first id leads to
+    (negative ids are rejected, as SeedSequence rejects them).  That pool
+    is mixed the first time the id leads and kept, so a run that draws
+    step k's streams as ``(stream id, k)`` mixes only k per draw.
     """
 
     def __init__(self, seed: int, spawn_key: tuple = ()):
@@ -409,7 +434,7 @@ class RandomSource:
         self.spawn_key = tuple(int(k) for k in spawn_key)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.Philox(seq))
-        self._pool = None
+        self._prefixes = {}
         self._scratch = None
 
     def __repr__(self):
@@ -420,11 +445,15 @@ class RandomSource:
         return RandomSource(self.seed, self.spawn_key + tuple(int(i) for i in ids))
 
     def _child_state(self, ids) -> tuple:
-        """The pool state of child ``ids`` (see :func:`_child_pool`); the
-        shared part is mixed on the first call only."""
-        if self._pool is None:
-            self._pool = _child_pool(self.seed, self.spawn_key)
-        return _mix_words(self._pool, [w for i in ids for w in _uint32_words(int(i))])
+        """The pool state of child ``ids`` (see :func:`_child_pool`).  The
+        state after the first id (none for empty ``ids``) is kept per
+        first id, so only the later ids are mixed again."""
+        ids = [int(i) for i in ids]
+        head = ids[0] if ids else None
+        state = self._prefixes.get(head)
+        if state is None:
+            state = self._prefixes[head] = _child_pool(self.seed, self.spawn_key + tuple(ids[:1]))
+        return _mix_words(state, [w for i in ids[1:] for w in _uint32_words(i)])
 
     def _scratch_generator(self) -> np.random.Generator:
         """The one scratch generator of this source, built on first use."""

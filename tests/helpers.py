@@ -1,9 +1,9 @@
 """Shared test utilities: naive re-implementations used as oracles (the
 MLP forward pass, and the row-major transition gather, evaluation and
-backprop that ``eval_step``/``backprop_step`` must match), a rollout's
-kept activations by step, a policy built to overflow, a training
-generator run to its end, and a generic central finite-difference
-gradient."""
+backprop that ``eval_step``/``backprop_step`` must match), the toy
+task's closed-form optimal velocity and marginal, a rollout's kept
+activations by step, a policy built to overflow, a training generator
+run to its end, and a generic central finite-difference gradient."""
 
 from __future__ import annotations
 
@@ -33,6 +33,31 @@ def naive_mlp_eval(weights, biases, x):
             out.append(math.tanh(acc) if layer < len(weights) - 1 else acc)
         a = out
     return np.array(a)
+
+
+def toy_class_means(dataset):
+    """Each class's noiseless sequence m_c of a ``ToyDataset``, flattened
+    like a policy state: ``(num_classes, frames * 2)``."""
+    frames, classes = dataset.dims.frames, dataset.dims.num_classes
+    angles = ((2.0 * math.pi / classes) * np.arange(classes)[:, None]
+              - dataset.omega * np.arange(frames - 1, -1, -1))
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1).reshape(classes, -1)
+
+
+def toy_marginal_std(dataset, t):
+    """s_t = sqrt((1 - t)^2 sigma^2 + t^2): the std of each coordinate of
+    x_t - (1 - t) m_c on the path x_t = (1 - t) x_0 + t eps, when class c
+    of ``dataset`` is N(m_c, sigma^2 I) with sigma its jitter."""
+    return math.sqrt((1.0 - t) ** 2 * dataset.jitter ** 2 + t ** 2)
+
+
+def optimal_velocity(dataset, x, t, conds):
+    """v*(x, t, c) = E[eps - x_0 | x_t = x, c], the velocity that
+    minimises the flow-matching loss on ``dataset``, one row of ``x`` per
+    class in ``conds``: -m_c + (t - (1 - t) sigma^2) / s_t^2 (x - (1 - t) m_c)."""
+    means = toy_class_means(dataset)[conds]
+    gain = (t - (1.0 - t) * dataset.jitter ** 2) / toy_marginal_std(dataset, t) ** 2
+    return -means + gain * (x - (1.0 - t) * means)
 
 
 def kept_by_step(rollout):

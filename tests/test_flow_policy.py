@@ -7,13 +7,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import drain, kept_by_step, late_overflow, naive_mlp_eval
+from helpers import (
+    drain,
+    kept_by_step,
+    late_overflow,
+    naive_mlp_eval,
+    optimal_velocity,
+    toy_class_means,
+    toy_marginal_std,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowstage.config import DEFAULTS
 from flowstage.errors import DomainError, RolloutError, ShapeError
 from flowstage.flow_policy import (
+    DEFAULT_T_MIN,
     FlowPolicy,
     PolicyDims,
     SdeConfig,
@@ -514,6 +523,73 @@ class TestToyDataset:
     def test_requires_planar_frames(self):
         with pytest.raises(DomainError):
             ToyDataset(PolicyDims(frames=4, frame_dim=3, num_classes=2, embed_dim=2))
+
+
+class TestSdeMarginal:
+    """The sampler's step constants (``SdeConfig.grid``) driven by the toy
+    task's optimal velocity v* from N(0, I) at t = 1 should end near the
+    known marginal at t_min: x - (1 - t_min) m_c with std s_{t_min}.  The
+    Euler-Maruyama steps leave extra noise there that shrinks as K grows;
+    at eta = 0 the error is small at every K.
+
+    v* is affine in x, so each step maps N(mean, var I) to another
+    Gaussian: the mean through the step and the variance through the
+    step's squared slope plus its noise variance.  That exact law is
+    checked against 20,000 x 16 sampled draws at the default K, and the
+    errors are read from it, free of sampling error (the error at eta 1,
+    K = 256 is 2.89%, within one standard error of the draws from 3%)."""
+
+    @staticmethod
+    def exact_law(eta, num_steps):
+        """Per class and coordinate, the mean of x_{t_min} - (1 - t_min)
+        m_c and the std of x_{t_min} under the sampler's steps with v*."""
+        dataset, (times, _, stds, coeffs) = ToyDataset(), SdeConfig(num_steps, eta).grid
+        classes = np.arange(dataset.dims.num_classes)
+        mean, var = np.zeros_like(toy_class_means(dataset)), 1.0
+        for t, std, (a_x, a_v) in zip(times[:-1].tolist(), stds.tolist(), coeffs):
+            def step(x):
+                return a_x * x + a_v * optimal_velocity(dataset, x, t, classes)
+            slope = step(mean + 1.0) - step(mean)  # the map is affine
+            mean, var = step(mean), slope**2 * var + std**2
+        return mean - (1.0 - DEFAULT_T_MIN) * toy_class_means(dataset), np.sqrt(var)
+
+    def test_helpers_match_the_dataset(self):
+        dataset = ToyDataset()
+        assert toy_marginal_std(dataset, DEFAULT_T_MIN) == pytest.approx(0.041136, abs=5e-7)
+        frames, conds = replace(dataset, jitter=0.0).sample_batch(RandomSource(3), 40)
+        np.testing.assert_allclose(frames.reshape(40, -1), toy_class_means(dataset)[conds],
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+    def test_sampled_draws_follow_the_exact_law(self, eta):
+        dataset, config = ToyDataset(), SdeConfig(eta=eta)
+        times, _, stds, coeffs = config.grid
+        classes = np.arange(dataset.dims.num_classes)  # broadcasts over the first axis
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((2_500, *toy_class_means(dataset).shape))
+        for t, std, (a_x, a_v) in zip(times[:-1].tolist(), stds.tolist(), coeffs):
+            x = a_x * x + a_v * optimal_velocity(dataset, x, t, classes)
+            x += std * rng.standard_normal(x.shape)
+        resid = x - (1.0 - config.t_min) * toy_class_means(dataset)
+        mean, std = self.exact_law(eta, config.num_steps)
+        # 2,500 draws per class and coordinate: each mean's standard error
+        # is 2% of the std; the std of all 320,000 has one of 0.125%
+        assert np.abs(resid.mean(axis=0) - mean).max() <= 5 * 0.02 * std.max()
+        assert resid.std() == pytest.approx(std.mean(), rel=0.01)
+
+    def test_error_falls_with_steps_to_the_marginal(self):
+        # relative errors at K = 16 / 64 / 256: eta 0 -1.15 / -0.36 / -0.09%,
+        # eta 0.5 +28.5 / +4.2 / +0.90%, eta 1 +91.2 / +13.7 / +2.89%
+        s_min = toy_marginal_std(ToyDataset(), DEFAULT_T_MIN)
+        for eta in (0.0, 0.5, 1.0):
+            laws = [self.exact_law(eta, k) for k in (16, 64, 256)]
+            for mean, _ in laws:
+                np.testing.assert_allclose(mean, 0.0, rtol=0, atol=1e-12)
+            errors = [np.abs(std / s_min - 1.0).max() for _, std in laws]
+            assert errors[0] > errors[1] > errors[2]
+            assert errors[2] <= 0.03
+            if eta == 0.0:
+                assert max(errors) <= 0.015
 
 
 class TestPretraining:

@@ -1,16 +1,20 @@
 """Golden behaviour: a tiny pretrain -> train -> eval chain through the CLI
-at seed 0 must reproduce pinned reward statistics, an eval at the wide
-group of the ``sample_wide`` benchmark must reproduce its output files
-exactly, and audit mode on a small seeded CSV must reproduce a pinned
-report.
+at seed 0 must reproduce its train run's files exactly and pinned reward
+statistics, an eval at the wide group of the ``sample_wide`` benchmark
+must reproduce its output files exactly, and audit mode on a small
+seeded CSV must reproduce a pinned report.
 
-The chain's values were recorded before the group rollout and reward
-scoring were vectorised, and the wide eval's before sampling stopped
-forming the log-densities that eval never reads; a later speed-up that
-moves behaviour fails here.
+The chain's eval values were recorded before the group rollout and
+reward scoring were vectorised, its train files (at the default group of
+16, against a fresh and against a stale reference) before the sampler's
+per-call plan and the one gradient buffer, and the wide eval's before
+sampling stopped forming the log-densities that eval never reads; a
+later speed-up that moves behaviour, down to the last bit of a gradient,
+fails here.
 """
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -18,13 +22,45 @@ import pytest
 
 from flowstage import cli
 
-# per-step reward term means (fidelity, smoothness, alignment) of trainlog.jsonl
-TRAIN_TERM_MEANS = [
-    [0.011885067567308623, 1.2043863763419124e-47, 0.4291301358945855],
-    [0.019467687116326914, 2.065565778541612e-28, 0.2808714748319784],
-    [0.0102100543015477, 4.5905359407964484e-64, 0.0943857659423841],
-    [0.014803649160524261, 3.0342659044957164e-29, 0.10780407539020409],
-]
+# trainlog.jsonl of the chain's 4-step train run at the default group of 16
+TRAIN_LOG = (
+    '{"clip_fraction": 0.0, "condition": 2, "grad_norm": 1.2361983681159383, '
+    '"mixed_mean": 0.01059766694813408, "objective": -6.661338147750939e-17, '
+    '"ratio_max_dev": 0.0, "refresh": true, '
+    '"sparsities": [0.6287284176132317, 1.0, 0.3616170275871755], "step": 0, '
+    '"term_means": [0.011885067567308623, 1.2043863763419124e-47, 0.4291301358945855], '
+    '"transitions": [0.9521449112079412, 0.6920928832113753, -0.21791920246972868], '
+    '"weights": [0.8889171129807175, 0.11100639041399758, 7.649660528479754e-05]}\n'
+    '{"clip_fraction": 0.0, "condition": 0, "grad_norm": 1.8349531084947657, '
+    '"mixed_mean": 0.01593171111177371, "objective": 8.881784197001253e-17, '
+    '"ratio_max_dev": 0.0, "refresh": true, '
+    '"sparsities": [0.5901077205506998, 0.9995065418619614, 0.5337535697854543], '
+    '"step": 1, '
+    '"term_means": [0.019467687116326914, 2.065565778541612e-28, 0.2808714748319784], '
+    '"transitions": [0.9151856464414141, 0.7302201221358686, -0.08093044133256816], '
+    '"weights": [0.8143013927679336, 0.18541681863453907, 0.00028178859752736775]}\n'
+    '{"clip_fraction": 0.0, "condition": 1, "grad_norm": 1.504026180860725, '
+    '"mixed_mean": 0.009695980347943771, "objective": 2.2204460492503132e-17, '
+    '"ratio_max_dev": 0.0, "refresh": true, '
+    '"sparsities": [0.6192925362928207, 0.9368886778388873, 0.8471662267279633], '
+    '"step": 2, '
+    '"term_means": [0.0102100543015477, 4.5905359407964484e-64, 0.0943857659423841], '
+    '"transitions": [0.9423426148542238, 0.6384174423706737, 0.2520030489621712], '
+    '"weights": [0.9158276316978795, 0.0805136545755043, 0.0036587137266162898]}\n'
+    '{"clip_fraction": 0.0, "condition": 4, "grad_norm": 1.146586540395392, '
+    '"mixed_mean": 0.003959559472265296, "objective": 3.3306690738754695e-17, '
+    '"ratio_max_dev": 0.0, "refresh": true, '
+    '"sparsities": [0.4296441586863969, 0.9969417357683703, 0.7914710307172838], '
+    '"step": 3, '
+    '"term_means": [0.014803649160524261, 3.0342659044957164e-29, 0.10780407539020409], '
+    '"transitions": [0.7536996200957999, 0.8881188779065805, 0.1392796114132901], '
+    '"weights": [0.25391256655553135, 0.7442254730426713, 0.0018619604017974234]}\n'
+)
+# SHA-256 of the chain's policy_final.ckpt, and of the trainlog.jsonl and
+# policy_final.ckpt of the same run against a reference refreshed every 2 steps
+TRAIN_CKPT_SHA256 = "981d4fa0af74cc8e052572a861b746520201a39435cdfa2612d3d42b3beac205"
+STALE_REF_SHA256 = ("f6a9c5763fab71a7583ff8521d3e3b5ce240711d54691f2dfacded58dbfa29b0",
+                    "85a67de590389dad96bced795da8ed0ccf5fe59d21c4dd4c86a1726162ee84a7")
 # per-term means of eval_stats.json
 EVAL_MEANS = [0.00997113574249944, 3.692202994881434e-45, 0.39469347250907016]
 
@@ -51,14 +87,31 @@ def test_pretrain_train_eval_chain_is_pinned(tmp_path, pretrained):
     assert cli.main([str(config), "--set=mode=eval", f"--set=outdir={tmp_path / 'eval'}",
                      f"--set=policy.init_checkpoint={ckpt}", "--set=train.group_size=8"]) == 0
 
-    lines = (tmp_path / "train" / "trainlog.jsonl").read_text().splitlines()
-    term_means = [json.loads(line)["term_means"] for line in lines]
-    np.testing.assert_allclose(term_means, TRAIN_TERM_MEANS, rtol=1e-12, atol=0)
+    assert (tmp_path / "train" / "trainlog.jsonl").read_text() == TRAIN_LOG
+    assert sha256(tmp_path / "train" / "policy_final.ckpt") == TRAIN_CKPT_SHA256
 
     stats = json.loads((tmp_path / "eval" / "eval_stats.json").read_text())
     assert stats["group_size"] == 8 and stats["num_groups"] == 2
     np.testing.assert_allclose([t["mean"] for t in stats["terms"]], EVAL_MEANS,
                                rtol=1e-12, atol=0)
+
+
+def test_stale_reference_train_is_pinned(tmp_path, pretrained):
+    """Steps 1 and 3 re-evaluate the kept transitions under the policy
+    being optimised instead of reading the rollout's record."""
+    config, ckpt = pretrained
+    assert cli.main([str(config), "--set=mode=train", f"--set=outdir={tmp_path}",
+                     f"--set=policy.init_checkpoint={ckpt}",
+                     "--set=train.ref_refresh_interval=2"]) == 0
+    refresh = [json.loads(line)["refresh"]
+               for line in (tmp_path / "trainlog.jsonl").read_text().splitlines()]
+    assert refresh == [True, False, True, False]
+    assert (sha256(tmp_path / "trainlog.jsonl"),
+            sha256(tmp_path / "policy_final.ckpt")) == STALE_REF_SHA256
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 # eval_stats.json and eval_groups.csv of the chain's eval at 2 groups of 64

@@ -625,3 +625,28 @@ class TestConfigValidation:
                                  sde=SdeConfig(num_steps=5, eta=0.5))
         _, _, _, rec = train_step(policy, policy.copy(), cfg, RandomSource(1))
         assert math.isfinite(rec.objective)  # ceil(0.6 * 5) = 3 steps selected
+
+    @pytest.mark.parametrize("fraction, num_steps, kept", [
+        # products one ulp above an integer in floats (0.14 * 50 is
+        # 7.000000000000001): ceil of the raw product kept one step more
+        (0.14, 50, 7), (0.28, 25, 7), (0.28, 50, 14), (0.56, 25, 14), (0.56, 50, 28),
+        # the default, and products that are not near an integer
+        (0.6, 16, 10), (0.6, 5, 3), (0.15, 50, 8), (0.01, 16, 1), (1.0, 16, 16),
+    ])
+    def test_kept_step_count(self, fraction, num_steps, kept):
+        cfg = small_train_config(timestep_fraction=fraction,
+                                 sde=SdeConfig(num_steps=num_steps, eta=0.5))
+        assert cfg.kept_count == kept
+
+    def test_train_step_keeps_the_kept_count(self, monkeypatch):
+        kept, sample = [], grpo.sde_sample
+
+        def spy(*args, keep):
+            kept.append(len(keep))
+            return sample(*args, keep=keep)
+
+        monkeypatch.setattr(grpo, "sde_sample", spy)
+        policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(9))
+        cfg = small_train_config(timestep_fraction=0.14, sde=SdeConfig(num_steps=50, eta=0.5))
+        train_step(policy, policy, cfg, RandomSource(1))
+        assert kept == [7]

@@ -219,6 +219,21 @@ class TestMlpBackward:
             np.testing.assert_allclose(gx_b[i], gx, rtol=1e-10, atol=1e-14)
         np.testing.assert_allclose(acc, grad_b, rtol=1e-10, atol=1e-14)
 
+    def test_writes_into_a_given_gradient_slice(self):
+        rng = RandomSource(17)
+        params = init_mlp((4, 6, 3), rng)
+        _, cache = mlp_forward_batch(params, rng.gaussian(20).reshape(5, 4))
+        up = rng.gaussian(15).reshape(5, 3)
+        grad, gx = mlp_backward_batch(params, cache, up)
+        whole = np.full(params.vector.size + 3, np.nan)
+        got, gx_got = mlp_backward_batch(params, cache, up, whole[:-3])
+        assert got.base is whole
+        np.testing.assert_array_equal(whole[:-3], grad)
+        np.testing.assert_array_equal(gx_got, gx)
+        assert np.isnan(whole[-3:]).all()
+        with pytest.raises(ShapeError):
+            mlp_backward_batch(params, cache, up, whole)
+
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
@@ -425,6 +440,38 @@ class TestAtStream:
     def test_bad_ids_rejected(self, ids):
         with pytest.raises(ValueError):
             RandomSource(5).at_stream(*ids)
+
+
+class TestStreamPrefixes:
+    """A source keeps the pool each child's first id leads to: draws
+    through it equal the children's own, whatever came before."""
+
+    CALLS = [(), (0, 5), (2**32,), (1, 7), (2**40 + 3, 2**32), (0, 6), (2**32, 1), (),
+             (1, 8), (2**40 + 3, 0, 9), (np.int64(0), np.int64(5)), (2**32 + 1,)]
+
+    @pytest.mark.parametrize("seed, spawn_key", [(0, ()), (2**32 + 1, ()), (11, (3,)),
+                                                 (7, (2**40 + 3, 1))])
+    def test_alternating_first_ids_match_child_streams(self, seed, spawn_key):
+        root = RandomSource(seed, spawn_key)
+        for ids in self.CALLS:
+            for i, row in enumerate(root.gaussian_streams(ids, 3, 5)):
+                np.testing.assert_array_equal(row, root.stream(*ids, i).gaussian(5))
+            if ids:
+                np.testing.assert_array_equal(root.at_stream(*ids).permutation(12),
+                                              root.stream(*ids).permutation(12))
+
+    def test_negative_ids_still_rejected(self):
+        root = RandomSource(5)
+        root.at_stream(3, 1)
+        root.gaussian_streams((), 2, 2)
+        for ids in [(-1,), (3, -2), (-1, 3)]:
+            for _ in range(2):  # a rejected first id is not kept either
+                with pytest.raises(ValueError):
+                    root.at_stream(*ids)
+                with pytest.raises(ValueError):
+                    root.gaussian_streams(ids, 2, 2)
+        np.testing.assert_array_equal(root.at_stream(3, 1).permutation(8),
+                                      root.stream(3, 1).permutation(8))
 
 
 class TestCheckpoints:
