@@ -32,7 +32,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .numerics import RandomSource
 
 
 @dataclass
@@ -94,8 +93,7 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, *, max_iters: int) -> np
     if not 1 <= k <= n:
         raise DomainError(f"k={k} must lie in [1, {n}]")
 
-    rng = RandomSource(seed)
-    first = int(rng.integers(0, n))
+    first = int(np.random.Generator(np.random.Philox(seed)).integers(0, n))
     centers = [features[first]]
     min_d = np.sum((features - centers[0]) ** 2, axis=1)
     for _ in range(k - 1):

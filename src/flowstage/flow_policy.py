@@ -120,9 +120,6 @@ class FlowPolicy:
                 f"net output {self.net.output_size} != state size {self.dims.state_size}"
             )
 
-    def copy(self) -> "FlowPolicy":
-        return replace(self, vector=self.vector.copy())
-
 
 def _policy_layout(layer_sizes: tuple, dims: PolicyDims) -> list:
     return param_layout(layer_sizes, [("cond_emb", (dims.num_classes, dims.embed_dim))])
@@ -278,10 +275,15 @@ class Rollout:
 
 def init_flow_policy(dims: PolicyDims, hidden: Sequence[int] = DEFAULT_HIDDEN,
                      rng: RandomSource | None = None) -> FlowPolicy:
+    """A new policy: net weights from ``rng``'s child stream 0, embedding
+    rows N(0, 1/embed_dim) from its child stream 1."""
     rng = rng if rng is not None else RandomSource(0)
     sizes = (dims.net_input_size, *hidden, dims.state_size)
-    net = init_mlp(sizes, rng.stream(0))
-    emb = rng.stream(1).gaussian(dims.num_classes * dims.embed_dim) / math.sqrt(dims.embed_dim)
+    if min(*sizes, dims.num_classes * dims.embed_dim) < 1:
+        raise DomainError(f"empty layer or embedding: layer sizes {sizes}, dims {dims}")
+    net = init_mlp(sizes, rng.at_stream(0))
+    emb = (rng.at_stream(1).standard_normal(dims.num_classes * dims.embed_dim)
+           / math.sqrt(dims.embed_dim))
     return FlowPolicy(dims, sizes, np.concatenate([net.vector, emb]))
 
 
@@ -375,9 +377,10 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     ``noise`` is the group's standard normal noise block, (G, K + 1, n):
     row i holds trajectory i's initial state and then its K step
     increments.  Drawing row i from its own stream, as
-    ``RandomSource.gaussian_streams(ids, G, (K + 1) * n)`` does (row i
-    equals ``stream(*ids, i).gaussian((K + 1) * n)`` bit for bit), makes
-    a trajectory's noise independent of the group size.  Its states are
+    ``RandomSource.gaussian_streams(ids, G, (K + 1) * n)`` does (row i is
+    the first (K + 1) * n normals of the Philox stream of numpy's
+    ``SeedSequence(seed, spawn_key=(*ids, i))``), makes a trajectory's
+    noise independent of the group size.  Its states are
     not, bit for bit: a G-row matrix product may sum in another order
     than a one-row one, so they move with G at rounding level (one
     64-row forward differed from row-by-row forwards by up to 8.9e-16).
@@ -583,8 +586,9 @@ class ToyDataset:
         if self.dims.frame_dim != 2:
             raise DomainError("circle dataset requires frame_dim = 2")
 
-    def sample_batch(self, rng: RandomSource, n: int):
-        """Returns (frames (n, T, 2), conditions (n,))."""
+    def sample_batch(self, rng: np.random.Generator, n: int):
+        """Returns (frames (n, T, 2), conditions (n,)), the conditions and
+        then the jitter drawn from ``rng``."""
         if n < 1:
             raise DomainError("batch size must be >= 1")
         T, C = self.dims.frames, self.dims.num_classes
@@ -595,7 +599,7 @@ class ToyDataset:
         offsets = -self.omega * np.arange(T - 1, -1, -1)
         angles = ends[:, None] + offsets[None, :]
         frames = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-        frames += self.jitter * rng.gaussian(n * T * 2).reshape(n, T, 2)
+        frames += self.jitter * rng.standard_normal(n * T * 2).reshape(n, T, 2)
         return frames, conds.astype(np.int64)
 
 # ---------------------------------------------------------------------------
@@ -619,7 +623,8 @@ def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
                            rng: RandomSource, batch_size: int, learning_rate: float):
     """Regress the velocity net onto (noise - data) along the linear path,
     ``steps`` Adam steps on batches of ``batch_size`` (a run's ``pretrain``
-    section).
+    section), step k's batch from ``rng``'s child stream (0, k) and its
+    noise and flow times from (1, k).
 
     A generator, like :func:`grpo.train`: it yields ``(step, policy,
     loss)`` after each update, the step index, the updated policy and the
@@ -630,15 +635,15 @@ def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
     n = policy.dims.state_size
     opt = adam_init(policy.vector, learning_rate=learning_rate)
     for step in range(steps):
-        frames, conds = dataset.sample_batch(rng.stream(0, step), batch_size)
+        frames, conds = dataset.sample_batch(rng.at_stream(0, step), batch_size)
         if len(frames) == 0:
             raise DomainError("empty dataset")
         if frames.shape[1] * frames.shape[2] != n:
             raise ShapeError("dataset sample size does not match the policy state")
         B = len(frames)
-        noise_rng = rng.stream(1, step)
-        eps = noise_rng.gaussian(B * n).reshape(B, n)
-        t = noise_rng.uniform(B)
+        noise_rng = rng.at_stream(1, step)
+        eps = noise_rng.standard_normal(B * n).reshape(B, n)
+        t = noise_rng.random(B)
         resid, acts = _flow_matching_residual(policy, frames, conds, t, eps)
         loss = float(np.mean(resid**2))
         grad = _velocity_grad(policy, acts, (2.0 / (B * n)) * resid, conds)

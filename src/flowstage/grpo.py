@@ -29,9 +29,10 @@ condition, timestep-subset and rollout streams' first ids lead to, which
 the run's :class:`RandomSource` keeps, so each step mixes in only its
 index; and the net layout's spans, from which each step's new policy and
 gradient are split (``numerics._net_spans``; a new policy's finiteness
-is still checked).  Each step's condition and timestep subset are drawn
-from their stream keys through the run's one scratch generator
-(``RandomSource.at_stream``).
+is still checked).  Step k's condition, timestep subset and rollout
+noise are drawn from the Philox streams of numpy's ``SeedSequence(seed,
+spawn_key=(stream id, k))`` (trajectory i's noise: ``(stream id, k, i)``)
+through ``RandomSource.at_stream`` and ``RandomSource.gaussian_streams``.
 
 Advantages enter the gradient as constants: nothing differentiates
 through the reward or mixing computations.

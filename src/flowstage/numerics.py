@@ -2,8 +2,8 @@
 Adam optimizer, a counter-based random source, and checkpoint I/O.
 
 Everything here is a pure function of its inputs; randomness only enters
-through an explicit :class:`RandomSource`.  Matrices are plain C-order
-float64 ``numpy`` arrays (rows x cols, row-major).
+through an explicit generator or :class:`RandomSource`.  Matrices are
+plain C-order float64 ``numpy`` arrays (rows x cols, row-major).
 
 The ``mlp_*`` functions check shapes and finiteness and hand the
 arithmetic to :mod:`kernels`, which holds the one batched implementation
@@ -144,13 +144,13 @@ def _layer_views(vector: np.ndarray, layer_sizes: tuple):
     return views[0::2], views[1::2]
 
 
-def init_mlp(layer_sizes: Sequence[int], rng: "RandomSource") -> MlpParams:
-    """Random init: W ~ N(0, 1/fan_in), b = 0."""
+def init_mlp(layer_sizes: Sequence[int], rng: np.random.Generator) -> MlpParams:
+    """Random init from ``rng``: W ~ N(0, 1/fan_in), b = 0."""
     sizes = tuple(int(s) for s in layer_sizes)
     count = sum(math.prod(shape) for _, shape in param_layout(sizes))
     params = MlpParams(sizes, np.zeros(count))
     for w in params.weights:
-        w[:] = rng.gaussian(w.size).reshape(w.shape) / math.sqrt(w.shape[1])
+        w[:] = rng.standard_normal(w.size).reshape(w.shape) / math.sqrt(w.shape[1])
     return params
 
 
@@ -234,6 +234,10 @@ def mlp_backward_batch(params: MlpParams, cache: list, upstream: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+# Adam's decay rates and denominator floor (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Moment estimates for the standard Adam update, flat like the
@@ -241,18 +245,13 @@ class AdamState:
 
     m: np.ndarray
     v: np.ndarray
-    step_count: int = 0
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    step_count: int
+    learning_rate: float
 
 
-def adam_init(params: np.ndarray, learning_rate: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, epsilon: float = 1e-8) -> AdamState:
+def adam_init(params: np.ndarray, learning_rate: float) -> AdamState:
     zeros = np.zeros_like(_as_f64(params))
-    return AdamState(m=zeros, v=zeros.copy(), step_count=0, learning_rate=learning_rate,
-                     beta1=beta1, beta2=beta2, epsilon=epsilon)
+    return AdamState(zeros, zeros.copy(), 0, learning_rate)
 
 
 def adam_step_arrays(params: np.ndarray, grad: np.ndarray, state: AdamState):
@@ -272,7 +271,7 @@ def adam_step_arrays(params: np.ndarray, grad: np.ndarray, state: AdamState):
     if not np.isfinite(grad).all():
         raise DomainError("non-finite gradient; update rejected")
     t = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m = np.multiply(state.m, b1)
     tmp = np.multiply(grad, 1.0 - b1)
     m += tmp
@@ -282,11 +281,11 @@ def adam_step_arrays(params: np.ndarray, grad: np.ndarray, state: AdamState):
     v += tmp
     denom = np.divide(v, 1.0 - b2**t)
     np.sqrt(denom, out=denom)
-    denom += state.epsilon
+    denom += ADAM_EPSILON
     np.divide(m, 1.0 - b1**t, out=tmp)
     tmp *= state.learning_rate
     tmp /= denom
-    return params - tmp, AdamState(m, v, t, state.learning_rate, b1, b2, state.epsilon)
+    return params - tmp, AdamState(m, v, t, state.learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -416,32 +415,30 @@ def _fresh_philox_state(key) -> dict:
 
 
 class RandomSource:
-    """Counter-based random stream (Philox) with spawnable substreams.
-
-    The same ``(seed, spawn_key)`` always reproduces the same draw sequence,
-    and distinct spawn keys give statistically independent streams, so
-    parallel rollouts can each own one.  :meth:`gaussian_streams` and
-    :meth:`at_stream` draw from child streams bit for bit as
-    :meth:`stream` would, into one Philox this source keeps for the
-    purpose, from keys hashed off the pool each child's first id leads to
-    (negative ids are rejected, as SeedSequence rejects them).  That pool
-    is mixed the first time the id leads and kept, so a run that draws
-    step k's streams as ``(stream id, k)`` mixes only k per draw.
+    """A seed and a spawn-key prefix that address counter-based Philox
+    streams: child ``ids`` is the stream of numpy's ``SeedSequence(seed,
+    spawn_key=spawn_key + ids)``, so a key always reproduces its draws and
+    distinct keys give independent streams.  A source holds no generator
+    of its own: :meth:`at_stream` and :meth:`gaussian_streams` draw into
+    one scratch Philox, from keys hashed off the pool each child's first
+    id leads to.  That pool is mixed the first time the id leads and kept,
+    so a run that draws step k's streams as ``(stream id, k)`` mixes only
+    k per draw.  Negative seeds and ids are rejected, as SeedSequence
+    rejects them.
     """
 
     def __init__(self, seed: int, spawn_key: tuple = ()):
         self.seed = int(seed)
         self.spawn_key = tuple(int(k) for k in spawn_key)
-        seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
-        self._gen = np.random.Generator(np.random.Philox(seq))
+        if min((self.seed, *self.spawn_key)) < 0:
+            raise DomainError(f"negative seed or spawn key: {self.seed}, {self.spawn_key}")
         self._prefixes = {}
-        self._scratch = None
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, spawn_key={self.spawn_key})"
 
     def stream(self, *ids: int) -> "RandomSource":
-        """Child stream; disjoint from the parent and from other ids."""
+        """The source whose child streams are this one's under ``ids``."""
         return RandomSource(self.seed, self.spawn_key + tuple(int(i) for i in ids))
 
     def _child_state(self, ids) -> tuple:
@@ -455,15 +452,14 @@ class RandomSource:
             state = self._prefixes[head] = _child_pool(self.seed, self.spawn_key + tuple(ids[:1]))
         return _mix_words(state, [w for i in ids[1:] for w in _uint32_words(i)])
 
-    def _scratch_generator(self) -> np.random.Generator:
+    @functools.cached_property
+    def _scratch(self) -> np.random.Generator:
         """The one scratch generator of this source, built on first use."""
-        if self._scratch is None:
-            self._scratch = np.random.Generator(np.random.Philox(0))
-        return self._scratch
+        return np.random.Generator(np.random.Philox(0))
 
     def at_stream(self, *ids: int) -> np.random.Generator:
-        """A generator that starts where ``stream(*ids)`` starts: its
-        draws equal that stream's, bit for bit.
+        """A generator at the start of child stream ``ids`` (see the
+        class): its draws equal that stream's, bit for bit.
 
         It is the one scratch generator of this source, set afresh by every
         call here and in :meth:`gaussian_streams`, so draw from it before
@@ -471,18 +467,13 @@ class RandomSource:
         """
         if not ids:
             raise DomainError("at_stream needs at least one id")
-        gen = self._scratch_generator()
+        gen = self._scratch
         gen.bit_generator.state = _fresh_philox_state(_philox_key(self._child_state(ids)))
         return gen
 
-    def gaussian(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise DomainError(f"need n >= 1 draws, got {n}")
-        return self._gen.standard_normal(int(n))
-
     def gaussian_streams(self, ids: Sequence[int], count: int, n: int) -> np.ndarray:
-        """A ``(count, n)`` block whose row i is, bit for bit,
-        ``self.stream(*ids, i).gaussian(n)``.
+        """A ``(count, n)`` block whose row i is, bit for bit, the first n
+        ``standard_normal`` draws of child stream ``(*ids, i)``.
 
         The streams' Philox keys come from :func:`_philox_keys` in one
         pass.  The draws then reuse the scratch generator: one fresh-stream
@@ -497,7 +488,7 @@ class RandomSource:
         if n < 1:
             raise DomainError(f"need n >= 1 draws, got {n}")
         out = np.empty((count, int(n)))
-        gen = self._scratch_generator()
+        gen = self._scratch
         bit_generator, draw = gen.bit_generator, gen.standard_normal
         state = _fresh_philox_state(None)
         for i, key in enumerate(_philox_keys(self._child_state(ids), count).tolist()):
@@ -505,15 +496,6 @@ class RandomSource:
             bit_generator.state = state
             draw(out=out[i])
         return out
-
-    def uniform(self, n: int | None = None):
-        return self._gen.random() if n is None else self._gen.random(int(n))
-
-    def integers(self, low: int, high: int | None = None, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(int(n))
 
 
 # ---------------------------------------------------------------------------
@@ -548,20 +530,26 @@ def write_checkpoint(path, meta: dict, arrays: dict) -> None:
 
 
 def read_checkpoint(path):
-    """Inverse of :func:`write_checkpoint`; returns ``(meta, arrays)``."""
+    """Inverse of :func:`write_checkpoint`; returns ``(meta, arrays)``.
+    An array is read only once its shape is non-negative ints and its
+    payload fits in what is left of the file."""
     with open(path, "rb") as fp:
         magic = fp.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise DomainError(f"{path}: not a flowstage checkpoint")
         header = json.loads(fp.readline().decode("utf-8"))
+        left = os.fstat(fp.fileno()).st_size - fp.tell()
         arrays = {}
         for entry in header["arrays"]:
             shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fp.read(count * 8)
-            if len(buf) != count * 8:
+            if not all(type(d) is int and d >= 0 for d in shape):
+                raise DomainError(f"{path}: array {entry['name']!r} has shape {list(shape)}")
+            size = 8 * math.prod(shape)
+            if size > left:
                 raise DomainError(f"{path}: truncated checkpoint payload")
+            left -= size
+            buf = fp.read(size)
             arrays[entry["name"]] = np.frombuffer(buf, dtype=np.float64).reshape(shape).copy()
-        if fp.read(1):
+        if left:
             raise DomainError(f"{path}: trailing bytes after the checkpoint payload")
     return header["meta"], arrays

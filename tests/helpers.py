@@ -1,19 +1,36 @@
-"""Shared test utilities: naive re-implementations used as oracles (the
-MLP forward pass, and the row-major transition gather, evaluation and
-backprop that ``eval_step``/``backprop_step`` must match), the toy
-task's closed-form optimal velocity and marginal, a rollout's kept
-activations by step, a policy built to overflow, a training generator
-run to its end, and a generic central finite-difference gradient."""
+"""Shared test utilities: the reference random streams, naive
+re-implementations used as oracles (the MLP forward pass, and the
+row-major transition gather, evaluation and backprop that
+``eval_step``/``backprop_step`` must match), the toy task's closed-form
+optimal velocity and marginal, a rollout's kept activations by step, a
+policy copy, a policy built to overflow, a checkpoint whose header names
+another shape, a training generator run to its end, and a generic
+central finite-difference gradient."""
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from flowstage.flow_policy import _log_density_rows, _step_coeffs, _velocity_grad
-from flowstage.numerics import mlp_forward_batch
+from flowstage.numerics import CHECKPOINT_MAGIC, mlp_forward_batch
+
+
+def philox(seed, *spawn_key):
+    """numpy's generator on the Philox stream of ``SeedSequence(seed,
+    spawn_key=spawn_key)``: the stream ``RandomSource(seed).at_stream(
+    *spawn_key)`` must start, and the tests' source of random inputs."""
+    seq = np.random.SeedSequence(seed, spawn_key=spawn_key)
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def copy_policy(policy):
+    """The same policy over a copy of its parameter vector."""
+    return replace(policy, vector=policy.vector.copy())
 
 
 def naive_mlp_eval(weights, biases, x):
@@ -117,13 +134,24 @@ def late_overflow(policy):
     if len(policy.net.weights) != 2:
         raise ValueError(f"late_overflow needs one hidden layer, got "
                          f"{len(policy.net.weights) - 1}")
-    p = policy.copy()
+    p = copy_policy(policy)
     p.vector[:] = 0.0
     n = p.dims.state_size
     p.net.weights[0][:2, n] = -1.0
     p.net.biases[0][:2] = 1.0
     p.net.weights[-1][:, :2] = 1.7e308
     return p
+
+
+def reshape_in_header(path, name, shape):
+    """Rewrite the checkpoint at ``path`` so that its header gives array
+    ``name`` the shape ``shape``; the payload is left as it was."""
+    header, payload = path.read_bytes()[len(CHECKPOINT_MAGIC):].split(b"\n", 1)
+    header = json.loads(header)
+    for entry in header["arrays"]:
+        if entry["name"] == name:
+            entry["shape"] = shape
+    path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + payload)
 
 
 def drain(steps, policy):

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+from helpers import philox
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,6 @@ from flowstage import bias_audit, cli
 from flowstage.bias_audit import audit, cluster_kappa, kmeans, read_items_csv
 from flowstage.config import DEFAULTS
 from flowstage.errors import DomainError, ShapeError
-from flowstage.numerics import RandomSource
 
 MAX_ITERS = DEFAULTS["audit"]["max_iters"]
 
@@ -21,7 +21,7 @@ MAX_ITERS = DEFAULTS["audit"]["max_iters"]
 def blob_features(rng, centers, per_cluster, radius=0.3):
     feats, truth = [], []
     for idx, center in enumerate(centers):
-        pts = center + radius * rng.gaussian(per_cluster * len(center)).reshape(
+        pts = center + radius * rng.standard_normal(per_cluster * len(center)).reshape(
             per_cluster, len(center)
         )
         feats.append(pts)
@@ -32,27 +32,27 @@ def blob_features(rng, centers, per_cluster, radius=0.3):
 def synthetic_items(num_clusters=20, per_cluster=100, bias_range=0.0, seed=0):
     """``(scores, features, labels)`` of items in well-separated blobs;
     optional per-cluster score offsets."""
-    rng = RandomSource(seed)
-    centers = 10.0 * rng.gaussian(num_clusters * 5).reshape(num_clusters, 5)
+    rng = philox(seed)
+    centers = 10.0 * rng.standard_normal(num_clusters * 5).reshape(num_clusters, 5)
     feats, truth = blob_features(rng, centers, per_cluster)
     offsets = (
-        bias_range * (rng.uniform(num_clusters) - 0.5) * 2.0
+        bias_range * (rng.random(num_clusters) - 0.5) * 2.0
         if bias_range > 0.0
         else np.zeros(num_clusters)
     )
-    noise = 0.01 * rng.gaussian(len(feats))
+    noise = 0.01 * rng.standard_normal(len(feats))
     return 1.0 + offsets[truth] + noise, feats, truth
 
 
 class TestKmeans:
     def test_k_equals_items_gives_singletons(self):
-        rng = RandomSource(1)
-        feats = rng.gaussian(12).reshape(6, 2)
+        rng = philox(1)
+        feats = rng.standard_normal(12).reshape(6, 2)
         labels = kmeans(feats, 6, seed=0, max_iters=MAX_ITERS)
         assert len(set(labels.tolist())) == 6
 
     def test_two_separated_blobs_recovered(self):
-        rng = RandomSource(2)
+        rng = philox(2)
         feats, truth = blob_features(
             rng, np.array([[0.0, 0.0], [50.0, 50.0]]), 40, radius=0.5
         )
@@ -63,8 +63,8 @@ class TestKmeans:
         assert first[0] != second[0]
 
     def test_deterministic_under_seed(self):
-        rng = RandomSource(3)
-        feats = rng.gaussian(200).reshape(100, 2)
+        rng = philox(3)
+        feats = rng.standard_normal(200).reshape(100, 2)
         np.testing.assert_array_equal(kmeans(feats, 5, seed=9, max_iters=MAX_ITERS),
                                       kmeans(feats, 5, seed=9, max_iters=MAX_ITERS))
 
@@ -83,8 +83,8 @@ class TestClusterKappa:
         assert kappa == pytest.approx(100.0 / 3.0, rel=1e-12)
 
     def test_scale_invariance(self):
-        rng = RandomSource(4)
-        scores = rng.uniform(30) + 0.5
+        rng = philox(4)
+        scores = rng.random(30) + 0.5
         (k1,) = cluster_kappa([scores])
         (k2,) = cluster_kappa([scores * 17.0])
         assert k1 == pytest.approx(k2, abs=1e-9)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import kept_by_step, late_overflow
+from helpers import kept_by_step, late_overflow, reshape_in_header
 
 from flowstage import cli, flow_policy, grpo
 from flowstage.config import DEFAULTS, RunConfig
@@ -386,7 +386,8 @@ class TestRejectedAtLoad:
             f"match the configured dims {PolicyDims(num_classes=3)}\n")
 
     @pytest.mark.parametrize("mode", ["calibrate", "train", "eval"])
-    @pytest.mark.parametrize("content", ["json", "truncated", "bad header"])
+    @pytest.mark.parametrize("content", ["json", "truncated", "bad header", "oversized",
+                                         "negative dims"])
     def test_init_checkpoint_that_does_not_load(self, tmp_path, checkpoint, capsys, mode,
                                                 content):
         path = tmp_path / "bad.ckpt"
@@ -395,6 +396,11 @@ class TestRejectedAtLoad:
             path.write_text(json.dumps({"mode": "eval"}))
         elif content == "truncated":
             path.write_bytes(Path(checkpoint).read_bytes()[:-8])
+        elif content in ("oversized", "negative dims"):
+            # a header naming 80 TB of weights, or dims of no array
+            path.write_bytes(Path(checkpoint).read_bytes())
+            shape = [10**7, 10**6] if content == "oversized" else [-(10**7), -(10**6)]
+            reshape_in_header(path, "w0", shape)
         else:
             path.write_bytes(CHECKPOINT_MAGIC + b"{not json\n")
         rc, outdir = run_cli(tmp_path, str(path), f"--set=mode={mode}")

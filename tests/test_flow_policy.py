@@ -8,11 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from helpers import (
+    copy_policy,
     drain,
     kept_by_step,
     late_overflow,
     naive_mlp_eval,
     optimal_velocity,
+    philox,
     toy_class_means,
     toy_marginal_std,
 )
@@ -49,9 +51,9 @@ def small_policy(seed=0, dims=SMALL, hidden=(6,)):
 
 def noise_block(policy, cfg, *streams):
     """The (G, K + 1, n) noise block of :func:`sde_sample`, row i drawn
-    from ``streams[i]``."""
+    from the generator ``streams[i]``."""
     size = (cfg.num_steps + 1) * policy.dims.state_size
-    block = np.stack([r.gaussian(size) for r in streams])
+    block = np.stack([r.standard_normal(size) for r in streams])
     return block.reshape(len(streams), cfg.num_steps + 1, -1)
 
 
@@ -73,7 +75,7 @@ def flow_matching_loss(policy, frames, conds, t, eps):
 
 
 def zeroed(policy):
-    p = policy.copy()
+    p = copy_policy(policy)
     p.net.vector[:] = 0.0
     return p
 
@@ -97,12 +99,11 @@ class TestFlatVector:
         p.vector[0] = -2.0
         assert p.net.weights[0][0, 0] == -2.0
 
-    def test_copy_shares_nothing(self):
-        p = small_policy(2)
-        q = p.copy()
-        q.net.biases[0][:] = 9.0
-        assert not np.shares_memory(p.vector, q.vector)
-        assert (p.net.biases[0] != 9.0).all()
+    @pytest.mark.parametrize("dims, hidden", [(SMALL, (6, 0)), (replace(SMALL, embed_dim=0), (6,)),
+                                              (replace(SMALL, num_classes=0), (6,))])
+    def test_empty_layer_or_embedding_rejected(self, dims, hidden):
+        with pytest.raises(DomainError):
+            init_flow_policy(dims, hidden=hidden)
 
     def test_wrong_vector_size_rejected(self):
         p = small_policy(3)
@@ -118,16 +119,16 @@ class TestVelocity:
 
     def test_output_dimension(self):
         p = small_policy(1)
-        rng = RandomSource(9)
+        rng = philox(9)
         for _ in range(5):
-            v = velocity(p, rng.gaussian(SMALL.state_size), rng.uniform(), 2)
+            v = velocity(p, rng.standard_normal(SMALL.state_size), rng.random(), 2)
             assert v.shape == (SMALL.state_size,)
             assert np.isfinite(v).all()
 
     def test_matches_naive_reevaluation(self):
         p = small_policy(2)
-        rng = RandomSource(10)
-        x = rng.gaussian(SMALL.state_size)
+        rng = philox(10)
+        x = rng.standard_normal(SMALL.state_size)
         t, cond = 0.37, 1
         v = velocity(p, x, t, cond)
         inp = np.concatenate([x, [t], p.cond_emb[cond]])
@@ -153,7 +154,7 @@ class TestVelocity:
         with pytest.raises(DomainError):
             velocity(p, np.zeros(SMALL.state_size), 0.5, cond)
         with pytest.raises(DomainError):
-            sde_sample(p, cond, ODE, noise_block(p, ODE, RandomSource(1)))
+            sde_sample(p, cond, ODE, noise_block(p, ODE, philox(1)))
 
     def test_numpy_integer_condition_accepted(self):
         p = small_policy()
@@ -166,7 +167,7 @@ class TestOdeSampling:
     def test_zero_velocity_returns_initial_noise(self):
         p = zeroed(small_policy(3))
         cfg = replace(ODE, num_steps=8)
-        noise = noise_block(p, cfg, RandomSource(77))
+        noise = noise_block(p, cfg, philox(77))
         rollout = sde_sample(p, 0, cfg, noise)
         np.testing.assert_array_equal(rollout.states[0, -1], noise[0, 0])
 
@@ -175,7 +176,7 @@ class TestOdeSampling:
         c = 0.7
         p = constant_velocity(small_policy(4), c)
         cfg = replace(ODE, num_steps=1)
-        noise = noise_block(p, cfg, RandomSource(5))
+        noise = noise_block(p, cfg, philox(5))
         rollout = sde_sample(p, 1, cfg, noise)
         np.testing.assert_allclose(rollout.states[0, -1], noise[0, 0] + (cfg.t_min - 1.0) * c,
                                    rtol=1e-12)
@@ -186,14 +187,14 @@ class TestOdeSampling:
             w *= 1e200
         # the scaled net overflows on purpose
         with pytest.raises(RolloutError), pytest.warns(RuntimeWarning):
-            sde_sample(p, 0, ODE, noise_block(p, ODE, RandomSource(0)))
+            sde_sample(p, 0, ODE, noise_block(p, ODE, philox(0)))
 
 
 class TestSdeSampling:
     def test_eta_zero_matches_ode_exactly(self):
         p = small_policy(8)
         cfg = SdeConfig(num_steps=12, eta=0.0, t_min=0.05)
-        noise = noise_block(p, cfg, RandomSource(21))
+        noise = noise_block(p, cfg, philox(21))
         rollout = sde_sample(p, 2, cfg, noise)
         # Euler integration of dx = v dt from t = 1 down to t_min
         dt = (cfg.t_min - 1.0) / cfg.num_steps
@@ -206,7 +207,7 @@ class TestSdeSampling:
     def test_log_probs_match_direct_density(self):
         p = small_policy(9)
         cfg = SdeConfig(num_steps=6, eta=0.5)
-        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(300)))
+        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, philox(300)))
         n = SMALL.state_size
         for k in range(cfg.num_steps):
             resid = rollout.states[0, k + 1] - rollout.step_means[0, k]
@@ -219,15 +220,15 @@ class TestSdeSampling:
     def test_fixed_seed_reproduces_trajectory(self):
         p = small_policy(10)
         cfg = SdeConfig(num_steps=5, eta=0.3)
-        a = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(41)))
-        b = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(41)))
+        a = sde_sample(p, 0, cfg, noise_block(p, cfg, philox(41)))
+        b = sde_sample(p, 0, cfg, noise_block(p, cfg, philox(41)))
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.log_probs, b.log_probs)
 
     def test_positive_stds_when_eta_positive(self):
         p = small_policy(11)
         cfg = SdeConfig(num_steps=4, eta=0.2)
-        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(1)))
+        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, philox(1)))
         assert (rollout.step_stds > 0).all()
 
     def test_group_rows_match_one_trajectory_calls(self):
@@ -238,7 +239,7 @@ class TestSdeSampling:
         group = sde_sample(p, conds, cfg, block.reshape(len(conds), 7, -1))
         assert len(group) == len(conds)
         for i, cond in enumerate(conds):
-            one = sde_sample(p, cond, cfg, noise_block(p, cfg, RandomSource(90).stream(i)))
+            one = sde_sample(p, cond, cfg, noise_block(p, cfg, philox(90, i)))
             assert group.conditions[i] == cond
             for name in ("states", "step_means", "log_probs"):
                 np.testing.assert_allclose(getattr(group, name)[i], getattr(one, name)[0],
@@ -247,7 +248,7 @@ class TestSdeSampling:
     def test_keeps_activations_only_for_named_steps(self):
         p = small_policy(17)
         cfg = SdeConfig(num_steps=5, eta=0.5)
-        noise = noise_block(p, cfg, *(RandomSource(91).stream(i) for i in range(3)))
+        noise = noise_block(p, cfg, *(philox(91, i) for i in range(3)))
         assert kept_by_step(sde_sample(p, 1, cfg, noise)) == {}
         rollout = sde_sample(p, 1, cfg, noise, keep=[3, 1])
         assert sorted(kept_by_step(rollout)) == [1, 3]
@@ -262,12 +263,12 @@ class TestSdeSampling:
         cfg = SdeConfig(num_steps=4, eta=0.5)
         # the scaled net overflows on purpose
         with pytest.raises(RolloutError), pytest.warns(RuntimeWarning):
-            sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(0)))
+            sde_sample(p, 0, cfg, noise_block(p, cfg, philox(0)))
 
     def test_kept_activations_in_keep_order_are_views(self):
         p = small_policy(26, hidden=(40, 30))
         cfg = SdeConfig(num_steps=6, eta=0.5)
-        noise = noise_block(p, cfg, *(RandomSource(27).stream(i) for i in range(32)))
+        noise = noise_block(p, cfg, *(philox(27, i) for i in range(32)))
         rollout = sde_sample(p, 2, cfg, noise, keep=[4, 1, 2])
         steps = [1, 2, 4]
         by_step = kept_by_step(rollout)
@@ -290,7 +291,7 @@ class TestSdeSampling:
     def test_kept_blocks_must_match_the_kept_steps(self):
         p = small_policy(28)
         cfg = SdeConfig(num_steps=4, eta=0.5)
-        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(29)), keep=[0, 2])
+        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, philox(29)), keep=[0, 2])
         with pytest.raises(ShapeError):
             replace(rollout, kept_steps=[0])
         with pytest.raises(ShapeError):
@@ -299,7 +300,7 @@ class TestSdeSampling:
     def test_output_overflow_names_step_and_time(self):
         p = late_overflow(small_policy(22, hidden=(4,)))
         cfg = SdeConfig(num_steps=4, eta=0.5)
-        noise = noise_block(p, cfg, *(RandomSource(23).stream(i) for i in range(3)))
+        noise = noise_block(p, cfg, *(philox(23, i) for i in range(3)))
         # the output product overflows on purpose
         with pytest.raises(RolloutError) as err, pytest.warns(RuntimeWarning):
             sde_sample(p, 1, cfg, noise)
@@ -315,7 +316,7 @@ class TestSdeSampling:
         # coordinate of rollouts 0 and 2 overflow their state at step 1
         p = constant_velocity(small_policy(24), 0.3)
         cfg = SdeConfig(num_steps=4, eta=2.0)
-        noise = noise_block(p, cfg, *(RandomSource(25).stream(i) for i in range(4)))
+        noise = noise_block(p, cfg, *(philox(25, i) for i in range(4)))
         noise[[0, 2], 1:3, 3] = 1.7e308
         with pytest.raises(RolloutError) as err, pytest.warns(RuntimeWarning):
             sde_sample(p, 1, cfg, noise)
@@ -324,7 +325,7 @@ class TestSdeSampling:
     def test_noise_block_shape_checked(self):
         p = small_policy(19)
         cfg = SdeConfig(num_steps=4, eta=0.5)
-        noise = noise_block(p, cfg, RandomSource(3), RandomSource(4))
+        noise = noise_block(p, cfg, philox(3), philox(4))
         for bad in (noise[:, :-1], noise[..., :-1], noise[0], noise[:0]):
             with pytest.raises(ShapeError):
                 sde_sample(p, 0, cfg, bad)
@@ -333,7 +334,7 @@ class TestSdeSampling:
     def test_bad_condition_is_domain_error(self, cond):
         p = small_policy(20)
         cfg = SdeConfig(num_steps=3, eta=0.5)
-        noise = noise_block(p, cfg, RandomSource(5), RandomSource(6))
+        noise = noise_block(p, cfg, philox(5), philox(6))
         with pytest.raises(DomainError):
             sde_sample(p, cond, cfg, noise)
 
@@ -341,14 +342,14 @@ class TestSdeSampling:
     def test_condition_count_is_shape_error(self, cond):
         p = small_policy(21)
         cfg = SdeConfig(num_steps=3, eta=0.5)
-        noise = noise_block(p, cfg, RandomSource(5), RandomSource(6))
+        noise = noise_block(p, cfg, philox(5), philox(6))
         with pytest.raises(ShapeError):
             sde_sample(p, cond, cfg, noise)
 
     def test_times_decreasing_to_t_min(self):
         p = small_policy(12)
         cfg = SdeConfig(num_steps=5, eta=0.5, t_min=0.1)
-        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(2)))
+        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, philox(2)))
         assert rollout.times[0] == 1.0
         assert abs(rollout.times[-1] - 0.1) < 1e-12
         assert (np.diff(rollout.times) < 0).all()
@@ -402,7 +403,7 @@ class TestSdeSampleOracle:
         seed = data.draw(st.integers(0, 2**32), label="seed")
         dims = PolicyDims(frames=4, frame_dim=2, num_classes=5, embed_dim=3)
         p = init_flow_policy(dims, hidden=hidden, rng=RandomSource(seed))
-        rng = RandomSource(seed, (1,))
+        rng = philox(seed, 1)
         if data.draw(st.booleans(), label="one condition"):
             cond = data.draw(st.integers(0, dims.num_classes - 1), label="cond")
         else:
@@ -414,7 +415,7 @@ class TestSdeSampleOracle:
         else:
             keep = data.draw(st.sets(st.integers(0, K - 1)), label="keep")
         cfg = SdeConfig(num_steps=K, eta=eta, t_min=t_min)
-        noise = rng.gaussian(G * (K + 1) * dims.state_size).reshape(G, K + 1, -1)
+        noise = rng.standard_normal(G * (K + 1) * dims.state_size).reshape(G, K + 1, -1)
         before = noise.copy()
 
         rollout = sde_sample(p, cond, cfg, noise, keep=keep)
@@ -455,22 +456,22 @@ class TestTransitionLogProbs:
     def test_self_consistency(self):
         p = small_policy(13)
         cfg = SdeConfig(num_steps=8, eta=0.5)
-        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(55)), keep=range(8))
+        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, philox(55)), keep=range(8))
         lp = reevaluated(p, rollout)
         np.testing.assert_allclose(lp, rollout.log_probs, atol=1e-10)
 
     def test_subset_selection(self):
         p = small_policy(13)
         cfg = SdeConfig(num_steps=8, eta=0.5)
-        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, RandomSource(56)), keep=[1, 4, 6])
+        rollout = sde_sample(p, 1, cfg, noise_block(p, cfg, philox(56)), keep=[1, 4, 6])
         lp = reevaluated(p, rollout)
         np.testing.assert_allclose(lp, rollout.log_probs[:, [1, 4, 6]], atol=1e-10)
 
     def test_perturbed_policy_differs(self):
         p = small_policy(14)
         cfg = SdeConfig(num_steps=4, eta=0.5)
-        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(57)), keep=range(4))
-        q = p.copy()
+        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, philox(57)), keep=range(4))
+        q = copy_policy(p)
         q.net.weights[0][0, 0] += 0.05
         assert not np.allclose(reevaluated(q, rollout), rollout.log_probs)
 
@@ -480,7 +481,7 @@ class TestTransitionLogProbs:
         c = 0.5
         p = constant_velocity(init_flow_policy(dims, hidden=(2,), rng=RandomSource(1)), c)
         cfg = SdeConfig(num_steps=1, eta=0.5, t_min=0.2)
-        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, RandomSource(60)), keep=[0])
+        rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, philox(60)), keep=[0])
         # dt = -0.8, t = 1, sigma = 0.5: a_x = 1 + dt*eta^2*t/2 = 0.9
         # a_v = dt*(1 + eta^2*t*(1-t)/2) = dt, mean = 0.9 x - 0.8 c
         x0 = rollout.states[0, 0, 0]
@@ -497,7 +498,7 @@ class TestTransitionLogProbs:
 class TestToyDataset:
     def test_shapes_and_classes(self):
         ds = ToyDataset(PolicyDims(frames=6, frame_dim=2, num_classes=4, embed_dim=2))
-        frames, conds = ds.sample_batch(RandomSource(71), 10)
+        frames, conds = ds.sample_batch(philox(71), 10)
         assert frames.shape == (10, 6, 2)
         assert conds.shape == (10,)
         assert ((conds >= 0) & (conds < 4)).all()
@@ -505,7 +506,7 @@ class TestToyDataset:
     def test_final_frame_hits_class_angle_without_jitter(self):
         dims = PolicyDims(frames=5, frame_dim=2, num_classes=8, embed_dim=2)
         ds = ToyDataset(dims, jitter=0.0)
-        frames, conds = ds.sample_batch(RandomSource(72), 20)
+        frames, conds = ds.sample_batch(philox(72), 20)
         for f, c in zip(frames, conds):
             np.testing.assert_allclose(np.linalg.norm(f, axis=1), 1.0, atol=1e-12)
             angle = math.atan2(f[-1, 1], f[-1, 0]) % (2 * math.pi)
@@ -515,7 +516,7 @@ class TestToyDataset:
     def test_rotation_rate(self):
         dims = PolicyDims(frames=4, frame_dim=2, num_classes=2, embed_dim=2)
         ds = ToyDataset(dims, omega=0.3, jitter=0.0)
-        frames, _ = ds.sample_batch(RandomSource(73), 3)
+        frames, _ = ds.sample_batch(philox(73), 3)
         for f in frames:
             angles = np.unwrap(np.arctan2(f[:, 1], f[:, 0]))
             np.testing.assert_allclose(np.diff(angles), 0.3, atol=1e-9)
@@ -556,7 +557,7 @@ class TestSdeMarginal:
     def test_helpers_match_the_dataset(self):
         dataset = ToyDataset()
         assert toy_marginal_std(dataset, DEFAULT_T_MIN) == pytest.approx(0.041136, abs=5e-7)
-        frames, conds = replace(dataset, jitter=0.0).sample_batch(RandomSource(3), 40)
+        frames, conds = replace(dataset, jitter=0.0).sample_batch(philox(3), 40)
         np.testing.assert_allclose(frames.reshape(40, -1), toy_class_means(dataset)[conds],
                                    rtol=0, atol=1e-12)
 
@@ -614,11 +615,11 @@ class TestPretraining:
         ds = PointMass()
 
         def residual(policy):
-            rng = RandomSource(999)
+            rng = philox(999)
             frames = np.repeat(star, 256, axis=0)
             conds = np.zeros(256, dtype=np.int64)
-            eps = rng.gaussian(256 * dims.state_size).reshape(256, -1)
-            t = rng.uniform(256)
+            eps = rng.standard_normal(256 * dims.state_size).reshape(256, -1)
+            t = rng.random(256)
             return flow_matching_loss(policy, frames, conds, t, eps)
 
         before = residual(p)
@@ -632,10 +633,10 @@ class TestPretraining:
         wins = 0
         for seed in range(5):
             p = init_flow_policy(dims, hidden=(32,), rng=RandomSource(seed))
-            eval_rng = RandomSource(10_000 + seed)
+            eval_rng = philox(10_000 + seed)
             frames, conds = ds.sample_batch(eval_rng, 128)
-            eps = eval_rng.gaussian(128 * dims.state_size).reshape(128, -1)
-            t = eval_rng.uniform(128)
+            eps = eval_rng.standard_normal(128 * dims.state_size).reshape(128, -1)
+            t = eval_rng.random(128)
             before = flow_matching_loss(p, frames, conds, t, eps)
             trained, _ = drain(pretrain_flow_matching(p, ds, 2000, RandomSource(seed + 50),
                                                       PRETRAIN["batch_size"],

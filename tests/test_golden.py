@@ -1,16 +1,17 @@
 """Golden behaviour: a tiny pretrain -> train -> eval chain through the CLI
-at seed 0 must reproduce its train run's files exactly and pinned reward
-statistics, an eval at the wide group of the ``sample_wide`` benchmark
-must reproduce its output files exactly, and audit mode on a small
-seeded CSV must reproduce a pinned report.
+at seed 0 must reproduce its pretrain and train runs' files exactly and
+pinned reward statistics, an eval at the wide group of the
+``sample_wide`` benchmark must reproduce its output files exactly, and
+audit mode on a small seeded CSV must reproduce a pinned report.
 
 The chain's eval values were recorded before the group rollout and
 reward scoring were vectorised, its train files (at the default group of
 16, against a fresh and against a stale reference) before the sampler's
-per-call plan and the one gradient buffer, and the wide eval's before
-sampling stopped forming the log-densities that eval never reads; a
-later speed-up that moves behaviour, down to the last bit of a gradient,
-fails here.
+per-call plan and the one gradient buffer, the wide eval's before
+sampling stopped forming the log-densities that eval never reads, and
+its pretrain files before the random source stopped keeping a generator
+of its own; a later speed-up that moves behaviour, down to the last bit
+of a gradient, fails here.
 """
 
 import csv
@@ -56,6 +57,52 @@ TRAIN_LOG = (
     '"transitions": [0.7536996200957999, 0.8881188779065805, 0.1392796114132901], '
     '"weights": [0.25391256655553135, 0.7442254730426713, 0.0018619604017974234]}\n'
 )
+# pretrain_loss.csv and the SHA-256 of policy.ckpt of the chain's 40-step
+# pretrain run
+PRETRAIN_LOSS_CSV = """\
+step,loss
+0,1.7811650667754213
+1,1.7575803330179087
+2,1.7278962466942547
+3,1.556196575444646
+4,1.5470540515145892
+5,1.731056038319942
+6,1.4926857822291084
+7,1.53845013518887
+8,1.4748873630559176
+9,1.3934758772442595
+10,1.405298272938801
+11,1.4559445721887878
+12,1.4137436102055863
+13,1.4094628291134899
+14,1.3413768501118488
+15,1.3723636625040858
+16,1.304315450676286
+17,1.3008086442235773
+18,1.2032458680303253
+19,1.119085290173174
+20,1.2977195995250959
+21,1.1270083970807718
+22,1.2237898192606005
+23,1.275632539082916
+24,1.1555297921315488
+25,1.1803552592295152
+26,1.25189319317689
+27,1.1177803528907837
+28,1.0834229619210132
+29,0.9778446610972045
+30,1.1291997695852531
+31,1.081399231268434
+32,1.0522526350318517
+33,1.0430999650377957
+34,0.983558665973401
+35,1.057770322330721
+36,1.0500121914306164
+37,1.0321590049632627
+38,1.0379549040838767
+39,1.0612339391424659
+"""
+PRETRAIN_CKPT_SHA256 = "4a1065b7cdcba8d4a085c1a8dad66136157dbf94aad99cb2d6cc62ecc1a38e87"
 # SHA-256 of the chain's policy_final.ckpt, and of the trainlog.jsonl and
 # policy_final.ckpt of the same run against a reference refreshed every 2 steps
 TRAIN_CKPT_SHA256 = "981d4fa0af74cc8e052572a861b746520201a39435cdfa2612d3d42b3beac205"
@@ -78,6 +125,14 @@ def pretrained(tmp_path_factory):
     }))
     assert cli.main([str(config), "--set=mode=pretrain", f"--set=outdir={tmp_path / 'pre'}"]) == 0
     return config, tmp_path / "pre" / "policy.ckpt"
+
+
+def test_pretrain_is_pinned(pretrained):
+    """The policy's initial draws and every step's batch and noise
+    streams reach the pretrain run's files."""
+    _, ckpt = pretrained
+    assert (ckpt.parent / "pretrain_loss.csv").read_text() == PRETRAIN_LOSS_CSV
+    assert sha256(ckpt) == PRETRAIN_CKPT_SHA256
 
 
 def test_pretrain_train_eval_chain_is_pinned(tmp_path, pretrained):

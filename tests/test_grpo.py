@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    copy_policy,
     drain,
     kept_by_step,
     late_overflow,
+    philox,
     rel_err_ok,
     row_major_backprop,
     row_major_eval,
@@ -155,9 +157,9 @@ class TestSurrogateObjective:
         assert flags.all()
 
     def test_matches_direct_reevaluation(self):
-        rng = RandomSource(9)
-        ratios = np.exp(0.5 * rng.gaussian(12).reshape(4, 3))
-        adv = rng.gaussian(4)
+        rng = philox(9)
+        ratios = np.exp(0.5 * rng.standard_normal(12).reshape(4, 3))
+        adv = rng.standard_normal(4)
         eps = 0.15
         J, flags = surrogate_objective(ratios, adv, eps)
         total = 0.0
@@ -200,7 +202,7 @@ class TestTrainStep:
     def test_zero_learning_rate_keeps_policy(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(1))
         cfg = small_train_config(learning_rate=0.0)
-        new_policy, _, _, rec = train_step(policy, policy.copy(), cfg, RandomSource(3))
+        new_policy, _, _, rec = train_step(policy, copy_policy(policy), cfg, RandomSource(3))
         np.testing.assert_array_equal(policy.vector, new_policy.vector)
         assert math.isfinite(rec.objective)
 
@@ -286,8 +288,8 @@ class TestTrainStep:
     def test_determinism(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(5))
         cfg = small_train_config(num_steps=5, seed=21)
-        _, log1 = drain(train(policy.copy(), cfg), policy)
-        _, log2 = drain(train(policy.copy(), cfg), policy)
+        _, log1 = drain(train(copy_policy(policy), cfg), policy)
+        _, log2 = drain(train(copy_policy(policy), cfg), policy)
         assert jsonl(log1) == jsonl(log2)
 
     def test_zero_steps(self):
@@ -353,7 +355,7 @@ class TestGradientFidelity:
         assert trajs.kept_steps.tolist() == [0, 1]
         eps, clamp = 0.2, 5.0
 
-        vector = ref.vector + 0.01 * RandomSource(77).gaussian(ref.vector.size)
+        vector = ref.vector + 0.01 * philox(77).standard_normal(ref.vector.size)
         policy = FlowPolicy(ref.dims, ref.layer_sizes, vector)
 
         J, grads, _, _ = surrogate_and_grads(policy, trajs, advantages, eps, clamp)
@@ -406,9 +408,9 @@ class TestGradientFidelity:
         policy = init_flow_policy(dims, hidden=(64, 64), rng=RandomSource(seed))
         cfg = SdeConfig(num_steps=16, eta=eta, t_min=t_min)
         rng = RandomSource(seed + 100)
-        subset = np.sort(rng.stream(2).permutation(16)[:10])
+        subset = np.sort(philox(seed + 100, 2).permutation(16)[:10])
         noise = rng.gaussian_streams((1,), G, 17 * dims.state_size).reshape(G, 17, -1)
-        adv = normalize_advantages(rng.stream(3).gaussian(G))
+        adv = normalize_advantages(philox(seed + 100, 3).standard_normal(G))
         kept = sde_sample(policy, 5, cfg, noise, keep=subset)
         # the same rollout with its kept hidden and output activations
         # blanked: re-evaluation must not read them
@@ -425,7 +427,7 @@ class TestGradientFidelity:
 
         monkeypatch.setattr(flow_policy, "mlp_forward_batch", per_step_forward)
         on = surrogate_and_grads(policy, kept, adv, 0.1, 5.0, ref_policy=policy)
-        re = surrogate_and_grads(policy, bare, adv, 0.1, 5.0, ref_policy=policy.copy())
+        re = surrogate_and_grads(policy, bare, adv, 0.1, 5.0, ref_policy=copy_policy(policy))
         assert on[0] == re[0]
         for a, b in zip(on[1:], re[1:]):
             np.testing.assert_array_equal(a, b)
@@ -448,7 +450,7 @@ class TestGradientFidelity:
     def test_advantages_consumed_as_constants(self):
         ref = tiny_policy(33)
         trajs = tiny_trajectories(ref, count=4, seed=400, num_steps=2)
-        policy = ref.copy()
+        policy = copy_policy(ref)
         policy.net.weights[0][0, 0] += 0.02
 
         frames = trajs.final_states().reshape(len(trajs), TINY.frames, TINY.frame_dim)
@@ -486,14 +488,14 @@ class TestRowMajorOracle:
         dims = PolicyDims(frames=4, frame_dim=2, num_classes=5, embed_dim=3)
         policy = init_flow_policy(dims, hidden=hidden, rng=RandomSource(seed))
         other = init_flow_policy(dims, hidden=hidden, rng=RandomSource(seed, (9,)))
-        rng = RandomSource(seed, (1,))
+        rng = philox(seed, 1)
         cfg = SdeConfig(num_steps=K, eta=eta, t_min=t_min)
-        noise = rng.gaussian(G * (K + 1) * dims.state_size).reshape(G, K + 1, -1)
+        noise = rng.standard_normal(G * (K + 1) * dims.state_size).reshape(G, K + 1, -1)
         conds = rng.integers(0, dims.num_classes, size=G)
         rollout = sde_sample(policy, conds, cfg, noise, keep=steps[::-1])
         assert rollout.kept_steps.tolist() == steps
         rows = row_major_transitions(rollout, steps)
-        upstream = rng.gaussian(G * len(steps))
+        upstream = rng.standard_normal(G * len(steps))
 
         # the recorded path as the row-major record read it, then
         # re-evaluation under the sampling policy and under another one
@@ -610,20 +612,21 @@ class TestConfigValidation:
         when it is called."""
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(8))
         with pytest.raises(DomainError):
-            train_step(policy, policy.copy(), small_train_config(static_stage=9), RandomSource(0))
+            train_step(policy, copy_policy(policy), small_train_config(static_stage=9),
+                       RandomSource(0))
         # without a suite the stage is checked against the default one,
         # which train() fills in once per run
         cfg = small_train_config(static_stage=4, suite=None)
         with pytest.raises(DomainError):
             next(train(policy, cfg))
         with pytest.raises(DomainError):
-            train_step(policy, policy.copy(), cfg, RandomSource(0))
+            train_step(policy, copy_policy(policy), cfg, RandomSource(0))
 
     def test_timestep_subset_size(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(9))
         cfg = small_train_config(timestep_fraction=0.6,
                                  sde=SdeConfig(num_steps=5, eta=0.5))
-        _, _, _, rec = train_step(policy, policy.copy(), cfg, RandomSource(1))
+        _, _, _, rec = train_step(policy, copy_policy(policy), cfg, RandomSource(1))
         assert math.isfinite(rec.objective)  # ceil(0.6 * 5) = 3 steps selected
 
     @pytest.mark.parametrize("fraction, num_steps, kept", [

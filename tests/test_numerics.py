@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import finite_difference, naive_mlp_eval, rel_err_ok
+from helpers import finite_difference, naive_mlp_eval, philox, rel_err_ok, reshape_in_header
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +14,9 @@ from flowstage import kernels
 from flowstage.errors import DomainError, ShapeError
 from flowstage.flow_policy import PolicyDims, init_flow_policy, load_policy, save_policy
 from flowstage.numerics import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     MlpParams,
     RandomSource,
     _child_pool,
@@ -44,7 +47,7 @@ class TestFlatLayout:
             ("w0", (4, 3)), ("b0", (4,)), ("w1", (2, 4)), ("b1", (2,)), ("emb", (5, 2))]
 
     def test_layer_arrays_are_views_of_the_vector(self):
-        params = init_mlp((3, 4, 2), RandomSource(1))
+        params = init_mlp((3, 4, 2), philox(1))
         for a in params.weights + params.biases:
             assert np.shares_memory(a, params.vector)
         params.weights[1][0, 2] = 7.0
@@ -52,7 +55,7 @@ class TestFlatLayout:
 
     def test_split_and_join_are_inverse(self):
         layout = param_layout((2, 3), [("e", (2, 2))])
-        vector = RandomSource(2).gaussian(6 + 3 + 4)
+        vector = philox(2).standard_normal(6 + 3 + 4)
         views = split_params(vector, layout)
         np.testing.assert_array_equal(join_params(views, layout), vector)
         with pytest.raises(ShapeError):
@@ -71,29 +74,29 @@ class TestMlpForward:
         np.testing.assert_array_equal(out, [1.0, 2.0])
 
     def test_all_zero_params_give_zero_output(self):
-        rng = RandomSource(3)
+        rng = philox(3)
         params = init_mlp((4, 6, 3), rng)
         zeroed = MlpParams(params.layer_sizes, np.zeros_like(params.vector))
-        out, _ = mlp_forward(zeroed, rng.gaussian(4))
+        out, _ = mlp_forward(zeroed, rng.standard_normal(4))
         np.testing.assert_array_equal(out, np.zeros(3))
 
     def test_matches_naive_reevaluation(self):
-        rng = RandomSource(11)
+        rng = philox(11)
         params = init_mlp((2, 4, 2), rng)
-        x = rng.gaussian(2)
+        x = rng.standard_normal(2)
         out, _ = mlp_forward(params, x)
         np.testing.assert_allclose(out, naive_mlp_eval(params.weights, params.biases, x),
                                    rtol=1e-12)
 
     def test_wrong_input_size_raises(self):
-        params = init_mlp((3, 2), RandomSource(0))
+        params = init_mlp((3, 2), philox(0))
         with pytest.raises(ShapeError):
             mlp_forward(params, np.zeros(4))
 
     def test_batch_matches_single(self):
-        rng = RandomSource(7)
+        rng = philox(7)
         params = init_mlp((5, 8, 4), rng)
-        X = rng.gaussian(15).reshape(3, 5)
+        X = rng.standard_normal(15).reshape(3, 5)
         out_b, _ = mlp_forward_batch(params, X)
         for i in range(3):
             out, _ = mlp_forward(params, X[i])
@@ -105,10 +108,10 @@ class TestKernelForward:
     @given(st.integers(1, 70), st.lists(st.integers(1, 40), min_size=2, max_size=4),
            st.integers(0, 2**32))
     def test_equals_matmul_bias_tanh_and_leaves_inputs_alone(self, batch, sizes, seed):
-        rng = RandomSource(seed)
+        rng = philox(seed)
         params = init_mlp(sizes, rng)
-        params.vector[:] = rng.gaussian(params.vector.size)
-        inputs = rng.gaussian(batch * sizes[0]).reshape(batch, sizes[0])
+        params.vector[:] = rng.standard_normal(params.vector.size)
+        inputs = rng.standard_normal(batch * sizes[0]).reshape(batch, sizes[0])
         before = inputs.copy()
         acts = kernels.forward(params.weights, params.biases, inputs)
         assert acts[0] is inputs
@@ -127,11 +130,11 @@ class TestKernelForward:
     @given(st.integers(1, 256), st.lists(st.integers(1, 70), min_size=2, max_size=4),
            st.integers(0, 2**32))
     def test_out_buffers_give_the_allocating_result(self, batch, sizes, seed):
-        rng = RandomSource(seed)
+        rng = philox(seed)
         params = init_mlp(sizes, rng)
-        params.vector[:] = rng.gaussian(params.vector.size)
+        params.vector[:] = rng.standard_normal(params.vector.size)
         weights = params.vector.copy()
-        inputs = rng.gaussian(batch * sizes[0]).reshape(batch, sizes[0])
+        inputs = rng.standard_normal(batch * sizes[0]).reshape(batch, sizes[0])
         before = inputs.copy()
         out = [np.full((batch, size), np.nan) for size in sizes[1:]]
         acts = kernels.forward(params.weights, params.biases, inputs, out=out)
@@ -145,19 +148,19 @@ class TestKernelForward:
 
 class TestMlpBackward:
     def test_zero_upstream_gives_zero_grads(self):
-        rng = RandomSource(5)
+        rng = philox(5)
         params = init_mlp((3, 5, 2), rng)
-        _, cache = mlp_forward(params, rng.gaussian(3))
+        _, cache = mlp_forward(params, rng.standard_normal(3))
         grad, gx = mlp_backward(params, cache, np.zeros(2))
         np.testing.assert_array_equal(grad, np.zeros_like(params.vector))
         np.testing.assert_array_equal(gx, np.zeros(3))
 
     def test_linear_layer_analytic(self):
-        rng = RandomSource(6)
-        w = rng.gaussian(6).reshape(2, 3)
-        params = _linear_net(w, rng.gaussian(2))
-        x = rng.gaussian(3)
-        g = rng.gaussian(2)
+        rng = philox(6)
+        w = rng.standard_normal(6).reshape(2, 3)
+        params = _linear_net(w, rng.standard_normal(2))
+        x = rng.standard_normal(3)
+        g = rng.standard_normal(2)
         _, cache = mlp_forward(params, x)
         grad, gx = mlp_backward(params, cache, g)
         grads = MlpParams(params.layer_sizes, grad)
@@ -166,10 +169,10 @@ class TestMlpBackward:
         np.testing.assert_allclose(gx, w.T @ g, rtol=1e-12)
 
     def test_finite_difference_all_params(self):
-        rng = RandomSource(13)
+        rng = philox(13)
         params = init_mlp((2, 4, 2), rng)
-        x = rng.gaussian(2)
-        probe = rng.gaussian(2)  # scalar objective: probe . output
+        x = rng.standard_normal(2)
+        probe = rng.standard_normal(2)  # scalar objective: probe . output
 
         _, cache = mlp_forward(params, x)
         grad, _ = mlp_backward(params, cache, probe)
@@ -182,10 +185,10 @@ class TestMlpBackward:
         assert rel_err_ok(grad, fd, rtol=1e-4, atol=1e-8).all()
 
     def test_input_gradient_finite_difference(self):
-        rng = RandomSource(14)
+        rng = philox(14)
         params = init_mlp((3, 5, 2), rng)
-        x = rng.gaussian(3)
-        probe = rng.gaussian(2)
+        x = rng.standard_normal(3)
+        probe = rng.standard_normal(2)
         _, cache = mlp_forward(params, x)
         _, gx = mlp_backward(params, cache, probe)
 
@@ -197,18 +200,18 @@ class TestMlpBackward:
         assert rel_err_ok(gx, fd, rtol=1e-4, atol=1e-8).all()
 
     def test_stale_cache_raises(self):
-        rng = RandomSource(15)
+        rng = philox(15)
         params = init_mlp((3, 5, 2), rng)
         other = init_mlp((3, 4, 2), rng)
-        _, cache = mlp_forward(other, rng.gaussian(3))
+        _, cache = mlp_forward(other, rng.standard_normal(3))
         with pytest.raises(ShapeError):
             mlp_backward(params, cache, np.zeros(2))
 
     def test_batch_backward_matches_summed_singles(self):
-        rng = RandomSource(16)
+        rng = philox(16)
         params = init_mlp((4, 6, 3), rng)
-        X = rng.gaussian(8).reshape(2, 4)
-        up = rng.gaussian(6).reshape(2, 3)
+        X = rng.standard_normal(8).reshape(2, 4)
+        up = rng.standard_normal(6).reshape(2, 3)
         _, cache_b = mlp_forward_batch(params, X)
         grad_b, gx_b = mlp_backward_batch(params, cache_b, up)
         acc = np.zeros_like(params.vector)
@@ -220,10 +223,10 @@ class TestMlpBackward:
         np.testing.assert_allclose(acc, grad_b, rtol=1e-10, atol=1e-14)
 
     def test_writes_into_a_given_gradient_slice(self):
-        rng = RandomSource(17)
+        rng = philox(17)
         params = init_mlp((4, 6, 3), rng)
-        _, cache = mlp_forward_batch(params, rng.gaussian(20).reshape(5, 4))
-        up = rng.gaussian(15).reshape(5, 3)
+        _, cache = mlp_forward_batch(params, rng.standard_normal(20).reshape(5, 4))
+        up = rng.standard_normal(15).reshape(5, 3)
         grad, gx = mlp_backward_batch(params, cache, up)
         whole = np.full(params.vector.size + 3, np.nan)
         got, gx_got = mlp_backward_batch(params, cache, up, whole[:-3])
@@ -237,7 +240,7 @@ class TestMlpBackward:
 
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        rng = RandomSource(21)
+        rng = philox(21)
         params = init_mlp((3, 4, 2), rng)
         state = adam_init(params.vector, learning_rate=0.1)
         new_vector, new_state = adam_step_arrays(params.vector,
@@ -253,12 +256,12 @@ class TestAdam:
         p = np.zeros(3)
         state = adam_init(p, learning_rate=lr)
         new_p, _ = adam_step_arrays(p, g, state)
-        expected = -lr * g / (np.abs(g) + state.epsilon)
+        expected = -lr * g / (np.abs(g) + ADAM_EPSILON)
         np.testing.assert_allclose(new_p, expected, rtol=1e-12)
         np.testing.assert_allclose(new_p, -lr * np.sign(g), rtol=1e-4)
 
     def test_deterministic(self):
-        rng = RandomSource(22)
+        rng = philox(22)
         params = init_mlp((2, 3, 2), rng)
         grad = np.ones_like(params.vector)
         state = adam_init(params.vector, learning_rate=0.05)
@@ -267,8 +270,8 @@ class TestAdam:
         np.testing.assert_array_equal(out1[0], out2[0])
 
     def test_update_is_pure(self):
-        rng = RandomSource(23)
-        params, grad = rng.gaussian(9), rng.gaussian(9)
+        rng = philox(23)
+        params, grad = rng.standard_normal(9), rng.standard_normal(9)
         state = adam_init(params, learning_rate=0.05)
         state = adam_step_arrays(params, grad, state)[1]
         before = [a.copy() for a in (params, grad, state.m, state.v)]
@@ -280,14 +283,14 @@ class TestAdam:
 
     def test_flat_update_matches_per_array_update(self):
         # the fused update is the per-array Adam formula, element by element
-        rng = RandomSource(24)
+        rng = philox(24)
         params = init_mlp((3, 4, 2), rng)
-        grads = [rng.gaussian(params.vector.size) for _ in range(3)]
+        grads = [rng.standard_normal(params.vector.size) for _ in range(3)]
         state = adam_init(params.vector, learning_rate=0.01)
         vector = params.vector
         arrays = [a.copy() for a in params.weights + params.biases]
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in arrays]
-        b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.epsilon
+        b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPSILON
         for t, grad in enumerate(grads, start=1):
             vector, state = adam_step_arrays(vector, grad, state)
             g_view = MlpParams(params.layer_sizes, grad)
@@ -304,43 +307,59 @@ class TestAdam:
 
     def test_non_finite_gradient_rejected(self):
         p = np.zeros(2)
-        state = adam_init(p)
+        state = adam_init(p, learning_rate=1e-3)
         with pytest.raises(DomainError):
             adam_step_arrays(p, np.array([1.0, np.nan]), state)
 
     def test_shape_mismatch_rejected(self):
         p = np.zeros(2)
-        state = adam_init(p)
+        state = adam_init(p, learning_rate=1e-3)
         with pytest.raises(ShapeError):
             adam_step_arrays(p, np.zeros(3), state)
 
 
 class TestRandomSource:
     def test_same_seed_same_stream(self):
-        a = RandomSource(99).gaussian(50)
-        b = RandomSource(99).gaussian(50)
+        a = RandomSource(99).at_stream(0).standard_normal(50)
+        b = RandomSource(99).at_stream(0).standard_normal(50)
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = RandomSource(1).gaussian(50)
-        b = RandomSource(2).gaussian(50)
+        a = RandomSource(1).at_stream(0).standard_normal(50)
+        b = RandomSource(2).at_stream(0).standard_normal(50)
         assert not np.array_equal(a, b)
 
     def test_streams_are_disjoint_and_reproducible(self):
         root = RandomSource(7)
-        a = root.stream(0).gaussian(10)
-        b = root.stream(1).gaussian(10)
+        a = root.at_stream(0).standard_normal(10)
+        b = root.at_stream(1).standard_normal(10)
         assert not np.array_equal(a, b)
-        np.testing.assert_array_equal(a, RandomSource(7).stream(0).gaussian(10))
+        np.testing.assert_array_equal(a, RandomSource(7).at_stream(0).standard_normal(10))
+        np.testing.assert_array_equal(a, philox(7, 0).standard_normal(10))
 
     def test_law_of_large_numbers(self):
-        draws = RandomSource(123).gaussian(100_000)
+        draws = RandomSource(123).gaussian_streams((0,), 100, 1000)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.02
 
-    def test_invalid_count(self):
-        with pytest.raises(DomainError):
-            RandomSource(0).gaussian(0)
+    @pytest.mark.parametrize("make", [lambda: RandomSource(-1),
+                                      lambda: RandomSource(0, (2, -1)),
+                                      lambda: RandomSource(0).stream(-1),
+                                      lambda: RandomSource(0).stream(1, -2)],
+                             ids=["seed", "spawn key", "stream", "later stream id"])
+    def test_negative_seed_or_id_rejected_at_construction(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    def test_construction_builds_no_generator(self, monkeypatch):
+        # a source is a seed, a spawn-key prefix and its cached pools
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a generator")
+
+        for name in ("SeedSequence", "Philox", "Generator"):
+            monkeypatch.setattr(np.random, name, refuse)
+        child = RandomSource(3, (1,)).stream(2, 2**40)
+        assert (child.seed, child.spawn_key) == (3, (1, 2, 2**40))
 
 
 SEEDS = [0, 2**32 - 1, 2**32, 2**40, 2**130]
@@ -356,7 +375,8 @@ class TestGaussianStreams:
         block = root.gaussian_streams(ids, count, n)
         assert block.shape == (count, n)
         for i in range(count):
-            np.testing.assert_array_equal(block[i], root.stream(*ids, i).gaussian(n))
+            np.testing.assert_array_equal(block[i],
+                                          philox(seed, *spawn, *ids, i).standard_normal(n))
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(SEEDS), IDS, st.integers(1, 70))
@@ -381,15 +401,15 @@ class TestGaussianStreams:
     @pytest.mark.parametrize("count", [1, 16, 64])
     def test_rows_at_group_widths(self, count):
         # 272 draws: a (K + 1) x n noise row of the default sampler
-        root = RandomSource(9001)
-        block = root.gaussian_streams((1, 7), count, 272)
+        block = RandomSource(9001).gaussian_streams((1, 7), count, 272)
         for i in range(count):
-            np.testing.assert_array_equal(block[i], root.stream(1, 7, i).gaussian(272))
+            np.testing.assert_array_equal(block[i], philox(9001, 1, 7, i).standard_normal(272))
 
-    def test_leaves_the_parent_stream_alone(self):
+    def test_repeats_across_calls(self):
         root = RandomSource(8)
-        root.gaussian_streams((1,), 5, 3)
-        np.testing.assert_array_equal(root.gaussian(4), RandomSource(8).gaussian(4))
+        first = root.gaussian_streams((1,), 5, 3)
+        np.testing.assert_array_equal(root.gaussian_streams((1,), 5, 3), first)
+        np.testing.assert_array_equal(RandomSource(8).gaussian_streams((1,), 5, 3), first)
 
 
 class TestAtStream:
@@ -399,9 +419,9 @@ class TestAtStream:
     def test_draws_equal_child_stream(self, seed, spawn, ids, high, k):
         root = RandomSource(seed, tuple(spawn))
         assert (root.at_stream(*ids).integers(0, high)
-                == root.stream(*ids).integers(0, high))
+                == philox(seed, *spawn, *ids).integers(0, high))
         np.testing.assert_array_equal(root.at_stream(*ids).permutation(k),
-                                      root.stream(*ids).permutation(k))
+                                      philox(seed, *spawn, *ids).permutation(k))
 
     def test_each_call_starts_afresh(self):
         # the scratch generator is shared: a call resets whatever an earlier
@@ -411,7 +431,6 @@ class TestAtStream:
         root.at_stream(0, 9).integers(0, 8, size=50)
         root.gaussian_streams((1, 9), 3, 5)
         np.testing.assert_array_equal(root.at_stream(2, 9).permutation(16), first)
-        np.testing.assert_array_equal(root.gaussian(4), RandomSource(4).gaussian(4))
 
     def test_interleaved_calls_match_child_streams(self):
         # at_stream(a) is left part-way through a buffered draw, then
@@ -425,16 +444,16 @@ class TestAtStream:
         drawn_b = (b.permutation(16), b.integers(0, 8))
         second = root.gaussian_streams((1, 4), 3, 7)
 
-        ref_a = root.stream(0, 3)
+        ref_a = philox(6, 0, 3)
         assert drawn_a[0] == ref_a.integers(0, 8)
-        np.testing.assert_array_equal(drawn_a[1], ref_a.gaussian(3))
+        np.testing.assert_array_equal(drawn_a[1], ref_a.standard_normal(3))
         np.testing.assert_array_equal(drawn_a[2], ref_a.integers(0, 5, size=3))
-        ref_b = root.stream(2, 3)
+        ref_b = philox(6, 2, 3)
         np.testing.assert_array_equal(drawn_b[0], ref_b.permutation(16))
         assert drawn_b[1] == ref_b.integers(0, 8)
         for ids, rows in (((1, 3), block), ((1, 4), second)):
             for i, row in enumerate(rows):
-                np.testing.assert_array_equal(row, root.stream(*ids, i).gaussian(7))
+                np.testing.assert_array_equal(row, philox(6, *ids, i).standard_normal(7))
 
     @pytest.mark.parametrize("ids", [(), (-1,), (3, -2)])
     def test_bad_ids_rejected(self, ids):
@@ -455,10 +474,11 @@ class TestStreamPrefixes:
         root = RandomSource(seed, spawn_key)
         for ids in self.CALLS:
             for i, row in enumerate(root.gaussian_streams(ids, 3, 5)):
-                np.testing.assert_array_equal(row, root.stream(*ids, i).gaussian(5))
+                np.testing.assert_array_equal(
+                    row, philox(seed, *spawn_key, *ids, i).standard_normal(5))
             if ids:
                 np.testing.assert_array_equal(root.at_stream(*ids).permutation(12),
-                                              root.stream(*ids).permutation(12))
+                                              philox(seed, *spawn_key, *ids).permutation(12))
 
     def test_negative_ids_still_rejected(self):
         root = RandomSource(5)
@@ -471,7 +491,7 @@ class TestStreamPrefixes:
                 with pytest.raises(ValueError):
                     root.gaussian_streams(ids, 2, 2)
         np.testing.assert_array_equal(root.at_stream(3, 1).permutation(8),
-                                      root.stream(3, 1).permutation(8))
+                                      philox(5, 3, 1).permutation(8))
 
 
 class TestCheckpoints:
@@ -513,6 +533,23 @@ class TestCheckpoints:
         with pytest.raises(DomainError, match="trailing"):
             read_checkpoint(path)
 
+    def test_payload_larger_than_the_file_rejected(self, tmp_path):
+        # 80 TB: checked against the file's size, never allocated
+        path = tmp_path / "c.ckpt"
+        write_checkpoint(path, {}, {"m": np.arange(3.0), "w": np.ones((2, 2))})
+        reshape_in_header(path, "w", [10**7, 10**6])
+        with pytest.raises(DomainError, match="truncated"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("shape", [[-1, 3], [-(10**7), -(10**6)], [2.5], [True, 3],
+                                       ["3"]])
+    def test_shape_of_other_than_non_negative_integers_rejected(self, tmp_path, shape):
+        path = tmp_path / "c.ckpt"
+        write_checkpoint(path, {}, {"m": np.arange(3.0)})
+        reshape_in_header(path, "m", shape)
+        with pytest.raises(DomainError, match="has shape"):
+            read_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint")
@@ -539,11 +576,11 @@ class TestValidation:
     def test_gradient_exactness_random_nets(self):
         # every analytic partial matches central differences on small nets
         for seed in range(3):
-            rng = RandomSource(1000 + seed)
+            rng = philox(1000 + seed)
             sizes = (3, 5, 4, 2)
             params = init_mlp(sizes, rng)
-            x = rng.gaussian(3)
-            probe = rng.gaussian(2)
+            x = rng.standard_normal(3)
+            probe = rng.standard_normal(2)
             _, cache = mlp_forward(params, x)
             grad, _ = mlp_backward(params, cache, probe)
 

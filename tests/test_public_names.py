@@ -4,16 +4,24 @@ package itself: a helper that only tests call belongs in the tests."""
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import flowstage
 
 SRC = Path(flowstage.__file__).resolve().parent
 
-# Public names that nothing in src/ calls, each with the reason it stays.
+# Public names that nothing in src/ calls, or methods named like a numpy
+# attribute (NUMPY_NAMES), each with the reason it stays.
 ALLOWED = {
     "flow_policy.velocity": "the one-state velocity; perfbench/test_perfbench.py traces it, "
                             "and it is the one caller of numerics.mlp_forward",
     "numerics.mlp_backward": "BENCHMARK.json's per_layer metrics name numerics.mlp_backward",
 }
+
+# Attributes of numpy arrays and generators: src/ reading one of these
+# names may be reading numpy's (``rng.at_stream(k).permutation``), so a
+# public method of that name is not counted as called.
+NUMPY_NAMES = set(dir(np.ndarray)) | set(dir(np.random.Generator))
 
 
 def public_defs():
@@ -45,6 +53,10 @@ def referenced_names() -> set:
 
 def test_every_public_function_has_a_caller_in_src():
     used = referenced_names()
-    uncalled = {name for name in public_defs() if name.rsplit(".", 1)[1] not in used}
+    uncalled = set()
+    for name in public_defs():
+        bare = name.rsplit(".", 1)[1]
+        if bare not in used or (name.count(".") == 2 and bare in NUMPY_NAMES):
+            uncalled.add(name)
     # an allowed name that gains a caller leaves the list
     assert uncalled == set(ALLOWED)

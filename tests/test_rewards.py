@@ -6,12 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from helpers import philox
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowstage.errors import DomainError, ShapeError
 from flowstage.flow_policy import PolicyDims, ToyDataset
-from flowstage.numerics import RandomSource
 from flowstage.rewards import (
     DEGENERATE_RADIUS,
     RewardMatrix,
@@ -52,8 +52,8 @@ class TestFidelity:
         np.testing.assert_allclose(score(term, frames), math.exp(-1.0), rtol=1e-12)
 
     def test_matches_direct_formula(self):
-        rng = RandomSource(5)
-        frames = rng.gaussian(12).reshape(6, 2)
+        rng = philox(5)
+        frames = rng.standard_normal(12).reshape(6, 2)
         radii = np.sqrt((frames**2).sum(axis=1))
         expected = math.exp(-np.mean((radii - 1.0) ** 2) / FID.scale)
         np.testing.assert_allclose(score(FID, frames), expected, rtol=1e-12)
@@ -75,8 +75,8 @@ class TestSmoothness:
         assert score(SMOOTH, frames) == 1.0
 
     def test_matches_direct_formula(self):
-        rng = RandomSource(6)
-        frames = rng.gaussian(10).reshape(5, 2)
+        rng = philox(6)
+        frames = rng.standard_normal(10).reshape(5, 2)
         second = frames[2:] - 2 * frames[1:-1] + frames[:-2]
         expected = math.exp(-np.mean((second**2).sum(axis=1)) / SMOOTH.scale)
         np.testing.assert_allclose(score(SMOOTH, frames), expected, rtol=1e-12)
@@ -129,15 +129,15 @@ class TestEvalGroup:
             assert np.ptp(matrix.values[:, j]) == 0.0
 
     def test_single_term_matches_per_sample_eval(self):
-        rng = RandomSource(7)
-        frames = rng.gaussian(24).reshape(3, 4, 2)
+        rng = philox(7)
+        frames = rng.standard_normal(24).reshape(3, 4, 2)
         matrix = eval_group(RewardSuite([FID]), frames, 0)
         expected = [score(FID, f) for f in frames]
         np.testing.assert_allclose(matrix.values[:, 0], expected, rtol=1e-12)
 
     def test_matches_elementwise_oracle(self):
         ds = ToyDataset(PolicyDims(frames=6, frame_dim=2, num_classes=8, embed_dim=2))
-        frames, conds = ds.sample_batch(RandomSource(8), 5)
+        frames, conds = ds.sample_batch(philox(8), 5)
         suite = self.suite()
         matrix = eval_group(suite, frames, conds)
         ordered = sorted(suite.terms, key=lambda t: t.stage)
@@ -147,8 +147,8 @@ class TestEvalGroup:
 
     def test_permutation_equivariance(self):
         ds = ToyDataset(PolicyDims(frames=6, frame_dim=2, num_classes=8, embed_dim=2))
-        frames, conds = ds.sample_batch(RandomSource(9), 6)
-        perm = RandomSource(10).permutation(6)
+        frames, conds = ds.sample_batch(philox(9), 6)
+        perm = philox(10).permutation(6)
         m1 = eval_group(self.suite(), frames, conds)
         m2 = eval_group(self.suite(), frames[perm], conds[perm])
         np.testing.assert_array_equal(m1.values[perm], m2.values)
@@ -183,7 +183,7 @@ class TestSuiteValidation:
         assert RewardSuite([terms[0]]).num_classes is None
         with pytest.raises(DomainError):
             RewardSuite((terms[0], terms[2]))
-        frames = 2.0 * RandomSource(6).gaussian(4 * 8 * 2).reshape(4, 8, 2)
+        frames = 2.0 * philox(6).standard_normal(4 * 8 * 2).reshape(4, 8, 2)
         reordered, ordered = eval_group(suite, frames, 3), eval_group(RewardSuite(terms), frames, 3)
         np.testing.assert_array_equal(reordered.values, ordered.values)
         np.testing.assert_array_equal(reordered.flags, ordered.flags)
@@ -201,8 +201,8 @@ class TestRangeInvariant:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
     def test_rewards_always_in_unit_interval(self, seed):
-        rng = RandomSource(seed)
-        frames = 2.0 * rng.gaussian(10).reshape(5, 2)
+        rng = philox(seed)
+        frames = 2.0 * rng.standard_normal(10).reshape(5, 2)
         cond = int(rng.integers(0, 8))
         for term in default_suite(num_classes=8).terms:
             value = score(term, frames, cond)
@@ -274,9 +274,9 @@ class TestArrayScorer:
         G = data.draw(st.integers(2, 70), label="G")
         T = data.draw(st.integers(2, 10), label="T")
         D = data.draw(st.sampled_from([2, 3]), label="D")
-        rng = RandomSource(data.draw(st.integers(0, 2**32), label="seed"))
-        scales = 10.0 ** (4.0 * rng.uniform(G) - 3.0)[:, None, None]
-        frames = scales * rng.gaussian(G * T * D).reshape(G, T, D)
+        rng = philox(data.draw(st.integers(0, 2**32), label="seed"))
+        scales = 10.0 ** (4.0 * rng.random(G) - 3.0)[:, None, None]
+        frames = scales * rng.standard_normal(G * T * D).reshape(G, T, D)
         origin = data.draw(st.lists(st.integers(0, G - 1), max_size=G // 2), label="origin")
         frames[origin, -1] = 0.0
         classes = data.draw(st.integers(1, 12), label="classes")
@@ -303,7 +303,7 @@ class TestArrayScorer:
         assert matrix.flags[origin, 2].all()
 
     def test_strided_view_scores_like_a_copy(self):
-        states = RandomSource(11).gaussian(5 * 3 * 8).reshape(5, 3, 8)
+        states = philox(11).standard_normal(5 * 3 * 8).reshape(5, 3, 8)
         view = states[:, -1].reshape(5, 4, 2)
         assert not view.flags.c_contiguous and np.shares_memory(view, states)
         suite = default_suite(8)
