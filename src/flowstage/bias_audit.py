@@ -13,12 +13,9 @@ when the items do not carry them.
 
 All standard deviations here are population (1/N) ones.
 
-:func:`read_items_csv` reads items from a CSV with one ``np.loadtxt``
-call over the body; numpy's C parser converts decimal text with the
-routine ``float`` uses, so its values are ``float``'s bit for bit.  When
-numpy declines the body, or a value is non-finite, the row loop
-:func:`_read_rows` (``csv``, ``float`` and ``int``) reads the file
-instead; only it can name the physical line of a bad row.
+:func:`read_items_csv` reads items from a UTF-8 CSV, the body with one
+``np.loadtxt`` call that gives the row loop :func:`_read_rows`'s values
+bit for bit; that loop reads a file numpy declines and names bad lines.
 """
 
 from __future__ import annotations
@@ -85,6 +82,7 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, *, max_iters: int) -> np
     Deterministic under the seed: the first center is a random item, each
     further center is the item farthest from all chosen ones (ties to the
     lowest index), and assignment ties also go to the lowest index.
+    More clusters than distinct feature vectors is a DomainError.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -98,6 +96,9 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, *, max_iters: int) -> np
     min_d = np.sum((features - centers[0]) ** 2, axis=1)
     for _ in range(k - 1):
         nxt = int(np.argmax(min_d))
+        if min_d[nxt] == 0.0:  # identical points share a cluster
+            raise DomainError(f"k={k} clusters, but the features hold only "
+                              f"{len(centers)} distinct points")
         centers.append(features[nxt])
         min_d = np.minimum(min_d, np.sum((features - centers[-1]) ** 2, axis=1))
     centers = np.stack(centers)
@@ -221,9 +222,9 @@ def read_items_csv(path):
     unless every row has a label.  Fields beyond the header's are
     ignored.  A header without ``id`` and ``score`` or with a repeated
     name is a DomainError, and so is a row with fewer fields than the
-    header, a field that ``float`` (``int`` for the label) rejects, or a
-    non-finite score or feature; the message names the line, and the
-    column of a field that does not parse.
+    header, a field that ``float`` (``int`` for the label) rejects, a
+    non-finite score or feature, or text that is not UTF-8; the message
+    names the line, and the column of a field that does not parse.
 
     ``csv`` reads the header and one ``np.loadtxt`` call the body, from
     the same open file and line by line, so the body's text is never
@@ -233,14 +234,15 @@ def read_items_csv(path):
     equal the row loop's bit for bit.  numpy declines a short row, text
     outside its grammar (``1_0``, non-ASCII digits), a body without rows
     and a line holding an ASCII separator; then, or when a value is
-    non-finite, the row loop :func:`_read_rows` reads the file again and
-    returns the same arrays or raises the error.  Only it can name a
-    physical line: numpy counts records, and a quoted id may span lines.
+    non-finite, or a line is not UTF-8, the row loop :func:`_read_rows`
+    reads the file again and returns the same arrays or raises the
+    error.  Only it can name a physical line: numpy counts records, and a
+    quoted id may span lines.
     csv's limit on a field's length (131,072 characters by default)
     applies only when the row loop runs.
     """
-    with open(path, newline="") as fp:
-        header = next(csv.reader(fp), None)
+    with open(path, newline="", encoding="utf-8") as fp:
+        header = next(csv.reader(_utf8_lines(path, fp)), None)
         id_col, score_col, label_col, feature_cols = _columns(path, header)
         # the id is read, and dropped, so that a row missing it is short
         usecols = [score_col, id_col]
@@ -281,13 +283,32 @@ def _numpy_lines(fp):
         yield line
 
 
+def _utf8_lines(path, fp):
+    """The lines of ``fp``, the file at ``path`` opened as UTF-8 text.
+    Where decoding fails, which may be some lines before the bad byte, a
+    DomainError names the first line that is not UTF-8, counting lines
+    as ``csv`` does (each ends at \\n, \\r or \\r\\n)."""
+    try:
+        for line in fp:
+            yield line
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:
+            lines = (line for chunk in raw for line in chunk.splitlines())
+            for number, line in enumerate(lines, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DomainError(f"{path}, line {number}: not UTF-8 ({exc})") from None
+        raise  # the file changed since it failed to decode
+
+
 def _read_rows(path):
     """:func:`read_items_csv` row by row: ``csv`` tokenizes, ``float``
     and ``int`` convert as the rows stream past, and every error names
     its line."""
     scores, features, labels, lines = array("d"), array("d"), [], []
-    with open(path, newline="") as fp:
-        reader = csv.reader(fp)
+    with open(path, newline="", encoding="utf-8") as fp:
+        reader = csv.reader(_utf8_lines(path, fp))
         header = next(reader, None)
         _, score_col, label_col, feature_cols = _columns(path, header)
         for row in reader:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,16 +125,26 @@ def _policy_layout(layer_sizes: tuple, dims: PolicyDims) -> list:
     return param_layout(layer_sizes, [("cond_emb", (dims.num_classes, dims.embed_dim))])
 
 
-class SdeGrid(NamedTuple):
-    """An :class:`SdeConfig`'s per-step constants: the K + 1 flow times
-    from 1 down to t_min, the shared step size dt < 0, each step's noise
-    std eta * sqrt(t_k |dt|), and each step's mean coefficients
-    ``(a_x, a_v)`` from :func:`_step_coeffs`.  The arrays are read-only."""
+@dataclass(frozen=True)
+class SdeGrid:
+    """The one home of the transition constants: :func:`sde_sample` steps
+    with its config's grid and every :class:`Rollout` carries it, so
+    re-evaluating or differentiating a transition reads what drew it.
+    ``times`` are the K + 1 flow times from 1 down to t_min, ``dt`` < 0
+    the step size and ``eta`` the noise scale; per step k, the read-only
+    (K,) arrays hold the noise std and the coefficients of
+    mean = a_x * x + a_v * v."""
 
     times: np.ndarray
     dt: float
+    eta: float
     stds: np.ndarray
-    coeffs: list
+    a_x: np.ndarray
+    a_v: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.times, self.stds, self.a_x, self.a_v):
+            array.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -160,12 +170,11 @@ class SdeConfig:
     def grid(self) -> SdeGrid:
         """The sampler's per-step constants, built on first use and kept
         with this config, so every group sampled under it shares them."""
-        times = time_grid(self.num_steps, self.t_min)
+        times = np.linspace(1.0, self.t_min, self.num_steps + 1)
         dt = (self.t_min - 1.0) / self.num_steps
-        stds = self.eta * np.sqrt(times[:-1] * -dt)
-        times.flags.writeable = stds.flags.writeable = False
-        return SdeGrid(times, dt, stds,
-                       [_step_coeffs(t, dt, self.eta) for t in times[:-1].tolist()])
+        a_x, a_v = _step_coeffs(times[:-1], dt, self.eta)
+        return SdeGrid(times, dt, self.eta, self.eta * np.sqrt(times[:-1] * -dt),
+                       np.full_like(a_v, a_x), a_v)
 
 
 @dataclass
@@ -178,15 +187,11 @@ class Rollout:
     columns are the states, which ``states`` shows as a (G, K + 1, n)
     view.  ``step_means`` is (G, K, n) and :attr:`log_probs` (G, K):
     ``log_probs[i, k]`` is the Gaussian log-density of ``states[i, k + 1]``
-    under mean ``step_means[i, k]`` and covariance ``step_stds[k]**2 * I``,
-    and ``log_probs`` is None when eta = 0 (the rollout is deterministic,
-    no density exists).  It is computed on first read from the recorded
-    states and means and then kept, so a rollout that is only scored
-    (eval mode) never computes it; nothing may write ``net_inputs`` or
-    ``step_means`` before that read.  The time grid ``times`` and the per-step
-    ``step_stds`` are shared by the group (they are the sampler config's
-    read-only :class:`SdeGrid` arrays), ``conditions`` holds one class per
-    trajectory.
+    under mean ``step_means[i, k]`` and covariance ``grid.stds[k]**2 * I``;
+    nothing may write ``net_inputs`` or ``step_means`` before it is first
+    read.  ``grid``, the sampler config's :class:`SdeGrid`, holds the step
+    constants the group was drawn with, the only ones its transitions are
+    read with.  ``conditions`` holds one class per trajectory.
 
     ``kept_steps`` are the steps named at sampling time, sorted: the
     transitions a gradient is taken at.  The net's activations there are
@@ -199,13 +204,10 @@ class Rollout:
     kept blocks are views of one allocation, no two of them overlapping.
     """
 
-    times: np.ndarray
+    grid: SdeGrid
     net_inputs: np.ndarray
     step_means: np.ndarray
-    step_stds: np.ndarray
     conditions: np.ndarray
-    eta: float
-    dt: float
     kept_steps: np.ndarray = field(repr=False)
     kept_layers: list = field(repr=False)
 
@@ -229,9 +231,9 @@ class Rollout:
         """The (G, K) transition log-densities, None when eta = 0: formed on
         first read, with the same operations and bits as when the sampler
         formed them, and then kept (assignable and writable in place)."""
-        if self.eta == 0.0:
+        if self.grid.eta == 0.0:
             return None
-        return _log_density_rows(self.states[:, 1:], self.step_means, self.step_stds)
+        return _log_density_rows(self.states[:, 1:], self.step_means, self.grid.stds)
 
     def final_states(self) -> np.ndarray:
         return self.states[:, -1]
@@ -249,8 +251,8 @@ class Rollout:
     def recorded_eval(self) -> "TransitionEval":
         """What :func:`eval_step` gives under the policy that sampled this
         rollout, read from the rollout instead of recomputed: the recorded
-        means and log-densities at the kept steps, their activations and
-        d mean / d v.  The rollout must have densities (eta > 0).
+        means and log-densities at the kept steps and their activations.
+        The rollout must have densities (eta > 0).
 
         The sampler formed each mean and log-density with the operations
         :func:`eval_step` uses, so they equal what it computes from these
@@ -259,12 +261,10 @@ class Rollout:
         level (a wider BLAS product may sum in another order).
         """
         steps = self.kept_steps
-        _, a_v = _step_coeffs(self.times[steps], self.dt, self.eta)
         return TransitionEval(
             log_probs=self.log_probs[:, steps].T.reshape(-1),
             means=self.step_means.transpose(1, 0, 2)[steps].reshape(-1, self.step_means.shape[-1]),
             acts=self.kept_activations(),
-            a_v=np.repeat(a_v, len(self)),
         )
 
 
@@ -342,15 +342,9 @@ def velocity(policy: FlowPolicy, x: np.ndarray, t: float, cond: int) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def time_grid(num_steps: int, t_min: float) -> np.ndarray:
-    """Uniform decreasing times from 1 to t_min, num_steps + 1 points."""
-    if num_steps < 1:
-        raise DomainError("num_steps must be >= 1")
-    return np.linspace(1.0, float(t_min), num_steps + 1)
-
-
-def _step_coeffs(t: float, dt: float, eta: float):
-    """mean = a_x * x + a_v * v for one Euler-Maruyama step.
+def _step_coeffs(t: np.ndarray, dt: float, eta: float):
+    """mean = a_x * x + a_v * v for the Euler-Maruyama steps from times
+    ``t``: one ``a_x`` for all of them, and one ``a_v`` per time.
 
     Folding the score -(x + (1 - t) v)/t into the drift
     v - (sigma_t^2 / 2) * score with sigma_t = eta * sqrt(t) gives
@@ -377,52 +371,39 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     ``noise`` is the group's standard normal noise block, (G, K + 1, n):
     row i holds trajectory i's initial state and then its K step
     increments.  Drawing row i from its own stream, as
-    ``RandomSource.gaussian_streams(ids, G, (K + 1) * n)`` does (row i is
-    the first (K + 1) * n normals of the Philox stream of numpy's
-    ``SeedSequence(seed, spawn_key=(*ids, i))``), makes a trajectory's
-    noise independent of the group size.  Its states are
-    not, bit for bit: a G-row matrix product may sum in another order
-    than a one-row one, so they move with G at rounding level (one
-    64-row forward differed from row-by-row forwards by up to 8.9e-16).
-    Each SDE step is one forward pass over the whole group.  ``cond`` is
-    one integer condition for the group or one per trajectory.  Each
-    transition is Gaussian with mean from :func:`_step_coeffs` and std
-    sigma_t * sqrt(|dt|) = eta * sqrt(t |dt|).  The exact log-density of
-    each realized next state is not formed here: ``Rollout.log_probs``
-    computes it on first read from the recorded states and means, with
-    the same operations and bits as when it was formed here (None when
-    eta = 0), so sampling for scoring alone never pays for it.  The steps in
-    ``keep``, sorted, are the rollout's ``kept_steps``, the transitions a
-    gradient is taken at; the net's layer activations are kept there only.
+    ``RandomSource.gaussian_streams`` does, makes a trajectory's noise
+    independent of the group size.  Its states are not, bit for bit: a
+    G-row matrix product may sum in another order than a one-row one, so
+    they move with G at rounding level (one 64-row forward differed from
+    row-by-row forwards by up to 8.9e-16).  ``cond`` is one integer
+    condition for the group or one per trajectory.  Each SDE step is one
+    forward pass over the whole group, and each transition is Gaussian
+    with mean a_x * x + a_v * v and std eta * sqrt(t |dt|), step k's
+    constants read from ``config.grid``, their one home.  The
+    log-densities are left to ``Rollout.log_probs``, so sampling for
+    scoring alone never forms them.  The steps in ``keep``, sorted, are
+    the rollout's ``kept_steps``, the transitions a gradient is taken at;
+    the net's layer activations are kept there only.
 
     The group is sampled in one step-major workspace, (K + 1, G, in):
     row k is step k's net input (x_k, t_k, embedding), so its first n
     columns hold the states.  It and every other buffer of the rollout
-    are views of one allocation.  The times and embeddings are written once;
-    ``work[k + 1, :, :n]`` starts as ``std_k * noise[:, k + 1]`` and step
-    k adds its mean, the same IEEE sum as ``mean + std_k * noise``.
-    :func:`kernels.forward` writes each layer into a preallocated buffer:
-    a kept step's hidden and output activations go to that step's slot of
-    the per-layer (len(keep), G, size) blocks (``Rollout.kept_layers``),
-    the other steps' to one shared scratch slot.  Those buffers, each
-    step's list of them, the forward and the ufuncs are resolved before
-    the first step, so the loop looks nothing up: it takes each step's
-    row views and makes the step's numpy calls.  Finiteness is checked
-    once, on the final states after the last step: a non-finite velocity
-    or state carries into every later state.  Only on failure is the
-    first failing step looked for (see :func:`_raise_first_failure`).
+    are views of one allocation.  ``work[k + 1, :, :n]`` starts as
+    ``std_k * noise[:, k + 1]`` and step k adds its mean, the same IEEE
+    sum as ``mean + std_k * noise``.  :func:`kernels.forward` writes a
+    kept step's hidden and output activations to that step's slot of the
+    per-layer (len(keep), G, size) blocks (``Rollout.kept_layers``), the
+    other steps' to one shared scratch slot.  Finiteness is checked once,
+    on the final states: a non-finite velocity or state carries into
+    every later state, and only on failure is the first failing step
+    looked for (see :func:`_raise_first_failure`).
 
     ``noise`` is only read.  The returned :class:`Rollout` shares nothing
-    with the caller but ``times`` and ``step_stds``, the read-only
-    ``config.grid``.  It holds the workspace itself as ``net_inputs``, so
-    a kept step's input activations are its workspace row, and
-    ``step_means`` is a (G, K, n) view of the step-major mean array.
-    Nothing may write either before ``log_probs`` is first read:
-    :func:`eval_step` writes only a gathered copy of the kept rows.
+    with the caller but its ``grid``, the read-only ``config.grid``, and
+    holds the workspace itself as ``net_inputs``: a kept step's input
+    activations are its workspace row.
     """
-    net = policy.net
-    n = policy.dims.state_size
-    K = config.num_steps
+    net, n, K, grid = policy.net, policy.dims.state_size, config.num_steps, config.grid
     noise = np.asarray(noise, dtype=np.float64)
     if noise.ndim != 3 or noise.shape[1:] != (K + 1, n) or len(noise) < 1:
         raise ShapeError(f"noise block shape {noise.shape}, expected (G >= 1, {K + 1}, {n})")
@@ -431,7 +412,6 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     keep = sorted({int(k) for k in keep})
     if any(not 0 <= k < K for k in keep):
         raise DomainError(f"kept steps {keep} out of range [0, {K})")
-    times, dt, stds, coeffs = config.grid
 
     # Each layer after the input gets one slot per kept step, in keep
     # order, then one scratch slot.  All buffers are views of one
@@ -445,11 +425,11 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     memory = np.empty(sum(counts))
     work, means, scaled, *layers = (memory[start:start + count].reshape(shape) for shape, count, start
                                     in zip(shapes, counts, accumulate(counts, initial=0)))
-    work[:, :, n] = times[:, None]
+    work[:, :, n] = grid.times[:, None]
     work[:, :, n + 1:] = policy.cond_emb[conds]
     by_step = work[:, :, :n]
     by_step[0] = noise[:, 0]
-    np.multiply(noise[:, 1:].transpose(1, 0, 2), stds[:, None, None], out=by_step[1:])
+    np.multiply(noise[:, 1:].transpose(1, 0, 2), grid.stds[:, None, None], out=by_step[1:])
     # step k's out buffers: its kept slot of each layer, else the scratch slot
     outs = [[layer[T] for layer in layers]] * K
     for u, k in enumerate(keep):
@@ -457,22 +437,19 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     # looked up per call, so a wrapper installed on the module is the one called
     forward, multiply = kernels.forward, np.multiply
     weights, biases = net.weights, net.biases
-    for (a_x, a_v), x_in, x, x_next, mean, out in zip(coeffs, work, by_step, by_step[1:],
-                                                      means, outs):
+    for a_x, a_v, x_in, x, x_next, mean, out in zip(grid.a_x.tolist(), grid.a_v.tolist(), work,
+                                                    by_step, by_step[1:], means, outs):
         v = forward(weights, biases, x_in, out)[-1]
         multiply(x, a_x, out=mean)
         mean += multiply(v, a_v, out=scaled)
         x_next += mean
     if not np.isfinite(by_step[K]).all():
-        _raise_first_failure(net, work, n, times)
+        _raise_first_failure(net, work, n, grid.times)
     return Rollout(
-        times=times,
+        grid=grid,
         net_inputs=work,
         step_means=means.transpose(1, 0, 2),
-        step_stds=stds,
         conditions=conds,
-        eta=config.eta,
-        dt=dt,
         kept_steps=keep,
         kept_layers=[block[:T] for block in layers],
     )
@@ -495,21 +472,22 @@ def _raise_first_failure(net: MlpParams, work: np.ndarray, n: int, times: np.nda
 @dataclass
 class TransitionEval:
     """A rollout's kept transitions evaluated under one policy: per-row
-    log-densities and transition means, the net's layer activations and
-    d mean / d v, kept for :func:`backprop_step`."""
+    log-densities and transition means, and the net's layer activations,
+    kept for :func:`backprop_step`."""
 
     log_probs: np.ndarray
     means: np.ndarray
     acts: list
-    a_v: np.ndarray
 
 
 def _kept_targets(rollout: Rollout):
-    """Each kept transition's next state and noise std, in the step-major
-    row order of :meth:`Rollout.kept_activations`."""
-    steps, n = rollout.kept_steps, rollout.step_means.shape[-1]
+    """Each kept transition's next state, then its step's std, a_x and
+    a_v from ``rollout.grid``, one per row, in the step-major row order
+    of :meth:`Rollout.kept_activations`."""
+    steps, n, grid = rollout.kept_steps, rollout.step_means.shape[-1], rollout.grid
     return (rollout.net_inputs[steps + 1, :, :n].reshape(-1, n),
-            np.repeat(rollout.step_stds[steps], len(rollout)))
+            *(np.repeat(per_step[steps], len(rollout))
+              for per_step in (grid.stds, grid.a_x, grid.a_v)))
 
 
 def eval_step(policy: FlowPolicy, rollout: Rollout) -> TransitionEval:
@@ -520,19 +498,18 @@ def eval_step(policy: FlowPolicy, rollout: Rollout) -> TransitionEval:
     The kept steps' rows of ``rollout.net_inputs`` are gathered once and
     their embedding columns overwritten with ``policy``'s; one forward
     pass over them recomputes the transition means, while the visited
-    states and the noise scales stay frozen.  Under the policy that
-    sampled the rollout, :meth:`Rollout.recorded_eval` gives the same
-    without the pass.
+    states and the step constants the sampler drew with (``rollout.grid``)
+    stay frozen.  Under the policy that sampled the rollout,
+    :meth:`Rollout.recorded_eval` gives the same without the pass.
     """
     steps, n = rollout.kept_steps, policy.dims.state_size
     inputs = rollout.net_inputs[steps]
     inputs[:, :, n + 1:] = policy.cond_emb[rollout.conditions]
     inputs = inputs.reshape(-1, inputs.shape[-1])
     _, acts = mlp_forward_batch(policy.net, inputs)
-    a_x, a_v = _step_coeffs(np.repeat(rollout.times[steps], len(rollout)), rollout.dt, rollout.eta)
-    means = a_x * inputs[:, :n] + a_v[:, None] * acts[-1]
-    x_next, std = _kept_targets(rollout)
-    return TransitionEval(_log_density_rows(x_next, means, std), means, acts, a_v)
+    x_next, std, a_x, a_v = _kept_targets(rollout)
+    means = a_x[:, None] * inputs[:, :n] + a_v[:, None] * acts[-1]
+    return TransitionEval(_log_density_rows(x_next, means, std), means, acts)
 
 
 def backprop_step(policy: FlowPolicy, rollout: Rollout, ev: TransitionEval,
@@ -541,12 +518,12 @@ def backprop_step(policy: FlowPolicy, rollout: Rollout, ev: TransitionEval,
     over the rollout's kept transitions, ``ev`` their evaluation under
     ``policy`` and both in the row order of :meth:`Rollout.kept_activations`.
 
-    d logp / d mean = (x_next - mean) / std^2 and d mean / d v = a_v; the
-    rest is :func:`_velocity_grad`.
+    d logp / d mean = (x_next - mean) / std^2 and d mean / d v = a_v, the
+    step's coefficient in ``rollout.grid``; the rest is :func:`_velocity_grad`.
     """
-    x_next, std = _kept_targets(rollout)
+    x_next, std, _, a_v = _kept_targets(rollout)
     dmean = (x_next - ev.means) / (std * std)[:, None]
-    upstream_v = (upstream * ev.a_v)[:, None] * dmean
+    upstream_v = (upstream * a_v)[:, None] * dmean
     # np.tile's rows from one C-level repeat (np.tile makes several numpy calls)
     conds = rollout.conditions[None].repeat(len(rollout.kept_steps), axis=0).reshape(-1)
     return _velocity_grad(policy, ev.acts, upstream_v, conds)

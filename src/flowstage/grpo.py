@@ -23,7 +23,8 @@ bind.
 What does not change from step to step is resolved once per run: the
 reward suite, a :class:`RewardSuite` checked and put in stage order when
 it was built (:func:`train` fills in the default suite once); the
-sampler's time grid and step constants (``SdeConfig.grid``); the
+sampler's time grid and step constants (``SdeConfig.grid``, their one
+home, which every rollout carries to its densities and gradient); the
 kept-step count (``TrainConfig.kept_count``); the random pools that the
 condition, timestep-subset and rollout streams' first ids lead to, which
 the run's :class:`RandomSource` keeps, so each step mixes in only its

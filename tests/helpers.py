@@ -16,7 +16,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from flowstage.flow_policy import _log_density_rows, _step_coeffs, _velocity_grad
+from flowstage.flow_policy import _log_density_rows, _velocity_grad
 from flowstage.numerics import CHECKPOINT_MAGIC, mlp_forward_batch
 
 
@@ -87,39 +87,40 @@ def kept_by_step(rollout):
 def row_major_transitions(rollout, steps):
     """The transitions at ``steps`` of every trajectory, one per row,
     step-major (row ``u * G + i`` is trajectory i's step ``steps[u]``),
-    each with its own flow time, condition and noise std, gathered from
-    the (G, K + 1, n) ``rollout.states``: the reference for what
-    ``eval_step`` and ``backprop_step`` read from a rollout."""
+    each with its own flow time, condition, noise std and mean
+    coefficients, the states gathered from the (G, K + 1, n)
+    ``rollout.states`` and the constants from ``rollout.grid``: the
+    reference for what ``eval_step`` and ``backprop_step`` read from a
+    rollout."""
     steps = np.asarray(steps, dtype=np.int64)
-    G, n = len(rollout), rollout.states.shape[2]
+    G, n, grid = len(rollout), rollout.states.shape[2], rollout.grid
     by_step = rollout.states.transpose(1, 0, 2)
     return SimpleNamespace(
         x=by_step[steps].reshape(-1, n),
         x_next=by_step[steps + 1].reshape(-1, n),
-        t=np.repeat(rollout.times[steps], G),
+        t=np.repeat(grid.times[steps], G),
         cond=np.tile(rollout.conditions, len(steps)),
-        std=np.repeat(rollout.step_stds[steps], G),
-        dt=rollout.dt,
-        eta=rollout.eta,
+        std=np.repeat(grid.stds[steps], G),
+        a_x=np.repeat(grid.a_x[steps], G),
+        a_v=np.repeat(grid.a_v[steps], G),
     )
 
 
 def row_major_eval(policy, rows):
     """Reference ``eval_step`` over :func:`row_major_transitions` rows:
     net inputs built from the rows, one forward pass, the means and
-    log-densities.  Returns ``(log_probs, means, acts, a_v)``."""
+    log-densities.  Returns ``(log_probs, means, acts)``."""
     inputs = np.concatenate([rows.x, rows.t[:, None], policy.cond_emb[rows.cond]], axis=1)
     _, acts = mlp_forward_batch(policy.net, inputs)
-    a_x, a_v = _step_coeffs(rows.t, rows.dt, rows.eta)
-    means = a_x * rows.x + a_v[:, None] * acts[-1]
-    return _log_density_rows(rows.x_next, means, rows.std), means, acts, a_v
+    means = rows.a_x[:, None] * rows.x + rows.a_v[:, None] * acts[-1]
+    return _log_density_rows(rows.x_next, means, rows.std), means, acts
 
 
-def row_major_backprop(policy, rows, means, acts, a_v, upstream):
+def row_major_backprop(policy, rows, means, acts, upstream):
     """Reference ``backprop_step`` over :func:`row_major_transitions`
     rows: the gradient of ``sum_r upstream[r] * log_prob[r]``."""
     dmean = (rows.x_next - means) / (rows.std * rows.std)[:, None]
-    upstream_v = (upstream * a_v)[:, None] * dmean
+    upstream_v = (upstream * rows.a_v)[:, None] * dmean
     return _velocity_grad(policy, acts, upstream_v, rows.cond)
 
 

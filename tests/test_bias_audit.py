@@ -72,6 +72,17 @@ class TestKmeans:
         with pytest.raises(DomainError):
             kmeans(np.zeros((3, 2)), 4, max_iters=MAX_ITERS)
 
+    def test_k_above_distinct_points_names_them(self):
+        with pytest.raises(DomainError, match="^k=2 clusters, but the features hold only 1 "
+                                              "distinct points$"):
+            kmeans(np.ones((4, 2)), 2, max_iters=MAX_ITERS)
+        feats = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        labels = kmeans(feats, 3, max_iters=MAX_ITERS)
+        assert sorted(set(labels.tolist())) == [0, 1, 2] and labels[1] == labels[3]
+        with pytest.raises(DomainError, match="^k=4 clusters, but the features hold only 3 "
+                                              "distinct points$"):
+            kmeans(feats, 4, max_iters=MAX_ITERS)
+
 
 class TestClusterKappa:
     def test_constant_cluster_is_zero(self):
@@ -234,6 +245,27 @@ class TestTabularIO:
             read_items_csv(path)
         assert str(exc.value) == f"{path}, {message}"
 
+    # line 3 is in the decoder's first chunk, so the header's read fails;
+    # line 2,000 is past it and in numpy's first chunk of 50,000 lines
+    @pytest.mark.parametrize("line", [1, 3, 2_000, 50_003],
+                             ids=["header", "body", "numpy-chunk", "past-numpy-chunk"])
+    def test_line_not_utf8_named(self, tmp_path, line):
+        lines = [b"id,score,f0"] + [b"item%d,0.5,%d.25" % (i, i) for i in range(50_005)]
+        lines[line - 1] = lines[line - 1].replace(b"i", b"i\xff", 1)
+        path = tmp_path / "items.csv"
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        with pytest.raises(DomainError) as exc:
+            read_items_csv(path)
+        assert str(exc.value) == (f"{path}, line {line}: not UTF-8 ('utf-8' codec can't decode "
+                                  f"byte 0xff in position 1: invalid start byte)")
+
+    def test_utf8_ids_read(self, tmp_path):
+        path = tmp_path / "items.csv"
+        path.write_text("id,score,f0\ncafé,0.5,1.0\n\u65e5\u672c,1.5,2.0\n", encoding="utf-8")
+        scores, features, _ = read_items_csv(path)
+        np.testing.assert_array_equal(scores, [0.5, 1.5])
+        np.testing.assert_array_equal(features, [[1.0], [2.0]])
+
     @pytest.mark.parametrize("second, labels", [("2", [0, 2]), ("", None)],
                              ids=["labelled", "one-unlabelled"])
     def test_labels_read_without_the_row_loop(self, tmp_path, monkeypatch, second, labels):
@@ -318,7 +350,7 @@ class TestReaderOracle:
     @given(st.data())
     def test_matches_the_row_loop(self, tmp_path, data):
         path = tmp_path / "items.csv"
-        with open(path, "w", newline="") as fp:
+        with open(path, "w", newline="", encoding="utf-8") as fp:
             fp.write(_items_text(data))
         got, want = _outcome(read_items_csv, path), _outcome(bias_audit._read_rows, path)
         if isinstance(want[0], type):
@@ -385,6 +417,22 @@ class TestBadAuditInputExits2:
         assert failure["error"] == "DomainError"
         assert message in failure["message"]
         assert not (out / "audit_report.json").exists()
+
+    def test_line_not_utf8(self, tmp_path):
+        items = six_items(tmp_path, self.GOOD)
+        items.write_bytes(items.read_bytes().replace(b"item2", b"item\xe92"))
+        rc, out = run_audit(tmp_path, items, 3)
+        assert rc == 2
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure["error"] == "DomainError"
+        assert "line 4: not UTF-8" in failure["message"]
+
+    def test_k_above_distinct_features(self, tmp_path):
+        rc, out = run_audit(tmp_path, six_items(tmp_path, ["0.1,1.0,2.0"] * 4), 2)
+        assert rc == 2
+        failure = json.loads((out / "failure.json").read_text())
+        assert failure["error"] == "DomainError"
+        assert "k=2 clusters, but the features hold only 1 distinct points" in failure["message"]
 
     def test_good_rows_run(self, tmp_path):
         rc, out = run_audit(tmp_path, six_items(tmp_path, self.GOOD), 3)

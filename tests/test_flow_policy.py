@@ -1,6 +1,7 @@
 """Sampler contracts: velocity evaluation, the sampler at eta = 0 as the
 ODE, transition density validity, and pretraining behavior."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -29,6 +30,7 @@ from flowstage.flow_policy import (
     PolicyDims,
     SdeConfig,
     ToyDataset,
+    _step_coeffs,
     eval_step,
     init_flow_policy,
     load_policy,
@@ -211,7 +213,7 @@ class TestSdeSampling:
         n = SMALL.state_size
         for k in range(cfg.num_steps):
             resid = rollout.states[0, k + 1] - rollout.step_means[0, k]
-            var = rollout.step_stds[k] ** 2
+            var = rollout.grid.stds[k] ** 2
             expected = -0.5 * n * math.log(2.0 * math.pi * var) - float(
                 resid @ resid
             ) / (2.0 * var)
@@ -229,7 +231,7 @@ class TestSdeSampling:
         p = small_policy(11)
         cfg = SdeConfig(num_steps=4, eta=0.2)
         rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, philox(1)))
-        assert (rollout.step_stds > 0).all()
+        assert (rollout.grid.stds > 0).all()
 
     def test_group_rows_match_one_trajectory_calls(self):
         p = small_policy(16)
@@ -350,9 +352,27 @@ class TestSdeSampling:
         p = small_policy(12)
         cfg = SdeConfig(num_steps=5, eta=0.5, t_min=0.1)
         rollout = sde_sample(p, 0, cfg, noise_block(p, cfg, philox(2)))
-        assert rollout.times[0] == 1.0
-        assert abs(rollout.times[-1] - 0.1) < 1e-12
-        assert (np.diff(rollout.times) < 0).all()
+        assert rollout.grid.times[0] == 1.0
+        assert abs(rollout.grid.times[-1] - 0.1) < 1e-12
+        assert (np.diff(rollout.grid.times) < 0).all()
+
+
+class TestSdeGrid:
+    @pytest.mark.parametrize("num_steps", [1, 3, 8, 16, 50, 64, 256])
+    def test_constants_are_step_coeffs_per_step(self, num_steps):
+        """The grid's (K,) arrays hold, bit for bit, what one
+        ``_step_coeffs`` call per step gives on Python floats."""
+        for eta, t_min in itertools.product([0.0, 0.3, 0.5, 1.0, 1.7], [0.01, 0.04, 0.1, 0.5]):
+            grid = SdeConfig(num_steps, eta, t_min).grid
+            assert (grid.eta, grid.dt) == (eta, (t_min - 1.0) / num_steps)
+            np.testing.assert_array_equal(grid.times, np.linspace(1.0, t_min, num_steps + 1))
+            assert not grid.times.flags.writeable
+            for array in (grid.stds, grid.a_x, grid.a_v):
+                assert array.shape == (num_steps,) and not array.flags.writeable
+            times = grid.times[:-1].tolist()
+            assert grid.stds.tolist() == [eta * math.sqrt(t * -grid.dt) for t in times]
+            assert list(zip(grid.a_x.tolist(), grid.a_v.tolist())) == [
+                _step_coeffs(t, grid.dt, eta) for t in times]
 
 
 def reference_rollout(policy, cond, config, noise, keep):
@@ -423,7 +443,7 @@ class TestSdeSampleOracle:
         np.testing.assert_array_equal(noise, before)
         np.testing.assert_array_equal(rollout.states, states)
         np.testing.assert_array_equal(rollout.step_means, means)
-        np.testing.assert_array_equal(rollout.step_stds, stds)
+        np.testing.assert_array_equal(rollout.grid.stds, stds)
         if eta == 0.0:
             assert rollout.log_probs is None
         else:
@@ -491,7 +511,7 @@ class TestTransitionLogProbs:
             rollout.states[0, 1, 0] - mean
         ) ** 2 / (2 * std**2)
         np.testing.assert_allclose(rollout.step_means[0, 0], [mean], rtol=1e-12)
-        np.testing.assert_allclose(rollout.step_stds[0], std, rtol=1e-12)
+        np.testing.assert_allclose(rollout.grid.stds[0], std, rtol=1e-12)
         assert abs(reevaluated(p, rollout)[0, 0] - expected) < 1e-10
 
 
@@ -544,10 +564,11 @@ class TestSdeMarginal:
     def exact_law(eta, num_steps):
         """Per class and coordinate, the mean of x_{t_min} - (1 - t_min)
         m_c and the std of x_{t_min} under the sampler's steps with v*."""
-        dataset, (times, _, stds, coeffs) = ToyDataset(), SdeConfig(num_steps, eta).grid
+        dataset, grid = ToyDataset(), SdeConfig(num_steps, eta).grid
         classes = np.arange(dataset.dims.num_classes)
         mean, var = np.zeros_like(toy_class_means(dataset)), 1.0
-        for t, std, (a_x, a_v) in zip(times[:-1].tolist(), stds.tolist(), coeffs):
+        for t, std, a_x, a_v in zip(grid.times[:-1].tolist(), grid.stds.tolist(),
+                                    grid.a_x.tolist(), grid.a_v.tolist()):
             def step(x):
                 return a_x * x + a_v * optimal_velocity(dataset, x, t, classes)
             slope = step(mean + 1.0) - step(mean)  # the map is affine
@@ -564,11 +585,12 @@ class TestSdeMarginal:
     @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
     def test_sampled_draws_follow_the_exact_law(self, eta):
         dataset, config = ToyDataset(), SdeConfig(eta=eta)
-        times, _, stds, coeffs = config.grid
+        grid = config.grid
         classes = np.arange(dataset.dims.num_classes)  # broadcasts over the first axis
         rng = np.random.default_rng(16)
         x = rng.standard_normal((2_500, *toy_class_means(dataset).shape))
-        for t, std, (a_x, a_v) in zip(times[:-1].tolist(), stds.tolist(), coeffs):
+        for t, std, a_x, a_v in zip(grid.times[:-1].tolist(), grid.stds.tolist(),
+                                    grid.a_x.tolist(), grid.a_v.tolist()):
             x = a_x * x + a_v * optimal_velocity(dataset, x, t, classes)
             x += std * rng.standard_normal(x.shape)
         resid = x - (1.0 - config.t_min) * toy_class_means(dataset)

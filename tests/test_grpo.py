@@ -5,6 +5,7 @@ differences, advantage detachment, and trace determinism."""
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from helpers import (
     copy_policy,
     drain,
+    finite_difference,
     kept_by_step,
     late_overflow,
     philox,
@@ -366,8 +368,6 @@ class TestGradientFidelity:
             return val
 
         assert objective(vector) == pytest.approx(J, rel=1e-12)
-        from helpers import finite_difference
-
         fd = finite_difference(objective, vector.copy(), h=1e-6)
         ok = rel_err_ok(grads, fd, rtol=1e-3, atol=1e-8)
         passed, total = int(ok.sum()), ok.size
@@ -499,27 +499,62 @@ class TestRowMajorOracle:
 
         # the recorded path as the row-major record read it, then
         # re-evaluation under the sampling policy and under another one
-        _, a_v = flow_policy._step_coeffs(rows.t, rows.dt, rows.eta)
         recorded = (rollout.log_probs[:, steps].T.reshape(-1),
                     rollout.step_means.transpose(1, 0, 2)[steps].reshape(-1, dims.state_size),
                     [np.concatenate([kept_by_step(rollout)[k][layer] for k in steps])
-                     for layer in range(len(policy.layer_sizes))],
-                    a_v)
+                     for layer in range(len(policy.layer_sizes))])
         inputs = rollout.net_inputs.copy()
         cases = [(policy, rollout.recorded_eval(), recorded),
                  (policy, flow_policy.eval_step(policy, rollout), row_major_eval(policy, rows)),
                  (other, flow_policy.eval_step(other, rollout), row_major_eval(other, rows))]
         np.testing.assert_array_equal(rollout.net_inputs, inputs)
-        for p, ev, (log_probs, means, acts, a_v) in cases:
+        for got, want in zip(flow_policy._kept_targets(rollout),
+                             (rows.x_next, rows.std, rows.a_x, rows.a_v)):
+            np.testing.assert_array_equal(got, want)
+        for p, ev, (log_probs, means, acts) in cases:
             np.testing.assert_array_equal(ev.log_probs, log_probs)
             np.testing.assert_array_equal(ev.means, means)
             assert len(ev.acts) == len(acts)
             for got, want in zip(ev.acts, acts):
                 np.testing.assert_array_equal(got, want)
-            np.testing.assert_array_equal(ev.a_v, a_v)
             np.testing.assert_array_equal(
                 flow_policy.backprop_step(p, rollout, ev, upstream),
-                row_major_backprop(p, rows, means, acts, a_v, upstream))
+                row_major_backprop(p, rows, means, acts, upstream))
+
+    def test_step_constants_come_from_the_rollouts_grid(self):
+        """A grid whose a_x and a_v vary per step in a way no
+        ``_step_coeffs`` call gives: sampling, re-evaluation and the
+        gradient all read the rollout's grid, none re-derives the
+        constants from its times."""
+        policy, G, steps = tiny_policy(41), 5, [0, 2, 3]
+        cfg = SdeConfig(num_steps=4, eta=0.5, t_min=0.2)
+        ramp = np.linspace(0.8, 1.2, cfg.num_steps)
+        # seeds the config's cached grid, which sde_sample reads
+        cfg.__dict__["grid"] = replace(cfg.grid, a_x=cfg.grid.a_x * ramp,
+                                       a_v=cfg.grid.a_v * ramp[::-1])
+        noise = RandomSource(42).gaussian_streams((), G, 5 * TINY.state_size)
+        rollout = sde_sample(policy, [0, 1, 0, 1, 1], cfg, noise.reshape(G, 5, -1), keep=steps)
+        assert rollout.grid is cfg.grid
+        rows = row_major_transitions(rollout, steps)
+        log_probs, means, acts = row_major_eval(policy, rows)
+
+        evaluated = flow_policy.eval_step(policy, rollout)
+        np.testing.assert_array_equal(evaluated.log_probs, log_probs)
+        np.testing.assert_array_equal(evaluated.means, means)
+        # the sampler's per-step forward passes agree at rounding level
+        recorded = rollout.recorded_eval()
+        np.testing.assert_allclose(recorded.log_probs, log_probs, rtol=1e-12)
+        np.testing.assert_allclose(recorded.means, means, rtol=1e-12, atol=1e-15)
+
+        upstream = philox(43).standard_normal(G * len(steps))
+
+        def objective(vector):
+            p = FlowPolicy(policy.dims, policy.layer_sizes, vector.copy())
+            return float(upstream @ flow_policy.eval_step(p, rollout).log_probs)
+
+        grads = flow_policy.backprop_step(policy, rollout, evaluated, upstream)
+        fd = finite_difference(objective, policy.vector.copy(), h=1e-6)
+        assert rel_err_ok(grads, fd, rtol=1e-4, atol=1e-8).all()
 
     def test_rollout_without_kept_steps_rejected(self):
         ref = tiny_policy(36)
@@ -564,7 +599,7 @@ class TestLazyLogDensities:
         assert len(calls) == 1
         np.testing.assert_array_equal(
             first, flow_policy._log_density_rows(
-                rollout.states[:, 1:], rollout.step_means, rollout.step_stds))
+                rollout.states[:, 1:], rollout.step_means, rollout.grid.stds))
 
     def test_eta_zero_forms_nothing(self, calls):
         assert self.sampled(eta=0.0).log_probs is None

@@ -1,5 +1,6 @@
-"""Every public function and method of the package has a caller in the
-package itself: a helper that only tests call belongs in the tests."""
+"""Every public function and method of the package, and every private
+helper, has a caller in the package itself: a helper that only tests
+call belongs in the tests.  And the SDE step constants have one source."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,21 @@ def public_defs():
                         yield f"{path.stem}.{node.name}.{member.name}"
 
 
+def private_defs():
+    """``module._function``, ``module._Class`` and ``module.Class._method``
+    for every private function, class and method in src/; dunder methods
+    are Python's to call."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}"
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (isinstance(member, ast.FunctionDef) and member.name.startswith("_")
+                            and not member.name.endswith("__")):
+                        yield f"{path.stem}.{node.name}.{member.name}"
+
+
 def referenced_names() -> set:
     """Every name read as a variable or an attribute anywhere in src/.  A
     ``def`` and an import are not references: re-exporting a function
@@ -60,3 +76,23 @@ def test_every_public_function_has_a_caller_in_src():
             uncalled.add(name)
     # an allowed name that gains a caller leaves the list
     assert uncalled == set(ALLOWED)
+
+
+def test_every_private_helper_has_a_caller_in_src():
+    used = referenced_names()
+    assert [name for name in private_defs() if name.rsplit(".", 1)[1] not in used] == []
+
+
+def test_step_coeffs_is_read_only_by_the_grid():
+    """``SdeConfig.grid`` is the one home of the step constants: the only
+    code in src/ that calls ``_step_coeffs``."""
+    tree = ast.parse((SRC / "flow_policy.py").read_text())
+    config = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "SdeConfig")
+    grid = next(node for node in config.body
+                if isinstance(node, ast.FunctionDef) and node.name == "grid")
+    calls = [(path.stem, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Name) and node.id == "_step_coeffs"]
+    assert len(calls) == 1
+    assert calls[0][0] == "flow_policy" and grid.lineno <= calls[0][1] <= grid.end_lineno
