@@ -13,9 +13,10 @@ when the items do not carry them.
 
 All standard deviations here are population (1/N) ones.
 
-:func:`read_items_csv` reads items from a UTF-8 CSV, the body with one
-``np.loadtxt`` call that gives the row loop :func:`_read_rows`'s values
-bit for bit; that loop reads a file numpy declines and names bad lines.
+:func:`read_items_csv` reads items from a UTF-8 CSV, with or without a
+byte-order mark, the body with one ``np.loadtxt`` call that gives the
+row loop :func:`_read_rows`'s values bit for bit; that loop reads a file
+numpy declines and names bad lines.
 """
 
 from __future__ import annotations
@@ -23,43 +24,11 @@ from __future__ import annotations
 import csv
 import warnings
 from array import array
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-
-
-@dataclass
-class ClusterReport:
-    """Per-cluster score statistics plus the cross-cluster spread."""
-
-    k: int
-    sizes: np.ndarray
-    means: np.ndarray
-    stds: np.ndarray
-    kappas: list  # percent CoV per cluster; None where the mean is zero
-    inter_cluster_cov: float
-    used_labels: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "std_convention": "population",
-            "used_labels": self.used_labels,
-            "inter_cluster_cov": self.inter_cluster_cov,
-            "clusters": [
-                {
-                    "index": i,
-                    "size": int(self.sizes[i]),
-                    "mean": float(self.means[i]),
-                    "std": float(self.stds[i]),
-                    "kappa": self.kappas[i],
-                }
-                for i in range(self.k)
-            ],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -129,24 +98,6 @@ def _pop_std(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean((x - x.mean()) ** 2)))
 
 
-def cluster_kappa(scores_by_cluster: Sequence[np.ndarray]) -> list:
-    """Percent coefficient of variation per cluster: std / |mean| * 100.
-
-    A zero-mean cluster has no defined CoV and maps to None.
-    """
-    out = []
-    for scores in scores_by_cluster:
-        scores = np.asarray(scores, dtype=np.float64)
-        if len(scores) < 1:
-            raise DomainError("empty cluster")
-        mean = float(scores.mean())
-        if mean == 0.0:
-            out.append(None)
-        else:
-            out.append(_pop_std(scores) / abs(mean) * 100.0)
-    return out
-
-
 def _require_finite(what: str, values: np.ndarray, name_row: Callable[[int], str]) -> None:
     """DomainError naming, by ``name_row(i)``, the first row of ``values``
     that holds a non-finite number."""
@@ -156,10 +107,16 @@ def _require_finite(what: str, values: np.ndarray, name_row: Callable[[int], str
 
 
 def audit(scores, features=None, labels=None, k: int | None = None, seed: int = 0, *,
-          max_iters: int) -> ClusterReport:
+          max_iters: int) -> dict:
     """Cluster the items by ``features`` into ``k`` clusters (or group them
-    by ``labels`` when ``k`` is None) and report per-cluster and
-    cross-cluster score statistics."""
+    by ``labels`` when ``k`` is None) and return per-cluster and
+    cross-cluster score statistics as the ``audit_report.json`` dict.
+
+    Cluster j's entry holds its ``index`` j, ``size``, ``mean``,
+    population ``std`` and ``kappa``, its percent coefficient of
+    variation std / |mean| * 100, None where the mean is zero.
+    ``inter_cluster_cov`` is the same statistic of the cluster means
+    about their mean, NaN where that is zero."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ShapeError(f"scores must be (N,), got {scores.shape}")
@@ -190,22 +147,23 @@ def audit(scores, features=None, labels=None, k: int | None = None, seed: int = 
     sizes = np.bincount(labels, minlength=num_clusters)
     if (sizes == 0).any():
         raise DomainError("empty cluster in labeling")
-    by_cluster = [scores[labels == j] for j in range(num_clusters)]
-    means = np.array([c.mean() for c in by_cluster])
-    stds = np.array([_pop_std(c) for c in by_cluster])
-    kappas = cluster_kappa(by_cluster)
+    clusters = []
+    for j, size in enumerate(sizes.tolist()):
+        members = scores[labels == j]
+        mean, std = float(members.mean()), _pop_std(members)
+        clusters.append({"index": j, "size": size, "mean": mean, "std": std,
+                         "kappa": None if mean == 0.0 else std / abs(mean) * 100.0})
 
+    means = np.array([c["mean"] for c in clusters])
     grand = float(means.mean())
     inter = float("nan") if grand == 0.0 else _pop_std(means) / abs(grand) * 100.0
-    return ClusterReport(
-        k=num_clusters,
-        sizes=sizes,
-        means=means,
-        stds=stds,
-        kappas=kappas,
-        inter_cluster_cov=inter,
-        used_labels=used_labels,
-    )
+    return {
+        "k": num_clusters,
+        "std_convention": "population",
+        "used_labels": used_labels,
+        "inter_cluster_cov": inter,
+        "clusters": clusters,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +178,13 @@ def read_items_csv(path):
     Returns ``(scores, features, labels)`` as :func:`audit` takes them:
     ``features`` is None without feature columns, ``labels`` is None
     unless every row has a label.  Fields beyond the header's are
-    ignored.  A header without ``id`` and ``score`` or with a repeated
-    name is a DomainError, and so is a row with fewer fields than the
-    header, a field that ``float`` (``int`` for the label) rejects, a
-    non-finite score or feature, or text that is not UTF-8; the message
-    names the line, and the column of a field that does not parse.
+    ignored, and so is a leading byte-order mark, which spreadsheet
+    programs write in their "CSV UTF-8" export.  A header without ``id``
+    and ``score`` or with a repeated name is a DomainError, and so is a
+    row with fewer fields than the header, a field that ``float``
+    (``int`` for the label) rejects, a non-finite score or feature, or
+    text that is not UTF-8; the message names the line, and the column
+    of a field that does not parse.
 
     ``csv`` reads the header and one ``np.loadtxt`` call the body, from
     the same open file and line by line, so the body's text is never
@@ -241,7 +201,7 @@ def read_items_csv(path):
     csv's limit on a field's length (131,072 characters by default)
     applies only when the row loop runs.
     """
-    with open(path, newline="", encoding="utf-8") as fp:
+    with open(path, newline="", encoding="utf-8-sig") as fp:
         header = next(csv.reader(_utf8_lines(path, fp)), None)
         id_col, score_col, label_col, feature_cols = _columns(path, header)
         # the id is read, and dropped, so that a row missing it is short
@@ -307,7 +267,7 @@ def _read_rows(path):
     and ``int`` convert as the rows stream past, and every error names
     its line."""
     scores, features, labels, lines = array("d"), array("d"), [], []
-    with open(path, newline="", encoding="utf-8") as fp:
+    with open(path, newline="", encoding="utf-8-sig") as fp:
         reader = csv.reader(_utf8_lines(path, fp))
         header = next(reader, None)
         _, score_col, label_col, feature_cols = _columns(path, header)

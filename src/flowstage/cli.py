@@ -13,12 +13,16 @@ A mode reads the objects its :class:`RunConfig` built at load, and this
 module writes every output file: each JSON file through
 :func:`_write_json`, each CSV file through :func:`_write_csv`, the
 checkpoints through ``save_policy`` and ``trainlog.jsonl`` as one JSON
-line per step.  The training loops yield ``(step, policy, record)``
-after each update and write nothing; this module writes what a run
-keeps: checkpoints as the steps arrive, and the step log (``trainlog.*``,
+line per step; every text file is written as UTF-8, whatever the
+locale.  The training loops yield ``(step, policy, record)`` after each
+update and write nothing; a GRPO step's record is the dict written as
+its ``trainlog.jsonl`` line, and the audit's report is the dict written
+as ``audit_report.json``.  This module writes what a run keeps:
+checkpoints as the steps arrive, and the step log (``trainlog.*``,
 ``pretrain_loss.csv``) when the loop ends, finished or failed.  A run
 that fails at step k exits 2 with ``failure.json`` and its k completed
-steps logged.
+steps logged; a run removes an earlier run's ``failure.json`` before it
+starts.
 """
 
 from __future__ import annotations
@@ -50,14 +54,14 @@ from .rewards import eval_group
 
 def _write_csv(path, header, rows) -> None:
     """``csv`` writes a float as its ``repr`` and None as an empty cell."""
-    with open(path, "w", newline="") as fp:
+    with open(path, "w", newline="", encoding="utf-8") as fp:
         writer = csv.writer(fp, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w") as fp:
+    with open(path, "w", encoding="utf-8") as fp:
         json.dump(payload, fp, sort_keys=True, indent=2)
         fp.write("\n")
 
@@ -89,7 +93,7 @@ def run_calibrate(cfg: RunConfig) -> None:
     curves = []
     for stage in range(1, len(cfg.suite.terms) + 1):
         tc = replace(cfg.train, static_stage=stage, num_steps=steps)
-        curve = [float(rec.term_means[stage - 1]) for _, _, rec in train(base, tc)]
+        curve = [rec["term_means"][stage - 1] for _, _, rec in train(base, tc)]
         curves.append(curve)
         _write_csv(cfg.outdir / f"calibrate_stage{stage}.csv", ["step", "term_mean"],
                    enumerate(curve))
@@ -106,19 +110,19 @@ def run_calibrate(cfg: RunConfig) -> None:
 
 def _write_trainlog(outdir: Path, num_terms: int, records: list) -> None:
     """``trainlog.jsonl``, one line per step, and ``trainlog.csv``, a header
-    and then one row per step, both from each record's ``to_dict()``."""
-    dicts = [rec.to_dict() for rec in records]
-    with open(outdir / "trainlog.jsonl", "w") as fp:
-        fp.writelines(json.dumps(d, sort_keys=True) + "\n" for d in dicts)
+    and then one row per step, both from the records as ``train`` yields
+    them."""
+    with open(outdir / "trainlog.jsonl", "w", encoding="utf-8") as fp:
+        fp.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
     header = (["step", "refresh", "condition", "objective", "grad_norm", "clip_fraction",
                "ratio_max_dev", "mixed_mean"]
               + [f"{column}_{j}" for column in ("weight", "term_mean", "sparsity", "gate")
                  for j in range(1, num_terms + 1)])
     _write_csv(outdir / "trainlog.csv", header, [
-        [d["step"], int(d["refresh"]), d["condition"], d["objective"], d["grad_norm"],
-         d["clip_fraction"], d["ratio_max_dev"], d["mixed_mean"],
-         *d["weights"], *d["term_means"], *d["sparsities"], *d["transitions"]]
-        for d in dicts])
+        [rec["step"], int(rec["refresh"]), rec["condition"], rec["objective"],
+         rec["grad_norm"], rec["clip_fraction"], rec["ratio_max_dev"], rec["mixed_mean"],
+         *rec["weights"], *rec["term_means"], *rec["sparsities"], *rec["transitions"]]
+        for rec in records])
 
 
 def run_train(cfg: RunConfig) -> None:
@@ -138,7 +142,10 @@ def run_train(cfg: RunConfig) -> None:
 
 
 def run_eval(cfg: RunConfig) -> None:
-    """Per-term reward statistics over freshly sampled groups."""
+    """Per-term reward statistics over freshly sampled groups.  Group g
+    draws its condition and noise from the streams that GRPO step g draws
+    from, ``(0, g)`` and ``(1, g)``, so at a fixed policy and seed eval
+    group g is train step g's group."""
     policy = cfg.init_policy
     suite, sde, group_size = cfg.suite, cfg.sde, cfg.train.group_size
     num_groups = cfg.resolved["eval"]["num_groups"]
@@ -189,7 +196,7 @@ def run_audit(cfg: RunConfig) -> None:
     a = cfg.resolved["audit"]
     scores, features, labels = read_items_csv(a["input"])
     report = audit(scores, features, labels, k=a["k"], seed=cfg.seed,
-                   max_iters=a["max_iters"]).to_dict()
+                   max_iters=a["max_iters"])
     _write_json(cfg.outdir / "audit_report.json", report)
     _write_csv(cfg.outdir / "audit_clusters.csv", ["cluster", "size", "mean", "std", "kappa"],
                [[c["index"], c["size"], c["mean"], c["std"], c["kappa"]]
@@ -233,6 +240,10 @@ def main(argv=None) -> int:
         cfg.outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _config_error([f"outdir: cannot create {cfg.outdir}: {exc}"])
+    try:  # an earlier run's marker would say this one failed
+        (cfg.outdir / "failure.json").unlink(missing_ok=True)
+    except OSError as exc:
+        return _config_error([f"outdir: cannot remove {cfg.outdir / 'failure.json'}: {exc}"])
     _write_json(cfg.outdir / "resolved_config.json", cfg.resolved)
     try:
         MODE_RUNNERS[cfg.mode](cfg)

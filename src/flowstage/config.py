@@ -1,15 +1,16 @@
 """Run configuration: one declarative file per run.
 
-A config file (YAML or JSON) is deep-merged over the defaults below,
-then dotted-path overrides are applied.  Every default is materialized
-into the resolved config that gets written next to the run's outputs, so
-an output directory is always self-describing and re-runnable.  Each
-section is built into its typed object once, at load, while it is
-validated, and :class:`RunConfig` keeps what it built; a run reads those
-objects, so the thresholds file and the initial checkpoint are read
-once, at load, and a bad one exits before the run starts.  ``yaml``
-is imported only to read a non-JSON file or an override, so a run from a
-JSON file without overrides never loads it.
+A config file (YAML or JSON, UTF-8 with or without a byte-order mark)
+is deep-merged over the defaults below, then dotted-path overrides are
+applied.  Every default is materialized into the resolved config that
+gets written next to the run's outputs, so an output directory is
+always self-describing and re-runnable.  Each section is built into its
+typed object once, at load, while it is validated, and
+:class:`RunConfig` keeps what it built; a run reads those objects, so
+the thresholds file and the initial checkpoint are read once, at load,
+and a bad one exits before the run starts.  ``yaml`` is imported only
+to read a non-JSON file or an override, so a run from a JSON file
+without overrides never loads it.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _read_thresholds(path) -> list:
     if not isinstance(path, str):  # open() takes an int as a file descriptor
         raise ConfigError([f"curriculum.thresholds_file: must be a path, got {path!r}"])
     try:
-        with open(path) as fp:
+        with open(path, encoding="utf-8-sig") as fp:
             return [float(t) for t in json.load(fp)["thresholds"]]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError([f"curriculum.thresholds_file: cannot read {path}: {exc!r}"])
@@ -172,7 +173,7 @@ def load_config_file(path) -> dict:
     if not path.exists():
         raise ConfigError([f"config file not found: {path}"])
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"{path}: cannot read: {exc}"])
     if path.suffix == ".json":

@@ -39,9 +39,9 @@ Advantages enter the gradient as constants: nothing differentiates
 through the reward or mixing computations.
 
 A run is the generator :func:`train`: it yields each updated policy and
-the step's :class:`StepRecord` as soon as the step is done, and writes
-nothing itself.  Its caller decides what a run keeps, so a run that
-fails keeps every step it completed.
+the step's record, the dict written as its ``trainlog.jsonl`` line, as
+soon as the step is done, and writes nothing itself.  Its caller decides
+what a run keeps, so a run that fails keeps every step it completed.
 """
 
 from __future__ import annotations
@@ -130,41 +130,6 @@ class TrainConfig:
         return nearest if math.isclose(product, nearest, rel_tol=1e-12) else math.ceil(product)
 
 
-@dataclass
-class StepRecord:
-    """One optimization step's logged statistics; :meth:`to_dict` is the
-    one form a run's log is written from."""
-
-    step: int
-    refresh: bool
-    condition: int
-    weights: np.ndarray
-    term_means: np.ndarray
-    sparsities: np.ndarray
-    transitions: np.ndarray
-    mixed_mean: float
-    objective: float
-    grad_norm: float
-    clip_fraction: float
-    ratio_max_dev: float
-
-    def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "refresh": self.refresh,
-            "condition": self.condition,
-            "weights": self.weights.tolist(),
-            "term_means": self.term_means.tolist(),
-            "sparsities": self.sparsities.tolist(),
-            "transitions": self.transitions.tolist(),
-            "mixed_mean": self.mixed_mean,
-            "objective": self.objective,
-            "grad_norm": self.grad_norm,
-            "clip_fraction": self.clip_fraction,
-            "ratio_max_dev": self.ratio_max_dev,
-        }
-
-
 # ---------------------------------------------------------------------------
 # Surrogate objective
 # ---------------------------------------------------------------------------
@@ -248,7 +213,8 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
     Rolls out the group under ``ref_policy``, scores it with
     ``config.suite`` (which :func:`train` sets), computes curriculum
     advantages, ascends the surrogate, and returns
-    ``(policy, opt_state, curriculum state, step record)``.  The rollout
+    ``(policy, opt_state, curriculum state, record)``, the record being
+    the dict written as the step's ``trainlog.jsonl`` line.  The rollout
     keeps the step's timestep subset as its kept steps.  A step with
     ``ref_policy is policy`` is a refresh step: the gradient is taken from
     the rollout alone (see :func:`surrogate_and_grads`).  The Adam update
@@ -291,30 +257,31 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
     vector, opt_state = adam_step_arrays(policy.vector, scale * grads, opt_state)
     policy = replace(policy, vector=vector)
 
-    rec = StepRecord(
-        step=step_index,
-        refresh=refresh,
-        condition=cond,
-        weights=state.weights.copy(),
-        term_means=state.group_means.copy(),
-        sparsities=state.sparsities.copy(),
-        transitions=state.transitions.copy(),
-        mixed_mean=float(state.mixed.mean()),
-        objective=J,
-        grad_norm=grad_norm,
-        clip_fraction=float(flags.mean()),
-        ratio_max_dev=float(np.abs(ratios - 1.0).max()),
-    )
+    rec = {
+        "step": step_index,
+        "refresh": refresh,
+        "condition": cond,
+        "weights": state.weights.tolist(),
+        "term_means": state.group_means.tolist(),
+        "sparsities": state.sparsities.tolist(),
+        "transitions": state.transitions.tolist(),
+        "mixed_mean": float(state.mixed.mean()),
+        "objective": J,
+        "grad_norm": grad_norm,
+        "clip_fraction": float(flags.mean()),
+        "ratio_max_dev": float(np.abs(ratios - 1.0).max()),
+    }
     return policy, opt_state, state, rec
 
 
 def train(policy: FlowPolicy, config: TrainConfig):
     """Run ``config.num_steps`` optimization steps as a generator that
     yields ``(step, policy, record)`` after each update: the step index,
-    the updated policy and its :class:`StepRecord`.  Nothing runs until
-    the first ``next()``, nothing is written, and 0 steps yield nothing;
-    the caller keeps what a run keeps, so a run that fails at step k has
-    already handed over its k completed steps.
+    the updated policy and the step's record, the dict written as its
+    ``trainlog.jsonl`` line.  Nothing runs until the first ``next()``,
+    nothing is written, and 0 steps yield nothing; the caller keeps what
+    a run keeps, so a run that fails at step k has already handed over
+    its k completed steps.
 
     The reference policy is refreshed every ``ref_refresh_interval``
     steps.  On a refresh step it is the policy object itself, which makes

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from flowstage import bias_audit, cli
-from flowstage.bias_audit import audit, cluster_kappa, kmeans, read_items_csv
+from flowstage.bias_audit import audit, kmeans, read_items_csv
 from flowstage.config import DEFAULTS
 from flowstage.errors import DomainError, ShapeError
 
@@ -84,28 +84,35 @@ class TestKmeans:
             kmeans(feats, 4, max_iters=MAX_ITERS)
 
 
+def kappas(report) -> list:
+    return [cluster["kappa"] for cluster in report["clusters"]]
+
+
 class TestClusterKappa:
+    """Each cluster's kappa, std / |mean| * 100, as :func:`audit` reports
+    it for items that all carry one label."""
+
+    @staticmethod
+    def one_cluster(scores) -> list:
+        return kappas(audit(scores, labels=np.zeros(len(scores)), max_iters=MAX_ITERS))
+
     def test_constant_cluster_is_zero(self):
-        assert cluster_kappa([np.array([1.0, 1.0, 1.0])]) == [0.0]
+        assert self.one_cluster(np.array([1.0, 1.0, 1.0])) == [0.0]
 
     def test_hand_case(self):
         # (2, 4): population std 1, mean 3 -> 33.33 percent
-        (kappa,) = cluster_kappa([np.array([2.0, 4.0])])
+        (kappa,) = self.one_cluster(np.array([2.0, 4.0]))
         assert kappa == pytest.approx(100.0 / 3.0, rel=1e-12)
 
     def test_scale_invariance(self):
         rng = philox(4)
         scores = rng.random(30) + 0.5
-        (k1,) = cluster_kappa([scores])
-        (k2,) = cluster_kappa([scores * 17.0])
+        (k1,) = self.one_cluster(scores)
+        (k2,) = self.one_cluster(scores * 17.0)
         assert k1 == pytest.approx(k2, abs=1e-9)
 
     def test_zero_mean_is_not_applicable(self):
-        assert cluster_kappa([np.array([-1.0, 1.0])]) == [None]
-
-    def test_empty_cluster_rejected(self):
-        with pytest.raises(DomainError):
-            cluster_kappa([np.array([])])
+        assert self.one_cluster(np.array([-1.0, 1.0])) == [None]
 
 
 class TestAudit:
@@ -113,29 +120,30 @@ class TestAudit:
         for seed in range(5):
             scores, feats, _ = synthetic_items(bias_range=0.0, seed=seed)
             report = audit(scores, feats, k=20, seed=seed, max_iters=MAX_ITERS)
-            assert report.inter_cluster_cov < 2.0
+            assert report["inter_cluster_cov"] < 2.0
 
     def test_biased_scorer_at_least_ten_times_unbiased(self):
         unbiased = audit(*synthetic_items(bias_range=0.0, seed=1), k=20, seed=1,
                          max_iters=MAX_ITERS)
         biased = audit(*synthetic_items(bias_range=0.5, seed=1), k=20, seed=1,
                        max_iters=MAX_ITERS)
-        assert biased.inter_cluster_cov >= 10.0 * unbiased.inter_cluster_cov
+        assert biased["inter_cluster_cov"] >= 10.0 * unbiased["inter_cluster_cov"]
 
     def test_labels_bypass_clustering(self):
         report = audit([1.0, 3.0, 10.0, 30.0], labels=[0, 0, 1, 1], max_iters=MAX_ITERS)
-        assert report.used_labels
-        assert report.k == 2
-        np.testing.assert_allclose(report.means, [2.0, 20.0], rtol=1e-12)
-        np.testing.assert_allclose(report.sizes, [2, 2])
+        assert report["used_labels"]
+        assert report["k"] == 2
+        np.testing.assert_allclose([c["mean"] for c in report["clusters"]], [2.0, 20.0],
+                                   rtol=1e-12)
+        np.testing.assert_allclose([c["size"] for c in report["clusters"]], [2, 2])
 
     def test_kappa_scale_invariance_through_audit(self):
         scores, feats, _ = synthetic_items(num_clusters=5, per_cluster=20, bias_range=0.3,
                                            seed=7)
         r1 = audit(scores, feats, k=5, seed=0, max_iters=MAX_ITERS)
         r2 = audit(scores * 3.5, feats, k=5, seed=0, max_iters=MAX_ITERS)
-        np.testing.assert_allclose(r1.kappas, r2.kappas, atol=1e-9)
-        assert r1.inter_cluster_cov == pytest.approx(r2.inter_cluster_cov, abs=1e-9)
+        np.testing.assert_allclose(kappas(r1), kappas(r2), atol=1e-9)
+        assert r1["inter_cluster_cov"] == pytest.approx(r2["inter_cluster_cov"], abs=1e-9)
 
     def test_missing_labels_rejected_when_no_k(self):
         with pytest.raises(DomainError):
@@ -265,6 +273,34 @@ class TestTabularIO:
         scores, features, _ = read_items_csv(path)
         np.testing.assert_array_equal(scores, [0.5, 1.5])
         np.testing.assert_array_equal(features, [[1.0], [2.0]])
+
+    @pytest.mark.parametrize("f0", ["0.5", "1_0"], ids=["numpy", "row-loop"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, f0):
+        # spreadsheet programs' "CSV UTF-8" export starts with a byte-order
+        # mark; numpy declines ``1_0``, so the row loop reads that file
+        text = f"id,score,label,f0\na,1.5,0,{f0}\nb,2.5,2,1.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        looped, read_rows = [], bias_audit._read_rows
+        monkeypatch.setattr(bias_audit, "_read_rows",
+                            lambda path: looped.append(path) or read_rows(path))
+        for got, want in zip(read_items_csv(marked), read_items_csv(plain)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert looped == ([] if f0 == "0.5" else [marked, plain])
+
+    @pytest.mark.parametrize("line", [3, 2_000], ids=["body", "numpy-chunk"])
+    def test_line_not_utf8_named_after_a_byte_order_mark(self, tmp_path, line):
+        lines = [b"id,score,f0"] + [b"item%d,0.5,%d.25" % (i, i) for i in range(2_005)]
+        lines[line - 1] = lines[line - 1].replace(b"i", b"i\xff", 1)
+        path = tmp_path / "items.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + b"\n".join(lines) + b"\n")
+        with pytest.raises(DomainError) as exc:
+            read_items_csv(path)
+        assert str(exc.value) == (f"{path}, line {line}: not UTF-8 ('utf-8' codec can't decode "
+                                  f"byte 0xff in position 1: invalid start byte)")
 
     @pytest.mark.parametrize("second, labels", [("2", [0, 2]), ("", None)],
                              ids=["labelled", "one-unlabelled"])

@@ -1,6 +1,7 @@
 """Run-config contracts: every value a run depends on can be set and is
 recorded, and configs that cannot run are rejected at load time."""
 
+import csv
 import inspect
 import json
 import os
@@ -595,3 +596,106 @@ def test_eval_rollout_failure_names_group_and_condition(tmp_path):
     assert json.loads((outdir / "failure.json").read_text())["message"] == (
         f"group 0, condition {cond}: step 3 (t=0.2800): "
         "forward pass produced a non-finite output")
+
+
+@pytest.mark.parametrize("name", ["run.json", "run.yaml"])
+def test_byte_order_marked_files_read_like_plain_ones(tmp_path, checkpoint, name):
+    """A config file and a thresholds file saved with a UTF-8 byte-order
+    mark, as some editors and spreadsheet programs save them, resolve as
+    the same files without one."""
+    path, tau = tmp_path / name, tmp_path / "tau.json"
+    user = {**TRAIN, "outdir": "out", "curriculum": {"thresholds_file": str(tau)}}
+    loaded = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        tau.write_text(json.dumps({"thresholds": [0.6, 0.65, 0.7]}), encoding=encoding)
+        path.write_text(json.dumps(user), encoding=encoding)
+        cfg = RunConfig.from_file(path)
+        loaded.append((cfg.resolved, cfg.train))
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert loaded[0] == loaded[1]
+    assert loaded[1][1].curriculum.thresholds == (0.6, 0.65, 0.7)
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path, checkpoint):
+    """A run whose config names a reward term in non-ASCII text writes its
+    outputs as UTF-8 under the C locale, where Python's default text
+    encoding is ASCII."""
+    rewards = [{**term, "id": "fidélité" if term["id"] == "fidelity" else term["id"]}
+               for term in DEFAULTS["rewards"]]
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "mode": "eval", "outdir": "out", "rewards": rewards,
+        "policy": {"init_checkpoint": checkpoint},
+        "train": {"group_size": 4}, "eval": {"num_groups": 2}}), encoding="utf-8")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join(
+               [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-m", "flowstage.cli", str(config)], cwd=tmp_path,
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    header = (tmp_path / "out" / "eval_groups.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == "group,condition,mean_fidélité,mean_smoothness,mean_alignment"
+    resolved = json.loads((tmp_path / "out" / "resolved_config.json").read_text(encoding="utf-8"))
+    assert resolved["rewards"] == rewards
+
+
+def test_eval_group_g_is_train_step_gs_group(tmp_path, checkpoint):
+    """At learning rate 0 every GRPO step samples under the starting
+    policy, so train step g and eval group g, at one seed, draw the same
+    condition and noise and score the same group, bit for bit."""
+    size = ("--set=train.group_size=16", "--set=seed=5")
+    (tmp_path / "train").mkdir()
+    rc, train_out = run_cli(tmp_path / "train", checkpoint, *size,
+                            "--set=train.num_steps=6", "--set=train.learning_rate=0")
+    assert rc == 0
+    rc, eval_out = run_cli(tmp_path, checkpoint, *size, "--set=mode=eval",
+                           "--set=eval.num_groups=6")
+    assert rc == 0
+    steps = [json.loads(line) for line in (train_out / "trainlog.jsonl").read_text().splitlines()]
+    with open(eval_out / "eval_groups.csv", newline="") as fp:
+        groups = list(csv.reader(fp))[1:]
+    assert len(steps) == len(groups) == 6
+    assert len({rec["condition"] for rec in steps}) > 1
+    for g, (rec, row) in enumerate(zip(steps, groups)):
+        assert [int(row[0]), int(row[1])] == [g, rec["condition"]]
+        assert [float(cell) for cell in row[2:]] == rec["term_means"]
+
+
+class TestNoStaleFailureMarker:
+    """A run removes an earlier run's ``failure.json`` from its outdir, so
+    the marker always speaks of the last run there."""
+
+    @staticmethod
+    def audit(tmp_path, rows, k):
+        items = tmp_path / "items.csv"
+        items.write_text("id,score,f0\n" + "".join(f"item{i},{row}\n"
+                                                   for i, row in enumerate(rows)))
+        return run_cli(tmp_path, None, "--set=mode=audit", f"--set=audit.input={items}",
+                       f"--set=audit.k={k}")
+
+    GOOD = ["0.1,0.0", "0.2,0.1", "0.3,5.0", "0.4,5.1", "0.5,9.0", "0.6,9.1"]
+
+    def test_fail_then_succeed_leaves_no_marker(self, tmp_path):
+        rc, outdir = self.audit(tmp_path, self.GOOD[:2], 3)
+        assert rc == 2 and (outdir / "failure.json").is_file()
+        rc, outdir = self.audit(tmp_path, self.GOOD, 3)
+        assert rc == 0
+        assert (outdir / "audit_report.json").is_file()
+        assert not (outdir / "failure.json").exists()
+
+    def test_succeed_then_fail_writes_one(self, tmp_path):
+        rc, outdir = self.audit(tmp_path, self.GOOD, 3)
+        assert rc == 0 and not (outdir / "failure.json").exists()
+        rc, outdir = self.audit(tmp_path, self.GOOD[:2], 3)
+        assert rc == 2
+        assert json.loads((outdir / "failure.json").read_text())["error"] == "DomainError"
+
+    def test_marker_that_cannot_be_removed_exits_1(self, tmp_path, capsys):
+        (tmp_path / "out" / "failure.json").mkdir(parents=True)
+        rc, outdir = self.audit(tmp_path, self.GOOD, 3)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: outdir: cannot remove {outdir / 'failure.json'}: ")
+        assert len(err.splitlines()) == 1
+        assert not (outdir / "resolved_config.json").exists()

@@ -67,7 +67,7 @@ def tiny_trajectories(ref, count=4, seed=100, num_steps=2):
 
 def jsonl(records):
     """The trainlog.jsonl lines of ``records``."""
-    return [json.dumps(rec.to_dict(), sort_keys=True) for rec in records]
+    return [json.dumps(rec, sort_keys=True) for rec in records]
 
 
 def small_train_config(**kw):
@@ -206,7 +206,7 @@ class TestTrainStep:
         cfg = small_train_config(learning_rate=0.0)
         new_policy, _, _, rec = train_step(policy, copy_policy(policy), cfg, RandomSource(3))
         np.testing.assert_array_equal(policy.vector, new_policy.vector)
-        assert math.isfinite(rec.objective)
+        assert math.isfinite(rec["objective"])
 
     def test_first_step_identity(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(2))
@@ -214,10 +214,10 @@ class TestTrainStep:
         _, log = drain(train(policy, cfg), policy)
         assert len(log) == 6
         for rec in log:
-            if rec.refresh:
-                assert rec.ratio_max_dev <= 1e-9
-                assert rec.clip_fraction == 0.0
-                assert abs(rec.objective) <= 1e-6
+            if rec["refresh"]:
+                assert rec["ratio_max_dev"] <= 1e-9
+                assert rec["clip_fraction"] == 0.0
+                assert abs(rec["objective"]) <= 1e-6
 
     def test_refresh_two_takes_both_paths(self, monkeypatch):
         # refresh steps take everything from the rollout and never call
@@ -238,12 +238,12 @@ class TestTrainStep:
             done.append(s)
             log.append(rec)
         assert reevaluated == [1, 3]
-        assert [rec.refresh for rec in log] == [True, False, True, False]
+        assert [rec["refresh"] for rec in log] == [True, False, True, False]
         for rec in log:
-            if rec.refresh:
-                assert rec.ratio_max_dev == 0.0
-                assert rec.clip_fraction == 0.0
-        assert any(rec.clip_fraction > 0.0 for rec in log if not rec.refresh)
+            if rec["refresh"]:
+                assert rec["ratio_max_dev"] == 0.0
+                assert rec["clip_fraction"] == 0.0
+        assert any(rec["clip_fraction"] > 0.0 for rec in log if not rec["refresh"])
 
     def test_stale_reference_is_left_as_it_sampled(self, monkeypatch):
         # step 0 refreshes (the reference is the policy itself), step 1
@@ -277,15 +277,15 @@ class TestTrainStep:
         cfg = small_train_config(num_steps=6, ref_refresh_interval=3,
                                  learning_rate=5e-3, seed=13)
         _, log = drain(train(policy, cfg), policy)
-        off_refresh = [r for r in log if not r.refresh]
-        assert any(r.ratio_max_dev > 1e-9 for r in off_refresh)
+        off_refresh = [r for r in log if not r["refresh"]]
+        assert any(r["ratio_max_dev"] > 1e-9 for r in off_refresh)
 
     def test_static_stage_uses_one_hot_weights(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(4))
         cfg = small_train_config(static_stage=1, num_steps=2)
         _, log = drain(train(policy, cfg), policy)
         for rec in log:
-            np.testing.assert_array_equal(rec.weights, [1.0, 0.0, 0.0])
+            np.testing.assert_array_equal(rec["weights"], [1.0, 0.0, 0.0])
 
     def test_determinism(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(5))
@@ -326,7 +326,7 @@ class TestTrainStep:
                                   "forward pass produced a non-finite output")
 
     def test_csv_and_jsonl_emission(self, tmp_path):
-        # the CLI writes both files from each record's to_dict(): every CSV
+        # the CLI writes both files from the records train yields: every CSV
         # cell is the text of its JSONL value (refresh as 0/1)
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(7))
         _, log = drain(train(policy, small_train_config(num_steps=3)), policy)
@@ -620,7 +620,7 @@ class TestLazyLogDensities:
     def test_on_policy_step_forms_it_once(self, calls):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(6))
         _, _, _, rec = train_step(policy, policy, small_train_config(), RandomSource(7))
-        assert rec.refresh
+        assert rec["refresh"]
         assert len(calls) == 1
 
 
@@ -662,7 +662,7 @@ class TestConfigValidation:
         cfg = small_train_config(timestep_fraction=0.6,
                                  sde=SdeConfig(num_steps=5, eta=0.5))
         _, _, _, rec = train_step(policy, copy_policy(policy), cfg, RandomSource(1))
-        assert math.isfinite(rec.objective)  # ceil(0.6 * 5) = 3 steps selected
+        assert math.isfinite(rec["objective"])  # ceil(0.6 * 5) = 3 steps selected
 
     @pytest.mark.parametrize("fraction, num_steps, kept", [
         # products one ulp above an integer in floats (0.14 * 50 is
