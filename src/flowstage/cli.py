@@ -47,7 +47,7 @@ from .flow_policy import (
     save_policy,
     sde_sample,
 )
-from .grpo import train
+from .grpo import group_draws, train
 from .numerics import RandomSource
 from .rewards import eval_group
 
@@ -143,9 +143,8 @@ def run_train(cfg: RunConfig) -> None:
 
 def run_eval(cfg: RunConfig) -> None:
     """Per-term reward statistics over freshly sampled groups.  Group g
-    draws its condition and noise from the streams that GRPO step g draws
-    from, ``(0, g)`` and ``(1, g)``, so at a fixed policy and seed eval
-    group g is train step g's group."""
+    is ``group_draws``' group g, what GRPO step g samples from, so at a
+    fixed policy and seed eval group g is train step g's group."""
     policy = cfg.init_policy
     suite, sde, group_size = cfg.suite, cfg.sde, cfg.train.group_size
     num_groups = cfg.resolved["eval"]["num_groups"]
@@ -155,11 +154,9 @@ def run_eval(cfg: RunConfig) -> None:
     all_values = []
     rows = []
     for g in range(num_groups):
-        cond = int(rng.at_stream(0, g).integers(0, dims.num_classes))
-        noise = rng.gaussian_streams((1, g), group_size, (sde.num_steps + 1) * dims.state_size)
+        cond, noise = group_draws(rng, g, dims, group_size, sde.num_steps)
         try:
-            rollout = sde_sample(policy, cond, sde,
-                                 noise.reshape(group_size, sde.num_steps + 1, -1))
+            rollout = sde_sample(policy, cond, sde, noise)
         except RolloutError as exc:
             raise RolloutError(f"group {g}, condition {cond}: {exc}") from exc
         matrix = eval_group(

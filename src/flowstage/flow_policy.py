@@ -22,7 +22,7 @@ Conventions, fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
@@ -73,6 +73,10 @@ class PolicyDims:
     num_classes: int = 8
     embed_dim: int = 8
 
+    def __post_init__(self):
+        for f in fields(self):
+            require_int(f.name, getattr(self, f.name))
+
     @property
     def state_size(self) -> int:
         return self.frames * self.frame_dim
@@ -101,6 +105,8 @@ class FlowPolicy:
     cond_emb: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        for i, size in enumerate(self.layer_sizes):
+            require_int(f"layer_sizes[{i}]", size)
         self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
         self.vector = np.ascontiguousarray(self.vector, dtype=np.float64)
         emb_shape = (self.dims.num_classes, self.dims.embed_dim)
@@ -293,12 +299,7 @@ def save_policy(path, policy: FlowPolicy, extra_meta: dict | None = None) -> Non
         "kind": "flow_policy",
         "layer_sizes": list(policy.layer_sizes),
         "activation": "tanh",
-        "dims": {
-            "frames": policy.dims.frames,
-            "frame_dim": policy.dims.frame_dim,
-            "num_classes": policy.dims.num_classes,
-            "embed_dim": policy.dims.embed_dim,
-        },
+        "dims": asdict(policy.dims),
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -306,13 +307,19 @@ def save_policy(path, policy: FlowPolicy, extra_meta: dict | None = None) -> Non
 
 
 def load_policy(path):
-    """Returns ``(FlowPolicy, meta)``."""
+    """Returns ``(FlowPolicy, meta)``.  The header's ``dims`` must name
+    every :class:`PolicyDims` field, and every size must be an integer."""
     meta, arrays = read_checkpoint(path)
+    if not isinstance(meta, dict):
+        raise DomainError(f"{path}: checkpoint meta is not a mapping")
     if meta.get("kind") != "flow_policy":
         raise DomainError(f"{path}: not a flow policy checkpoint")
     if meta.get("activation", "tanh") != "tanh":
         raise DomainError(f"{path}: unsupported activation {meta['activation']!r}")
     sizes = tuple(meta["layer_sizes"])
+    names = sorted(f.name for f in fields(PolicyDims))
+    if not isinstance(meta["dims"], dict) or sorted(meta["dims"]) != names:
+        raise DomainError(f"{path}: checkpoint dims must name {names}, got {meta['dims']!r}")
     dims = PolicyDims(**meta["dims"])
     return FlowPolicy(dims, sizes, join_params(arrays, _policy_layout(sizes, dims))), meta
 

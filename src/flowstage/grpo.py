@@ -25,15 +25,16 @@ reward suite, a :class:`RewardSuite` checked and put in stage order when
 it was built (:func:`train` fills in the default suite once); the
 sampler's time grid and step constants (``SdeConfig.grid``, their one
 home, which every rollout carries to its densities and gradient); the
-kept-step count (``TrainConfig.kept_count``); the random pools that the
-condition, timestep-subset and rollout streams' first ids lead to, which
-the run's :class:`RandomSource` keeps, so each step mixes in only its
-index; and the net layout's spans, from which each step's new policy and
-gradient are split (``numerics._net_spans``; a new policy's finiteness
-is still checked).  Step k's condition, timestep subset and rollout
-noise are drawn from the Philox streams of numpy's ``SeedSequence(seed,
-spawn_key=(stream id, k))`` (trajectory i's noise: ``(stream id, k, i)``)
-through ``RandomSource.at_stream`` and ``RandomSource.gaussian_streams``.
+kept-step count (``TrainConfig.kept_count``); and the net layout's
+spans, from which each step's new policy and gradient are split
+(``numerics._net_spans``; a new policy's finiteness is still checked).
+Step k's condition, timestep subset and rollout noise are drawn from the
+Philox streams of numpy's ``SeedSequence(seed, spawn_key=(stream id,
+k))`` (trajectory i's noise: ``(stream id, k, i)``) through
+``RandomSource.at_stream`` and ``RandomSource.gaussian_streams``; a step
+keeps no random state, so step k's draws depend on the seed and k alone.
+:func:`group_draws` draws a group's condition and noise, for train step
+k and eval group k alike.
 
 Advantages enter the gradient as constants: nothing differentiates
 through the reward or mixing computations.
@@ -56,6 +57,7 @@ from .curriculum import CurriculumConfig, CurriculumState, curriculum_step, stat
 from .errors import DomainError, RolloutError, ShapeError, require_int, require_number
 from .flow_policy import (
     FlowPolicy,
+    PolicyDims,
     Rollout,
     SdeConfig,
     backprop_step,
@@ -67,6 +69,18 @@ from .rewards import RewardSuite, default_suite, eval_group
 
 # Stream ids for per-step child RNGs.
 _STREAM_COND, _STREAM_ROLLOUT, _STREAM_SUBSET = 0, 1, 2
+
+
+def group_draws(rng: RandomSource, k: int, dims: PolicyDims, group_size: int,
+                num_steps: int):
+    """Group k's condition and its ``(group_size, num_steps + 1,
+    dims.state_size)`` sampler noise, drawn from ``rng``'s streams
+    ``(stream id, k)`` and ``(stream id, k, i)`` for trajectory i: what
+    GRPO step k samples from, and eval group k."""
+    cond = int(rng.at_stream(_STREAM_COND, k).integers(0, dims.num_classes))
+    noise = rng.gaussian_streams((_STREAM_ROLLOUT, k), group_size,
+                                 (num_steps + 1) * dims.state_size)
+    return cond, noise.reshape(group_size, num_steps + 1, dims.state_size)
 
 
 @dataclass(frozen=True)
@@ -227,14 +241,11 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
     if opt_state is None:
         opt_state = adam_init(policy.vector, learning_rate=config.learning_rate)
 
-    cond = int(rng.at_stream(_STREAM_COND, step_index).integers(0, policy.dims.num_classes))
-    K = config.sde.num_steps
+    G, K, dims = config.group_size, config.sde.num_steps, policy.dims
+    cond, noise = group_draws(rng, step_index, dims, G, K)
     subset = np.sort(rng.at_stream(_STREAM_SUBSET, step_index).permutation(K)[:config.kept_count])
-    G, dims = config.group_size, policy.dims
-    noise = rng.gaussian_streams((_STREAM_ROLLOUT, step_index), G, (K + 1) * dims.state_size)
     try:
-        rollout = sde_sample(ref_policy, cond, config.sde, noise.reshape(G, K + 1, -1),
-                             keep=subset)
+        rollout = sde_sample(ref_policy, cond, config.sde, noise, keep=subset)
     except RolloutError as exc:
         raise RolloutError(f"step {step_index}, condition {cond}: {exc}") from exc
 

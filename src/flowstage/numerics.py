@@ -2,7 +2,8 @@
 Adam optimizer, a counter-based random source, and checkpoint I/O.
 
 Everything here is a pure function of its inputs; randomness only enters
-through an explicit generator or :class:`RandomSource`.  Matrices are
+through an explicit generator or :class:`RandomSource`, whose streams are
+numpy's own SeedSequence children.  Matrices are
 plain C-order float64 ``numpy`` arrays (rows x cols, row-major).
 
 The ``mlp_*`` functions check shapes and finiteness and hand the
@@ -301,17 +302,10 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _uint32_words(value: int) -> list:
-    """Little-endian 32-bit words of a non-negative int, as SeedSequence
-    splits its entropy (0 is one word)."""
-    if value < 0:
-        raise DomainError(f"expected non-negative integer, got {value}")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+def _word_count(value: int) -> int:
+    """How many 32-bit words SeedSequence splits a non-negative int into
+    (0 is one word)."""
+    return max(1, -(-int(value).bit_length() // 32))
 
 
 def _hashmix(value, hash_const):
@@ -331,59 +325,28 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def _child_pool(seed: int, spawn_key: tuple) -> tuple:
-    """SeedSequence's entropy pool after it has mixed in the words that
-    every child of ``(seed, spawn_key)`` shares, as ``(pool, next hash
-    constant)``.
+def _seed_pool(seq: np.random.SeedSequence) -> tuple:
+    """numpy's ``seq`` as ``(pool, next hash constant)``: its entropy pool
+    and the hash constant its mixing left behind, which the next entropy
+    word would be hashed with.
 
-    SeedSequence hashes its entropy words into a 4-word pool: the seed
-    words, zero-padded to 4 because a child has a spawn key, then the
-    spawn key's words.  The first 4 words fill the pool and are
-    cross-mixed; each later word is mixed into every pool word.
+    SeedSequence splits the seed and each spawn-key id into 32-bit words,
+    the seed zero-padded to 4 words when a spawn key follows (with none,
+    filling the pool hashes zeros in their place), and hashes them into
+    its 4-word pool.  Each hashmix multiplies the constant by ``_MULT_A``:
+    4 fill the pool, 12 cross-mix it, and each word past the fourth takes
+    one per pool word, so 4 per word in all.
     """
-    words = _uint32_words(seed)
-    words += [0] * (_SEED_POOL_SIZE - len(words))
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:_SEED_POOL_SIZE]:
-        mixed, hash_const = _hashmix(word, hash_const)
-        pool.append(mixed)
-    for src in range(_SEED_POOL_SIZE):
-        for dst in range(_SEED_POOL_SIZE):
-            if src != dst:
-                mixed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], mixed)
-    later = words[_SEED_POOL_SIZE:] + [w for k in spawn_key for w in _uint32_words(k)]
-    return _mix_words((pool, hash_const), later)
-
-
-def _mix_words(state: tuple, words) -> tuple:
-    """``state``, a ``(pool, next hash constant)``, after mixing ``words``
-    into every pool word; a new state."""
-    pool, hash_const = list(state[0]), state[1]
-    for word in words:
-        for dst in range(_SEED_POOL_SIZE):
-            mixed, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], mixed)
-    return pool, hash_const
-
-
-def _philox_key(state: tuple) -> list:
-    """The Philox key, two uint64 as ints, that SeedSequence's
-    ``generate_state(2, uint64)`` gives for the pool of ``state``."""
-    out, const = [], _INIT_B
-    for word in state[0]:
-        word ^= const
-        const = const * _MULT_B & _MASK32
-        word = word * const & _MASK32
-        out.append(word ^ (word >> 16))
-    return [out[0] | out[1] << 32, out[2] | out[3] << 32]
+    words = (max(_word_count(seq.entropy), _SEED_POOL_SIZE)
+             + sum(_word_count(k) for k in seq.spawn_key))
+    return seq.pool, _INIT_A * pow(_MULT_A, _SEED_POOL_SIZE * words, _MASK32 + 1) & _MASK32
 
 
 def _philox_keys(state: tuple, count: int) -> np.ndarray:
-    """``(count, 2)`` uint64 Philox keys; row i is the key of the pool of
-    ``state`` with one more entropy word, i: :func:`_philox_key` of
-    ``_mix_words(state, [i])``.
+    """``(count, 2)`` uint64 Philox keys; row i is the key numpy's
+    ``generate_state(2, uint64)`` gives for the pool of ``state`` (see
+    :func:`_seed_pool`) with one more entropy word, i: the key of child i
+    of that SeedSequence.
 
     i's hashmix into pool word dst takes the dst-th hash constant from
     ``state``, and output word dst the dst-th output constant, so the
@@ -407,23 +370,13 @@ def _philox_keys(state: tuple, count: int) -> np.ndarray:
     return keys
 
 
-def _fresh_philox_state(key) -> dict:
-    """The state a fresh Philox stream with ``key`` starts in: counter 0
-    and an empty buffer, given as plain ints."""
-    return {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
 class RandomSource:
     """A seed and a spawn-key prefix that address counter-based Philox
     streams: child ``ids`` is the stream of numpy's ``SeedSequence(seed,
     spawn_key=spawn_key + ids)``, so a key always reproduces its draws and
-    distinct keys give independent streams.  A source holds no generator
-    of its own: :meth:`at_stream` and :meth:`gaussian_streams` draw into
-    one scratch Philox, from keys hashed off the pool each child's first
-    id leads to.  That pool is mixed the first time the id leads and kept,
-    so a run that draws step k's streams as ``(stream id, k)`` mixes only
-    k per draw.  Negative seeds and ids are rejected, as SeedSequence
+    distinct keys give independent streams.  A source is only its seed
+    and spawn key: it holds no generator and keeps nothing from one call
+    to the next.  Negative seeds and ids are rejected, as SeedSequence
     rejects them.
     """
 
@@ -432,7 +385,6 @@ class RandomSource:
         self.spawn_key = tuple(int(k) for k in spawn_key)
         if min((self.seed, *self.spawn_key)) < 0:
             raise DomainError(f"negative seed or spawn key: {self.seed}, {self.spawn_key}")
-        self._prefixes = {}
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, spawn_key={self.spawn_key})"
@@ -441,57 +393,40 @@ class RandomSource:
         """The source whose child streams are this one's under ``ids``."""
         return RandomSource(self.seed, self.spawn_key + tuple(int(i) for i in ids))
 
-    def _child_state(self, ids) -> tuple:
-        """The pool state of child ``ids`` (see :func:`_child_pool`).  The
-        state after the first id (none for empty ``ids``) is kept per
-        first id, so only the later ids are mixed again."""
-        ids = [int(i) for i in ids]
-        head = ids[0] if ids else None
-        state = self._prefixes.get(head)
-        if state is None:
-            state = self._prefixes[head] = _child_pool(self.seed, self.spawn_key + tuple(ids[:1]))
-        return _mix_words(state, [w for i in ids[1:] for w in _uint32_words(i)])
-
-    @functools.cached_property
-    def _scratch(self) -> np.random.Generator:
-        """The one scratch generator of this source, built on first use."""
-        return np.random.Generator(np.random.Philox(0))
+    def _child(self, ids) -> np.random.SeedSequence:
+        """numpy's SeedSequence of child stream ``ids``."""
+        return np.random.SeedSequence(self.seed, spawn_key=self.spawn_key + tuple(ids))
 
     def at_stream(self, *ids: int) -> np.random.Generator:
-        """A generator at the start of child stream ``ids`` (see the
-        class): its draws equal that stream's, bit for bit.
-
-        It is the one scratch generator of this source, set afresh by every
-        call here and in :meth:`gaussian_streams`, so draw from it before
-        the next; no SeedSequence, Philox or Generator is built.
-        """
+        """A new generator at the start of child stream ``ids`` (see the
+        class): numpy's own, on the Philox of its SeedSequence."""
         if not ids:
             raise DomainError("at_stream needs at least one id")
-        gen = self._scratch
-        gen.bit_generator.state = _fresh_philox_state(_philox_key(self._child_state(ids)))
-        return gen
+        return np.random.Generator(np.random.Philox(self._child(ids)))
 
     def gaussian_streams(self, ids: Sequence[int], count: int, n: int) -> np.ndarray:
         """A ``(count, n)`` block whose row i is, bit for bit, the first n
         ``standard_normal`` draws of child stream ``(*ids, i)``.
 
-        The streams' Philox keys come from :func:`_philox_keys` in one
-        pass.  The draws then reuse the scratch generator: one fresh-stream
-        state is built per call, and each row writes its key into it, sets
-        the generator to it and draws its row through the generator's
-        bound ``standard_normal`` (this resets :meth:`at_stream`'s
-        generator too).  Setting a row's state costs about an eighth of
-        drawing a 272-value row, so the draws themselves bound this loop.
+        The rows' Philox keys come from :func:`_philox_keys` in one pass
+        over the pool of child ``ids``; building a SeedSequence per row
+        would cost more than drawing its row.  The rows are then drawn
+        through one generator: each row writes its key into a fresh-stream
+        state, sets the generator to it and draws through the generator's
+        bound ``standard_normal``.  Setting a row's state costs about an
+        eighth of drawing a 272-value row, so the draws bound this loop.
         """
         if not 1 <= count <= _MASK32 + 1:
             raise DomainError(f"need 1 <= count <= 2**32 streams, got {count}")
         if n < 1:
             raise DomainError(f"need n >= 1 draws, got {n}")
+        seq = self._child(ids)
         out = np.empty((count, int(n)))
-        gen = self._scratch
-        bit_generator, draw = gen.bit_generator, gen.standard_normal
-        state = _fresh_philox_state(None)
-        for i, key in enumerate(_philox_keys(self._child_state(ids), count).tolist()):
+        bit_generator = np.random.Philox(seq)
+        draw = np.random.Generator(bit_generator).standard_normal
+        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        for i, key in enumerate(_philox_keys(_seed_pool(seq), count).tolist()):
             state["state"]["key"] = key
             bit_generator.state = state
             draw(out=out[i])

@@ -144,15 +144,23 @@ def late_overflow(policy):
     return p
 
 
-def reshape_in_header(path, name, shape):
-    """Rewrite the checkpoint at ``path`` so that its header gives array
-    ``name`` the shape ``shape``; the payload is left as it was."""
+def edit_header(path, edit):
+    """Rewrite the checkpoint at ``path`` after ``edit`` has changed its
+    header dict in place; the payload is left as it was."""
     header, payload = path.read_bytes()[len(CHECKPOINT_MAGIC):].split(b"\n", 1)
     header = json.loads(header)
-    for entry in header["arrays"]:
-        if entry["name"] == name:
-            entry["shape"] = shape
+    edit(header)
     path.write_bytes(CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + payload)
+
+
+def reshape_in_header(path, name, shape):
+    """Rewrite the checkpoint at ``path`` so that its header gives array
+    ``name`` the shape ``shape``."""
+    def reshape(header):
+        for entry in header["arrays"]:
+            if entry["name"] == name:
+                entry["shape"] = shape
+    edit_header(path, reshape)
 
 
 def drain(steps, policy):

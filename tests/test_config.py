@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import kept_by_step, late_overflow, reshape_in_header
+from helpers import edit_header, kept_by_step, late_overflow, reshape_in_header
 
 from flowstage import cli, flow_policy, grpo
 from flowstage.config import DEFAULTS, RunConfig
@@ -79,6 +79,15 @@ def load_errors(user, *overrides):
 
 
 TRAIN = {"mode": "train", "policy": {"init_checkpoint": "init.ckpt"}}
+
+# in-place edits of a checkpoint's header that leave it unloadable
+META_EDITS = {
+    "float dims": lambda header: header["meta"]["dims"].update(frames=8.0),
+    "float layer size": lambda header: header["meta"].update(
+        layer_sizes=[25.5, *header["meta"]["layer_sizes"][1:]]),
+    "dims without embed_dim": lambda header: header["meta"]["dims"].pop("embed_dim"),
+    "meta list": lambda header: header.update(meta=[header["meta"]]),
+}
 
 
 class TestMaxGradNorm:
@@ -388,7 +397,7 @@ class TestRejectedAtLoad:
 
     @pytest.mark.parametrize("mode", ["calibrate", "train", "eval"])
     @pytest.mark.parametrize("content", ["json", "truncated", "bad header", "oversized",
-                                         "negative dims"])
+                                         "negative dims", *META_EDITS])
     def test_init_checkpoint_that_does_not_load(self, tmp_path, checkpoint, capsys, mode,
                                                 content):
         path = tmp_path / "bad.ckpt"
@@ -402,6 +411,9 @@ class TestRejectedAtLoad:
             path.write_bytes(Path(checkpoint).read_bytes())
             shape = [10**7, 10**6] if content == "oversized" else [-(10**7), -(10**6)]
             reshape_in_header(path, "w0", shape)
+        elif content in META_EDITS:
+            path.write_bytes(Path(checkpoint).read_bytes())
+            edit_header(path, META_EDITS[content])
         else:
             path.write_bytes(CHECKPOINT_MAGIC + b"{not json\n")
         rc, outdir = run_cli(tmp_path, str(path), f"--set=mode={mode}")

@@ -319,7 +319,7 @@ class TestTrainStep:
         policy = late_overflow(init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(8)))
         cfg = small_train_config()
         rng = RandomSource(cfg.seed)
-        cond = int(rng.at_stream(grpo._STREAM_COND, 2).integers(0, PLANAR.num_classes))
+        cond, _ = grpo.group_draws(rng, 2, PLANAR, cfg.group_size, cfg.sde.num_steps)
         with pytest.raises(RolloutError) as err, pytest.warns(RuntimeWarning):
             train_step(policy, policy, cfg, rng, step_index=2)
         assert str(err.value) == (f"step 2, condition {cond}: step 3 (t=0.2800): "

@@ -19,8 +19,8 @@ from flowstage.numerics import (
     ADAM_EPSILON,
     MlpParams,
     RandomSource,
-    _child_pool,
     _philox_keys,
+    _seed_pool,
     adam_init,
     adam_step_arrays,
     init_mlp,
@@ -352,7 +352,7 @@ class TestRandomSource:
             make()
 
     def test_construction_builds_no_generator(self, monkeypatch):
-        # a source is a seed, a spawn-key prefix and its cached pools
+        # a source is a seed and a spawn-key prefix
         def refuse(*args, **kwargs):
             raise AssertionError("built a generator")
 
@@ -381,7 +381,8 @@ class TestGaussianStreams:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(SEEDS), IDS, st.integers(1, 70))
     def test_keys_equal_seed_sequence(self, seed, spawn_key, count):
-        keys = _philox_keys(_child_pool(seed, tuple(spawn_key)), count)
+        seq = np.random.SeedSequence(seed, spawn_key=tuple(spawn_key))
+        keys = _philox_keys(_seed_pool(seq), count)
         expected = [np.random.SeedSequence(seed, spawn_key=(*spawn_key, i))
                     .generate_state(2, np.uint64) for i in range(count)]
         np.testing.assert_array_equal(keys, expected)
@@ -424,8 +425,7 @@ class TestAtStream:
                                       philox(seed, *spawn, *ids).permutation(k))
 
     def test_each_call_starts_afresh(self):
-        # the scratch generator is shared: a call resets whatever an earlier
-        # call or gaussian_streams drew from it
+        # whatever earlier calls drew, a call starts its stream afresh
         root = RandomSource(4)
         first = root.at_stream(2, 9).permutation(16)
         root.at_stream(0, 9).integers(0, 8, size=50)
@@ -433,9 +433,9 @@ class TestAtStream:
         np.testing.assert_array_equal(root.at_stream(2, 9).permutation(16), first)
 
     def test_interleaved_calls_match_child_streams(self):
-        # at_stream(a) is left part-way through a buffered draw, then
-        # gaussian_streams and at_stream(b) reuse its generator: every
-        # draw still equals its own stream's
+        # at_stream(a) is left part-way through a buffered draw while
+        # gaussian_streams and at_stream(b) draw: every draw still equals
+        # its own stream's
         root = RandomSource(6)
         a = root.at_stream(0, 3)
         drawn_a = (a.integers(0, 8), a.standard_normal(3), a.integers(0, 5, size=3))
@@ -461,16 +461,16 @@ class TestAtStream:
             RandomSource(5).at_stream(*ids)
 
 
-class TestStreamPrefixes:
-    """A source keeps the pool each child's first id leads to: draws
-    through it equal the children's own, whatever came before."""
+class TestAlternatingCalls:
+    """Calls that alternate between children, first ids and lengths of
+    ids each draw their own child's stream, whatever came before."""
 
     CALLS = [(), (0, 5), (2**32,), (1, 7), (2**40 + 3, 2**32), (0, 6), (2**32, 1), (),
              (1, 8), (2**40 + 3, 0, 9), (np.int64(0), np.int64(5)), (2**32 + 1,)]
 
     @pytest.mark.parametrize("seed, spawn_key", [(0, ()), (2**32 + 1, ()), (11, (3,)),
                                                  (7, (2**40 + 3, 1))])
-    def test_alternating_first_ids_match_child_streams(self, seed, spawn_key):
+    def test_alternating_calls_equal_child_streams(self, seed, spawn_key):
         root = RandomSource(seed, spawn_key)
         for ids in self.CALLS:
             for i, row in enumerate(root.gaussian_streams(ids, 3, 5)):
@@ -480,12 +480,20 @@ class TestStreamPrefixes:
                 np.testing.assert_array_equal(root.at_stream(*ids).permutation(12),
                                               philox(seed, *spawn_key, *ids).permutation(12))
 
+    def test_source_keeps_no_state_per_id(self):
+        root = RandomSource(5, (2,))
+        for ids in self.CALLS:
+            root.gaussian_streams(ids, 2, 3)
+            if ids:
+                root.at_stream(*ids).integers(0, 8)
+        assert vars(root) == {"seed": 5, "spawn_key": (2,)}
+
     def test_negative_ids_still_rejected(self):
         root = RandomSource(5)
         root.at_stream(3, 1)
         root.gaussian_streams((), 2, 2)
         for ids in [(-1,), (3, -2), (-1, 3)]:
-            for _ in range(2):  # a rejected first id is not kept either
+            for _ in range(2):  # a rejected call leaves nothing behind
                 with pytest.raises(ValueError):
                     root.at_stream(*ids)
                 with pytest.raises(ValueError):
