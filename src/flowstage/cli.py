@@ -47,7 +47,7 @@ from .flow_policy import (
     save_policy,
     sde_sample,
 )
-from .grpo import group_draws, train
+from .grpo import GroupStreams, train
 from .numerics import RandomSource
 from .rewards import eval_group
 
@@ -143,18 +143,19 @@ def run_train(cfg: RunConfig) -> None:
 
 def run_eval(cfg: RunConfig) -> None:
     """Per-term reward statistics over freshly sampled groups.  Group g
-    is ``group_draws``' group g, what GRPO step g samples from, so at a
-    fixed policy and seed eval group g is train step g's group."""
+    is group g of a ``GroupStreams`` over the run's groups, what GRPO
+    step g samples from, so at a fixed policy and seed eval group g is
+    train step g's group."""
     policy = cfg.init_policy
     suite, sde, group_size = cfg.suite, cfg.sde, cfg.train.group_size
     num_groups = cfg.resolved["eval"]["num_groups"]
-    rng = RandomSource(cfg.seed)
 
     dims = policy.dims
+    streams = GroupStreams(RandomSource(cfg.seed), num_groups, dims, group_size, sde.num_steps)
     all_values = []
     rows = []
     for g in range(num_groups):
-        cond, noise = group_draws(rng, g, dims, group_size, sde.num_steps)
+        cond, noise = streams.group(g)
         try:
             rollout = sde_sample(policy, cond, sde, noise)
         except RolloutError as exc:

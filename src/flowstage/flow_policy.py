@@ -39,6 +39,7 @@ from .errors import (
     require_number,
 )
 from .numerics import (
+    KeyedGenerator,
     MlpParams,
     RandomSource,
     adam_init,
@@ -378,7 +379,7 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
     ``noise`` is the group's standard normal noise block, (G, K + 1, n):
     row i holds trajectory i's initial state and then its K step
     increments.  Drawing row i from its own stream, as
-    ``RandomSource.gaussian_streams`` does, makes a trajectory's noise
+    ``grpo.GroupStreams.group`` does, makes a trajectory's noise
     independent of the group size.  Its states are not, bit for bit: a
     G-row matrix product may sum in another order than a one-row one, so
     they move with G at rounding level (one 64-row forward differed from
@@ -608,7 +609,9 @@ def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
     """Regress the velocity net onto (noise - data) along the linear path,
     ``steps`` Adam steps on batches of ``batch_size`` (a run's ``pretrain``
     section), step k's batch from ``rng``'s child stream (0, k) and its
-    noise and flow times from (1, k).
+    noise and flow times from (1, k).  Every step's stream keys are
+    computed before the first step, and each step's draws reset one
+    generator to them.
 
     A generator, like :func:`grpo.train`: it yields ``(step, policy,
     loss)`` after each update, the step index, the updated policy and the
@@ -618,14 +621,16 @@ def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
     """
     n = policy.dims.state_size
     opt = adam_init(policy.vector, learning_rate=learning_rate)
+    batch_keys, noise_keys = rng.child_keys((), 2, steps)
+    draws = KeyedGenerator()
     for step in range(steps):
-        frames, conds = dataset.sample_batch(rng.at_stream(0, step), batch_size)
+        frames, conds = dataset.sample_batch(draws.at(batch_keys[step].tolist()), batch_size)
         if len(frames) == 0:
             raise DomainError("empty dataset")
         if frames.shape[1] * frames.shape[2] != n:
             raise ShapeError("dataset sample size does not match the policy state")
         B = len(frames)
-        noise_rng = rng.at_stream(1, step)
+        noise_rng = draws.at(noise_keys[step].tolist())
         eps = noise_rng.standard_normal(B * n).reshape(B, n)
         t = noise_rng.random(B)
         resid, acts = _flow_matching_residual(policy, frames, conds, t, eps)

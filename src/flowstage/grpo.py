@@ -30,11 +30,12 @@ spans, from which each step's new policy and gradient are split
 (``numerics._net_spans``; a new policy's finiteness is still checked).
 Step k's condition, timestep subset and rollout noise are drawn from the
 Philox streams of numpy's ``SeedSequence(seed, spawn_key=(stream id,
-k))`` (trajectory i's noise: ``(stream id, k, i)``) through
-``RandomSource.at_stream`` and ``RandomSource.gaussian_streams``; a step
-keeps no random state, so step k's draws depend on the seed and k alone.
-:func:`group_draws` draws a group's condition and noise, for train step
-k and eval group k alike.
+k))`` (trajectory i's noise: ``(stream id, k, i)``).  The keys of those
+streams are a function of the seed alone, so a run's :class:`GroupStreams`
+computes every step's keys before the first step, and each draw resets
+one generator to its key; step k's draws depend on the seed and k alone,
+whatever was drawn before.  Train step k and eval group k draw their
+condition and noise alike, through :meth:`GroupStreams.group`.
 
 Advantages enter the gradient as constants: nothing differentiates
 through the reward or mixing computations.
@@ -64,23 +65,53 @@ from .flow_policy import (
     eval_step,
     sde_sample,
 )
-from .numerics import AdamState, RandomSource, adam_init, adam_step_arrays
+from .numerics import AdamState, KeyedGenerator, RandomSource, adam_init, adam_step_arrays
 from .rewards import RewardSuite, default_suite, eval_group
 
 # Stream ids for per-step child RNGs.
 _STREAM_COND, _STREAM_ROLLOUT, _STREAM_SUBSET = 0, 1, 2
 
 
-def group_draws(rng: RandomSource, k: int, dims: PolicyDims, group_size: int,
-                num_steps: int):
-    """Group k's condition and its ``(group_size, num_steps + 1,
-    dims.state_size)`` sampler noise, drawn from ``rng``'s streams
-    ``(stream id, k)`` and ``(stream id, k, i)`` for trajectory i: what
-    GRPO step k samples from, and eval group k."""
-    cond = int(rng.at_stream(_STREAM_COND, k).integers(0, dims.num_classes))
-    noise = rng.gaussian_streams((_STREAM_ROLLOUT, k), group_size,
-                                 (num_steps + 1) * dims.state_size)
-    return cond, noise.reshape(group_size, num_steps + 1, dims.state_size)
+class GroupStreams:
+    """The random draws of groups 0 ... count-1 of one run: group k's
+    condition, timestep subset and ``(group_size, num_steps + 1,
+    dims.state_size)`` sampler noise come from ``rng``'s streams
+    ``(stream id, k)``, and trajectory i's noise from ``(stream id, k,
+    i)``.  What GRPO step k samples from, and eval group k.
+
+    Every stream's key is computed here, in one pass per stream id
+    (:meth:`RandomSource.child_keys`), and kept as 16 bytes a stream;
+    each draw resets one :class:`KeyedGenerator` to its key and finishes
+    before the method returns, so groups may be drawn in any order.
+    """
+
+    def __init__(self, rng: RandomSource, count: int, dims: PolicyDims, group_size: int,
+                 num_steps: int):
+        self.dims, self.group_size, self.num_steps = dims, group_size, num_steps
+        self._cond_keys = rng.child_keys((_STREAM_COND,), count)
+        self._subset_keys = rng.child_keys((_STREAM_SUBSET,), count)
+        self._noise_keys = rng.child_keys((_STREAM_ROLLOUT,), count, group_size)
+        self._draws = KeyedGenerator()
+
+    def _keys(self, table: np.ndarray, k: int) -> list:
+        """Group k's row of ``table`` as ints."""
+        if not 0 <= k < len(table):
+            raise DomainError(f"group {k} is outside this run's {len(table)} groups")
+        return table[k].tolist()
+
+    def group(self, k: int):
+        """Group k's condition and its sampler noise."""
+        cond = int(self._draws.at(self._keys(self._cond_keys, k))
+                   .integers(0, self.dims.num_classes))
+        noise = self._draws.gaussian_rows(self._keys(self._noise_keys, k),
+                                          (self.num_steps + 1) * self.dims.state_size)
+        return cond, noise.reshape(self.group_size, self.num_steps + 1, self.dims.state_size)
+
+    def subset(self, k: int, kept: int) -> np.ndarray:
+        """Group k's timestep subset: ``kept`` of the ``num_steps`` sampler
+        steps, in order."""
+        order = self._draws.at(self._keys(self._subset_keys, k)).permutation(self.num_steps)
+        return np.sort(order[:kept])
 
 
 @dataclass(frozen=True)
@@ -220,7 +251,7 @@ def surrogate_and_grads(policy: FlowPolicy, rollout: Rollout, advantages: np.nda
 
 
 def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
-               rng: RandomSource, opt_state: AdamState | None = None,
+               streams: GroupStreams, opt_state: AdamState | None = None,
                prior_state: CurriculumState | None = None, step_index: int = 0):
     """One optimization step.
 
@@ -228,8 +259,10 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
     ``config.suite`` (which :func:`train` sets), computes curriculum
     advantages, ascends the surrogate, and returns
     ``(policy, opt_state, curriculum state, record)``, the record being
-    the dict written as the step's ``trainlog.jsonl`` line.  The rollout
-    keeps the step's timestep subset as its kept steps.  A step with
+    the dict written as the step's ``trainlog.jsonl`` line.  The step
+    draws group ``step_index`` of ``streams``, built for the policy's
+    dims and the config's group and sampler sizes, and the rollout keeps
+    the step's timestep subset as its kept steps.  A step with
     ``ref_policy is policy`` is a refresh step: the gradient is taken from
     the rollout alone (see :func:`surrogate_and_grads`).  The Adam update
     is pure: the returned policy holds a new vector and neither input
@@ -242,8 +275,10 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
         opt_state = adam_init(policy.vector, learning_rate=config.learning_rate)
 
     G, K, dims = config.group_size, config.sde.num_steps, policy.dims
-    cond, noise = group_draws(rng, step_index, dims, G, K)
-    subset = np.sort(rng.at_stream(_STREAM_SUBSET, step_index).permutation(K)[:config.kept_count])
+    if (streams.dims, streams.group_size, streams.num_steps) != (dims, G, K):
+        raise ShapeError("group streams were built for another policy or config")
+    cond, noise = streams.group(step_index)
+    subset = streams.subset(step_index, config.kept_count)
     try:
         rollout = sde_sample(ref_policy, cond, config.sde, noise, keep=subset)
     except RolloutError as exc:
@@ -304,12 +339,13 @@ def train(policy: FlowPolicy, config: TrainConfig):
     """
     if config.suite is None:
         config = replace(config, suite=default_suite(policy.dims.num_classes))
-    rng = RandomSource(config.seed)
+    streams = GroupStreams(RandomSource(config.seed), config.num_steps, policy.dims,
+                           config.group_size, config.sde.num_steps)
     opt_state = adam_init(policy.vector, learning_rate=config.learning_rate)
     prior = None
     for s in range(config.num_steps):
         if s % config.ref_refresh_interval == 0:  # always on step 0
             ref_policy = policy
-        policy, opt_state, prior, rec = train_step(policy, ref_policy, config, rng,
+        policy, opt_state, prior, rec = train_step(policy, ref_policy, config, streams,
                                                    opt_state, prior, s)
         yield s, policy, rec

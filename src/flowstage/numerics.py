@@ -3,8 +3,10 @@ Adam optimizer, a counter-based random source, and checkpoint I/O.
 
 Everything here is a pure function of its inputs; randomness only enters
 through an explicit generator or :class:`RandomSource`, whose streams are
-numpy's own SeedSequence children.  Matrices are
-plain C-order float64 ``numpy`` arrays (rows x cols, row-major).
+numpy's own SeedSequence children.  A loop takes its streams' keys from
+:meth:`RandomSource.child_keys` before it starts and draws each through
+one :class:`KeyedGenerator`.  Matrices are plain C-order float64
+``numpy`` arrays (rows x cols, row-major).
 
 The ``mlp_*`` functions check shapes and finiteness and hand the
 arithmetic to :mod:`kernels`, which holds the one batched implementation
@@ -26,6 +28,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -342,31 +345,41 @@ def _seed_pool(seq: np.random.SeedSequence) -> tuple:
     return seq.pool, _INIT_A * pow(_MULT_A, _SEED_POOL_SIZE * words, _MASK32 + 1) & _MASK32
 
 
-def _philox_keys(state: tuple, count: int) -> np.ndarray:
-    """``(count, 2)`` uint64 Philox keys; row i is the key numpy's
-    ``generate_state(2, uint64)`` gives for the pool of ``state`` (see
-    :func:`_seed_pool`) with one more entropy word, i: the key of child i
-    of that SeedSequence.
+def _absorb(state: tuple, words) -> tuple:
+    """``state`` (see :func:`_seed_pool`) after SeedSequence absorbs one
+    more 32-bit entropy word: one pool per element of ``words``, along a
+    new last axis.  A pool is ``(4, *shape)``, so absorbing twice gives a
+    grid.
 
-    i's hashmix into pool word dst takes the dst-th hash constant from
-    ``state``, and output word dst the dst-th output constant, so the
-    four words are mixed at once, one per row of a ``(4, count)`` array.
-    ``count`` is at most 2**32, so i is one word.
+    Past the fourth, a word takes one hashmix per pool word, each with the
+    next hash constant; the constants do not depend on the word, so the
+    four pool words are mixed at once and every element leaves the same
+    constant.
     """
     pool, hash_const = state
-    hash_consts, out_consts = [hash_const], [_INIT_B]
-    for _ in range(_SEED_POOL_SIZE - 1):
-        hash_consts.append(hash_consts[-1] * _MULT_A & _MASK32)
-        out_consts.append(out_consts[-1] * _MULT_B & _MASK32)
-    hash_consts, out_consts, pool = (np.array(v, dtype=np.uint64)[:, None]
-                                     for v in (hash_consts, out_consts, pool))
-    mixed, _ = _hashmix(np.arange(count, dtype=np.uint64), hash_consts)
-    words = _mix(pool, mixed) ^ out_consts
-    words = words * (out_consts * _MULT_B & _MASK32) & _MASK32
+    pool = np.asarray(pool, dtype=np.uint64)[..., None]
+    consts = [hash_const]
+    for _ in range(_SEED_POOL_SIZE):
+        consts.append(consts[-1] * _MULT_A & _MASK32)
+    dst_consts = np.array(consts[:-1], dtype=np.uint64).reshape((-1,) + (1,) * (pool.ndim - 1))
+    mixed, _ = _hashmix(np.asarray(words, dtype=np.uint64), dst_consts)
+    return _mix(pool, mixed), consts[-1]
+
+
+def _output_keys(pool) -> np.ndarray:
+    """The ``(*shape, 2)`` uint64 Philox keys of a ``(4, *shape)`` pool:
+    numpy's ``generate_state(2, uint64)``, four 32-bit output words, two
+    to a key word, for each pool."""
+    consts = [_INIT_B]
+    for _ in range(_SEED_POOL_SIZE):
+        consts.append(consts[-1] * _MULT_B & _MASK32)
+    consts = np.array(consts, dtype=np.uint64).reshape((-1,) + (1,) * (np.ndim(pool) - 1))
+    words = np.asarray(pool, dtype=np.uint64) ^ consts[:-1]
+    words = words * consts[1:] & _MASK32
     words ^= words >> 16
-    keys = np.empty((count, 2), dtype=np.uint64)
-    keys[:, 0] = words[0] | words[1] << 32
-    keys[:, 1] = words[2] | words[3] << 32
+    keys = np.empty(words.shape[1:] + (2,), dtype=np.uint64)
+    keys[..., 0] = words[0] | words[1] << 32
+    keys[..., 1] = words[2] | words[3] << 32
     return keys
 
 
@@ -378,6 +391,11 @@ class RandomSource:
     and spawn key: it holds no generator and keeps nothing from one call
     to the next.  Negative seeds and ids are rejected, as SeedSequence
     rejects them.
+
+    A loop that draws from many streams takes their keys from
+    :meth:`child_keys` once, before it starts, and draws through one
+    :class:`KeyedGenerator`; :meth:`at_stream` builds numpy's objects
+    afresh for one stream.
     """
 
     def __init__(self, seed: int, spawn_key: tuple = ()):
@@ -404,31 +422,67 @@ class RandomSource:
             raise DomainError("at_stream needs at least one id")
         return np.random.Generator(np.random.Philox(self._child(ids)))
 
-    def gaussian_streams(self, ids: Sequence[int], count: int, n: int) -> np.ndarray:
-        """A ``(count, n)`` block whose row i is, bit for bit, the first n
-        ``standard_normal`` draws of child stream ``(*ids, i)``.
+    def child_keys(self, ids: Sequence[int], *counts: int) -> np.ndarray:
+        """The ``(*counts, 2)`` uint64 Philox keys of child streams
+        ``(*ids, j1, j2, ...)``, ``0 <= j_m < counts[m]``: entry ``[j1,
+        j2, ...]`` is numpy's ``SeedSequence(seed, spawn_key=spawn_key +
+        ids + (j1, j2, ...)).generate_state(2, uint64)``, the key that
+        stream's Philox starts from.
 
-        The rows' Philox keys come from :func:`_philox_keys` in one pass
-        over the pool of child ``ids``; building a SeedSequence per row
-        would cost more than drawing its row.  The rows are then drawn
-        through one generator: each row writes its key into a fresh-stream
-        state, sets the generator to it and draws through the generator's
-        bound ``standard_normal``.  Setting a row's state costs about an
-        eighth of drawing a 272-value row, so the draws bound this loop.
+        One SeedSequence, child ``ids``, is built; each count's indices
+        are then absorbed into its pool in one broadcast pass
+        (:func:`_absorb`), where building a SeedSequence per stream would
+        cost more than drawing from it.  A count is at most 2**32, so an
+        index is one 32-bit word; counts are checked before anything is
+        allocated.
         """
-        if not 1 <= count <= _MASK32 + 1:
-            raise DomainError(f"need 1 <= count <= 2**32 streams, got {count}")
+        counts = tuple(operator.index(count) for count in counts)
+        for count in counts:
+            if not 0 <= count <= _MASK32 + 1:
+                raise DomainError(f"need 0 <= count <= 2**32 streams, got {count}")
+        state = _seed_pool(self._child(ids))
+        for count in counts:
+            state = _absorb(state, np.arange(count, dtype=np.uint64))
+        return _output_keys(state[0])
+
+
+class KeyedGenerator:
+    """One numpy Philox and its Generator, reset to the start of a stream
+    by that stream's key (a :meth:`RandomSource.child_keys` entry).
+
+    A reset writes the key into a fresh-stream state, counter and buffer
+    at zero, and sets the Philox to it: the state numpy's
+    ``Philox(SeedSequence(...))`` starts in, without building either.  So
+    the draws after :meth:`at` equal that stream's own, whatever the
+    generator drew before; a caller draws from what :meth:`at` returns
+    before its next reset.
+    """
+
+    def __init__(self):
+        # every draw follows a reset, so the construction seed is never drawn from
+        self._bit_generator = np.random.Philox(0)
+        self._generator = np.random.Generator(self._bit_generator)
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": [0, 0, 0, 0], "key": None},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def at(self, key) -> np.random.Generator:
+        """The generator at the start of the stream of ``key``, two ints."""
+        self._state["state"]["key"] = key
+        self._bit_generator.state = self._state
+        return self._generator
+
+    def gaussian_rows(self, keys, n: int) -> np.ndarray:
+        """A ``(len(keys), n)`` block whose row i is, bit for bit, the
+        first n ``standard_normal`` draws of the stream of ``keys[i]``.
+        Resetting for a row costs about an eighth of drawing a 272-value
+        row, so the draws bound this loop."""
         if n < 1:
             raise DomainError(f"need n >= 1 draws, got {n}")
-        seq = self._child(ids)
-        out = np.empty((count, int(n)))
-        bit_generator = np.random.Philox(seq)
-        draw = np.random.Generator(bit_generator).standard_normal
-        state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
-                 "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        for i, key in enumerate(_philox_keys(_seed_pool(seq), count).tolist()):
-            state["state"]["key"] = key
-            bit_generator.state = state
+        out = np.empty((len(keys), int(n)))
+        draw = self._generator.standard_normal
+        for i, key in enumerate(keys):
+            self.at(key)
             draw(out=out[i])
         return out
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: the reference random streams, naive
+"""Shared test utilities: the reference random streams, a block of
+per-stream normals, naive
 re-implementations used as oracles (the MLP forward pass, and the
 row-major transition gather, evaluation and backprop that
 ``eval_step``/``backprop_step`` must match), the toy task's closed-form
@@ -17,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from flowstage.flow_policy import _log_density_rows, _velocity_grad
-from flowstage.numerics import CHECKPOINT_MAGIC, mlp_forward_batch
+from flowstage.numerics import CHECKPOINT_MAGIC, KeyedGenerator, mlp_forward_batch
 
 
 def philox(seed, *spawn_key):
@@ -26,6 +27,14 @@ def philox(seed, *spawn_key):
     *spawn_key)`` must start, and the tests' source of random inputs."""
     seq = np.random.SeedSequence(seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(seq))
+
+
+def gaussian_streams(source, ids, count, n):
+    """A ``(count, n)`` block whose row i holds the first n standard
+    normals of ``source``'s child stream ``(*ids, i)``, drawn as the
+    package draws a group's noise: the keys from ``child_keys`` and the
+    rows from a ``KeyedGenerator``."""
+    return KeyedGenerator().gaussian_rows(source.child_keys(ids, count).tolist(), n)
 
 
 def copy_policy(policy):

@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     copy_policy,
     drain,
+    gaussian_streams,
     kept_by_step,
     late_overflow,
     naive_mlp_eval,
@@ -237,7 +238,7 @@ class TestSdeSampling:
         p = small_policy(16)
         cfg = SdeConfig(num_steps=6, eta=0.5)
         conds = [0, 1, 2, 0, 1]
-        block = RandomSource(90).gaussian_streams((), len(conds), 7 * SMALL.state_size)
+        block = gaussian_streams(RandomSource(90), (), len(conds), 7 * SMALL.state_size)
         group = sde_sample(p, conds, cfg, block.reshape(len(conds), 7, -1))
         assert len(group) == len(conds)
         for i, cond in enumerate(conds):

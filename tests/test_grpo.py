@@ -15,6 +15,7 @@ from helpers import (
     copy_policy,
     drain,
     finite_difference,
+    gaussian_streams,
     kept_by_step,
     late_overflow,
     philox,
@@ -40,6 +41,7 @@ from flowstage.flow_policy import (
 )
 from flowstage import cli, flow_policy, grpo
 from flowstage.grpo import (
+    GroupStreams,
     TrainConfig,
     surrogate_and_grads,
     surrogate_objective,
@@ -60,9 +62,14 @@ def tiny_policy(seed=0):
 def tiny_trajectories(ref, count=4, seed=100, num_steps=2):
     """A rollout that keeps every step, so a gradient is taken at all of them."""
     cfg = SdeConfig(num_steps=num_steps, eta=0.5, t_min=0.2)
-    noise = RandomSource(seed).gaussian_streams((), count, (num_steps + 1) * TINY.state_size)
+    noise = gaussian_streams(RandomSource(seed), (), count, (num_steps + 1) * TINY.state_size)
     return sde_sample(ref, [i % TINY.num_classes for i in range(count)], cfg,
                       noise.reshape(count, num_steps + 1, -1), keep=range(num_steps))
+
+
+def group_streams(cfg, seed, count=1, dims=PLANAR):
+    """The draws of the first ``count`` steps of a run of ``cfg`` at ``seed``."""
+    return GroupStreams(RandomSource(seed), count, dims, cfg.group_size, cfg.sde.num_steps)
 
 
 def jsonl(records):
@@ -133,7 +140,7 @@ class TestImportanceRatio:
         # a deterministic rollout has no transition density to form a ratio from
         ref = tiny_policy(15)
         cfg = SdeConfig(num_steps=3, eta=0.0)
-        noise = RandomSource(58).gaussian_streams((), 4, 4 * TINY.state_size)
+        noise = gaussian_streams(RandomSource(58), (), 4, 4 * TINY.state_size)
         rollout = sde_sample(ref, 0, cfg, noise.reshape(4, 4, -1), keep=[0, 1])
         assert rollout.log_probs is None
         with pytest.raises(DomainError):
@@ -200,11 +207,52 @@ class TestSmoothCurve:
             smooth_curve(np.ones(3), 0)
 
 
+class TestGroupStreams:
+    def test_out_of_order_draws_equal_numpy_streams(self):
+        # group 5 before group 2, subsets drawn in between: every draw is
+        # numpy's own stream (stream id, k[, i]), whatever came before
+        seed, G, K, kept = 9001, 4, 6, 3
+        streams = GroupStreams(RandomSource(seed), 8, PLANAR, G, K)
+        groups, subsets = {}, {}
+        groups[5] = streams.group(5)
+        subsets[3] = streams.subset(3, kept)
+        groups[2] = streams.group(2)
+        subsets[5] = streams.subset(5, kept)
+        subsets[2] = streams.subset(2, kept)
+        for k, (cond, noise) in groups.items():
+            assert cond == philox(seed, grpo._STREAM_COND, k).integers(0, PLANAR.num_classes)
+            assert noise.shape == (G, K + 1, PLANAR.state_size)
+            for i in range(G):
+                np.testing.assert_array_equal(
+                    noise[i].ravel(),
+                    philox(seed, grpo._STREAM_ROLLOUT, k, i).standard_normal(noise[i].size))
+        for k, subset in subsets.items():
+            expected = philox(seed, grpo._STREAM_SUBSET, k).permutation(K)[:kept]
+            np.testing.assert_array_equal(subset, np.sort(expected))
+
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_group_outside_the_run_rejected(self, k):
+        streams = GroupStreams(RandomSource(1), 3, PLANAR, 4, 5)
+        with pytest.raises(DomainError):
+            streams.group(k)
+        with pytest.raises(DomainError):
+            streams.subset(k, 2)
+
+    @pytest.mark.parametrize("dims, group_size, num_steps",
+                             [(TINY, 4, 4), (PLANAR, 5, 4), (PLANAR, 4, 3)])
+    def test_train_step_refuses_streams_of_another_run(self, dims, group_size, num_steps):
+        policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(1))
+        cfg = small_train_config()
+        streams = GroupStreams(RandomSource(0), 1, dims, group_size, num_steps)
+        with pytest.raises(ShapeError):
+            train_step(policy, policy, cfg, streams)
+
+
 class TestTrainStep:
     def test_zero_learning_rate_keeps_policy(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(1))
         cfg = small_train_config(learning_rate=0.0)
-        new_policy, _, _, rec = train_step(policy, copy_policy(policy), cfg, RandomSource(3))
+        new_policy, _, _, rec = train_step(policy, copy_policy(policy), cfg, group_streams(cfg, 3))
         np.testing.assert_array_equal(policy.vector, new_policy.vector)
         assert math.isfinite(rec["objective"])
 
@@ -318,10 +366,10 @@ class TestTrainStep:
     def test_rollout_failure_names_train_step_and_condition(self):
         policy = late_overflow(init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(8)))
         cfg = small_train_config()
-        rng = RandomSource(cfg.seed)
-        cond, _ = grpo.group_draws(rng, 2, PLANAR, cfg.group_size, cfg.sde.num_steps)
+        streams = group_streams(cfg, cfg.seed, count=3)
+        cond, _ = streams.group(2)
         with pytest.raises(RolloutError) as err, pytest.warns(RuntimeWarning):
-            train_step(policy, policy, cfg, rng, step_index=2)
+            train_step(policy, policy, cfg, streams, step_index=2)
         assert str(err.value) == (f"step 2, condition {cond}: step 3 (t=0.2800): "
                                   "forward pass produced a non-finite output")
 
@@ -377,7 +425,7 @@ class TestGradientFidelity:
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(34))
         cfg = SdeConfig(num_steps=6, eta=0.5)
         subset = [0, 2, 3, 5]
-        noise = RandomSource(500).gaussian_streams((), 6, 7 * PLANAR.state_size)
+        noise = gaussian_streams(RandomSource(500), (), 6, 7 * PLANAR.state_size)
         rollout = sde_sample(policy, 2, cfg, noise.reshape(6, 7, -1), keep=subset)
         adv = normalize_advantages(np.array([0.9, 0.1, 0.5, 0.3, 0.7, 0.2]))
 
@@ -409,7 +457,7 @@ class TestGradientFidelity:
         cfg = SdeConfig(num_steps=16, eta=eta, t_min=t_min)
         rng = RandomSource(seed + 100)
         subset = np.sort(philox(seed + 100, 2).permutation(16)[:10])
-        noise = rng.gaussian_streams((1,), G, 17 * dims.state_size).reshape(G, 17, -1)
+        noise = gaussian_streams(rng, (1,), G, 17 * dims.state_size).reshape(G, 17, -1)
         adv = normalize_advantages(philox(seed + 100, 3).standard_normal(G))
         kept = sde_sample(policy, 5, cfg, noise, keep=subset)
         # the same rollout with its kept hidden and output activations
@@ -532,7 +580,7 @@ class TestRowMajorOracle:
         # seeds the config's cached grid, which sde_sample reads
         cfg.__dict__["grid"] = replace(cfg.grid, a_x=cfg.grid.a_x * ramp,
                                        a_v=cfg.grid.a_v * ramp[::-1])
-        noise = RandomSource(42).gaussian_streams((), G, 5 * TINY.state_size)
+        noise = gaussian_streams(RandomSource(42), (), G, 5 * TINY.state_size)
         rollout = sde_sample(policy, [0, 1, 0, 1, 1], cfg, noise.reshape(G, 5, -1), keep=steps)
         assert rollout.grid is cfg.grid
         rows = row_major_transitions(rollout, steps)
@@ -559,7 +607,7 @@ class TestRowMajorOracle:
     def test_rollout_without_kept_steps_rejected(self):
         ref = tiny_policy(36)
         cfg = SdeConfig(num_steps=2, eta=0.5, t_min=0.2)
-        noise = RandomSource(700).gaussian_streams((), 4, 3 * TINY.state_size)
+        noise = gaussian_streams(RandomSource(700), (), 4, 3 * TINY.state_size)
         rollout = sde_sample(ref, 0, cfg, noise.reshape(4, 3, -1))
         assert rollout.kept_steps.size == 0
         for reference in (ref, None):
@@ -587,7 +635,7 @@ class TestLazyLogDensities:
     def sampled(eta=0.5):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(3))
         cfg = SdeConfig(num_steps=4, eta=eta)
-        noise = RandomSource(4).gaussian_streams((), 5, 5 * PLANAR.state_size)
+        noise = gaussian_streams(RandomSource(4), (), 5, 5 * PLANAR.state_size)
         return sde_sample(policy, 1, cfg, noise.reshape(5, 5, -1), keep=[1, 3])
 
     def test_formed_on_first_read_only(self, calls):
@@ -619,7 +667,8 @@ class TestLazyLogDensities:
 
     def test_on_policy_step_forms_it_once(self, calls):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(6))
-        _, _, _, rec = train_step(policy, policy, small_train_config(), RandomSource(7))
+        cfg = small_train_config()
+        _, _, _, rec = train_step(policy, policy, cfg, group_streams(cfg, 7))
         assert rec["refresh"]
         assert len(calls) == 1
 
@@ -648,20 +697,20 @@ class TestConfigValidation:
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(8))
         with pytest.raises(DomainError):
             train_step(policy, copy_policy(policy), small_train_config(static_stage=9),
-                       RandomSource(0))
+                       group_streams(small_train_config(), 0))
         # without a suite the stage is checked against the default one,
         # which train() fills in once per run
         cfg = small_train_config(static_stage=4, suite=None)
         with pytest.raises(DomainError):
             next(train(policy, cfg))
         with pytest.raises(DomainError):
-            train_step(policy, copy_policy(policy), cfg, RandomSource(0))
+            train_step(policy, copy_policy(policy), cfg, group_streams(cfg, 0))
 
     def test_timestep_subset_size(self):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(9))
         cfg = small_train_config(timestep_fraction=0.6,
                                  sde=SdeConfig(num_steps=5, eta=0.5))
-        _, _, _, rec = train_step(policy, copy_policy(policy), cfg, RandomSource(1))
+        _, _, _, rec = train_step(policy, copy_policy(policy), cfg, group_streams(cfg, 1))
         assert math.isfinite(rec["objective"])  # ceil(0.6 * 5) = 3 steps selected
 
     @pytest.mark.parametrize("fraction, num_steps, kept", [
@@ -686,5 +735,5 @@ class TestConfigValidation:
         monkeypatch.setattr(grpo, "sde_sample", spy)
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(9))
         cfg = small_train_config(timestep_fraction=0.14, sde=SdeConfig(num_steps=50, eta=0.5))
-        train_step(policy, policy, cfg, RandomSource(1))
+        train_step(policy, policy, cfg, group_streams(cfg, 1))
         assert kept == [7]

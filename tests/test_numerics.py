@@ -3,10 +3,18 @@ Adam arithmetic, the random source's reproducibility contract, and
 checkpoint round-trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import finite_difference, naive_mlp_eval, philox, rel_err_ok, reshape_in_header
+from helpers import (
+    finite_difference,
+    gaussian_streams,
+    naive_mlp_eval,
+    philox,
+    rel_err_ok,
+    reshape_in_header,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,10 +25,9 @@ from flowstage.numerics import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
+    KeyedGenerator,
     MlpParams,
     RandomSource,
-    _philox_keys,
-    _seed_pool,
     adam_init,
     adam_step_arrays,
     init_mlp,
@@ -338,7 +345,7 @@ class TestRandomSource:
         np.testing.assert_array_equal(a, philox(7, 0).standard_normal(10))
 
     def test_law_of_large_numbers(self):
-        draws = RandomSource(123).gaussian_streams((0,), 100, 1000)
+        draws = gaussian_streams(RandomSource(123), (0,), 100, 1000)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.02
 
@@ -372,7 +379,7 @@ class TestGaussianStreams:
     @given(st.sampled_from(SEEDS), IDS, IDS, st.integers(1, 70), st.integers(1, 9))
     def test_rows_equal_child_streams(self, seed, spawn, ids, count, n):
         root = RandomSource(seed, tuple(spawn))
-        block = root.gaussian_streams(ids, count, n)
+        block = gaussian_streams(root, ids, count, n)
         assert block.shape == (count, n)
         for i in range(count):
             np.testing.assert_array_equal(block[i],
@@ -381,8 +388,7 @@ class TestGaussianStreams:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(SEEDS), IDS, st.integers(1, 70))
     def test_keys_equal_seed_sequence(self, seed, spawn_key, count):
-        seq = np.random.SeedSequence(seed, spawn_key=tuple(spawn_key))
-        keys = _philox_keys(_seed_pool(seq), count)
+        keys = RandomSource(seed).child_keys(tuple(spawn_key), count)
         expected = [np.random.SeedSequence(seed, spawn_key=(*spawn_key, i))
                     .generate_state(2, np.uint64) for i in range(count)]
         np.testing.assert_array_equal(keys, expected)
@@ -390,27 +396,115 @@ class TestGaussianStreams:
     @pytest.mark.parametrize("ids", [(-1,), (3, -2)])
     def test_negative_id_rejected(self, ids):
         with pytest.raises(ValueError):
-            RandomSource(5).gaussian_streams(ids, 4, 2)
+            gaussian_streams(RandomSource(5), ids, 4, 2)
         with pytest.raises(ValueError):
             RandomSource(5).stream(*ids, 0)
 
-    @pytest.mark.parametrize("count, n", [(0, 3), (3, 0)])
+    @pytest.mark.parametrize("count, n", [(-1, 3), (3, 0)])
     def test_invalid_sizes(self, count, n):
+        # a count of 0 is an empty key table (see TestChildKeys)
         with pytest.raises(DomainError):
-            RandomSource(0).gaussian_streams((), count, n)
+            gaussian_streams(RandomSource(0), (), count, n)
 
     @pytest.mark.parametrize("count", [1, 16, 64])
     def test_rows_at_group_widths(self, count):
         # 272 draws: a (K + 1) x n noise row of the default sampler
-        block = RandomSource(9001).gaussian_streams((1, 7), count, 272)
+        block = gaussian_streams(RandomSource(9001), (1, 7), count, 272)
         for i in range(count):
             np.testing.assert_array_equal(block[i], philox(9001, 1, 7, i).standard_normal(272))
 
     def test_repeats_across_calls(self):
         root = RandomSource(8)
-        first = root.gaussian_streams((1,), 5, 3)
-        np.testing.assert_array_equal(root.gaussian_streams((1,), 5, 3), first)
-        np.testing.assert_array_equal(RandomSource(8).gaussian_streams((1,), 5, 3), first)
+        first = gaussian_streams(root, (1,), 5, 3)
+        np.testing.assert_array_equal(gaussian_streams(root, (1,), 5, 3), first)
+        np.testing.assert_array_equal(gaussian_streams(RandomSource(8), (1,), 5, 3), first)
+
+
+def seed_sequence_keys(seed, spawn_key, *counts):
+    """numpy's key of each child ``spawn_key + (j1, j2, ...)``, one
+    SeedSequence each, as a ``(*counts, 2)`` array."""
+    keys = np.empty((*counts, 2), dtype=np.uint64)
+    for js in np.ndindex(*counts):
+        seq = np.random.SeedSequence(seed, spawn_key=(*spawn_key, *js))
+        keys[js] = seq.generate_state(2, np.uint64)
+    return keys
+
+
+class TestChildKeys:
+    KEY_SEEDS = [0, 1, 2**32, 2**40 + 7, 9001, 2**130]
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    @pytest.mark.parametrize("count", [0, 1, 16, 64])
+    def test_one_level(self, seed, count):
+        keys = RandomSource(seed).child_keys((2, 5), count)
+        assert keys.shape == (count, 2) and keys.dtype == np.uint64
+        np.testing.assert_array_equal(keys, seed_sequence_keys(seed, (2, 5), count))
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    @pytest.mark.parametrize("counts", [(0, 16), (1, 1), (16, 1), (3, 16), (2, 64)])
+    def test_two_levels(self, seed, counts):
+        keys = RandomSource(seed).child_keys((1,), *counts)
+        assert keys.shape == (*counts, 2)
+        np.testing.assert_array_equal(keys, seed_sequence_keys(seed, (1,), *counts))
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_under_a_stream_prefix(self, seed):
+        source = RandomSource(seed, (7,)).stream(2**32, 3)
+        np.testing.assert_array_equal(source.child_keys((), 16),
+                                      seed_sequence_keys(seed, (7, 2**32, 3), 16))
+        np.testing.assert_array_equal(source.child_keys((1,), 2, 16),
+                                      seed_sequence_keys(seed, (7, 2**32, 3, 1), 2, 16))
+
+    def test_no_count_is_the_stream_itself(self):
+        key = RandomSource(9001).child_keys((0, 4))
+        np.testing.assert_array_equal(key, seed_sequence_keys(9001, (0, 4)))
+
+    @pytest.mark.parametrize("counts", [(2**32 + 1,), (16, 2**32 + 1), (-1,)])
+    def test_count_out_of_range_allocates_nothing(self, monkeypatch, counts):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before checking the counts")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError):
+                RandomSource(3).child_keys((1,), *counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_at_most_2_32_streams_fit_one_word(self):
+        # the largest index of the largest count is one 32-bit word
+        keys = RandomSource(5).child_keys((2**32 - 1,), 1)
+        np.testing.assert_array_equal(keys, seed_sequence_keys(5, (2**32 - 1,), 1))
+
+
+class TestKeyedGenerator:
+    def test_draws_equal_numpy_streams(self):
+        keys = RandomSource(11).child_keys((4,), 3).tolist()
+        draws = KeyedGenerator()
+        for i in (2, 0, 1, 2):
+            assert draws.at(keys[i]).integers(0, 8) == philox(11, 4, i).integers(0, 8)
+            np.testing.assert_array_equal(draws.at(keys[i]).permutation(16),
+                                          philox(11, 4, i).permutation(16))
+            np.testing.assert_array_equal(draws.at(keys[i]).random(5),
+                                          philox(11, 4, i).random(5))
+
+    def test_reset_mid_draw_starts_afresh(self):
+        # a stream left part-way through a buffered draw, then rows drawn
+        # through the same generator: each reset starts its stream afresh
+        keys = RandomSource(6).child_keys((0,), 4).tolist()
+        draws = KeyedGenerator()
+        gen = draws.at(keys[0])
+        first = (gen.integers(0, 8), gen.standard_normal(3))
+        rows = draws.gaussian_rows(keys[1:], 7)
+        again = draws.at(keys[0])
+        assert again.integers(0, 8) == first[0]
+        np.testing.assert_array_equal(again.standard_normal(3), first[1])
+        for i, row in enumerate(rows, start=1):
+            np.testing.assert_array_equal(row, philox(6, 0, i).standard_normal(7))
 
 
 class TestAtStream:
@@ -429,7 +523,7 @@ class TestAtStream:
         root = RandomSource(4)
         first = root.at_stream(2, 9).permutation(16)
         root.at_stream(0, 9).integers(0, 8, size=50)
-        root.gaussian_streams((1, 9), 3, 5)
+        gaussian_streams(root, (1, 9), 3, 5)
         np.testing.assert_array_equal(root.at_stream(2, 9).permutation(16), first)
 
     def test_interleaved_calls_match_child_streams(self):
@@ -439,10 +533,10 @@ class TestAtStream:
         root = RandomSource(6)
         a = root.at_stream(0, 3)
         drawn_a = (a.integers(0, 8), a.standard_normal(3), a.integers(0, 5, size=3))
-        block = root.gaussian_streams((1, 3), 5, 7)
+        block = gaussian_streams(root, (1, 3), 5, 7)
         b = root.at_stream(2, 3)
         drawn_b = (b.permutation(16), b.integers(0, 8))
-        second = root.gaussian_streams((1, 4), 3, 7)
+        second = gaussian_streams(root, (1, 4), 3, 7)
 
         ref_a = philox(6, 0, 3)
         assert drawn_a[0] == ref_a.integers(0, 8)
@@ -473,7 +567,7 @@ class TestAlternatingCalls:
     def test_alternating_calls_equal_child_streams(self, seed, spawn_key):
         root = RandomSource(seed, spawn_key)
         for ids in self.CALLS:
-            for i, row in enumerate(root.gaussian_streams(ids, 3, 5)):
+            for i, row in enumerate(gaussian_streams(root, ids, 3, 5)):
                 np.testing.assert_array_equal(
                     row, philox(seed, *spawn_key, *ids, i).standard_normal(5))
             if ids:
@@ -483,7 +577,7 @@ class TestAlternatingCalls:
     def test_source_keeps_no_state_per_id(self):
         root = RandomSource(5, (2,))
         for ids in self.CALLS:
-            root.gaussian_streams(ids, 2, 3)
+            gaussian_streams(root, ids, 2, 3)
             if ids:
                 root.at_stream(*ids).integers(0, 8)
         assert vars(root) == {"seed": 5, "spawn_key": (2,)}
@@ -491,13 +585,13 @@ class TestAlternatingCalls:
     def test_negative_ids_still_rejected(self):
         root = RandomSource(5)
         root.at_stream(3, 1)
-        root.gaussian_streams((), 2, 2)
+        gaussian_streams(root, (), 2, 2)
         for ids in [(-1,), (3, -2), (-1, 3)]:
             for _ in range(2):  # a rejected call leaves nothing behind
                 with pytest.raises(ValueError):
                     root.at_stream(*ids)
                 with pytest.raises(ValueError):
-                    root.gaussian_streams(ids, 2, 2)
+                    gaussian_streams(root, ids, 2, 2)
         np.testing.assert_array_equal(root.at_stream(3, 1).permutation(8),
                                       philox(5, 3, 1).permutation(8))
 

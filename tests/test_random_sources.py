@@ -1,6 +1,10 @@
 """Every random draw in the package comes from a stream that its seed and
 stream key name: no code draws from numpy's legacy global state, a
-``default_rng`` or ``RandomState`` of its own, or Python's ``random``."""
+``default_rng`` or ``RandomState`` of its own, or Python's ``random``.
+And a loop's streams are keyed once per run: numpy's SeedSequence,
+Philox and Generator are built in ``numerics`` alone (apart from k-means'
+one root generator), and ``RandomSource.at_stream``, which builds them
+afresh for one stream, serves only a new policy's initial weights."""
 
 import ast
 from pathlib import Path
@@ -74,3 +78,77 @@ gen.standard_normal(5)
 rng.at_stream(0).permutation(8)
 """
     assert unkeyed_randomness(ast.parse(code)) == list(range(2, 12))
+
+
+# numpy's classes behind a stream, built by ``numerics`` for the package
+STREAM_CLASSES = {"SeedSequence", "Philox", "Generator"}
+
+
+def stream_builds(tree: ast.AST) -> list:
+    """``(scope, name)`` for each call in ``tree`` that builds one of
+    :data:`STREAM_CLASSES` (read through ``numpy.random`` or imported
+    from it, under any alias) and each reference to ``at_stream``,
+    ``scope`` being the dotted names of the functions and classes around
+    it."""
+    imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "numpy.random"
+                for alias in node.names if alias.name in STREAM_CLASSES}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif isinstance(child, ast.Attribute) and child.attr == "at_stream":
+                found.append((".".join(scope), "at_stream"))
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Attribute) and func.attr in STREAM_CLASSES
+                        and _is_numpy_random(func.value)):
+                    found.append((".".join(scope), func.attr))
+                elif isinstance(func, ast.Name) and func.id in imported:
+                    found.append((".".join(scope), imported[func.id]))
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_streams_are_keyed_once_per_run():
+    uses = [(f"{path.stem}.{scope}", name) for path in sorted(SRC.glob("*.py"))
+            for scope, name in stream_builds(ast.parse(path.read_text(encoding="utf-8")))]
+    assert {scope for scope, name in uses if name == "at_stream"} == {
+        "flow_policy.init_flow_policy"}
+    assert sorted(use for use in uses
+                  if use[1] != "at_stream" and not use[0].startswith("numerics.")) == [
+        ("bias_audit.kmeans", "Generator"), ("bias_audit.kmeans", "Philox")]
+
+
+def test_the_build_check_sees_each_form():
+    code = """
+from numpy.random import Generator as Gen, Philox
+import numpy.random
+
+def draw(seed):
+    return np.random.SeedSequence(seed)
+
+class Sampler:
+    def step(self, rng, k):
+        def inner():
+            return numpy.random.Philox(k)
+        return rng.at_stream(0, k), inner
+
+root = Gen(Philox(3))
+pick = source.at_stream
+np.random.Generator
+gen.standard_normal(4)
+"""
+    assert sorted(stream_builds(ast.parse(code))) == [
+        ("", "Generator"),
+        ("", "Philox"),
+        ("", "at_stream"),
+        ("Sampler.step", "at_stream"),
+        ("Sampler.step.inner", "Philox"),
+        ("draw", "SeedSequence"),
+    ]
