@@ -16,7 +16,9 @@ without overrides never loads it.
 from __future__ import annotations
 
 import copy
+import functools
 import json
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -182,12 +184,7 @@ def load_config_file(path) -> dict:
         except json.JSONDecodeError as exc:
             raise ConfigError([f"{path}: parse error: {exc}"])
     else:
-        import yaml
-
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigError([f"{path}: parse error: {exc}"])
+        data = _load_yaml(text, f"{path}: parse error")
     if data is None:
         data = {}
     if not isinstance(data, dict):
@@ -200,13 +197,43 @@ def parse_override(text: str):
     if "=" not in text:
         raise ConfigError([f"override {text!r} must look like key.path=value"])
     key, raw = text.split("=", 1)
+    return key.strip(), _load_yaml(raw, f"override {key}: bad value {raw!r}")
+
+
+# YAML 1.2's floats, where an exponent needs no dot (3e-4, 1E5) and no
+# sign (1.0e5) and a leading dot may be signed (-.5); YAML 1.1 reads those
+# as strings.  Text with neither a dot nor an exponent, ints and 09 alike,
+# never matches.
+_YAML12_FLOAT = re.compile(
+    r"^[-+]?(?:(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?|[0-9]+[eE][-+]?[0-9]+)$")
+
+
+@functools.cache
+def _yaml_loader():
+    """PyYAML's safe loader with YAML 1.2's floats.  PyYAML resolves plain
+    scalars by YAML 1.1, whose floats need a dot and a signed exponent,
+    so ``3e-4`` would load as a string.  The added resolver is tried after
+    PyYAML's own, so whatever they resolve, ints included, keeps its
+    meaning."""
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver("tag:yaml.org,2002:float", _YAML12_FLOAT,
+                                 list("-+0123456789."))
+    return Loader
+
+
+def _load_yaml(text: str, context: str):
+    """``text`` parsed by the one YAML loader of config files and
+    overrides; a parse error is a config error headed by ``context``."""
     import yaml
 
     try:
-        value = yaml.safe_load(raw)
+        return yaml.load(text, Loader=_yaml_loader())
     except yaml.YAMLError as exc:
-        raise ConfigError([f"override {key}: bad value {raw!r}: {exc}"])
-    return key.strip(), value
+        raise ConfigError([f"{context}: {exc}"])
 
 
 class RunConfig:

@@ -378,7 +378,7 @@ def sde_sample(policy: FlowPolicy, cond, config: SdeConfig, noise: np.ndarray,
 
     ``noise`` is the group's standard normal noise block, (G, K + 1, n):
     row i holds trajectory i's initial state and then its K step
-    increments.  Drawing row i from its own stream, as
+    increments.  Drawing the block row after row from one stream, as
     ``grpo.GroupStreams.group`` does, makes a trajectory's noise
     independent of the group size.  Its states are not, bit for bit: a
     G-row matrix product may sum in another order than a one-row one, so
@@ -608,10 +608,10 @@ def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
                            rng: RandomSource, batch_size: int, learning_rate: float):
     """Regress the velocity net onto (noise - data) along the linear path,
     ``steps`` Adam steps on batches of ``batch_size`` (a run's ``pretrain``
-    section), step k's batch from ``rng``'s child stream (0, k) and its
-    noise and flow times from (1, k).  Every step's stream keys are
-    computed before the first step, and each step's draws reset one
-    generator to them.
+    section).  The loop keeps the key of ``rng``'s child stream (0,), and
+    step k draws from that stream jumped k times (numpy's
+    ``Philox(SeedSequence(...)).jumped(k)``): its batch, then its noise,
+    then its flow times, through one generator reset to the jump.
 
     A generator, like :func:`grpo.train`: it yields ``(step, policy,
     loss)`` after each update, the step index, the updated policy and the
@@ -621,18 +621,17 @@ def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
     """
     n = policy.dims.state_size
     opt = adam_init(policy.vector, learning_rate=learning_rate)
-    batch_keys, noise_keys = rng.child_keys((), 2, steps)
-    draws = KeyedGenerator()
+    key, draws = rng.key(0), KeyedGenerator()
     for step in range(steps):
-        frames, conds = dataset.sample_batch(draws.at(batch_keys[step].tolist()), batch_size)
+        draw = draws.at(key, step)
+        frames, conds = dataset.sample_batch(draw, batch_size)
         if len(frames) == 0:
             raise DomainError("empty dataset")
         if frames.shape[1] * frames.shape[2] != n:
             raise ShapeError("dataset sample size does not match the policy state")
         B = len(frames)
-        noise_rng = draws.at(noise_keys[step].tolist())
-        eps = noise_rng.standard_normal(B * n).reshape(B, n)
-        t = noise_rng.random(B)
+        eps = draw.standard_normal(B * n).reshape(B, n)
+        t = draw.random(B)
         resid, acts = _flow_matching_residual(policy, frames, conds, t, eps)
         loss = float(np.mean(resid**2))
         grad = _velocity_grad(policy, acts, (2.0 / (B * n)) * resid, conds)

@@ -28,14 +28,14 @@ home, which every rollout carries to its densities and gradient); the
 kept-step count (``TrainConfig.kept_count``); and the net layout's
 spans, from which each step's new policy and gradient are split
 (``numerics._net_spans``; a new policy's finiteness is still checked).
-Step k's condition, timestep subset and rollout noise are drawn from the
-Philox streams of numpy's ``SeedSequence(seed, spawn_key=(stream id,
-k))`` (trajectory i's noise: ``(stream id, k, i)``).  The keys of those
-streams are a function of the seed alone, so a run's :class:`GroupStreams`
-computes every step's keys before the first step, and each draw resets
-one generator to its key; step k's draws depend on the seed and k alone,
-whatever was drawn before.  Train step k and eval group k draw their
-condition and noise alike, through :meth:`GroupStreams.group`.
+A run keeps one Philox key, numpy's ``SeedSequence(seed,
+spawn_key=(0,))``'s, and step k draws from that stream jumped k times
+(``Philox.jumped(k)``): its condition, then its whole rollout noise as
+one block, then its timestep subset.  So step k's draws depend on the
+seed and k alone, whatever was drawn before, and a run's
+:class:`GroupStreams` holds the one key, whatever the run's length.  Train
+step k and eval group k draw their condition and noise alike, through
+:meth:`GroupStreams.group`; eval draws no subset.
 
 Advantages enter the gradient as constants: nothing differentiates
 through the reward or mixing computations.
@@ -68,50 +68,47 @@ from .flow_policy import (
 from .numerics import AdamState, KeyedGenerator, RandomSource, adam_init, adam_step_arrays
 from .rewards import RewardSuite, default_suite, eval_group
 
-# Stream ids for per-step child RNGs.
-_STREAM_COND, _STREAM_ROLLOUT, _STREAM_SUBSET = 0, 1, 2
+# The child stream id of a run's groups.
+_STREAM_GROUPS = 0
 
 
 class GroupStreams:
-    """The random draws of groups 0 ... count-1 of one run: group k's
-    condition, timestep subset and ``(group_size, num_steps + 1,
-    dims.state_size)`` sampler noise come from ``rng``'s streams
-    ``(stream id, k)``, and trajectory i's noise from ``(stream id, k,
-    i)``.  What GRPO step k samples from, and eval group k.
+    """The random draws of groups 0 ... count-1 of one run, what GRPO
+    step k samples from, and eval group k.
 
-    Every stream's key is computed here, in one pass per stream id
-    (:meth:`RandomSource.child_keys`), and kept as 16 bytes a stream;
-    each draw resets one :class:`KeyedGenerator` to its key and finishes
-    before the method returns, so groups may be drawn in any order.
+    Group k draws from ``rng``'s child stream ``(0,)`` jumped k times
+    (numpy's ``Philox(SeedSequence(seed, spawn_key=(0,))).jumped(k)``), in
+    this order: its condition, its ``(group_size, num_steps + 1,
+    dims.state_size)`` sampler noise as one ``standard_normal`` block,
+    and, for a GRPO step, its timestep subset.  So eval group k, which
+    draws no subset, gets train step k's condition and noise, and
+    trajectory i's noise, row i of the block, does not depend on the
+    group size.  The stream's key is computed here, once, and is all the
+    object keeps; each draw resets one :class:`KeyedGenerator` to group
+    k's jump and finishes before :meth:`group` returns, so groups may be
+    drawn in any order.
     """
 
     def __init__(self, rng: RandomSource, count: int, dims: PolicyDims, group_size: int,
                  num_steps: int):
-        self.dims, self.group_size, self.num_steps = dims, group_size, num_steps
-        self._cond_keys = rng.child_keys((_STREAM_COND,), count)
-        self._subset_keys = rng.child_keys((_STREAM_SUBSET,), count)
-        self._noise_keys = rng.child_keys((_STREAM_ROLLOUT,), count, group_size)
+        self.count, self.dims = count, dims
+        self.group_size, self.num_steps = group_size, num_steps
+        self._key = rng.key(_STREAM_GROUPS)
         self._draws = KeyedGenerator()
 
-    def _keys(self, table: np.ndarray, k: int) -> list:
-        """Group k's row of ``table`` as ints."""
-        if not 0 <= k < len(table):
-            raise DomainError(f"group {k} is outside this run's {len(table)} groups")
-        return table[k].tolist()
-
-    def group(self, k: int):
-        """Group k's condition and its sampler noise."""
-        cond = int(self._draws.at(self._keys(self._cond_keys, k))
-                   .integers(0, self.dims.num_classes))
-        noise = self._draws.gaussian_rows(self._keys(self._noise_keys, k),
-                                          (self.num_steps + 1) * self.dims.state_size)
-        return cond, noise.reshape(self.group_size, self.num_steps + 1, self.dims.state_size)
-
-    def subset(self, k: int, kept: int) -> np.ndarray:
-        """Group k's timestep subset: ``kept`` of the ``num_steps`` sampler
-        steps, in order."""
-        order = self._draws.at(self._keys(self._subset_keys, k)).permutation(self.num_steps)
-        return np.sort(order[:kept])
+    def group(self, k: int, kept: int = 0):
+        """Group k's condition and sampler noise, ``(cond, noise)``, and
+        with ``kept > 0`` its timestep subset too, ``(cond, noise,
+        subset)``: ``kept`` of the ``num_steps`` sampler steps, in order."""
+        if not 0 <= k < self.count:
+            raise DomainError(f"group {k} is outside this run's {self.count} groups")
+        draw = self._draws.at(self._key, k)
+        cond = int(draw.integers(0, self.dims.num_classes))
+        noise = draw.standard_normal((self.group_size, self.num_steps + 1,
+                                      self.dims.state_size))
+        if kept <= 0:
+            return cond, noise
+        return cond, noise, np.sort(draw.permutation(self.num_steps)[:kept])
 
 
 @dataclass(frozen=True)
@@ -277,8 +274,7 @@ def train_step(policy: FlowPolicy, ref_policy: FlowPolicy, config: TrainConfig,
     G, K, dims = config.group_size, config.sde.num_steps, policy.dims
     if (streams.dims, streams.group_size, streams.num_steps) != (dims, G, K):
         raise ShapeError("group streams were built for another policy or config")
-    cond, noise = streams.group(step_index)
-    subset = streams.subset(step_index, config.kept_count)
+    cond, noise, subset = streams.group(step_index, config.kept_count)
     try:
         rollout = sde_sample(ref_policy, cond, config.sde, noise, keep=subset)
     except RolloutError as exc:

@@ -3,10 +3,10 @@ Adam optimizer, a counter-based random source, and checkpoint I/O.
 
 Everything here is a pure function of its inputs; randomness only enters
 through an explicit generator or :class:`RandomSource`, whose streams are
-numpy's own SeedSequence children.  A loop takes its streams' keys from
-:meth:`RandomSource.child_keys` before it starts and draws each through
-one :class:`KeyedGenerator`.  Matrices are plain C-order float64
-``numpy`` arrays (rows x cols, row-major).
+numpy's own SeedSequence children.  A loop keeps one stream's key for the
+whole run (:meth:`RandomSource.key`), and its iteration k draws from that
+stream jumped k times, through one :class:`KeyedGenerator`.  Matrices are
+plain C-order float64 ``numpy`` arrays (rows x cols, row-major).
 
 The ``mlp_*`` functions check shapes and finiteness and hand the
 arithmetic to :mod:`kernels`, which holds the one batched implementation
@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -297,90 +296,8 @@ def adam_step_arrays(params: np.ndarray, grad: np.ndarray, state: AdamState):
 # ---------------------------------------------------------------------------
 
 
-# numpy's SeedSequence hashing constants (numpy/random/bit_generator.pyx)
-_SEED_POOL_SIZE = 4
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _word_count(value: int) -> int:
-    """How many 32-bit words SeedSequence splits a non-negative int into
-    (0 is one word)."""
-    return max(1, -(-int(value).bit_length() // 32))
-
-
-def _hashmix(value, hash_const):
-    """SeedSequence's hashmix of a 32-bit ``value`` with ``hash_const``
-    (ints, or uint64 arrays that broadcast).  Returns ``(mixed value, next
-    hash constant)``."""
-    next_const = hash_const * _MULT_A & _MASK32
-    value = (value ^ hash_const) * next_const & _MASK32
-    return value ^ (value >> 16), next_const
-
-
-def _mix(x, y):
-    """SeedSequence's mix of 32-bit ``x`` with ``y`` (ints, or uint64
-    arrays that broadcast); uint64 wrap-around leaves the low 32 bits
-    exact."""
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
-
-
-def _seed_pool(seq: np.random.SeedSequence) -> tuple:
-    """numpy's ``seq`` as ``(pool, next hash constant)``: its entropy pool
-    and the hash constant its mixing left behind, which the next entropy
-    word would be hashed with.
-
-    SeedSequence splits the seed and each spawn-key id into 32-bit words,
-    the seed zero-padded to 4 words when a spawn key follows (with none,
-    filling the pool hashes zeros in their place), and hashes them into
-    its 4-word pool.  Each hashmix multiplies the constant by ``_MULT_A``:
-    4 fill the pool, 12 cross-mix it, and each word past the fourth takes
-    one per pool word, so 4 per word in all.
-    """
-    words = (max(_word_count(seq.entropy), _SEED_POOL_SIZE)
-             + sum(_word_count(k) for k in seq.spawn_key))
-    return seq.pool, _INIT_A * pow(_MULT_A, _SEED_POOL_SIZE * words, _MASK32 + 1) & _MASK32
-
-
-def _absorb(state: tuple, words) -> tuple:
-    """``state`` (see :func:`_seed_pool`) after SeedSequence absorbs one
-    more 32-bit entropy word: one pool per element of ``words``, along a
-    new last axis.  A pool is ``(4, *shape)``, so absorbing twice gives a
-    grid.
-
-    Past the fourth, a word takes one hashmix per pool word, each with the
-    next hash constant; the constants do not depend on the word, so the
-    four pool words are mixed at once and every element leaves the same
-    constant.
-    """
-    pool, hash_const = state
-    pool = np.asarray(pool, dtype=np.uint64)[..., None]
-    consts = [hash_const]
-    for _ in range(_SEED_POOL_SIZE):
-        consts.append(consts[-1] * _MULT_A & _MASK32)
-    dst_consts = np.array(consts[:-1], dtype=np.uint64).reshape((-1,) + (1,) * (pool.ndim - 1))
-    mixed, _ = _hashmix(np.asarray(words, dtype=np.uint64), dst_consts)
-    return _mix(pool, mixed), consts[-1]
-
-
-def _output_keys(pool) -> np.ndarray:
-    """The ``(*shape, 2)`` uint64 Philox keys of a ``(4, *shape)`` pool:
-    numpy's ``generate_state(2, uint64)``, four 32-bit output words, two
-    to a key word, for each pool."""
-    consts = [_INIT_B]
-    for _ in range(_SEED_POOL_SIZE):
-        consts.append(consts[-1] * _MULT_B & _MASK32)
-    consts = np.array(consts, dtype=np.uint64).reshape((-1,) + (1,) * (np.ndim(pool) - 1))
-    words = np.asarray(pool, dtype=np.uint64) ^ consts[:-1]
-    words = words * consts[1:] & _MASK32
-    words ^= words >> 16
-    keys = np.empty(words.shape[1:] + (2,), dtype=np.uint64)
-    keys[..., 0] = words[0] | words[1] << 32
-    keys[..., 1] = words[2] | words[3] << 32
-    return keys
+# a Philox counter is four 64-bit words
+_MASK64 = 2**64 - 1
 
 
 class RandomSource:
@@ -392,10 +309,14 @@ class RandomSource:
     to the next.  Negative seeds and ids are rejected, as SeedSequence
     rejects them.
 
-    A loop that draws from many streams takes their keys from
-    :meth:`child_keys` once, before it starts, and draws through one
-    :class:`KeyedGenerator`; :meth:`at_stream` builds numpy's objects
-    afresh for one stream.
+    A loop takes one child's :meth:`key` before it starts, and its
+    iteration k draws, through one :class:`KeyedGenerator`, from that
+    stream jumped k times: numpy's ``Philox(SeedSequence(...)).jumped(k)``.
+    Philox is counter-based (Salmon et al., "Parallel Random Numbers: As
+    Easy as 1, 2, 3", SC 2011), and a jump moves the counter on by
+    2**128, so the iterations draw from disjoint ranges of one key's
+    counter, 2**128 values (of four 64-bit draws each) apiece.
+    :meth:`at_stream` builds numpy's objects afresh for one stream.
     """
 
     def __init__(self, seed: int, spawn_key: tuple = ()):
@@ -422,40 +343,24 @@ class RandomSource:
             raise DomainError("at_stream needs at least one id")
         return np.random.Generator(np.random.Philox(self._child(ids)))
 
-    def child_keys(self, ids: Sequence[int], *counts: int) -> np.ndarray:
-        """The ``(*counts, 2)`` uint64 Philox keys of child streams
-        ``(*ids, j1, j2, ...)``, ``0 <= j_m < counts[m]``: entry ``[j1,
-        j2, ...]`` is numpy's ``SeedSequence(seed, spawn_key=spawn_key +
-        ids + (j1, j2, ...)).generate_state(2, uint64)``, the key that
-        stream's Philox starts from.
-
-        One SeedSequence, child ``ids``, is built; each count's indices
-        are then absorbed into its pool in one broadcast pass
-        (:func:`_absorb`), where building a SeedSequence per stream would
-        cost more than drawing from it.  A count is at most 2**32, so an
-        index is one 32-bit word; counts are checked before anything is
-        allocated.
-        """
-        counts = tuple(operator.index(count) for count in counts)
-        for count in counts:
-            if not 0 <= count <= _MASK32 + 1:
-                raise DomainError(f"need 0 <= count <= 2**32 streams, got {count}")
-        state = _seed_pool(self._child(ids))
-        for count in counts:
-            state = _absorb(state, np.arange(count, dtype=np.uint64))
-        return _output_keys(state[0])
+    def key(self, *ids: int) -> list:
+        """The Philox key of child stream ``ids`` (of the source's own
+        stream with no ``ids``), two ints: numpy's
+        ``SeedSequence(seed, spawn_key=spawn_key + ids).generate_state(2,
+        uint64)``, what :meth:`KeyedGenerator.at` takes."""
+        return self._child(ids).generate_state(2, np.uint64).tolist()
 
 
 class KeyedGenerator:
-    """One numpy Philox and its Generator, reset to the start of a stream
-    by that stream's key (a :meth:`RandomSource.child_keys` entry).
+    """One numpy Philox and its Generator, reset to a point of a stream
+    by that stream's key (:meth:`RandomSource.key`) and a jump count.
 
-    A reset writes the key into a fresh-stream state, counter and buffer
-    at zero, and sets the Philox to it: the state numpy's
-    ``Philox(SeedSequence(...))`` starts in, without building either.  So
-    the draws after :meth:`at` equal that stream's own, whatever the
-    generator drew before; a caller draws from what :meth:`at` returns
-    before its next reset.
+    A reset writes the key and the jumped counter into a fresh-stream
+    state, buffer empty, and sets the Philox to it: the state numpy's
+    ``Philox(SeedSequence(...)).jumped(jumps)`` starts in, without
+    building any of them.  So the draws after :meth:`at` equal that jumped
+    stream's own, whatever the generator drew before; a caller draws from
+    what :meth:`at` returns before its next reset.
     """
 
     def __init__(self):
@@ -463,28 +368,17 @@ class KeyedGenerator:
         self._bit_generator = np.random.Philox(0)
         self._generator = np.random.Generator(self._bit_generator)
         self._state = {"bit_generator": "Philox",
-                       "state": {"counter": [0, 0, 0, 0], "key": None},
+                       "state": {"counter": None, "key": None},
                        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-    def at(self, key) -> np.random.Generator:
-        """The generator at the start of the stream of ``key``, two ints."""
-        self._state["state"]["key"] = key
+    def at(self, key, jumps: int) -> np.random.Generator:
+        """The generator at the start of the stream of ``key``, two ints,
+        jumped ``jumps >= 0`` times: its counter is ``jumps * 2**128``."""
+        state = self._state["state"]
+        state["key"] = key
+        state["counter"] = [0, 0, jumps & _MASK64, jumps >> 64]
         self._bit_generator.state = self._state
         return self._generator
-
-    def gaussian_rows(self, keys, n: int) -> np.ndarray:
-        """A ``(len(keys), n)`` block whose row i is, bit for bit, the
-        first n ``standard_normal`` draws of the stream of ``keys[i]``.
-        Resetting for a row costs about an eighth of drawing a 272-value
-        row, so the draws bound this loop."""
-        if n < 1:
-            raise DomainError(f"need n >= 1 draws, got {n}")
-        out = np.empty((len(keys), int(n)))
-        draw = self._generator.standard_normal
-        for i, key in enumerate(keys):
-            self.at(key)
-            draw(out=out[i])
-        return out
 
 
 # ---------------------------------------------------------------------------

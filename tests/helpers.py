@@ -1,5 +1,5 @@
 """Shared test utilities: the reference random streams, a block of
-per-stream normals, naive
+normals drawn from one jumped stream, naive
 re-implementations used as oracles (the MLP forward pass, and the
 row-major transition gather, evaluation and backprop that
 ``eval_step``/``backprop_step`` must match), the toy task's closed-form
@@ -21,20 +21,23 @@ from flowstage.flow_policy import _log_density_rows, _velocity_grad
 from flowstage.numerics import CHECKPOINT_MAGIC, KeyedGenerator, mlp_forward_batch
 
 
-def philox(seed, *spawn_key):
+def philox(seed, *spawn_key, jumps=0):
     """numpy's generator on the Philox stream of ``SeedSequence(seed,
-    spawn_key=spawn_key)``: the stream ``RandomSource(seed).at_stream(
-    *spawn_key)`` must start, and the tests' source of random inputs."""
+    spawn_key=spawn_key)``, jumped ``jumps`` times: the stream a
+    ``KeyedGenerator`` reset to that key and jump must start
+    (``RandomSource(seed).at_stream(*spawn_key)`` at no jump), and the
+    tests' source of random inputs."""
     seq = np.random.SeedSequence(seed, spawn_key=spawn_key)
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.Philox(seq).jumped(jumps))
 
 
-def gaussian_streams(source, ids, count, n):
-    """A ``(count, n)`` block whose row i holds the first n standard
-    normals of ``source``'s child stream ``(*ids, i)``, drawn as the
-    package draws a group's noise: the keys from ``child_keys`` and the
-    rows from a ``KeyedGenerator``."""
-    return KeyedGenerator().gaussian_rows(source.child_keys(ids, count).tolist(), n)
+def gaussian_block(source, ids, count, n, jumps=0):
+    """A ``(count, n)`` block of the standard normals that open
+    ``source``'s child stream ``ids`` jumped ``jumps`` times, drawn as the
+    package draws a group's noise block: the key from
+    ``RandomSource.key`` and one ``standard_normal`` draw from a
+    ``KeyedGenerator`` reset to the jump."""
+    return KeyedGenerator().at(source.key(*ids), jumps).standard_normal((count, n))
 
 
 def copy_policy(policy):

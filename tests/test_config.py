@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import edit_header, kept_by_step, late_overflow, reshape_in_header
+from helpers import edit_header, kept_by_step, late_overflow, philox, reshape_in_header
 
 from flowstage import cli, flow_policy, grpo
-from flowstage.config import DEFAULTS, RunConfig
+from flowstage.config import DEFAULTS, RunConfig, load_config_file, parse_override
 from flowstage.curriculum import CurriculumConfig, calibrate_thresholds
 from flowstage.errors import ConfigError
 from flowstage.flow_policy import (
@@ -164,6 +164,55 @@ def test_yaml_is_imported_only_for_yaml_files_and_overrides(tmp_path):
                          capture_output=True, text=True, env=env, timeout=120)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == [[False, False], 3, 4, 0.25, 0.75, None]
+
+
+# YAML scalars and what a config file and an override both read them as:
+# YAML 1.2's floats (an exponent needs no dot and no sign, a leading dot
+# may be signed), while text that is not such a float keeps its meaning
+YAML_SCALARS = [("3e-4", 3e-4), ("1E5", 1e5), ("-2e+3", -2e3), (".5", 0.5), ("-.5", -0.5),
+                ("1.0e5", 1e5), ("1.5e+3", 1.5e3), ("1e", "1e"), ("e5", "e5"), ("1_000", 1000),
+                ("1000", 1000), ("-7", -7), ("09", "09"), ("1:30", 90), ("abc", "abc")]
+
+
+@pytest.mark.parametrize("text, value", YAML_SCALARS, ids=[t for t, _ in YAML_SCALARS])
+def test_yaml_files_and_overrides_read_scalars_alike(tmp_path, text, value):
+    path = tmp_path / "run.yaml"
+    path.write_text(f"key: {text}\nlisted: [{text}]\n")
+    data = load_config_file(path)
+    for got in (data["key"], data["listed"][0], parse_override(f"a.key={text}")[1]):
+        assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("how", ["file", "override"])
+def test_exponent_floats_load_and_ints_stay_ints(tmp_path, how):
+    # learning_rate: 3e-4, as papers write it, loads; 1_000 steps is an
+    # int, and 1e3 steps is a float, which the integer check rejects
+    def load(rate, steps):
+        if how == "override":
+            return RunConfig.from_dict({"mode": "pretrain"}, [f"train.learning_rate={rate}",
+                                                              f"train.num_steps={steps}"])
+        path = tmp_path / "run.yaml"
+        path.write_text(f"mode: pretrain\ntrain:\n  learning_rate: {rate}\n"
+                        f"  num_steps: {steps}\n")
+        return RunConfig.from_file(path)
+
+    cfg = load("3e-4", "1_000")
+    assert cfg.resolved["train"]["learning_rate"] == 3e-4
+    assert cfg.resolved["train"]["num_steps"] == 1000
+    assert type(cfg.resolved["train"]["num_steps"]) is int
+    with pytest.raises(ConfigError) as exc:
+        load("3e-4", "1e3")
+    assert exc.value.details == ["train: num_steps must be an integer, got 1000.0"]
+
+
+def test_json_configs_keep_their_strings(tmp_path):
+    # JSON has its own numbers: a quoted 3e-4 stays a string and is rejected
+    path = tmp_path / "run.json"
+    path.write_text('{"mode": "pretrain", "train": {"learning_rate": "3e-4", "clip_eps": 3e-4}}')
+    assert load_config_file(path)["train"] == {"learning_rate": "3e-4", "clip_eps": 3e-4}
+    with pytest.raises(ConfigError) as exc:
+        RunConfig.from_file(path)
+    assert exc.value.details == ["train: learning_rate must be a finite number, got '3e-4'"]
 
 
 def test_overrides_do_not_leak_into_later_loads():
@@ -604,7 +653,7 @@ def test_eval_rollout_failure_names_group_and_condition(tmp_path):
     with pytest.warns(RuntimeWarning):
         rc, outdir = run_cli(tmp_path, str(path), "--set=mode=eval", "--set=sde.num_steps=4")
     assert rc == 2
-    cond = int(RandomSource(0).at_stream(0, 0).integers(0, PolicyDims().num_classes))
+    cond = int(philox(0, grpo._STREAM_GROUPS).integers(0, PolicyDims().num_classes))
     assert json.loads((outdir / "failure.json").read_text())["message"] == (
         f"group 0, condition {cond}: step 3 (t=0.2800): "
         "forward pass produced a non-finite output")

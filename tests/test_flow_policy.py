@@ -11,7 +11,7 @@ import pytest
 from helpers import (
     copy_policy,
     drain,
-    gaussian_streams,
+    gaussian_block,
     kept_by_step,
     late_overflow,
     naive_mlp_eval,
@@ -23,6 +23,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowstage import flow_policy
 from flowstage.config import DEFAULTS
 from flowstage.errors import DomainError, RolloutError, ShapeError
 from flowstage.flow_policy import (
@@ -238,11 +239,11 @@ class TestSdeSampling:
         p = small_policy(16)
         cfg = SdeConfig(num_steps=6, eta=0.5)
         conds = [0, 1, 2, 0, 1]
-        block = gaussian_streams(RandomSource(90), (), len(conds), 7 * SMALL.state_size)
+        block = gaussian_block(RandomSource(90), (), len(conds), 7 * SMALL.state_size)
         group = sde_sample(p, conds, cfg, block.reshape(len(conds), 7, -1))
         assert len(group) == len(conds)
         for i, cond in enumerate(conds):
-            one = sde_sample(p, cond, cfg, noise_block(p, cfg, philox(90, i)))
+            one = sde_sample(p, cond, cfg, block[i].reshape(1, 7, -1))
             assert group.conditions[i] == cond
             for name in ("states", "step_means", "log_probs"):
                 np.testing.assert_allclose(getattr(group, name)[i], getattr(one, name)[0],
@@ -625,6 +626,49 @@ class TestPretraining:
                                                        PRETRAIN["learning_rate"]), p)
         assert losses == []
         np.testing.assert_array_equal(p.vector, trained.vector)
+
+    def test_step_k_draws_from_its_jumped_stream(self, monkeypatch):
+        # step k's batch, noise and flow times are, in that order, the
+        # first draws of the loop's child stream (0,) jumped k times
+        residual, seen = flow_policy._flow_matching_residual, []
+
+        def spy(policy, frames, conds, t, eps):
+            seen.append((frames, conds, t, eps))
+            return residual(policy, frames, conds, t, eps)
+
+        monkeypatch.setattr(flow_policy, "_flow_matching_residual", spy)
+        p, ds, B = small_policy(21), ToyDataset(SMALL), 8
+        drain(pretrain_flow_matching(p, ds, 3, RandomSource(5, (101,)), B, 1e-3), p)
+        assert len(seen) == 3
+        for k, (frames, conds, t, eps) in enumerate(seen):
+            stream = philox(5, 101, 0, jumps=k)
+            want_frames, want_conds = ds.sample_batch(stream, B)
+            np.testing.assert_array_equal(frames, want_frames)
+            np.testing.assert_array_equal(conds, want_conds)
+            np.testing.assert_array_equal(
+                eps, stream.standard_normal(B * SMALL.state_size).reshape(B, -1))
+            np.testing.assert_array_equal(t, stream.random(B))
+
+    def test_set_up_takes_constant_memory(self):
+        # a run of 10**12 steps keeps one key: what it allocates before
+        # its first draw does not grow with the step count
+        class FirstDraw(Exception):
+            pass
+
+        class Probe:
+            def sample_batch(self, rng, n):
+                self.before_first_draw = tracemalloc.get_traced_memory()[1]
+                raise FirstDraw
+
+        probe, policy = Probe(), small_policy(22)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstDraw):
+                next(pretrain_flow_matching(policy, probe, 10**12, RandomSource(5),
+                                            batch_size=16, learning_rate=1e-3))
+        finally:
+            tracemalloc.stop()
+        assert probe.before_first_draw < 64 * 1024
 
     def test_point_mass_residual_shrinks(self):
         dims = PolicyDims(frames=2, frame_dim=2, num_classes=1, embed_dim=2)

@@ -4,14 +4,21 @@ pinned reward statistics, an eval at the wide group of the
 ``sample_wide`` benchmark must reproduce its output files exactly, and
 audit mode on a small seeded CSV must reproduce a pinned report.
 
-The chain's eval values were recorded before the group rollout and
-reward scoring were vectorised, its train files (at the default group of
-16, against a fresh and against a stale reference) before the sampler's
-per-call plan and the one gradient buffer, the wide eval's before
-sampling stopped forming the log-densities that eval never reads, and
-its pretrain files before the random source stopped keeping a generator
-of its own; a later speed-up that moves behaviour, down to the last bit
-of a gradient, fails here.
+Until the random draws were re-laid, the chain's eval values had been
+recorded before the group rollout and reward scoring were vectorised,
+its train files (at the default group of 16, against a fresh and
+against a stale reference) before the sampler's per-call plan and the
+one gradient buffer, the wide eval's before sampling stopped forming the
+log-densities that eval never reads, and its pretrain files before the
+random source stopped keeping a generator of its own; each of those
+changes kept every pin.  The train, stale-reference, wide-eval and
+pretrain pins (the chain's eval means with them) were then re-recorded
+once, when each loop moved to one Philox key and iteration k to that
+stream jumped k times: a group draws its condition, noise and subset
+from one stream, a pretrain step its batch and noise, where each had
+come from streams of their own.  That moves every sampled bit and
+nothing else; the audit pins did not move.  A later speed-up that moves
+behaviour, down to the last bit of a gradient, fails here.
 """
 
 import csv
@@ -25,91 +32,88 @@ from flowstage import cli
 
 # trainlog.jsonl of the chain's 4-step train run at the default group of 16
 TRAIN_LOG = (
-    '{"clip_fraction": 0.0, "condition": 2, "grad_norm": 1.2361983681159383, '
-    '"mixed_mean": 0.01059766694813408, "objective": -6.661338147750939e-17, '
+    '{"clip_fraction": 0.0, "condition": 1, "grad_norm": 1.4492426469717847, '
+    '"mixed_mean": 0.02032685146571097, "objective": -2.2204460492503132e-17, '
     '"ratio_max_dev": 0.0, "refresh": true, '
-    '"sparsities": [0.6287284176132317, 1.0, 0.3616170275871755], "step": 0, '
-    '"term_means": [0.011885067567308623, 1.2043863763419124e-47, 0.4291301358945855], '
-    '"transitions": [0.9521449112079412, 0.6920928832113753, -0.21791920246972868], '
-    '"weights": [0.8889171129807175, 0.11100639041399758, 7.649660528479754e-05]}\n'
-    '{"clip_fraction": 0.0, "condition": 0, "grad_norm": 1.8349531084947657, '
-    '"mixed_mean": 0.01593171111177371, "objective": 8.881784197001253e-17, '
-    '"ratio_max_dev": 0.0, "refresh": true, '
-    '"sparsities": [0.5901077205506998, 0.9995065418619614, 0.5337535697854543], '
+    '"sparsities": [0.8349324593750307, 0.9999972958937952, 0.6887575006073235], "step": 0, '
+    '"term_means": [0.020410400110132357, 7.3944514204856e-40, 0.09402692161525807], '
+    '"transitions": [1.160217252732045, 0.48588613734337144, 0.030404987633799785], '
+    '"weights": [0.9953620474902222, 0.004519754212906511, 0.00011819829687126395]}\n'
+    '{"clip_fraction": 0.0, "condition": 3, "grad_norm": 1.591354643906116, '
+    '"mixed_mean": 0.013699280639467359, "objective": 0.0, "ratio_max_dev": 0.0, '
+    '"refresh": true, "sparsities": [0.7373708719899251, 1.0, 0.5036135550135183], '
     '"step": 1, '
-    '"term_means": [0.019467687116326914, 2.065565778541612e-28, 0.2808714748319784], '
-    '"transitions": [0.9151856464414141, 0.7302201221358686, -0.08093044133256816], '
-    '"weights": [0.8143013927679336, 0.18541681863453907, 0.00028178859752736775]}\n'
-    '{"clip_fraction": 0.0, "condition": 1, "grad_norm": 1.504026180860725, '
-    '"mixed_mean": 0.009695980347943771, "objective": 2.2204460492503132e-17, '
+    '"term_means": [0.013985435892766103, 1.0302005845119153e-33, 0.20052274308158125], '
+    '"transitions": [1.06124713489303, 0.5834504288346818, -0.13040074710508553], '
+    '"weights": [0.9785231560468185, 0.021405990289556722, 7.0853663624766e-05]}\n'
+    '{"clip_fraction": 0.0, "condition": 7, "grad_norm": 1.4486782848640831, '
+    '"mixed_mean": 0.020404476215591574, "objective": -4.4408920985006264e-17, '
     '"ratio_max_dev": 0.0, "refresh": true, '
-    '"sparsities": [0.6192925362928207, 0.9368886778388873, 0.8471662267279633], '
-    '"step": 2, '
-    '"term_means": [0.0102100543015477, 4.5905359407964484e-64, 0.0943857659423841], '
-    '"transitions": [0.9423426148542238, 0.6384174423706737, 0.2520030489621712], '
-    '"weights": [0.9158276316978795, 0.0805136545755043, 0.0036587137266162898]}\n'
-    '{"clip_fraction": 0.0, "condition": 4, "grad_norm": 1.146586540395392, '
-    '"mixed_mean": 0.003959559472265296, "objective": 3.3306690738754695e-17, '
+    '"sparsities": [0.8690892884524825, 0.9973804830056748, 0.727951811110129], "step": 2, '
+    '"term_means": [0.020432186367618264, 2.3811733262572025e-34, 0.18648337985170144], '
+    '"transitions": [1.1943788633577694, 0.44911249537779935, 0.09330550087169487], '
+    '"weights": [0.9972835348185051, 0.002567426855157916, 0.0001490383263369813]}\n'
+    '{"clip_fraction": 0.0, "condition": 4, "grad_norm": 1.496395741637017, '
+    '"mixed_mean": 0.0363162656744536, "objective": 2.2204460492503132e-17, '
     '"ratio_max_dev": 0.0, "refresh": true, '
-    '"sparsities": [0.4296441586863969, 0.9969417357683703, 0.7914710307172838], '
-    '"step": 3, '
-    '"term_means": [0.014803649160524261, 3.0342659044957164e-29, 0.10780407539020409], '
-    '"transitions": [0.7536996200957999, 0.8881188779065805, 0.1392796114132901], '
-    '"weights": [0.25391256655553135, 0.7442254730426713, 0.0018619604017974234]}\n'
+    '"sparsities": [0.7006277052532527, 1.0, 0.4721536727118017], "step": 3, '
+    '"term_means": [0.03766559736048917, 5.887472516308228e-38, 0.29569820751140213], '
+    '"transitions": [1.029710933132708, 0.6201935955713542, -0.1395078628073621], '
+    '"weights": [0.9635206537235215, 0.03639586696493346, 8.347931154494668e-05]}\n'
 )
 # pretrain_loss.csv and the SHA-256 of policy.ckpt of the chain's 40-step
 # pretrain run
 PRETRAIN_LOSS_CSV = """\
 step,loss
-0,1.7811650667754213
-1,1.7575803330179087
-2,1.7278962466942547
-3,1.556196575444646
-4,1.5470540515145892
-5,1.731056038319942
-6,1.4926857822291084
-7,1.53845013518887
-8,1.4748873630559176
-9,1.3934758772442595
-10,1.405298272938801
-11,1.4559445721887878
-12,1.4137436102055863
-13,1.4094628291134899
-14,1.3413768501118488
-15,1.3723636625040858
-16,1.304315450676286
-17,1.3008086442235773
-18,1.2032458680303253
-19,1.119085290173174
-20,1.2977195995250959
-21,1.1270083970807718
-22,1.2237898192606005
-23,1.275632539082916
-24,1.1555297921315488
-25,1.1803552592295152
-26,1.25189319317689
-27,1.1177803528907837
-28,1.0834229619210132
-29,0.9778446610972045
-30,1.1291997695852531
-31,1.081399231268434
-32,1.0522526350318517
-33,1.0430999650377957
-34,0.983558665973401
-35,1.057770322330721
-36,1.0500121914306164
-37,1.0321590049632627
-38,1.0379549040838767
-39,1.0612339391424659
+0,1.7345824571898731
+1,1.615112801693306
+2,1.8280050540783166
+3,1.578723500425351
+4,1.612323102717795
+5,1.3914878657116136
+6,1.5314404236290993
+7,1.4998134674063142
+8,1.4272244906300575
+9,1.3998939541319468
+10,1.4538814038760886
+11,1.424868960329896
+12,1.486037827386172
+13,1.3448919200561793
+14,1.304404927762279
+15,1.259478941420639
+16,1.2829176020425406
+17,1.303446937174618
+18,1.2925925546051
+19,1.2666903883163823
+20,1.2706727785291223
+21,1.2369526624132237
+22,1.188331603463209
+23,1.1794594746831009
+24,1.170862001339116
+25,1.1916374098319917
+26,1.1018693610392076
+27,1.0804762101238647
+28,1.193030315165948
+29,1.047690797668446
+30,1.1157831898790425
+31,1.15179657822743
+32,1.2472872236412966
+33,1.05186541852779
+34,1.0349897802977879
+35,1.0432471257392466
+36,1.0995055458347505
+37,1.028148786114604
+38,1.0080488258434035
+39,0.9101997574628333
 """
-PRETRAIN_CKPT_SHA256 = "4a1065b7cdcba8d4a085c1a8dad66136157dbf94aad99cb2d6cc62ecc1a38e87"
+PRETRAIN_CKPT_SHA256 = "4d5d85acd9d376c28d09ada568de1b24e18e3de30fb83ed5f7d4ab667ebb84a2"
 # SHA-256 of the chain's policy_final.ckpt, and of the trainlog.jsonl and
 # policy_final.ckpt of the same run against a reference refreshed every 2 steps
-TRAIN_CKPT_SHA256 = "981d4fa0af74cc8e052572a861b746520201a39435cdfa2612d3d42b3beac205"
-STALE_REF_SHA256 = ("f6a9c5763fab71a7583ff8521d3e3b5ce240711d54691f2dfacded58dbfa29b0",
-                    "85a67de590389dad96bced795da8ed0ccf5fe59d21c4dd4c86a1726162ee84a7")
+TRAIN_CKPT_SHA256 = "4b5d2218b47efe85bc5896b58496102e060f42be5a0176242f8a1715a65c68ba"
+STALE_REF_SHA256 = ("917a56fe29c9838d9d858560f471b92ab93ba6a283bea5ad784e867befd33c83",
+                    "6ebc7b20ac8791618c486a4ed814e2dd69acb656cce537eb1d3be0dc1053ed83")
 # per-term means of eval_stats.json
-EVAL_MEANS = [0.00997113574249944, 3.692202994881434e-45, 0.39469347250907016]
+EVAL_MEANS = [0.013987271084126588, 2.780142515090185e-34, 0.18786223359004167]
 
 
 @pytest.fixture(scope="module")
@@ -175,20 +179,21 @@ WIDE_EVAL_STATS = {
     "num_groups": 2,
     "seed": 0,
     "terms": [
-        {"id": "fidelity", "stage": 1, "max": 0.258640904001549,
-         "mean": 0.01859424864965251, "min": 3.519214289850379e-20,
-         "std": 0.036533904868219697},
-        {"id": "smoothness", "stage": 2, "max": 6.693509989309549e-13,
-         "mean": 5.534725019216066e-15, "min": 0.0, "std": 5.900463686986176e-14},
-        {"id": "alignment", "stage": 3, "max": 0.9996200885394421,
-         "mean": 0.25704164772930227, "min": 3.489076597247935e-09,
-         "std": 0.3613759971270413},
+        {"id": "fidelity", "stage": 1, "max": 0.6081863355058434,
+         "mean": 0.027314148248508544, "min": 7.163745475672614e-11,
+         "std": 0.07450994805483398},
+        {"id": "smoothness", "stage": 2, "max": 1.6918758802427762e-18,
+         "mean": 1.4677391534133097e-20, "min": 0.0,
+         "std": 1.4973348783445288e-19},
+        {"id": "alignment", "stage": 3, "max": 0.9993735263606266,
+         "mean": 0.24840736879185657, "min": 2.6936061410847576e-09,
+         "std": 0.34712673410061745},
     ],
 }
 WIDE_EVAL_GROUPS = """\
 group,condition,mean_fidelity,mean_smoothness,mean_alignment
-0,2,0.015745612285330734,1.902879685165432e-24,0.301641944518499
-1,0,0.02144288501397428,1.1069450036529253e-14,0.21244135094010552
+0,1,0.0320077298546922,6.312755849859018e-29,0.2556947152562001
+1,3,0.022620566642324876,2.9354783005138634e-20,0.24112002232751298
 """
 
 

@@ -5,6 +5,7 @@ differences, advantage detachment, and trace determinism."""
 import csv
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from helpers import (
     copy_policy,
     drain,
     finite_difference,
-    gaussian_streams,
+    gaussian_block,
     kept_by_step,
     late_overflow,
     philox,
@@ -62,7 +63,7 @@ def tiny_policy(seed=0):
 def tiny_trajectories(ref, count=4, seed=100, num_steps=2):
     """A rollout that keeps every step, so a gradient is taken at all of them."""
     cfg = SdeConfig(num_steps=num_steps, eta=0.5, t_min=0.2)
-    noise = gaussian_streams(RandomSource(seed), (), count, (num_steps + 1) * TINY.state_size)
+    noise = gaussian_block(RandomSource(seed), (), count, (num_steps + 1) * TINY.state_size)
     return sde_sample(ref, [i % TINY.num_classes for i in range(count)], cfg,
                       noise.reshape(count, num_steps + 1, -1), keep=range(num_steps))
 
@@ -140,7 +141,7 @@ class TestImportanceRatio:
         # a deterministic rollout has no transition density to form a ratio from
         ref = tiny_policy(15)
         cfg = SdeConfig(num_steps=3, eta=0.0)
-        noise = gaussian_streams(RandomSource(58), (), 4, 4 * TINY.state_size)
+        noise = gaussian_block(RandomSource(58), (), 4, 4 * TINY.state_size)
         rollout = sde_sample(ref, 0, cfg, noise.reshape(4, 4, -1), keep=[0, 1])
         assert rollout.log_probs is None
         with pytest.raises(DomainError):
@@ -209,26 +210,37 @@ class TestSmoothCurve:
 
 class TestGroupStreams:
     def test_out_of_order_draws_equal_numpy_streams(self):
-        # group 5 before group 2, subsets drawn in between: every draw is
-        # numpy's own stream (stream id, k[, i]), whatever came before
+        # group 5 before group 2, subsets drawn in between: every group is
+        # numpy's own stream (stream id,) jumped k times, drawn in the
+        # documented order (condition, noise block, subset), whatever came
+        # before
         seed, G, K, kept = 9001, 4, 6, 3
         streams = GroupStreams(RandomSource(seed), 8, PLANAR, G, K)
         groups, subsets = {}, {}
         groups[5] = streams.group(5)
-        subsets[3] = streams.subset(3, kept)
+        *groups[3], subsets[3] = streams.group(3, kept)
         groups[2] = streams.group(2)
-        subsets[5] = streams.subset(5, kept)
-        subsets[2] = streams.subset(2, kept)
+        *groups[6], subsets[6] = streams.group(6, kept)
+        *_, subsets[2] = streams.group(2, kept)
         for k, (cond, noise) in groups.items():
-            assert cond == philox(seed, grpo._STREAM_COND, k).integers(0, PLANAR.num_classes)
+            expected = philox(seed, grpo._STREAM_GROUPS, jumps=k)
+            assert cond == expected.integers(0, PLANAR.num_classes)
             assert noise.shape == (G, K + 1, PLANAR.state_size)
-            for i in range(G):
-                np.testing.assert_array_equal(
-                    noise[i].ravel(),
-                    philox(seed, grpo._STREAM_ROLLOUT, k, i).standard_normal(noise[i].size))
+            np.testing.assert_array_equal(noise, expected.standard_normal(noise.shape))
         for k, subset in subsets.items():
-            expected = philox(seed, grpo._STREAM_SUBSET, k).permutation(K)[:kept]
-            np.testing.assert_array_equal(subset, np.sort(expected))
+            expected = philox(seed, grpo._STREAM_GROUPS, jumps=k)
+            expected.integers(0, PLANAR.num_classes)
+            expected.standard_normal((G, K + 1, PLANAR.state_size))
+            np.testing.assert_array_equal(subset, np.sort(expected.permutation(K)[:kept]))
+
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_a_trajectorys_noise_does_not_depend_on_the_group_size(self, k):
+        # the first 16 rows of a 64-wide group are the 16-wide group, bit
+        # for bit, and so is the condition
+        narrow = GroupStreams(RandomSource(11), 8, PLANAR, 16, 16).group(k)
+        wide = GroupStreams(RandomSource(11), 8, PLANAR, 64, 16).group(k)
+        assert wide[0] == narrow[0]
+        np.testing.assert_array_equal(wide[1][:16], narrow[1])
 
     @pytest.mark.parametrize("k", [-1, 3])
     def test_group_outside_the_run_rejected(self, k):
@@ -236,7 +248,24 @@ class TestGroupStreams:
         with pytest.raises(DomainError):
             streams.group(k)
         with pytest.raises(DomainError):
-            streams.subset(k, 2)
+            streams.group(k, 2)
+
+    def test_streams_take_constant_memory(self):
+        # a run of 10**9 groups at G = 64 keeps one key: building its
+        # streams allocates no table, and neither does drawing a late group
+        tracemalloc.start()
+        try:
+            streams = GroupStreams(RandomSource(5), 10**9, PLANAR, 64, 16)
+            built, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            cond, noise = streams.group(10**9 - 1)
+            _, drawing = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built < 16 * 1024
+        assert drawing < 2 * noise.nbytes
+        assert cond == philox(5, grpo._STREAM_GROUPS, jumps=10**9 - 1).integers(
+            0, PLANAR.num_classes)
 
     @pytest.mark.parametrize("dims, group_size, num_steps",
                              [(TINY, 4, 4), (PLANAR, 5, 4), (PLANAR, 4, 3)])
@@ -269,7 +298,9 @@ class TestTrainStep:
 
     def test_refresh_two_takes_both_paths(self, monkeypatch):
         # refresh steps take everything from the rollout and never call
-        # eval_step; stale steps re-evaluate, and there the clip does its job
+        # eval_step; stale steps re-evaluate, and there the clip does its
+        # job: at a clip_eps this small, any stale ratio off 1 on its
+        # advantage's side binds, so the test holds whatever was drawn
         done, reevaluated = [], []
         evaluate = grpo.eval_step
 
@@ -280,7 +311,7 @@ class TestTrainStep:
         monkeypatch.setattr(grpo, "eval_step", spy)
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(12))
         cfg = small_train_config(num_steps=4, ref_refresh_interval=2, seed=17,
-                                 learning_rate=5e-3)
+                                 learning_rate=5e-3, clip_eps=1e-9)
         log = []
         for s, _, rec in train(policy, cfg):
             done.append(s)
@@ -425,7 +456,7 @@ class TestGradientFidelity:
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(34))
         cfg = SdeConfig(num_steps=6, eta=0.5)
         subset = [0, 2, 3, 5]
-        noise = gaussian_streams(RandomSource(500), (), 6, 7 * PLANAR.state_size)
+        noise = gaussian_block(RandomSource(500), (), 6, 7 * PLANAR.state_size)
         rollout = sde_sample(policy, 2, cfg, noise.reshape(6, 7, -1), keep=subset)
         adv = normalize_advantages(np.array([0.9, 0.1, 0.5, 0.3, 0.7, 0.2]))
 
@@ -457,7 +488,7 @@ class TestGradientFidelity:
         cfg = SdeConfig(num_steps=16, eta=eta, t_min=t_min)
         rng = RandomSource(seed + 100)
         subset = np.sort(philox(seed + 100, 2).permutation(16)[:10])
-        noise = gaussian_streams(rng, (1,), G, 17 * dims.state_size).reshape(G, 17, -1)
+        noise = gaussian_block(rng, (1,), G, 17 * dims.state_size).reshape(G, 17, -1)
         adv = normalize_advantages(philox(seed + 100, 3).standard_normal(G))
         kept = sde_sample(policy, 5, cfg, noise, keep=subset)
         # the same rollout with its kept hidden and output activations
@@ -580,7 +611,7 @@ class TestRowMajorOracle:
         # seeds the config's cached grid, which sde_sample reads
         cfg.__dict__["grid"] = replace(cfg.grid, a_x=cfg.grid.a_x * ramp,
                                        a_v=cfg.grid.a_v * ramp[::-1])
-        noise = gaussian_streams(RandomSource(42), (), G, 5 * TINY.state_size)
+        noise = gaussian_block(RandomSource(42), (), G, 5 * TINY.state_size)
         rollout = sde_sample(policy, [0, 1, 0, 1, 1], cfg, noise.reshape(G, 5, -1), keep=steps)
         assert rollout.grid is cfg.grid
         rows = row_major_transitions(rollout, steps)
@@ -607,7 +638,7 @@ class TestRowMajorOracle:
     def test_rollout_without_kept_steps_rejected(self):
         ref = tiny_policy(36)
         cfg = SdeConfig(num_steps=2, eta=0.5, t_min=0.2)
-        noise = gaussian_streams(RandomSource(700), (), 4, 3 * TINY.state_size)
+        noise = gaussian_block(RandomSource(700), (), 4, 3 * TINY.state_size)
         rollout = sde_sample(ref, 0, cfg, noise.reshape(4, 3, -1))
         assert rollout.kept_steps.size == 0
         for reference in (ref, None):
@@ -635,7 +666,7 @@ class TestLazyLogDensities:
     def sampled(eta=0.5):
         policy = init_flow_policy(PLANAR, hidden=(8,), rng=RandomSource(3))
         cfg = SdeConfig(num_steps=4, eta=eta)
-        noise = gaussian_streams(RandomSource(4), (), 5, 5 * PLANAR.state_size)
+        noise = gaussian_block(RandomSource(4), (), 5, 5 * PLANAR.state_size)
         return sde_sample(policy, 1, cfg, noise.reshape(5, 5, -1), keep=[1, 3])
 
     def test_formed_on_first_read_only(self, calls):

@@ -3,13 +3,12 @@ Adam arithmetic, the random source's reproducibility contract, and
 checkpoint round-trips."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import (
     finite_difference,
-    gaussian_streams,
+    gaussian_block,
     naive_mlp_eval,
     philox,
     rel_err_ok,
@@ -345,7 +344,7 @@ class TestRandomSource:
         np.testing.assert_array_equal(a, philox(7, 0).standard_normal(10))
 
     def test_law_of_large_numbers(self):
-        draws = gaussian_streams(RandomSource(123), (0,), 100, 1000)
+        draws = gaussian_block(RandomSource(123), (0,), 100, 1000)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.02
 
@@ -374,137 +373,77 @@ IDS = st.lists(st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**33 + 5]),
                          st.integers(0, 2**40)), max_size=3)
 
 
+JUMPS = st.one_of(st.sampled_from([0, 1, 2**64 - 1, 2**64, 2**64 + 3]),
+                  st.integers(0, 2**70))
+
+
 class TestGaussianStreams:
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(SEEDS), IDS, IDS, st.integers(1, 70), st.integers(1, 9))
-    def test_rows_equal_child_streams(self, seed, spawn, ids, count, n):
+    @given(st.sampled_from(SEEDS), IDS, IDS, st.integers(1, 70), st.integers(1, 9), JUMPS)
+    def test_rows_equal_child_streams(self, seed, spawn, ids, count, n, jumps):
         root = RandomSource(seed, tuple(spawn))
-        block = gaussian_streams(root, ids, count, n)
+        block = gaussian_block(root, ids, count, n, jumps)
         assert block.shape == (count, n)
-        for i in range(count):
-            np.testing.assert_array_equal(block[i],
-                                          philox(seed, *spawn, *ids, i).standard_normal(n))
+        np.testing.assert_array_equal(
+            block, philox(seed, *spawn, *ids, jumps=jumps).standard_normal((count, n)))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(SEEDS), IDS, st.integers(1, 70))
-    def test_keys_equal_seed_sequence(self, seed, spawn_key, count):
-        keys = RandomSource(seed).child_keys(tuple(spawn_key), count)
-        expected = [np.random.SeedSequence(seed, spawn_key=(*spawn_key, i))
-                    .generate_state(2, np.uint64) for i in range(count)]
-        np.testing.assert_array_equal(keys, expected)
+    @given(st.sampled_from(SEEDS), IDS, IDS)
+    def test_keys_equal_seed_sequence(self, seed, spawn, ids):
+        key = RandomSource(seed, tuple(spawn)).key(*ids)
+        expected = np.random.SeedSequence(seed, spawn_key=(*spawn, *ids))
+        expected = expected.generate_state(2, np.uint64)
+        assert key == expected.tolist() and all(type(word) is int for word in key)
 
     @pytest.mark.parametrize("ids", [(-1,), (3, -2)])
     def test_negative_id_rejected(self, ids):
         with pytest.raises(ValueError):
-            gaussian_streams(RandomSource(5), ids, 4, 2)
+            gaussian_block(RandomSource(5), ids, 4, 2)
         with pytest.raises(ValueError):
             RandomSource(5).stream(*ids, 0)
 
-    @pytest.mark.parametrize("count, n", [(-1, 3), (3, 0)])
-    def test_invalid_sizes(self, count, n):
-        # a count of 0 is an empty key table (see TestChildKeys)
-        with pytest.raises(DomainError):
-            gaussian_streams(RandomSource(0), (), count, n)
-
     @pytest.mark.parametrize("count", [1, 16, 64])
     def test_rows_at_group_widths(self, count):
-        # 272 draws: a (K + 1) x n noise row of the default sampler
-        block = gaussian_streams(RandomSource(9001), (1, 7), count, 272)
-        for i in range(count):
-            np.testing.assert_array_equal(block[i], philox(9001, 1, 7, i).standard_normal(272))
+        # 272 draws: a (K + 1) x n noise row of the default sampler; drawn
+        # as one block, row i does not depend on how many rows follow it
+        block = gaussian_block(RandomSource(9001), (1, 7), count, 272, 5)
+        np.testing.assert_array_equal(
+            block, philox(9001, 1, 7, jumps=5).standard_normal((count, 272)))
+        np.testing.assert_array_equal(
+            block, gaussian_block(RandomSource(9001), (1, 7), 64, 272, 5)[:count])
 
     def test_repeats_across_calls(self):
         root = RandomSource(8)
-        first = gaussian_streams(root, (1,), 5, 3)
-        np.testing.assert_array_equal(gaussian_streams(root, (1,), 5, 3), first)
-        np.testing.assert_array_equal(gaussian_streams(RandomSource(8), (1,), 5, 3), first)
-
-
-def seed_sequence_keys(seed, spawn_key, *counts):
-    """numpy's key of each child ``spawn_key + (j1, j2, ...)``, one
-    SeedSequence each, as a ``(*counts, 2)`` array."""
-    keys = np.empty((*counts, 2), dtype=np.uint64)
-    for js in np.ndindex(*counts):
-        seq = np.random.SeedSequence(seed, spawn_key=(*spawn_key, *js))
-        keys[js] = seq.generate_state(2, np.uint64)
-    return keys
-
-
-class TestChildKeys:
-    KEY_SEEDS = [0, 1, 2**32, 2**40 + 7, 9001, 2**130]
-
-    @pytest.mark.parametrize("seed", KEY_SEEDS)
-    @pytest.mark.parametrize("count", [0, 1, 16, 64])
-    def test_one_level(self, seed, count):
-        keys = RandomSource(seed).child_keys((2, 5), count)
-        assert keys.shape == (count, 2) and keys.dtype == np.uint64
-        np.testing.assert_array_equal(keys, seed_sequence_keys(seed, (2, 5), count))
-
-    @pytest.mark.parametrize("seed", KEY_SEEDS)
-    @pytest.mark.parametrize("counts", [(0, 16), (1, 1), (16, 1), (3, 16), (2, 64)])
-    def test_two_levels(self, seed, counts):
-        keys = RandomSource(seed).child_keys((1,), *counts)
-        assert keys.shape == (*counts, 2)
-        np.testing.assert_array_equal(keys, seed_sequence_keys(seed, (1,), *counts))
-
-    @pytest.mark.parametrize("seed", KEY_SEEDS)
-    def test_under_a_stream_prefix(self, seed):
-        source = RandomSource(seed, (7,)).stream(2**32, 3)
-        np.testing.assert_array_equal(source.child_keys((), 16),
-                                      seed_sequence_keys(seed, (7, 2**32, 3), 16))
-        np.testing.assert_array_equal(source.child_keys((1,), 2, 16),
-                                      seed_sequence_keys(seed, (7, 2**32, 3, 1), 2, 16))
-
-    def test_no_count_is_the_stream_itself(self):
-        key = RandomSource(9001).child_keys((0, 4))
-        np.testing.assert_array_equal(key, seed_sequence_keys(9001, (0, 4)))
-
-    @pytest.mark.parametrize("counts", [(2**32 + 1,), (16, 2**32 + 1), (-1,)])
-    def test_count_out_of_range_allocates_nothing(self, monkeypatch, counts):
-        def refuse(*args, **kwargs):
-            raise AssertionError("allocated before checking the counts")
-
-        monkeypatch.setattr(np, "arange", refuse)
-        monkeypatch.setattr(np.random, "SeedSequence", refuse)
-        tracemalloc.start()
-        try:
-            with pytest.raises(DomainError):
-                RandomSource(3).child_keys((1,), *counts)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 64 * 1024
-
-    def test_at_most_2_32_streams_fit_one_word(self):
-        # the largest index of the largest count is one 32-bit word
-        keys = RandomSource(5).child_keys((2**32 - 1,), 1)
-        np.testing.assert_array_equal(keys, seed_sequence_keys(5, (2**32 - 1,), 1))
+        first = gaussian_block(root, (1,), 5, 3)
+        np.testing.assert_array_equal(gaussian_block(root, (1,), 5, 3), first)
+        np.testing.assert_array_equal(gaussian_block(RandomSource(8), (1,), 5, 3), first)
 
 
 class TestKeyedGenerator:
     def test_draws_equal_numpy_streams(self):
-        keys = RandomSource(11).child_keys((4,), 3).tolist()
+        keys = [RandomSource(11).key(4, i) for i in range(3)]
         draws = KeyedGenerator()
-        for i in (2, 0, 1, 2):
-            assert draws.at(keys[i]).integers(0, 8) == philox(11, 4, i).integers(0, 8)
-            np.testing.assert_array_equal(draws.at(keys[i]).permutation(16),
-                                          philox(11, 4, i).permutation(16))
-            np.testing.assert_array_equal(draws.at(keys[i]).random(5),
-                                          philox(11, 4, i).random(5))
+        for i, jumps in ((2, 0), (0, 3), (1, 0), (2, 2**64 + 1), (2, 0)):
+            assert (draws.at(keys[i], jumps).integers(0, 8)
+                    == philox(11, 4, i, jumps=jumps).integers(0, 8))
+            np.testing.assert_array_equal(draws.at(keys[i], jumps).permutation(16),
+                                          philox(11, 4, i, jumps=jumps).permutation(16))
+            np.testing.assert_array_equal(draws.at(keys[i], jumps).random(5),
+                                          philox(11, 4, i, jumps=jumps).random(5))
 
     def test_reset_mid_draw_starts_afresh(self):
-        # a stream left part-way through a buffered draw, then rows drawn
+        # a stream left part-way through a buffered draw, then blocks drawn
         # through the same generator: each reset starts its stream afresh
-        keys = RandomSource(6).child_keys((0,), 4).tolist()
+        key = RandomSource(6).key(0)
         draws = KeyedGenerator()
-        gen = draws.at(keys[0])
+        gen = draws.at(key, 0)
         first = (gen.integers(0, 8), gen.standard_normal(3))
-        rows = draws.gaussian_rows(keys[1:], 7)
-        again = draws.at(keys[0])
+        rows = [draws.at(key, i).standard_normal(7) for i in range(1, 4)]
+        again = draws.at(key, 0)
         assert again.integers(0, 8) == first[0]
         np.testing.assert_array_equal(again.standard_normal(3), first[1])
         for i, row in enumerate(rows, start=1):
-            np.testing.assert_array_equal(row, philox(6, 0, i).standard_normal(7))
+            np.testing.assert_array_equal(row, philox(6, 0, jumps=i).standard_normal(7))
 
 
 class TestAtStream:
@@ -523,20 +462,20 @@ class TestAtStream:
         root = RandomSource(4)
         first = root.at_stream(2, 9).permutation(16)
         root.at_stream(0, 9).integers(0, 8, size=50)
-        gaussian_streams(root, (1, 9), 3, 5)
+        gaussian_block(root, (1, 9), 3, 5)
         np.testing.assert_array_equal(root.at_stream(2, 9).permutation(16), first)
 
     def test_interleaved_calls_match_child_streams(self):
         # at_stream(a) is left part-way through a buffered draw while
-        # gaussian_streams and at_stream(b) draw: every draw still equals
+        # gaussian_block and at_stream(b) draw: every draw still equals
         # its own stream's
         root = RandomSource(6)
         a = root.at_stream(0, 3)
         drawn_a = (a.integers(0, 8), a.standard_normal(3), a.integers(0, 5, size=3))
-        block = gaussian_streams(root, (1, 3), 5, 7)
+        block = gaussian_block(root, (1, 3), 5, 7)
         b = root.at_stream(2, 3)
         drawn_b = (b.permutation(16), b.integers(0, 8))
-        second = gaussian_streams(root, (1, 4), 3, 7)
+        second = gaussian_block(root, (1, 4), 3, 7)
 
         ref_a = philox(6, 0, 3)
         assert drawn_a[0] == ref_a.integers(0, 8)
@@ -546,8 +485,7 @@ class TestAtStream:
         np.testing.assert_array_equal(drawn_b[0], ref_b.permutation(16))
         assert drawn_b[1] == ref_b.integers(0, 8)
         for ids, rows in (((1, 3), block), ((1, 4), second)):
-            for i, row in enumerate(rows):
-                np.testing.assert_array_equal(row, philox(6, *ids, i).standard_normal(7))
+            np.testing.assert_array_equal(rows, philox(6, *ids).standard_normal(rows.shape))
 
     @pytest.mark.parametrize("ids", [(), (-1,), (3, -2)])
     def test_bad_ids_rejected(self, ids):
@@ -567,9 +505,8 @@ class TestAlternatingCalls:
     def test_alternating_calls_equal_child_streams(self, seed, spawn_key):
         root = RandomSource(seed, spawn_key)
         for ids in self.CALLS:
-            for i, row in enumerate(gaussian_streams(root, ids, 3, 5)):
-                np.testing.assert_array_equal(
-                    row, philox(seed, *spawn_key, *ids, i).standard_normal(5))
+            np.testing.assert_array_equal(gaussian_block(root, ids, 3, 5),
+                                          philox(seed, *spawn_key, *ids).standard_normal((3, 5)))
             if ids:
                 np.testing.assert_array_equal(root.at_stream(*ids).permutation(12),
                                               philox(seed, *spawn_key, *ids).permutation(12))
@@ -577,7 +514,7 @@ class TestAlternatingCalls:
     def test_source_keeps_no_state_per_id(self):
         root = RandomSource(5, (2,))
         for ids in self.CALLS:
-            gaussian_streams(root, ids, 2, 3)
+            gaussian_block(root, ids, 2, 3)
             if ids:
                 root.at_stream(*ids).integers(0, 8)
         assert vars(root) == {"seed": 5, "spawn_key": (2,)}
@@ -585,13 +522,13 @@ class TestAlternatingCalls:
     def test_negative_ids_still_rejected(self):
         root = RandomSource(5)
         root.at_stream(3, 1)
-        gaussian_streams(root, (), 2, 2)
+        gaussian_block(root, (), 2, 2)
         for ids in [(-1,), (3, -2), (-1, 3)]:
             for _ in range(2):  # a rejected call leaves nothing behind
                 with pytest.raises(ValueError):
                     root.at_stream(*ids)
                 with pytest.raises(ValueError):
-                    gaussian_streams(root, ids, 2, 2)
+                    gaussian_block(root, ids, 2, 2)
         np.testing.assert_array_equal(root.at_stream(3, 1).permutation(8),
                                       philox(5, 3, 1).permutation(8))
 
