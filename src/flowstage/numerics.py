@@ -333,7 +333,10 @@ class RandomSource:
         return RandomSource(self.seed, self.spawn_key + tuple(int(i) for i in ids))
 
     def _child(self, ids) -> np.random.SeedSequence:
-        """numpy's SeedSequence of child stream ``ids``."""
+        """numpy's SeedSequence of child stream ``ids``, a negative id
+        rejected before anything is built."""
+        if min(ids, default=0) < 0:
+            raise DomainError(f"negative stream id: {tuple(ids)}")
         return np.random.SeedSequence(self.seed, spawn_key=self.spawn_key + tuple(ids))
 
     def at_stream(self, *ids: int) -> np.random.Generator:

@@ -3,6 +3,7 @@ Adam arithmetic, the random source's reproducibility contract, and
 checkpoint round-trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -417,6 +418,88 @@ class TestGaussianStreams:
         first = gaussian_block(root, (1,), 5, 3)
         np.testing.assert_array_equal(gaussian_block(root, (1,), 5, 3), first)
         np.testing.assert_array_equal(gaussian_block(RandomSource(8), (1,), 5, 3), first)
+
+
+def seed_sequence_keys(seed, spawn_key, *counts):
+    """numpy's key of each child ``spawn_key + (j1, j2, ...)``, one
+    SeedSequence each, as a ``(*counts, 2)`` array."""
+    keys = np.empty((*counts, 2), dtype=np.uint64)
+    for js in np.ndindex(*counts):
+        seq = np.random.SeedSequence(seed, spawn_key=(*spawn_key, *js))
+        keys[js] = seq.generate_state(2, np.uint64)
+    return keys
+
+
+def child_keys(source, ids, *counts):
+    """``source.key(*ids, j1, j2, ...)`` for every ``0 <= j_m < counts[m]``,
+    as a ``(*counts, 2)`` array, each key first checked to be two
+    64-bit ints."""
+    keys = np.empty((*counts, 2), dtype=np.uint64)
+    for js in np.ndindex(*counts):
+        key = source.key(*ids, *js)
+        assert len(key) == 2 and all(type(w) is int and 0 <= w < 2**64 for w in key)
+        keys[js] = key
+    return keys
+
+
+class TestChildKeys:
+    """The Philox keys of child streams, :meth:`RandomSource.key`, equal
+    numpy's own SeedSequence keys."""
+
+    KEY_SEEDS = [0, 1, 2**32, 2**40 + 7, 9001, 2**130]
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    @pytest.mark.parametrize("count", [0, 1, 16, 64])
+    def test_one_level(self, seed, count):
+        keys = child_keys(RandomSource(seed), (2, 5), count)
+        assert keys.shape == (count, 2) and keys.dtype == np.uint64
+        np.testing.assert_array_equal(keys, seed_sequence_keys(seed, (2, 5), count))
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    @pytest.mark.parametrize("counts", [(0, 16), (1, 1), (16, 1), (3, 16), (2, 64)])
+    def test_two_levels(self, seed, counts):
+        keys = child_keys(RandomSource(seed), (1,), *counts)
+        assert keys.shape == (*counts, 2)
+        np.testing.assert_array_equal(keys, seed_sequence_keys(seed, (1,), *counts))
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_under_a_stream_prefix(self, seed):
+        source = RandomSource(seed, (7,)).stream(2**32, 3)
+        np.testing.assert_array_equal(child_keys(source, (), 16),
+                                      seed_sequence_keys(seed, (7, 2**32, 3), 16))
+        np.testing.assert_array_equal(child_keys(source, (1,), 2, 16),
+                                      seed_sequence_keys(seed, (7, 2**32, 3, 1), 2, 16))
+
+    def test_no_count_is_the_stream_itself(self):
+        expected = seed_sequence_keys(9001, (0, 4)).tolist()
+        assert RandomSource(9001).key(0, 4) == expected
+        assert RandomSource(9001).stream(0, 4).key() == expected
+
+    @pytest.mark.parametrize("counts", [(-1,), (16, -1), (2**32 + 1, -2**40)])
+    def test_count_out_of_range_allocates_nothing(self, monkeypatch, counts):
+        # child indices under (1,), one of them negative: rejected before
+        # any SeedSequence is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before checking the ids")
+
+        monkeypatch.setattr(np, "arange", refuse)
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError):
+                RandomSource(3).key(1, *counts)
+            with pytest.raises(DomainError):
+                RandomSource(3).at_stream(1, *counts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_at_most_2_32_streams_fit_one_word(self):
+        # the largest index 2**32 - 1 is one 32-bit word, 2**32 takes two
+        for ids in ((2**32 - 1,), (2**32,)):
+            np.testing.assert_array_equal(child_keys(RandomSource(5), ids, 1),
+                                          seed_sequence_keys(5, ids, 1))
 
 
 class TestKeyedGenerator:
