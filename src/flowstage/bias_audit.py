@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ShapeError
+from .numerics import KeyedGenerator, RandomSource
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +49,8 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, *, max_iters: int) -> np
     """At most ``max_iters`` Lloyd iterations (a run's ``audit.max_iters``)
     from greedy farthest-point seeding.
 
-    Deterministic under the seed: the first center is a random item, each
+    Deterministic under the seed: the first center is a random item,
+    drawn from the root stream of ``RandomSource(seed)``, each
     further center is the item farthest from all chosen ones (ties to the
     lowest index), and assignment ties also go to the lowest index.
     More clusters than distinct feature vectors is a DomainError.
@@ -60,7 +62,7 @@ def kmeans(features: np.ndarray, k: int, seed: int = 0, *, max_iters: int) -> np
     if not 1 <= k <= n:
         raise DomainError(f"k={k} must lie in [1, {n}]")
 
-    first = int(np.random.Generator(np.random.Philox(seed)).integers(0, n))
+    first = int(KeyedGenerator(RandomSource(seed).key()).at(0).integers(0, n))
     centers = [features[first]]
     min_d = np.sum((features - centers[0]) ** 2, axis=1)
     for _ in range(k - 1):

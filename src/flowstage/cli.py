@@ -76,7 +76,7 @@ def run_pretrain(cfg: RunConfig) -> None:
     losses = []
     try:
         for _, policy, loss in pretrain_flow_matching(
-                policy, cfg.dataset(), p["steps"], rng.stream(101),
+                policy, cfg.dataset, p["steps"], rng.stream(101),
                 batch_size=p["batch_size"], learning_rate=p["learning_rate"]):
             losses.append(loss)
     finally:

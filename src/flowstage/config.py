@@ -247,7 +247,8 @@ class RunConfig:
     one is set, read at load and only then.  In the modes that start from
     ``policy.init_checkpoint`` (calibrate, train, eval), ``init_policy``
     is the policy read from it at load, checked against ``dims``; it is
-    None in the others.
+    None in the others.  Likewise ``dataset``, the :class:`ToyDataset`
+    pretraining draws from, is built in pretrain mode only.
     """
 
     def __init__(self, resolved: dict):
@@ -322,7 +323,8 @@ class RunConfig:
                     "train", TrainConfig, _TRAIN_FROM_ELSEWHERE))),
             ]
             if mode == "pretrain":  # the only mode that draws from the dataset
-                builders.append(("dataset", self.dataset))
+                builders.append(("dataset", lambda: ToyDataset(
+                    self.dims, omega=dataset["omega"], jitter=dataset["jitter"])))
             if mode in _POLICY_MODES and not policy_errors:
                 builders.append(("policy", self._init_policy))
             for section, builder in builders:
@@ -358,7 +360,7 @@ class RunConfig:
             raise ConfigError(errors)
         # every section built without an error, so composing them cannot fail
         self.sde, self.suite = built["sde"], built["rewards"]
-        self.init_policy = built.get("policy")
+        self.init_policy, self.dataset = built.get("policy"), built.get("dataset")
         self.train = replace(built["train"], seed=self.seed, sde=self.sde,
                              curriculum=built["curriculum"], suite=self.suite)
 
@@ -390,10 +392,6 @@ class RunConfig:
     @property
     def outdir(self) -> Path:
         return Path(self.resolved["outdir"])
-
-    def dataset(self) -> ToyDataset:
-        d = self.resolved["dataset"]
-        return ToyDataset(self.dims, omega=d["omega"], jitter=d["jitter"])
 
     def _section(self, name: str, cls, skip=()) -> dict:
         """The fields of ``cls`` that section ``name`` sets, by name."""

@@ -25,9 +25,7 @@ class ConfigError(ValueError):
     Carries one message per offending field in ``details``.
     """
 
-    def __init__(self, details):
-        if isinstance(details, str):
-            details = [details]
+    def __init__(self, details: list):
         self.details = list(details)
         super().__init__("; ".join(self.details))
 

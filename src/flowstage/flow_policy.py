@@ -93,15 +93,12 @@ class FlowPolicy:
 
     Every trainable number lives in ``vector``, used as given when it is
     a contiguous float64 array; ``net.weights``, ``net.biases`` and
-    ``cond_emb`` are views into it.  ``layout`` names each array of
-    ``vector`` with its shape: the net's :func:`param_layout`, then
-    ``cond_emb``.
+    ``cond_emb`` are views into it, laid out by :func:`_policy_layout`.
     """
 
     dims: PolicyDims
     layer_sizes: tuple
     vector: np.ndarray
-    layout: list = field(init=False, repr=False)
     net: MlpParams = field(init=False, repr=False)
     cond_emb: np.ndarray = field(init=False, repr=False)
 
@@ -115,7 +112,6 @@ class FlowPolicy:
         # which MlpParams rejects
         net_size = max(self.vector.size - math.prod(emb_shape), 0)
         self.net = MlpParams(self.layer_sizes, self.vector[:net_size])
-        self.layout = self.net.layout + [("cond_emb", emb_shape)]
         self.cond_emb = self.vector[net_size:].reshape(emb_shape)
         if self.net.input_size != self.dims.net_input_size:
             raise ShapeError(
@@ -129,6 +125,8 @@ class FlowPolicy:
 
 
 def _policy_layout(layer_sizes: tuple, dims: PolicyDims) -> list:
+    """Each array of a policy's vector with its shape: the net's
+    :func:`param_layout`, then ``cond_emb``."""
     return param_layout(layer_sizes, [("cond_emb", (dims.num_classes, dims.embed_dim))])
 
 
@@ -280,22 +278,22 @@ class Rollout:
 # ---------------------------------------------------------------------------
 
 
-def init_flow_policy(dims: PolicyDims, hidden: Sequence[int] = DEFAULT_HIDDEN,
-                     rng: RandomSource | None = None) -> FlowPolicy:
+def init_flow_policy(dims: PolicyDims, hidden: Sequence[int] = DEFAULT_HIDDEN, *,
+                     rng: RandomSource) -> FlowPolicy:
     """A new policy: net weights from ``rng``'s child stream 0, embedding
     rows N(0, 1/embed_dim) from its child stream 1."""
-    rng = rng if rng is not None else RandomSource(0)
     sizes = (dims.net_input_size, *hidden, dims.state_size)
     if min(*sizes, dims.num_classes * dims.embed_dim) < 1:
         raise DomainError(f"empty layer or embedding: layer sizes {sizes}, dims {dims}")
-    net = init_mlp(sizes, rng.at_stream(0))
-    emb = (rng.at_stream(1).standard_normal(dims.num_classes * dims.embed_dim)
+    net = init_mlp(sizes, KeyedGenerator(rng.key(0)).at(0))
+    emb = (KeyedGenerator(rng.key(1)).at(0).standard_normal(dims.num_classes * dims.embed_dim)
            / math.sqrt(dims.embed_dim))
     return FlowPolicy(dims, sizes, np.concatenate([net.vector, emb]))
 
 
 def save_policy(path, policy: FlowPolicy, extra_meta: dict | None = None) -> None:
-    """Checkpoint with one array per entry of ``policy.layout``, by name."""
+    """Checkpoint with one array per entry of the policy's
+    :func:`_policy_layout`, by name."""
     meta = {
         "kind": "flow_policy",
         "layer_sizes": list(policy.layer_sizes),
@@ -304,7 +302,8 @@ def save_policy(path, policy: FlowPolicy, extra_meta: dict | None = None) -> Non
     }
     if extra_meta:
         meta.update(extra_meta)
-    write_checkpoint(path, meta, split_params(policy.vector, policy.layout))
+    write_checkpoint(path, meta, split_params(policy.vector,
+                                                _policy_layout(policy.layer_sizes, policy.dims)))
 
 
 def load_policy(path):
@@ -571,9 +570,9 @@ class ToyDataset:
         if self.dims.frame_dim != 2:
             raise DomainError("circle dataset requires frame_dim = 2")
 
-    def sample_batch(self, rng: np.random.Generator, n: int):
+    def sample_batch(self, rng, n: int):
         """Returns (frames (n, T, 2), conditions (n,)), the conditions and
-        then the jitter drawn from ``rng``."""
+        then the jitter drawn from ``rng``, a numpy Generator."""
         if n < 1:
             raise DomainError("batch size must be >= 1")
         T, C = self.dims.frames, self.dims.num_classes
@@ -608,10 +607,10 @@ def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
                            rng: RandomSource, batch_size: int, learning_rate: float):
     """Regress the velocity net onto (noise - data) along the linear path,
     ``steps`` Adam steps on batches of ``batch_size`` (a run's ``pretrain``
-    section).  The loop keeps the key of ``rng``'s child stream (0,), and
-    step k draws from that stream jumped k times (numpy's
-    ``Philox(SeedSequence(...)).jumped(k)``): its batch, then its noise,
-    then its flow times, through one generator reset to the jump.
+    section).  The loop opens one :class:`KeyedGenerator` on ``rng``'s
+    child stream (0,), and step k draws from that stream jumped k times
+    (numpy's ``Philox(SeedSequence(...)).jumped(k)``): its batch, then its
+    noise, then its flow times.
 
     A generator, like :func:`grpo.train`: it yields ``(step, policy,
     loss)`` after each update, the step index, the updated policy and the
@@ -621,9 +620,9 @@ def pretrain_flow_matching(policy: FlowPolicy, dataset, steps: int,
     """
     n = policy.dims.state_size
     opt = adam_init(policy.vector, learning_rate=learning_rate)
-    key, draws = rng.key(0), KeyedGenerator()
+    draws = KeyedGenerator(rng.key(0))
     for step in range(steps):
-        draw = draws.at(key, step)
+        draw = draws.at(step)
         frames, conds = dataset.sample_batch(draw, batch_size)
         if len(frames) == 0:
             raise DomainError("empty dataset")

@@ -28,14 +28,14 @@ home, which every rollout carries to its densities and gradient); the
 kept-step count (``TrainConfig.kept_count``); and the net layout's
 spans, from which each step's new policy and gradient are split
 (``numerics._net_spans``; a new policy's finiteness is still checked).
-A run keeps one Philox key, numpy's ``SeedSequence(seed,
+A run opens one Philox stream, numpy's ``SeedSequence(seed,
 spawn_key=(0,))``'s, and step k draws from that stream jumped k times
 (``Philox.jumped(k)``): its condition, then its whole rollout noise as
 one block, then its timestep subset.  So step k's draws depend on the
 seed and k alone, whatever was drawn before, and a run's
-:class:`GroupStreams` holds the one key, whatever the run's length.  Train
-step k and eval group k draw their condition and noise alike, through
-:meth:`GroupStreams.group`; eval draws no subset.
+:class:`GroupStreams` holds one generator on that stream, whatever the
+run's length.  Train step k and eval group k draw their condition and
+noise alike, through :meth:`GroupStreams.group`; eval draws no subset.
 
 Advantages enter the gradient as constants: nothing differentiates
 through the reward or mixing computations.
@@ -83,18 +83,17 @@ class GroupStreams:
     and, for a GRPO step, its timestep subset.  So eval group k, which
     draws no subset, gets train step k's condition and noise, and
     trajectory i's noise, row i of the block, does not depend on the
-    group size.  The stream's key is computed here, once, and is all the
-    object keeps; each draw resets one :class:`KeyedGenerator` to group
-    k's jump and finishes before :meth:`group` returns, so groups may be
-    drawn in any order.
+    group size.  The object keeps one :class:`KeyedGenerator` on the
+    stream, keyed here, once; each draw resets it to group k's jump and
+    finishes before :meth:`group` returns, so groups may be drawn in any
+    order.
     """
 
     def __init__(self, rng: RandomSource, count: int, dims: PolicyDims, group_size: int,
                  num_steps: int):
         self.count, self.dims = count, dims
         self.group_size, self.num_steps = group_size, num_steps
-        self._key = rng.key(_STREAM_GROUPS)
-        self._draws = KeyedGenerator()
+        self._draws = KeyedGenerator(rng.key(_STREAM_GROUPS))
 
     def group(self, k: int, kept: int = 0):
         """Group k's condition and sampler noise, ``(cond, noise)``, and
@@ -102,7 +101,7 @@ class GroupStreams:
         subset)``: ``kept`` of the ``num_steps`` sampler steps, in order."""
         if not 0 <= k < self.count:
             raise DomainError(f"group {k} is outside this run's {self.count} groups")
-        draw = self._draws.at(self._key, k)
+        draw = self._draws.at(k)
         cond = int(draw.integers(0, self.dims.num_classes))
         noise = draw.standard_normal((self.group_size, self.num_steps + 1,
                                       self.dims.state_size))

@@ -3,10 +3,11 @@ Adam optimizer, a counter-based random source, and checkpoint I/O.
 
 Everything here is a pure function of its inputs; randomness only enters
 through an explicit generator or :class:`RandomSource`, whose streams are
-numpy's own SeedSequence children.  A loop keeps one stream's key for the
-whole run (:meth:`RandomSource.key`), and its iteration k draws from that
-stream jumped k times, through one :class:`KeyedGenerator`.  Matrices are
-plain C-order float64 ``numpy`` arrays (rows x cols, row-major).
+numpy's own SeedSequence children.  Every draw goes through a
+:class:`KeyedGenerator` on one stream's key (:meth:`RandomSource.key`):
+a loop opens one for the whole run, and its iteration k draws from that
+stream jumped k times.  Matrices are plain C-order float64 ``numpy``
+arrays (rows x cols, row-major).
 
 The ``mlp_*`` functions check shapes and finiteness and hand the
 arithmetic to :mod:`kernels`, which holds the one batched implementation
@@ -92,14 +93,13 @@ class MlpParams:
 
     Hidden layers use tanh, the final layer is identity; ``weights[l]`` has
     shape ``(layer_sizes[l + 1], layer_sizes[l])``.  ``weights`` and
-    ``biases`` are views into ``vector`` laid out by ``layout``, the
-    net's :func:`param_layout`; the vector is used as given when it is
+    ``biases`` are views into ``vector`` laid out by the net's
+    :func:`param_layout`; the vector is used as given when it is
     already a contiguous float64 array.
     """
 
     layer_sizes: tuple
     vector: np.ndarray
-    layout: list = field(init=False, repr=False)
     weights: list = field(init=False, repr=False)
     biases: list = field(init=False, repr=False)
 
@@ -108,7 +108,6 @@ class MlpParams:
         if len(self.layer_sizes) < 2:
             raise ShapeError("need at least an input and an output layer")
         self.vector = _as_f64(self.vector)
-        self.layout = list(_net_spans(self.layer_sizes)[0])
         self.weights, self.biases = _layer_views(self.vector, self.layer_sizes)
         if not np.isfinite(self.vector).all():
             raise DomainError("non-finite parameter")
@@ -124,23 +123,23 @@ class MlpParams:
 
 @functools.lru_cache(maxsize=64)
 def _net_spans(layer_sizes: tuple) -> tuple:
-    """A net's :func:`param_layout` and each of its arrays' ``(start,
-    stop, shape)`` in the flat vector, as tuples, so no caller can change
-    what the next one gets.  Worked out once per layer sizes (for the 64
-    most recent): every policy a run builds from Adam's new vectors, and
-    every gradient, is split by the same spans."""
-    layout, spans, start = param_layout(layer_sizes), [], 0
-    for _, shape in layout:
+    """Each array's ``(start, stop, shape)`` in the flat vector of a net's
+    :func:`param_layout`, as a tuple, so no caller can change what the
+    next one gets.  Worked out once per layer sizes (for the 64 most
+    recent): every policy a run builds from Adam's new vectors, and every
+    gradient, is split by the same spans."""
+    spans, start = [], 0
+    for _, shape in param_layout(layer_sizes):
         stop = start + math.prod(shape)
         spans.append((start, stop, shape))
         start = stop
-    return tuple(layout), tuple(spans)
+    return tuple(spans)
 
 
 def _layer_views(vector: np.ndarray, layer_sizes: tuple):
     """Per-layer weight and bias views of a vector laid out by the
     :func:`param_layout` of ``layer_sizes``."""
-    spans = _net_spans(layer_sizes)[1]
+    spans = _net_spans(layer_sizes)
     if vector.shape != (spans[-1][1],):
         raise ShapeError(f"parameter vector shape {vector.shape}, expected ({spans[-1][1]},)")
     views = [vector[start:stop].reshape(shape) for start, stop, shape in spans]
@@ -309,14 +308,23 @@ class RandomSource:
     to the next.  Negative seeds and ids are rejected, as SeedSequence
     rejects them.
 
-    A loop takes one child's :meth:`key` before it starts, and its
-    iteration k draws, through one :class:`KeyedGenerator`, from that
+    A loop takes one child's :meth:`key` before it starts and opens one
+    :class:`KeyedGenerator` on it, and its iteration k draws from that
     stream jumped k times: numpy's ``Philox(SeedSequence(...)).jumped(k)``.
     Philox is counter-based (Salmon et al., "Parallel Random Numbers: As
     Easy as 1, 2, 3", SC 2011), and a jump moves the counter on by
     2**128, so the iterations draw from disjoint ranges of one key's
     counter, 2**128 values (of four 64-bit draws each) apiece.
-    :meth:`at_stream` builds numpy's objects afresh for one stream.
+
+    The streams the package opens, by their full spawn key under the
+    run's ``RandomSource(seed)``:
+
+    * ``()``, the root stream: k-means' first center (``bias_audit.kmeans``);
+    * ``(0,)``: train and eval groups, group k at jump k (``grpo.GroupStreams``);
+    * ``(100, 0)`` and ``(100, 1)``: a new policy's initial weights and
+      embedding (``flow_policy.init_flow_policy``);
+    * ``(101, 0)``: pretraining, step k at jump k
+      (``flow_policy.pretrain_flow_matching``).
     """
 
     def __init__(self, seed: int, spawn_key: tuple = ()):
@@ -332,54 +340,41 @@ class RandomSource:
         """The source whose child streams are this one's under ``ids``."""
         return RandomSource(self.seed, self.spawn_key + tuple(int(i) for i in ids))
 
-    def _child(self, ids) -> np.random.SeedSequence:
-        """numpy's SeedSequence of child stream ``ids``, a negative id
-        rejected before anything is built."""
-        if min(ids, default=0) < 0:
-            raise DomainError(f"negative stream id: {tuple(ids)}")
-        return np.random.SeedSequence(self.seed, spawn_key=self.spawn_key + tuple(ids))
-
-    def at_stream(self, *ids: int) -> np.random.Generator:
-        """A new generator at the start of child stream ``ids`` (see the
-        class): numpy's own, on the Philox of its SeedSequence."""
-        if not ids:
-            raise DomainError("at_stream needs at least one id")
-        return np.random.Generator(np.random.Philox(self._child(ids)))
-
     def key(self, *ids: int) -> list:
         """The Philox key of child stream ``ids`` (of the source's own
         stream with no ``ids``), two ints: numpy's
         ``SeedSequence(seed, spawn_key=spawn_key + ids).generate_state(2,
-        uint64)``, what :meth:`KeyedGenerator.at` takes."""
-        return self._child(ids).generate_state(2, np.uint64).tolist()
+        uint64)``, what :class:`KeyedGenerator` takes.  A negative id is
+        rejected before anything is built."""
+        if min(ids, default=0) < 0:
+            raise DomainError(f"negative stream id: {ids}")
+        seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key + ids)
+        return seq.generate_state(2, np.uint64).tolist()
 
 
 class KeyedGenerator:
-    """One numpy Philox and its Generator, reset to a point of a stream
-    by that stream's key (:meth:`RandomSource.key`) and a jump count.
+    """numpy's Philox on one stream's key (:meth:`RandomSource.key`) and
+    its Generator, reset to a jump of that stream by :meth:`at`.
 
-    A reset writes the key and the jumped counter into a fresh-stream
-    state, buffer empty, and sets the Philox to it: the state numpy's
+    A reset writes the jumped counter into the stream's fresh state,
+    buffer empty, and sets the Philox to it: the state numpy's
     ``Philox(SeedSequence(...)).jumped(jumps)`` starts in, without
-    building any of them.  So the draws after :meth:`at` equal that jumped
+    building a new Philox.  So the draws after :meth:`at` equal that jumped
     stream's own, whatever the generator drew before; a caller draws from
     what :meth:`at` returns before its next reset.
     """
 
-    def __init__(self):
-        # every draw follows a reset, so the construction seed is never drawn from
-        self._bit_generator = np.random.Philox(0)
+    def __init__(self, key):
+        # a uint64 array: numpy reads a list of ints below and above 2**63
+        # as float64, which rounds the key
+        self._bit_generator = np.random.Philox(key=np.array(key, dtype=np.uint64))
         self._generator = np.random.Generator(self._bit_generator)
-        self._state = {"bit_generator": "Philox",
-                       "state": {"counter": None, "key": None},
-                       "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._state = self._bit_generator.state
 
-    def at(self, key, jumps: int) -> np.random.Generator:
-        """The generator at the start of the stream of ``key``, two ints,
-        jumped ``jumps >= 0`` times: its counter is ``jumps * 2**128``."""
-        state = self._state["state"]
-        state["key"] = key
-        state["counter"] = [0, 0, jumps & _MASK64, jumps >> 64]
+    def at(self, jumps: int) -> np.random.Generator:
+        """The generator at the start of the stream jumped ``jumps >= 0``
+        times: its counter is ``jumps * 2**128``."""
+        self._state["state"]["counter"] = [0, 0, jumps & _MASK64, jumps >> 64]
         self._bit_generator.state = self._state
         return self._generator
 

@@ -23,10 +23,9 @@ from flowstage.numerics import CHECKPOINT_MAGIC, KeyedGenerator, mlp_forward_bat
 
 def philox(seed, *spawn_key, jumps=0):
     """numpy's generator on the Philox stream of ``SeedSequence(seed,
-    spawn_key=spawn_key)``, jumped ``jumps`` times: the stream a
-    ``KeyedGenerator`` reset to that key and jump must start
-    (``RandomSource(seed).at_stream(*spawn_key)`` at no jump), and the
-    tests' source of random inputs."""
+    spawn_key=spawn_key)``, jumped ``jumps`` times: the stream that
+    ``KeyedGenerator(RandomSource(seed).key(*spawn_key)).at(jumps)`` must
+    start, and the tests' source of random inputs."""
     seq = np.random.SeedSequence(seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.Philox(seq).jumped(jumps))
 
@@ -34,10 +33,10 @@ def philox(seed, *spawn_key, jumps=0):
 def gaussian_block(source, ids, count, n, jumps=0):
     """A ``(count, n)`` block of the standard normals that open
     ``source``'s child stream ``ids`` jumped ``jumps`` times, drawn as the
-    package draws a group's noise block: the key from
-    ``RandomSource.key`` and one ``standard_normal`` draw from a
-    ``KeyedGenerator`` reset to the jump."""
-    return KeyedGenerator().at(source.key(*ids), jumps).standard_normal((count, n))
+    package draws a group's noise block: one ``standard_normal`` draw
+    from a ``KeyedGenerator`` on the stream's ``RandomSource.key``, reset
+    to the jump."""
+    return KeyedGenerator(source.key(*ids)).at(jumps).standard_normal((count, n))
 
 
 def copy_policy(policy):

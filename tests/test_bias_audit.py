@@ -68,6 +68,15 @@ class TestKmeans:
         np.testing.assert_array_equal(kmeans(feats, 5, seed=9, max_iters=MAX_ITERS),
                                       kmeans(feats, 5, seed=9, max_iters=MAX_ITERS))
 
+    @pytest.mark.parametrize("seed", [0, 1, 9001, 2**40 + 7])
+    def test_first_center_is_numpy_root_stream(self, seed):
+        # with k = n every point is its own cluster, and cluster 0 is the
+        # first center, drawn from numpy's Philox of the seed
+        n = 50
+        labels = kmeans(np.arange(n)[:, None], n, seed=seed, max_iters=1)
+        first = np.random.Generator(np.random.Philox(seed)).integers(0, n)
+        assert np.flatnonzero(labels == 0)[0] == first
+
     def test_k_larger_than_items_rejected(self):
         with pytest.raises(DomainError):
             kmeans(np.zeros((3, 2)), 4, max_iters=MAX_ITERS)

@@ -107,7 +107,8 @@ class TestMaxGradNorm:
 def test_defaults_are_the_dataclass_defaults():
     cfg = RunConfig.from_dict(TRAIN)
     assert cfg.dims == PolicyDims()
-    assert cfg.dataset() == ToyDataset()
+    assert cfg.dataset is None  # built in pretrain mode only
+    assert RunConfig.from_dict({"mode": "pretrain"}).dataset == ToyDataset()
     assert cfg.resolved["policy"]["hidden"] == list(DEFAULT_HIDDEN)
     assert inspect.signature(init_flow_policy).parameters["hidden"].default is DEFAULT_HIDDEN
     assert cfg.sde == SdeConfig()

@@ -107,12 +107,26 @@ class TestFlatVector:
                                               (replace(SMALL, num_classes=0), (6,))])
     def test_empty_layer_or_embedding_rejected(self, dims, hidden):
         with pytest.raises(DomainError):
-            init_flow_policy(dims, hidden=hidden)
+            init_flow_policy(dims, hidden=hidden, rng=RandomSource(0))
 
     def test_wrong_vector_size_rejected(self):
         p = small_policy(3)
         with pytest.raises(ShapeError):
             FlowPolicy(p.dims, p.layer_sizes, p.vector[:-1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 9001, 2**40 + 7])
+    def test_initial_draws_are_numpy_streams(self, seed):
+        # a run's initial policy: W_l ~ N(0, 1/fan_in) in layer order from
+        # child stream (100, 0), zero biases, the embedding from (100, 1)
+        p = init_flow_policy(SMALL, hidden=(6, 5), rng=RandomSource(seed).stream(100))
+        weights = philox(seed, 100, 0)
+        for w, b in zip(p.net.weights, p.net.biases):
+            np.testing.assert_array_equal(
+                w, weights.standard_normal(w.shape) / math.sqrt(w.shape[1]))
+            assert not b.any()
+        np.testing.assert_array_equal(
+            p.cond_emb,
+            philox(seed, 100, 1).standard_normal(p.cond_emb.shape) / math.sqrt(SMALL.embed_dim))
 
 
 class TestVelocity:

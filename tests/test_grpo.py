@@ -37,6 +37,7 @@ from flowstage.flow_policy import (
     FlowPolicy,
     PolicyDims,
     SdeConfig,
+    _policy_layout,
     init_flow_policy,
     sde_sample,
 )
@@ -472,7 +473,8 @@ class TestGradientFidelity:
         assert flags.mean() == 0.0
         assert J == pytest.approx(J_re, abs=1e-12)
         np.testing.assert_allclose(ratios_re, 1.0, rtol=0, atol=1e-12)
-        arrays, arrays_re = (split_params(g, policy.layout) for g in (grads, grads_re))
+        layout = _policy_layout(policy.layer_sizes, policy.dims)
+        arrays, arrays_re = (split_params(g, layout) for g in (grads, grads_re))
         for name, b in arrays_re.items():
             assert np.linalg.norm(arrays[name] - b) <= 1e-12 * np.linalg.norm(b)
 

@@ -325,23 +325,28 @@ class TestAdam:
             adam_step_arrays(p, np.zeros(3), state)
 
 
+def opened(source, *ids):
+    """A new generator at the start of ``source``'s child stream ``ids``."""
+    return KeyedGenerator(source.key(*ids)).at(0)
+
+
 class TestRandomSource:
     def test_same_seed_same_stream(self):
-        a = RandomSource(99).at_stream(0).standard_normal(50)
-        b = RandomSource(99).at_stream(0).standard_normal(50)
+        a = opened(RandomSource(99), 0).standard_normal(50)
+        b = opened(RandomSource(99), 0).standard_normal(50)
         np.testing.assert_array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = RandomSource(1).at_stream(0).standard_normal(50)
-        b = RandomSource(2).at_stream(0).standard_normal(50)
+        a = opened(RandomSource(1), 0).standard_normal(50)
+        b = opened(RandomSource(2), 0).standard_normal(50)
         assert not np.array_equal(a, b)
 
     def test_streams_are_disjoint_and_reproducible(self):
         root = RandomSource(7)
-        a = root.at_stream(0).standard_normal(10)
-        b = root.at_stream(1).standard_normal(10)
+        a = opened(root, 0).standard_normal(10)
+        b = opened(root, 1).standard_normal(10)
         assert not np.array_equal(a, b)
-        np.testing.assert_array_equal(a, RandomSource(7).at_stream(0).standard_normal(10))
+        np.testing.assert_array_equal(a, opened(RandomSource(7), 0).standard_normal(10))
         np.testing.assert_array_equal(a, philox(7, 0).standard_normal(10))
 
     def test_law_of_large_numbers(self):
@@ -478,18 +483,19 @@ class TestChildKeys:
     @pytest.mark.parametrize("counts", [(-1,), (16, -1), (2**32 + 1, -2**40)])
     def test_count_out_of_range_allocates_nothing(self, monkeypatch, counts):
         # child indices under (1,), one of them negative: rejected before
-        # any SeedSequence is built
+        # any SeedSequence or Philox is built
         def refuse(*args, **kwargs):
             raise AssertionError("allocated before checking the ids")
 
         monkeypatch.setattr(np, "arange", refuse)
-        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        for name in ("SeedSequence", "Philox"):
+            monkeypatch.setattr(np.random, name, refuse)
         tracemalloc.start()
         try:
             with pytest.raises(DomainError):
                 RandomSource(3).key(1, *counts)
             with pytest.raises(DomainError):
-                RandomSource(3).at_stream(1, *counts)
+                KeyedGenerator(RandomSource(3).key(1, *counts))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -504,59 +510,65 @@ class TestChildKeys:
 
 class TestKeyedGenerator:
     def test_draws_equal_numpy_streams(self):
-        keys = [RandomSource(11).key(4, i) for i in range(3)]
-        draws = KeyedGenerator()
+        gens = [KeyedGenerator(RandomSource(11).key(4, i)) for i in range(3)]
         for i, jumps in ((2, 0), (0, 3), (1, 0), (2, 2**64 + 1), (2, 0)):
-            assert (draws.at(keys[i], jumps).integers(0, 8)
-                    == philox(11, 4, i, jumps=jumps).integers(0, 8))
-            np.testing.assert_array_equal(draws.at(keys[i], jumps).permutation(16),
+            assert gens[i].at(jumps).integers(0, 8) == philox(11, 4, i, jumps=jumps).integers(0, 8)
+            np.testing.assert_array_equal(gens[i].at(jumps).permutation(16),
                                           philox(11, 4, i, jumps=jumps).permutation(16))
-            np.testing.assert_array_equal(draws.at(keys[i], jumps).random(5),
+            np.testing.assert_array_equal(gens[i].at(jumps).random(5),
                                           philox(11, 4, i, jumps=jumps).random(5))
+
+    def test_key_words_keep_all_64_bits(self):
+        # one key word below 2**63 and one above: numpy reads such a list
+        # of ints as float64, which would round both words
+        key = RandomSource(2**40 + 7).key(0)
+        assert min(key) < 2**63 <= max(key)
+        np.testing.assert_array_equal(KeyedGenerator(key).at(3).standard_normal(8),
+                                      philox(2**40 + 7, 0, jumps=3).standard_normal(8))
 
     def test_reset_mid_draw_starts_afresh(self):
         # a stream left part-way through a buffered draw, then blocks drawn
         # through the same generator: each reset starts its stream afresh
-        key = RandomSource(6).key(0)
-        draws = KeyedGenerator()
-        gen = draws.at(key, 0)
+        draws = KeyedGenerator(RandomSource(6).key(0))
+        gen = draws.at(0)
         first = (gen.integers(0, 8), gen.standard_normal(3))
-        rows = [draws.at(key, i).standard_normal(7) for i in range(1, 4)]
-        again = draws.at(key, 0)
+        rows = [draws.at(i).standard_normal(7) for i in range(1, 4)]
+        again = draws.at(0)
         assert again.integers(0, 8) == first[0]
         np.testing.assert_array_equal(again.standard_normal(3), first[1])
         for i, row in enumerate(rows, start=1):
             np.testing.assert_array_equal(row, philox(6, 0, jumps=i).standard_normal(7))
 
 
-class TestAtStream:
+class TestNewGenerator:
+    """A new :class:`KeyedGenerator` at jump 0 starts its child stream."""
+
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from(SEEDS), IDS, IDS.filter(len), st.integers(1, 40),
-           st.integers(1, 20))
+    @given(st.sampled_from(SEEDS), IDS, IDS, st.integers(1, 40), st.integers(1, 20))
     def test_draws_equal_child_stream(self, seed, spawn, ids, high, k):
         root = RandomSource(seed, tuple(spawn))
-        assert (root.at_stream(*ids).integers(0, high)
+        assert (opened(root, *ids).integers(0, high)
                 == philox(seed, *spawn, *ids).integers(0, high))
-        np.testing.assert_array_equal(root.at_stream(*ids).permutation(k),
+        np.testing.assert_array_equal(opened(root, *ids).permutation(k),
                                       philox(seed, *spawn, *ids).permutation(k))
 
     def test_each_call_starts_afresh(self):
-        # whatever earlier calls drew, a call starts its stream afresh
+        # whatever earlier generators drew, a new one starts its stream afresh
         root = RandomSource(4)
-        first = root.at_stream(2, 9).permutation(16)
-        root.at_stream(0, 9).integers(0, 8, size=50)
+        first = opened(root, 2, 9).permutation(16)
+        opened(root, 0, 9).integers(0, 8, size=50)
         gaussian_block(root, (1, 9), 3, 5)
-        np.testing.assert_array_equal(root.at_stream(2, 9).permutation(16), first)
+        np.testing.assert_array_equal(opened(root, 2, 9).permutation(16), first)
 
     def test_interleaved_calls_match_child_streams(self):
-        # at_stream(a) is left part-way through a buffered draw while
-        # gaussian_block and at_stream(b) draw: every draw still equals
-        # its own stream's
+        # stream a is left part-way through a buffered draw while
+        # gaussian_block and stream b draw: every draw still equals its
+        # own stream's
         root = RandomSource(6)
-        a = root.at_stream(0, 3)
+        a = opened(root, 0, 3)
         drawn_a = (a.integers(0, 8), a.standard_normal(3), a.integers(0, 5, size=3))
         block = gaussian_block(root, (1, 3), 5, 7)
-        b = root.at_stream(2, 3)
+        b = opened(root, 2, 3)
         drawn_b = (b.permutation(16), b.integers(0, 8))
         second = gaussian_block(root, (1, 4), 3, 7)
 
@@ -570,10 +582,10 @@ class TestAtStream:
         for ids, rows in (((1, 3), block), ((1, 4), second)):
             np.testing.assert_array_equal(rows, philox(6, *ids).standard_normal(rows.shape))
 
-    @pytest.mark.parametrize("ids", [(), (-1,), (3, -2)])
+    @pytest.mark.parametrize("ids", [(-1,), (3, -2)])
     def test_bad_ids_rejected(self, ids):
         with pytest.raises(ValueError):
-            RandomSource(5).at_stream(*ids)
+            opened(RandomSource(5), *ids)
 
 
 class TestAlternatingCalls:
@@ -590,29 +602,27 @@ class TestAlternatingCalls:
         for ids in self.CALLS:
             np.testing.assert_array_equal(gaussian_block(root, ids, 3, 5),
                                           philox(seed, *spawn_key, *ids).standard_normal((3, 5)))
-            if ids:
-                np.testing.assert_array_equal(root.at_stream(*ids).permutation(12),
-                                              philox(seed, *spawn_key, *ids).permutation(12))
+            np.testing.assert_array_equal(opened(root, *ids).permutation(12),
+                                          philox(seed, *spawn_key, *ids).permutation(12))
 
     def test_source_keeps_no_state_per_id(self):
         root = RandomSource(5, (2,))
         for ids in self.CALLS:
             gaussian_block(root, ids, 2, 3)
-            if ids:
-                root.at_stream(*ids).integers(0, 8)
+            opened(root, *ids).integers(0, 8)
         assert vars(root) == {"seed": 5, "spawn_key": (2,)}
 
     def test_negative_ids_still_rejected(self):
         root = RandomSource(5)
-        root.at_stream(3, 1)
+        opened(root, 3, 1)
         gaussian_block(root, (), 2, 2)
         for ids in [(-1,), (3, -2), (-1, 3)]:
             for _ in range(2):  # a rejected call leaves nothing behind
                 with pytest.raises(ValueError):
-                    root.at_stream(*ids)
+                    opened(root, *ids)
                 with pytest.raises(ValueError):
                     gaussian_block(root, ids, 2, 2)
-        np.testing.assert_array_equal(root.at_stream(3, 1).permutation(8),
+        np.testing.assert_array_equal(opened(root, 3, 1).permutation(8),
                                       philox(5, 3, 1).permutation(8))
 
 

@@ -20,7 +20,7 @@ ALLOWED = {
 }
 
 # Attributes of numpy arrays and generators: src/ reading one of these
-# names may be reading numpy's (``rng.at_stream(k).permutation``), so a
+# names may be reading numpy's (``draws.at(k).permutation``), so a
 # public method of that name is not counted as called.
 NUMPY_NAMES = set(dir(np.ndarray)) | set(dir(np.random.Generator))
 

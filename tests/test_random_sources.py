@@ -1,10 +1,10 @@
 """Every random draw in the package comes from a stream that its seed and
 stream key name: no code draws from numpy's legacy global state, a
 ``default_rng`` or ``RandomState`` of its own, or Python's ``random``.
-And a loop's streams are keyed once per run: numpy's SeedSequence,
-Philox and Generator are built in ``numerics`` alone (apart from k-means'
-one root generator), and ``RandomSource.at_stream``, which builds them
-afresh for one stream, serves only a new policy's initial weights."""
+And a stream is opened one way: numpy's SeedSequence, Philox and
+Generator are built in ``numerics`` alone, by ``RandomSource.key`` and
+``KeyedGenerator``, and nothing calls the removed
+``RandomSource.at_stream``, which built them afresh for one stream."""
 
 import ast
 from pathlib import Path
@@ -75,7 +75,7 @@ np.random.Generator(np.random.Philox(np.random.SeedSequence(3)))
 from numpy.random import Generator, Philox
 gen.random(4)
 gen.standard_normal(5)
-rng.at_stream(0).permutation(8)
+KeyedGenerator(key).at(0).permutation(8)
 """
     assert unkeyed_randomness(ast.parse(code)) == list(range(2, 12))
 
@@ -118,11 +118,8 @@ def stream_builds(tree: ast.AST) -> list:
 def test_streams_are_keyed_once_per_run():
     uses = [(f"{path.stem}.{scope}", name) for path in sorted(SRC.glob("*.py"))
             for scope, name in stream_builds(ast.parse(path.read_text(encoding="utf-8")))]
-    assert {scope for scope, name in uses if name == "at_stream"} == {
-        "flow_policy.init_flow_policy"}
-    assert sorted(use for use in uses
-                  if use[1] != "at_stream" and not use[0].startswith("numerics.")) == [
-        ("bias_audit.kmeans", "Generator"), ("bias_audit.kmeans", "Philox")]
+    assert [use for use in uses if use[1] == "at_stream"] == []
+    assert [use for use in uses if not use[0].startswith("numerics.")] == []
 
 
 def test_the_build_check_sees_each_form():
